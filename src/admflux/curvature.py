@@ -4,11 +4,25 @@ All formulas are the full nonlinear ones; :func:`linearized_scalar` exposes the
 second-derivative truncation of the scalar curvature separately, as a
 cross-check quantity.  Array-level helpers accept a leading batch axis so that
 surface integrals can evaluate curvature at all quadrature nodes at once.
+
+With jets laid out as ``dg[l,i,j] = d_l g_ij`` and ``ddg[l,k,i,j] = d_l d_k g_ij``
+and ``T_sij = d_j g_is + d_i g_js - d_s g_ij``, the kernel
+:func:`curvature_arrays` contracts the derivatives of the connection that the
+Ricci tensor needs as it forms them:
+
+* ``gamma^k_ij = g^ks T_sij / 2``;
+* ``d_k gamma^k_ij = v^s T_sij / 2 + g^ks (d_k d_j g_is + d_k d_i g_js - d_k d_s g_ij) / 2``
+  with ``v^s = d_k g^ks = -g^ka d_k g_ab g^bs``;
+* ``d_j gamma^k_ki = g^ks d_j d_i g_ks / 2 - g^ka d_j g_ab g^bs d_i g_ks / 2``;
+* ``R_ij = d_k gamma^k_ij - d_j gamma^k_ki + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ki``.
+
+The full partials ``d_l gamma^k_ij`` are formed only on request
+(:attr:`CurvatureBundle.dgamma`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,22 +38,43 @@ class CurvatureBundle:
     """Curvature data at one point (or a batch of points, with a leading axis).
 
     ``gamma[k, i, j]`` holds the connection coefficients with upper index
-    first, ``dgamma[l, k, i, j]`` their partials with the derivative index
     first.  ``einstein`` is ``ricci - scalar/2 * g`` and ``ginv`` the inverse
-    metric.
+    metric.  ``dg`` and ``ddg`` are the metric partials the bundle was built
+    from; the connection partials ``dgamma[l, k, i, j]`` (derivative index
+    first) are computed from them each time the property is read.
     """
 
     gamma: Array
-    dgamma: Array
     ricci: Array
     scalar: Array
     einstein: Array
     ginv: Array
+    dg: Array = field(repr=False)
+    ddg: Array = field(repr=False)
+
+    @property
+    def dgamma(self) -> Array:
+        """``d_l gamma^k_ij = (d_l g^ks T_sij + g^ks d_l T_sij) / 2``."""
+        ginv, ddg = self.ginv, self.ddg
+        dginv = -np.einsum("...ab,...lbc,...cd->...lad", ginv, self.dg, ginv)
+        dT = np.einsum("...ljis->...lsij", ddg) + np.einsum("...lijs->...lsij", ddg) - ddg
+        return 0.5 * (
+            np.einsum("...lks,...sij->...lkij", dginv, _lowered_connection(self.dg))
+            + np.einsum("...ks,...lsij->...lkij", ginv, dT)
+        )
 
 
 def metric_inverse(g: Array) -> Array:
-    """Inverse metric with a condition-number guard (batched over leading axes)."""
-    cond = np.linalg.cond(g)
+    """Inverse metric with finiteness and condition-number guards (batched).
+
+    For symmetric ``g`` the 2-norm condition number is ``max|lambda| / min|lambda|``
+    over its eigenvalues, so ``eigvalsh`` stands in for an SVD.
+    """
+    if not np.isfinite(g).all():
+        raise SingularMetricError("metric has non-finite entries")
+    lam = np.abs(np.linalg.eigvalsh(g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = lam.max(axis=-1) / lam.min(axis=-1)
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > CONDITION_LIMIT:
         raise SingularMetricError(
@@ -48,33 +83,55 @@ def metric_inverse(g: Array) -> Array:
     return np.linalg.inv(g)
 
 
-def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
-    """Full curvature bundle from batched jet arrays ``(p, ...)`` index layout.
+def _lowered_connection(dg: Array) -> Array:
+    """``T[s,i,j] = d_j g_is + d_i g_js - d_s g_ij`` over any leading axes."""
+    return np.einsum("...jis->...sij", dg) + np.einsum("...ijs->...sij", dg) - dg
 
-    Connection: ``gamma[k,i,j] = ginv[k,s] (dg[j,i,s] + dg[i,j,s] - dg[s,i,j]) / 2``.
-    Ricci:  ``R_ij = d_k gamma[k,j,i] - d_j gamma[k,k,i]
-    + gamma[k,k,l] gamma[l,j,i] - gamma[k,j,l] gamma[l,k,i]``.
+
+def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
+    """Full curvature bundle from batched jets ``g[p,i,j]``, ``dg[p,l,i,j]``, ``ddg[p,l,k,i,j]``.
+
+    With ``T_sij = d_j g_is + d_i g_js - d_s g_ij`` and
+    ``v^s = d_k g^ks = -g^ka d_k g_ab g^bs``:
+
+    * ``gamma^k_ij = g^ks T_sij / 2``;
+    * ``d_k gamma^k_ij = v^s T_sij / 2 + g^ks (d_k d_j g_is + d_k d_i g_js - d_k d_s g_ij) / 2``;
+    * ``d_j gamma^k_ki = g^ks d_j d_i g_ks / 2 - g^ka d_j g_ab g^bs d_i g_ks / 2``;
+    * ``R_ij = d_k gamma^k_ij - d_j gamma^k_ki + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ki``,
+      symmetrized against rounding; ``R = g^ij R_ij`` and ``G_ij = R_ij - R g_ij / 2``.
+
+    The divergence and the trace derivative are contracted as they are
+    formed, so the 5-index ``dgamma`` array is never built here.
     """
     ginv = metric_inverse(g)
-    # T[s,i,j] = g_is,j + g_js,i - g_ij,s
-    T = np.einsum("pjis->psij", dg) + np.einsum("pijs->psij", dg) - dg
-    gamma = 0.5 * np.einsum("pks,psij->pkij", ginv, T)
-    dginv = -np.einsum("pab,plbc,pcd->plad", ginv, dg, ginv)
-    dT = np.einsum("pljis->plsij", ddg) + np.einsum("plijs->plsij", ddg) - ddg
-    dgamma = 0.5 * (
-        np.einsum("plks,psij->plkij", dginv, T) + np.einsum("pks,plsij->plkij", ginv, dT)
+    T = _lowered_connection(dg)
+    p, n = g.shape[:2]
+    gamma = 0.5 * (ginv @ T.reshape(p, n, n * n)).reshape(T.shape)
+    # P[l] = ginv @ dg[l]:  v^s = -P[k,k,b] g^bs  and  g^ka d_j g_ab g^bs d_i g_ks = tr(P[j] P[i])
+    P = ginv[:, None] @ dg
+    v = -np.einsum("pkkb,pbs->ps", P, ginv, optimize=True)
+    # A_ij = g^ks d_k d_j g_is, read as d_j d_k g_si so that k, s are adjacent in ddg;
+    # the d_k d_i g_js term is its transpose
+    A = np.einsum("pks,pjksi->pij", ginv, ddg, optimize=True)
+    # div and trace_d are twice d_k gamma^k_ij and twice d_j gamma^k_ki
+    div = (
+        np.einsum("ps,psij->pij", v, T, optimize=True)
+        + A
+        + A.swapaxes(-1, -2)
+        - np.einsum("pks,pksij->pij", ginv, ddg, optimize=True)
     )
-    ric = (
-        np.einsum("pkkji->pij", dgamma)
-        - np.einsum("pjkki->pij", dgamma)
-        + np.einsum("pkkl,plji->pij", gamma, gamma)
-        - np.einsum("pkjl,plki->pij", gamma, gamma)
+    trace_d = np.einsum("pks,pjiks->pij", ginv, ddg, optimize=True) - np.einsum(
+        "pjks,pisk->pij", P, P, optimize=True
+    )
+    ric = 0.5 * (div - trace_d) + (
+        np.einsum("pkkl,plij->pij", gamma, gamma, optimize=True)
+        - np.einsum("pkjl,plki->pij", gamma, gamma, optimize=True)
     )
     ric = 0.5 * (ric + ric.swapaxes(-1, -2))
     scalar = np.einsum("pij,pij->p", ginv, ric)
     einstein_ = ric - 0.5 * scalar[:, None, None] * g
     return CurvatureBundle(
-        gamma=gamma, dgamma=dgamma, ricci=ric, scalar=scalar, einstein=einstein_, ginv=ginv
+        gamma=gamma, ricci=ric, scalar=scalar, einstein=einstein_, ginv=ginv, dg=dg, ddg=ddg
     )
 
 
@@ -83,11 +140,12 @@ def curvature_bundle(jet: MetricJet2) -> CurvatureBundle:
     b = curvature_arrays(jet.g[None], jet.dg[None], jet.ddg[None])
     return CurvatureBundle(
         gamma=b.gamma[0],
-        dgamma=b.dgamma[0],
         ricci=b.ricci[0],
         scalar=float(b.scalar[0]),
         einstein=b.einstein[0],
         ginv=b.ginv[0],
+        dg=jet.dg,
+        ddg=jet.ddg,
     )
 
 

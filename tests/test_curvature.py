@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from admflux.curvature import (
     christoffel,
+    curvature_arrays,
     curvature_bundle,
     einstein,
     linearized_scalar,
@@ -193,3 +197,65 @@ def test_singular_metric_rejected():
     jet = MetricJet2(dim=3, g=g, dg=np.zeros((3, 3, 3)), ddg=np.zeros((3, 3, 3, 3)))
     with pytest.raises(SingularMetricError):
         ricci(jet)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_metric_rejected(bad):
+    g = np.eye(3)[None].repeat(2, axis=0)
+    g[1, 2, 2] = bad
+    with pytest.raises(SingularMetricError, match="non-finite"):
+        curvature_arrays(g, np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3)))
+
+
+def reference_curvature(g, dg, ddg):
+    """Reference oracle: the kernel's formulas through the full 5-index ``dgamma``."""
+    ginv = np.linalg.inv(g)
+    T = np.einsum("pjis->psij", dg) + np.einsum("pijs->psij", dg) - dg
+    gamma = 0.5 * np.einsum("pks,psij->pkij", ginv, T)
+    dginv = -np.einsum("pab,plbc,pcd->plad", ginv, dg, ginv)
+    dT = np.einsum("pljis->plsij", ddg) + np.einsum("plijs->plsij", ddg) - ddg
+    dgamma = 0.5 * (
+        np.einsum("plks,psij->plkij", dginv, T) + np.einsum("pks,plsij->plkij", ginv, dT)
+    )
+    ric = (
+        np.einsum("pkkji->pij", dgamma)
+        - np.einsum("pjkki->pij", dgamma)
+        + np.einsum("pkkl,plji->pij", gamma, gamma)
+        - np.einsum("pkjl,plki->pij", gamma, gamma)
+    )
+    ric = 0.5 * (ric + ric.swapaxes(-1, -2))
+    scalar = np.einsum("pij,pij->p", ginv, ric)
+    einstein_ = ric - 0.5 * scalar[:, None, None] * g
+    return {"gamma": gamma, "dgamma": dgamma, "ricci": ric, "scalar": scalar, "einstein": einstein_}
+
+
+@st.composite
+def spd_jets(draw):
+    """Batches of SPD metric jets with the symmetries of second partials, n in {3, 4, 5}."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    p = draw(st.integers(1, 4))
+    # subnormals carry too few significant digits for a 1e-12 relative comparison
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    a = draw(arrays(np.float64, (p, n, n), elements=unit))
+    dg = draw(arrays(np.float64, (p, n, n, n), elements=unit))
+    ddg = draw(arrays(np.float64, (p, n, n, n, n), elements=unit))
+    g = np.eye(n) + a @ a.swapaxes(-1, -2) / n  # eigenvalues in [1, n + 1]
+    dg = _sym2(dg)
+    ddg = _sym2(0.5 * (ddg + ddg.transpose(0, 2, 1, 3, 4)))
+    return g, dg, ddg
+
+
+@settings(deadline=None)
+@given(spd_jets())
+def test_kernel_matches_five_index_reference(jets):
+    g, dg, ddg = jets
+    got = curvature_arrays(g, dg, ddg)
+    want = reference_curvature(g, dg, ddg)
+    assert np.array_equal(got.dgamma, want["dgamma"])
+    # Relative to the larger of the result and the size of the terms it is summed
+    # from, so that a curvature cancelling to near zero is not held to 1e-12 of itself.
+    terms = np.abs(ddg).max() + np.abs(dg).max() ** 2
+    for name in ("gamma", "ricci", "scalar", "einstein"):
+        scale = max(np.abs(want[name]).max(), np.abs(dg).max() if name == "gamma" else terms)
+        err = np.abs(getattr(got, name) - want[name]).max()
+        assert err <= 1e-12 * scale, name

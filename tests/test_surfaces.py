@@ -164,6 +164,14 @@ class TestMetricNormalsAndAreas:
         with pytest.raises(SingularMetricError):
             g_normals_and_areas(g[None], np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_metric(self, bad):
+        g = np.eye(3)[None].repeat(2, axis=0)
+        g[0, 0, 1] = g[0, 1, 0] = bad
+        nu = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(SingularMetricError, match="non-finite"):
+            g_normals_and_areas(g, nu, np.ones(2))
+
 
 def test_unit_rule_node_count_default_order():
     pts, w = unit_sphere_rule(3, 24)
