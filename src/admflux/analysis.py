@@ -8,11 +8,11 @@ only guarantee convergence without a rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
 from .invariants import adm_mass_at, cs_center_at, intrinsic_center_at, intrinsic_mass_at
 from .metric_field import MetricField
@@ -39,18 +39,31 @@ class PowerLawFit:
     residual: float
 
 
+#: Trial rates of the coarse scan that seeds the profile search.
+RATE_GRID = np.linspace(0.05, 8.0, 160)
+#: Cap on damped Gauss-Newton iterations in the final polish.
+MAX_POLISH_STEPS = 300
+
+
 def fit_power_law(radii, values) -> PowerLawFit:
     """Least-squares fit of ``limit + A * r^(-p)`` to scalar samples.
 
-    The rate enters nonlinearly, so the fit scans a coarse grid, minimizes the
-    profiled residual over ``p`` (the linear parameters solved exactly at each
-    trial rate), then polishes all three parameters with Levenberg-Marquardt.
-    Exact power-law data is recovered to machine precision.
+    The rate enters nonlinearly, so the fit scans :data:`RATE_GRID` for the
+    least profiled residual (the linear parameters solved exactly at each
+    trial rate, all rates in one stacked SVD), refines the rate by Brent's
+    bounded minimization of the profiled residual, then polishes all three
+    parameters with damped Gauss-Newton (Levenberg-Marquardt) steps.  Exact
+    power-law data is recovered to machine precision.  Non-finite samples
+    raise :class:`ValueError`.
     """
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.shape != v.shape or len(r) < 3:
         raise ValueError("fit_power_law needs matching 1-d arrays of at least 3 samples")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise ValueError(
+            f"fit_power_law needs finite samples, got radii {r.tolist()}, values {v.tolist()}"
+        )
     scale = max(1.0, float(np.max(np.abs(v))))
     # spread at the quadrature-refinement noise floor: already converged
     if float(np.max(v) - np.min(v)) <= 1e-11 * scale:
@@ -62,29 +75,122 @@ def fit_power_law(radii, values) -> PowerLawFit:
         res = design @ coef - v
         return float(res @ res), coef
 
-    grid = np.linspace(0.05, 8.0, 160)
-    p0 = min(grid, key=lambda p: profiled(p)[0])
-    bracket = minimize_scalar(
-        lambda p: profiled(p)[0],
-        bounds=(max(0.01, p0 - 0.5), p0 + 0.5),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    p = float(bracket.x)
+    p0 = _grid_rate(r, v)
+    p = _bounded_minimum(lambda p: profiled(p)[0], max(0.01, p0 - 0.5), p0 + 0.5, xatol=1e-13)
     _, (L, A) = profiled(p)
+    (L, A, p), res = _polish(r, v, np.array([L, A, p]))
+    return PowerLawFit(
+        limit=float(L), amplitude=float(A), rate=float(p), residual=float(np.sqrt(np.mean(res**2)))
+    )
 
-    def resid(params):
-        L_, A_, p_ = params
-        return L_ + A_ * r**(-p_) - v
 
-    def jac(params):
-        _, A_, p_ = params
-        rp = r**(-p_)
-        return np.column_stack([np.ones_like(r), rp, -A_ * np.log(r) * rp])
+def _grid_rate(r: np.ndarray, v: np.ndarray) -> float:
+    """The rate in :data:`RATE_GRID` with the least profiled residual.
 
-    sol = least_squares(resid, [L, A, p], jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    L, A, p = (float(t) for t in sol.x)
-    return PowerLawFit(limit=L, amplitude=A, rate=p, residual=float(np.sqrt(np.mean(sol.fun**2))))
+    All trial designs ``[1, r^-p]`` are factored in one stacked SVD.  Singular
+    values below ``lstsq``'s default cutoff (``eps * max(shape)`` times the
+    largest) are dropped, as in the per-rate ``np.linalg.lstsq`` the profile
+    search uses, so the scan ranks rates exactly as that search would.
+    """
+    powers = r[None, :] ** -RATE_GRID[:, None]
+    design = np.stack([np.ones_like(powers), powers], axis=2)
+    u, sv, _ = np.linalg.svd(design, full_matrices=False)
+    kept = sv > np.finfo(float).eps * len(r) * sv[:, :1]
+    res = v - np.einsum("gik,gk->gi", u, kept * np.einsum("gik,i->gk", u, v))
+    return float(RATE_GRID[np.argmin(np.einsum("gi,gi->g", res, res))])
+
+
+def _bounded_minimum(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
+    """Brent's bounded scalar minimization (golden section with parabolic steps).
+
+    Stops when the bracket around the best point is within
+    ``sqrt(eps) |x| + xatol / 3`` of it on both sides, or after 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    x = w = u = a + golden * (b - a)
+    fx = fw = fu = f(x)
+    step = prev = 0.0
+    for _ in range(499):
+        mid = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(prev) > tol1:
+            # parabola through x, w (the two best points) and u (the previous w)
+            t = (x - w) * (fx - fu)
+            q = (x - u) * (fx - fw)
+            p = (x - u) * q - (x - w) * t
+            q = 2.0 * (q - t)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            older, prev = prev, step
+            if abs(p) < abs(0.5 * q * older) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if (x + step - a) < tol2 or (b - x - step) < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            prev = (a - x) if x >= mid else (b - x)
+            step = golden * prev
+        trial = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
+        ft = f(trial)
+        if ft <= fx:
+            if trial >= x:
+                a = x
+            else:
+                b = x
+            u, fu, w, fw, x, fx = w, fw, x, fx, trial, ft
+        else:
+            if trial < x:
+                a = trial
+            else:
+                b = trial
+            if ft <= fw or w == x:
+                u, fu, w, fw = w, fw, trial, ft
+            elif ft <= fu or u == x or u == w:
+                u, fu = trial, ft
+    return x
+
+
+def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt on ``L + A r^-p - v`` from ``x = (L, A, p)``.
+
+    Each step solves the 3x3 damped normal equations in Jacobian-column-scaled
+    variables; a step that does not lower the squared residual is retried with
+    ten times the damping.  Stops once the scaled step is at most ``1e-15`` of
+    the scaled parameters.  Returns the parameters and their residual vector.
+    """
+    log_r = np.log(r)
+
+    def residual(params):
+        rp = r ** -params[2]
+        return params[0] + params[1] * rp - v, rp
+
+    f, rp = residual(x)
+    cost = float(f @ f)
+    damping = 1e-3
+    for _ in range(MAX_POLISH_STEPS):
+        jac = np.column_stack([np.ones_like(r), rp, -x[1] * log_r * rp])
+        d = np.linalg.norm(jac, axis=0)
+        d[d == 0.0] = 1.0
+        js = jac / d
+        y = np.linalg.solve(js.T @ js + damping * np.eye(3), -(js.T @ f))
+        trial = x + y / d
+        f_trial, rp_trial = residual(trial)
+        cost_trial = float(f_trial @ f_trial)
+        if cost_trial < cost:
+            x, f, rp, cost = trial, f_trial, rp_trial, cost_trial
+            damping *= 0.1
+        else:
+            damping *= 10.0
+        if np.linalg.norm(y) <= 1e-15 * np.linalg.norm(d * x):
+            break
+    return x, f
 
 
 @dataclass(frozen=True)

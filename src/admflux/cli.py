@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,35 +70,54 @@ class RunConfig:
     fmt: str = "csv"
 
 
+def _finite(value, what: str) -> float:
+    """``float(value)``, or :class:`ConfigError` naming ``what`` unless it is a finite number.
+
+    JSON admits ``NaN`` and ``Infinity``; every numeric config value passes
+    through here so that neither reaches the certification.
+    """
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
+
+
 def _parse_metric(obj: dict) -> CatalogSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("'metric' must be an object with a 'kind' entry")
     kind = obj["kind"]
-    kwargs: dict = {"kind": kind, "dim": int(obj.get("dim", 3))}
+    kwargs: dict = {"kind": kind, "dim": int(_finite(obj.get("dim", 3), "metric dim"))}
     if "label" in obj:
         kwargs["label"] = str(obj["label"])
     if "inner_radius" in obj:
-        kwargs["inner_radius"] = float(obj["inner_radius"])
+        kwargs["inner_radius"] = _finite(obj["inner_radius"], "inner_radius")
     if kind == "schwarzschild":
-        kwargs["mass"] = float(obj.get("mass", 1.0))
-        kwargs["center"] = tuple(float(t) for t in obj.get("center", ()))
+        kwargs["mass"] = _finite(obj.get("mass", 1.0), "mass")
+        kwargs["center"] = tuple(_finite(t, "center entry") for t in obj.get("center", ()))
     elif kind == "conformal":
         coeffs = obj.get("u", ())
-        kwargs["u_coeffs"] = tuple((int(k), float(a)) for k, a in coeffs)
-        kwargs["center"] = tuple(float(t) for t in obj.get("center", ()))
+        kwargs["u_coeffs"] = tuple(
+            (int(_finite(k, "u power")), _finite(a, "u coefficient")) for k, a in coeffs
+        )
+        kwargs["center"] = tuple(_finite(t, "center entry") for t in obj.get("center", ()))
     elif kind == "perturbed":
         if "base" not in obj:
             raise ConfigError("perturbed metric config needs a 'base'")
         kwargs["base"] = _parse_metric(obj["base"])
         bump = obj.get("bump", {})
-        kwargs["bump_amplitude"] = float(bump.get("amplitude", 0.05))
-        kwargs["bump_width"] = float(bump.get("width", 2.0))
-        kwargs["bump_location"] = tuple(float(t) for t in bump.get("location", ()))
+        kwargs["bump_amplitude"] = _finite(bump.get("amplitude", 0.05), "bump amplitude")
+        kwargs["bump_width"] = _finite(bump.get("width", 2.0), "bump width")
+        kwargs["bump_location"] = tuple(
+            _finite(t, "bump location entry") for t in bump.get("location", ())
+        )
         kwargs["bump_parity"] = str(bump.get("parity", "none"))
         kwargs["bump_profile"] = str(bump.get("profile", "gaussian"))
-        kwargs["bump_tail_power"] = int(bump.get("tail_power", 3))
+        kwargs["bump_tail_power"] = int(_finite(bump.get("tail_power", 3), "bump tail_power"))
     elif kind == "rt_violator":
-        kwargs["amplitude"] = float(obj.get("amplitude", 0.5))
+        kwargs["amplitude"] = _finite(obj.get("amplitude", 0.5), "amplitude")
     elif kind != "flat":
         raise ConfigError(f"unknown metric kind {kind!r}")
     return CatalogSpec(**kwargs)
@@ -126,17 +146,17 @@ def load_config(path: str | Path) -> RunConfig:
     sched = obj.get("schedule", {})
     if sched:
         if "radii" in sched:
-            cfg.radii = tuple(float(t) for t in sched["radii"])
+            cfg.radii = tuple(_finite(t, "schedule radius") for t in sched["radii"])
         cfg.surface_kind = str(sched.get("kind", "spheres"))
         if cfg.surface_kind not in ("spheres", "ellipsoids"):
             raise ConfigError(f"{path}: schedule kind must be 'spheres' or 'ellipsoids'")
         if "ratios" in sched:
-            cfg.ellipsoid_ratios = tuple(float(t) for t in sched["ratios"])
+            cfg.ellipsoid_ratios = tuple(_finite(t, "ellipsoid ratio") for t in sched["ratios"])
     if "order" in obj:
-        cfg.order = int(obj["order"])
+        cfg.order = int(_finite(obj["order"], "order"))
     tols = obj.get("tolerances", {})
-    cfg.tol = float(tols.get("limit", cfg.tol))
-    cfg.identity_tol = float(tols.get("identity", cfg.identity_tol))
+    cfg.tol = _finite(tols.get("limit", cfg.tol), "limit tolerance")
+    cfg.identity_tol = _finite(tols.get("identity", cfg.identity_tol), "identity tolerance")
     out = obj.get("output", {})
     cfg.out_dir = Path(out.get("dir", cfg.out_dir))
     cfg.fmt = str(out.get("format", cfg.fmt))
@@ -432,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.order is not None:
             cfg.order = args.order
         if args.radii is not None:
-            cfg.radii = tuple(float(t) for t in args.radii.split(","))
+            cfg.radii = tuple(_finite(t, "--radii entry") for t in args.radii.split(","))
         if args.out is not None:
             cfg.out_dir = args.out
         if args.format is not None:

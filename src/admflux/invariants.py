@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .curvature import curvature_arrays
 from .errors import DomainError, UndefinedCenterError
@@ -28,6 +27,7 @@ from .surfaces import (
     QuadSurface,
     check_surface_in_domain,
     g_normals_and_areas,
+    gauss_jacobi,
     unit_sphere_area,
     unit_sphere_rule,
 )
@@ -344,7 +344,7 @@ def scalar_curvature_moment(
     if not 0 <= moment <= n:
         raise ValueError(f"moment must be 0 or a 1-based index <= {n}, got {moment}")
     dirs, w_dir = unit_sphere_rule(n, order)
-    t, wt = roots_legendre(radial_nodes)
+    t, wt = gauss_jacobi(radial_nodes, 0.0)
     radii = 0.5 * (r1 - r0) * t + 0.5 * (r1 + r0)
     w_rad = 0.5 * (r1 - r0) * wt
     shells = []

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from admflux.analysis import (
+    RATE_GRID,
+    _grid_rate,
     compare,
     ellipsoid_family,
     fit_power_law,
@@ -10,6 +12,9 @@ from admflux.analysis import (
 )
 from admflux.catalog import rt_violator
 from admflux.errors import DomainError
+
+SEVEN = np.array([10.0 * 2**k for k in range(7)])
+DEFAULT_TAIL = np.array([100.0 * 2**k for k in range(4, 9)])
 
 
 class TestFitPowerLaw:
@@ -37,6 +42,34 @@ class TestFitPowerLaw:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples(self, bad):
+        radii = [10.0, 20.0, 40.0, 80.0]
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(radii, [1.0, 1.1, bad, 1.2])
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(radii[:3] + [bad], [1.0, 1.1, 1.15, 1.2])
+
+    @pytest.mark.parametrize(
+        "radii, v",
+        [(SEVEN, 2.5 + 3.0 * SEVEN**-rate) for rate in (0.5, 1.0, 2.0)]
+        + [
+            (SEVEN[:6], 1e-3 - 0.2 * SEVEN[:6] ** -1.3),
+            # noise on the default schedule's tail: lstsq drops the r^-p column
+            # below its rank cutoff from p = 4.5 on, and the scan must agree
+            (DEFAULT_TAIL, np.array([1.0, 1.0 + 1e-9, 1.0, 1.0 + 1e-9, 1.0])),
+        ],
+    )
+    def test_grid_scan_matches_per_rate_lstsq(self, radii, v):
+
+        def profiled(p):
+            design = np.column_stack([np.ones_like(radii), radii**-p])
+            coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+            res = design @ coef - v
+            return float(res @ res)
+
+        assert _grid_rate(radii, v) == min(RATE_GRID, key=profiled)
 
 
 class TestSweep:

@@ -1,5 +1,10 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +168,63 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["masses"])
         assert err.value.code == 2
+
+
+NAN, INF = math.nan, math.inf
+SCHWARZSCHILD = {"kind": "schwarzschild", "dim": 3, "mass": 1.0}
+PERTURBED = {"kind": "perturbed", "dim": 3, "base": SCHWARZSCHILD}
+RADII = [10.0 * 2**k for k in range(7)]
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"metric": dict(SCHWARZSCHILD, mass=NAN)}, "mass"),
+        ({"metric": dict(SCHWARZSCHILD, mass=INF)}, "mass"),
+        ({"metric": dict(SCHWARZSCHILD, center=[1.0, -INF, 0.0])}, "center"),
+        ({"metric": dict(SCHWARZSCHILD, inner_radius=NAN)}, "inner_radius"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[1, NAN]]}}, "u coefficient"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[INF, 0.5]]}}, "u power"),
+        ({"metric": dict(PERTURBED, bump={"amplitude": NAN})}, "bump amplitude"),
+        ({"metric": dict(PERTURBED, bump={"width": INF})}, "bump width"),
+        ({"metric": dict(PERTURBED, bump={"location": [0, NAN, 0]})}, "bump location"),
+        ({"metric": {"kind": "rt_violator", "dim": 3, "amplitude": NAN}}, "amplitude"),
+        ({"schedule": {"kind": "spheres", "radii": RADII[:3] + [NAN] + RADII[4:]}}, "radius"),
+        ({"schedule": {"kind": "spheres", "radii": RADII[:-1] + [INF]}}, "radius"),
+        ({"schedule": {"kind": "ellipsoids", "ratios": [2, 1, NAN], "radii": RADII}}, "ratio"),
+        ({"order": INF}, "order"),
+        ({"tolerances": {"limit": NAN, "identity": 1e-8}}, "limit tolerance"),
+        ({"tolerances": {"limit": 5e-3, "identity": INF}}, "identity tolerance"),
+    ],
+)
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_radii_flag_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["mass", "--config", str(cfg), "--radii", "10,20,nan,80"]) == 2
+    assert "--radii" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, admflux, admflux.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestOverridesAndSchedules:

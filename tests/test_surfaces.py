@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admflux.errors import SingularMetricError
 from admflux.metric_field import MetricJet2
@@ -9,6 +11,7 @@ from admflux.surfaces import (
     ellipsoid_quadrature,
     g_normal_and_area,
     g_normals_and_areas,
+    gauss_jacobi,
     sphere_quadrature,
     unit_sphere_area,
     unit_sphere_rule,
@@ -176,3 +179,26 @@ class TestMetricNormalsAndAreas:
 def test_unit_rule_node_count_default_order():
     pts, w = unit_sphere_rule(3, 24)
     assert len(pts) == len(w) == 25 * 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=1, max_value=97), a=st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+def test_gauss_jacobi_integrates_even_moments_exactly(m, a):
+    # int_{-1}^{1} t^(2k) (1 - t^2)^a dt = B(k + 1/2, a + 1), exact for 2k <= 2m - 1
+    t, w = gauss_jacobi(m, a)
+    assert np.array_equal(t, -t[::-1])
+    assert np.all(np.diff(t) > 0) and np.all(np.abs(t) < 1) and np.all(w > 0)
+    for k in range(m):
+        exact = math.gamma(k + 0.5) * math.gamma(a + 1) / math.gamma(k + a + 1.5)
+        got = math.fsum((w * t ** (2 * k)).tolist())
+        assert abs(got - exact) <= 1e-13 * exact, k
+
+
+def test_unit_rule_is_cached_and_read_only():
+    pts, w = unit_sphere_rule(3, 12)
+    again, _ = unit_sphere_rule(3, 12)
+    assert again is pts
+    surf = sphere_quadrature(3, 2.0, order=12)
+    for arr in (pts, w, surf.normals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
