@@ -17,7 +17,13 @@ from .curvature import (
     ricci,
     scalar_curvature,
 )
-from .errors import ConfigError, DomainError, SingularMetricError, UndefinedCenterError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NonFiniteError,
+    SingularMetricError,
+    UndefinedCenterError,
+)
 from .invariants import (
     CenterPair,
     KillingFieldId,
@@ -69,6 +75,7 @@ __all__ = [
     "MassPair",
     "MetricField",
     "MetricJet2",
+    "NonFiniteError",
     "QuadSurface",
     "SingularMetricError",
     "UndefinedCenterError",

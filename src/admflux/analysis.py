@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .invariants import adm_mass_at, cs_center_at, intrinsic_center_at, intrinsic_mass_at
 from .metric_field import MetricField
 from .surfaces import QuadSurface, ellipsoid_quadrature, sphere_quadrature
@@ -50,18 +51,17 @@ def fit_power_law(radii, values) -> PowerLawFit:
 
     The rate enters nonlinearly, so the fit scans :data:`RATE_GRID` for the
     least profiled residual (the linear parameters solved exactly at each
-    trial rate, all rates in one stacked SVD), refines the rate by Brent's
-    bounded minimization of the profiled residual, then polishes all three
-    parameters with damped Gauss-Newton (Levenberg-Marquardt) steps.  Exact
-    power-law data is recovered to machine precision.  Non-finite samples
-    raise :class:`ValueError`.
+    trial rate), refines the rate by a golden-section search on the profiled
+    residual, then polishes all three parameters with damped Gauss-Newton
+    (Levenberg-Marquardt) steps.  Exact power-law data is recovered to machine
+    precision.  Non-finite samples raise :class:`NonFiniteError`.
     """
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.shape != v.shape or len(r) < 3:
         raise ValueError("fit_power_law needs matching 1-d arrays of at least 3 samples")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-        raise ValueError(
+        raise NonFiniteError(
             f"fit_power_law needs finite samples, got radii {r.tolist()}, values {v.tolist()}"
         )
     scale = max(1.0, float(np.max(np.abs(v))))
@@ -69,92 +69,55 @@ def fit_power_law(radii, values) -> PowerLawFit:
     if float(np.max(v) - np.min(v)) <= 1e-11 * scale:
         return PowerLawFit(limit=float(np.mean(v)), amplitude=0.0, rate=1.0, residual=0.0)
 
-    def profiled(p: float):
-        design = np.column_stack([np.ones_like(r), r**(-p)])
-        coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-        res = design @ coef - v
-        return float(res @ res), coef
-
-    p0 = _grid_rate(r, v)
-    p = _bounded_minimum(lambda p: profiled(p)[0], max(0.01, p0 - 0.5), p0 + 0.5, xatol=1e-13)
-    _, (L, A) = profiled(p)
+    p0 = float(RATE_GRID[np.argmin(_profile(r, v, RATE_GRID)[0])])
+    p = _golden_minimum(lambda p: _profile(r, v, p)[0], max(0.01, p0 - 0.5), p0 + 0.5, xatol=1e-13)
+    L, A = _profile(r, v, p)[1]
     (L, A, p), res = _polish(r, v, np.array([L, A, p]))
     return PowerLawFit(
         limit=float(L), amplitude=float(A), rate=float(p), residual=float(np.sqrt(np.mean(res**2)))
     )
 
 
-def _grid_rate(r: np.ndarray, v: np.ndarray) -> float:
-    """The rate in :data:`RATE_GRID` with the least profiled residual.
+def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of ``v`` on the design ``[1, r^-p]`` at each of ``rates``.
 
-    All trial designs ``[1, r^-p]`` are factored in one stacked SVD.  Singular
-    values below ``lstsq``'s default cutoff (``eps * max(shape)`` times the
-    largest) are dropped, as in the per-rate ``np.linalg.lstsq`` the profile
-    search uses, so the scan ranks rates exactly as that search would.
+    Returns the squared residuals (shape of ``rates``) and the coefficients
+    ``(L, A)`` (that shape plus 2).  All designs are factored in one stacked
+    SVD; singular values below ``np.linalg.lstsq``'s default cutoff (``eps``
+    times the sample count times the largest) are dropped as ``lstsq`` drops
+    them, which at large rates leaves a constant fit.
     """
-    powers = r[None, :] ** -RATE_GRID[:, None]
-    design = np.stack([np.ones_like(powers), powers], axis=2)
-    u, sv, _ = np.linalg.svd(design, full_matrices=False)
-    kept = sv > np.finfo(float).eps * len(r) * sv[:, :1]
-    res = v - np.einsum("gik,gk->gi", u, kept * np.einsum("gik,i->gk", u, v))
-    return float(RATE_GRID[np.argmin(np.einsum("gi,gi->g", res, res))])
+    powers = r ** -np.asarray(rates, dtype=float)[..., None]
+    design = np.stack([np.ones_like(powers), powers], axis=-1)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    kept = sv > np.finfo(float).eps * len(r) * sv[..., :1]
+    scaled = np.where(kept, np.einsum("...ik,i->...k", u, v) / np.where(kept, sv, 1.0), 0.0)
+    coef = np.einsum("...kj,...k->...j", vt, scaled)
+    res = np.einsum("...ij,...j->...i", design, coef) - v
+    return np.einsum("...i,...i->...", res, res), coef
 
 
-def _bounded_minimum(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
-    """Brent's bounded scalar minimization (golden section with parabolic steps).
+def _golden_minimum(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
+    """Golden-section search for a minimum of ``f`` on ``[lo, hi]``.
 
-    Stops when the bracket around the best point is within
-    ``sqrt(eps) |x| + xatol / 3`` of it on both sides, or after 500 evaluations.
+    Stops once the bracket is within ``sqrt(eps) |x| + xatol / 3`` of its
+    midpoint, the tolerance of Brent's bounded method, and returns the better
+    of the two interior points.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
-    x = w = u = a + golden * (b - a)
-    fx = fw = fu = f(x)
-    step = prev = 0.0
-    for _ in range(499):
-        mid = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(prev) > tol1:
-            # parabola through x, w (the two best points) and u (the previous w)
-            t = (x - w) * (fx - fu)
-            q = (x - u) * (fx - fw)
-            p = (x - u) * q - (x - w) * t
-            q = 2.0 * (q - t)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            older, prev = prev, step
-            if abs(p) < abs(0.5 * q * older) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                step = p / q
-                if (x + step - a) < tol2 or (b - x - step) < tol2:
-                    step = tol1 if mid >= x else -tol1
-        if not parabolic:
-            prev = (a - x) if x >= mid else (b - x)
-            step = golden * prev
-        trial = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
-        ft = f(trial)
-        if ft <= fx:
-            if trial >= x:
-                a = x
-            else:
-                b = x
-            u, fu, w, fw, x, fx = w, fw, x, fx, trial, ft
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while 0.5 * (b - a) > math.sqrt(np.finfo(float).eps) * abs(c) + xatol / 3.0:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
         else:
-            if trial < x:
-                a = trial
-            else:
-                b = trial
-            if ft <= fw or w == x:
-                u, fu, w, fw = w, fw, trial, ft
-            elif ft <= fu or u == x or u == w:
-                u, fu = trial, ft
-    return x
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return c if fc <= fd else d
 
 
 def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +232,8 @@ def ellipsoid_family(ratios: Sequence[float]) -> Callable[[float, int], QuadSurf
 
 def _evaluate_refined(fn, builder, r, order, adaptive):
     value = np.asarray(fn(builder(r, order)), dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteError(f"non-finite value {value.tolist()}")
     if not adaptive:
         return value
     while True:

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import analysis, invariants
 from .catalog import CatalogSpec, build
-from .errors import ConfigError, DomainError, SingularMetricError, UndefinedCenterError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NonFiniteError,
+    SingularMetricError,
+    UndefinedCenterError,
+)
 from .metric_field import MetricField, decay_report, decreasing_to_zero
 from .surfaces import sphere_quadrature
 
@@ -393,7 +399,7 @@ def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare
     wanted = functionals if functionals is not None else cfg.functionals
     try:
         checks = run_checks(cfg, wanted, with_compare)
-    except (DomainError, SingularMetricError, UndefinedCenterError) as exc:
+    except (DomainError, NonFiniteError, SingularMetricError, UndefinedCenterError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     _write_tables(checks, cfg)

@@ -13,5 +13,9 @@ class UndefinedCenterError(ValueError):
     """A center-of-mass functional was requested with a mass too close to zero."""
 
 
+class NonFiniteError(ValueError):
+    """A computed value that must be finite is NaN or infinite."""
+
+
 class ConfigError(ValueError):
     """A run configuration failed to parse or validate."""

@@ -3,7 +3,7 @@ import pytest
 
 from admflux.analysis import (
     RATE_GRID,
-    _grid_rate,
+    _profile,
     compare,
     ellipsoid_family,
     fit_power_law,
@@ -57,19 +57,24 @@ class TestFitPowerLaw:
         + [
             (SEVEN[:6], 1e-3 - 0.2 * SEVEN[:6] ** -1.3),
             # noise on the default schedule's tail: lstsq drops the r^-p column
-            # below its rank cutoff from p = 4.5 on, and the scan must agree
+            # below its rank cutoff from p = 4.5 on, and the profile must agree
             (DEFAULT_TAIL, np.array([1.0, 1.0 + 1e-9, 1.0, 1.0 + 1e-9, 1.0])),
         ],
     )
-    def test_grid_scan_matches_per_rate_lstsq(self, radii, v):
+    def test_profile_grid_argmin_matches_per_rate_lstsq(self, radii, v):
 
-        def profiled(p):
+        def lstsq_residual(p):
             design = np.column_stack([np.ones_like(radii), radii**-p])
             coef, *_ = np.linalg.lstsq(design, v, rcond=None)
             res = design @ coef - v
             return float(res @ res)
 
-        assert _grid_rate(radii, v) == min(RATE_GRID, key=profiled)
+        residuals, coefs = _profile(radii, v, RATE_GRID)
+        best = int(np.argmin(residuals))
+        assert RATE_GRID[best] == min(RATE_GRID, key=lstsq_residual)
+        # one rate at a time, as the golden-section search calls it
+        residual, coef = _profile(radii, v, RATE_GRID[best])
+        assert residual == residuals[best] and np.array_equal(coef, coefs[best])
 
 
 class TestSweep:

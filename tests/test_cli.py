@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from admflux.cli import main
@@ -137,6 +138,15 @@ class TestExitCodes:
         assert main(["center", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "cs_center" in err and "undefined" in err
+
+    def test_overflowing_mass_is_numerical_error(self, tmp_path, capsys):
+        # finite, but the flux integrand overflows to NaN on every sphere
+        metric = {"kind": "schwarzschild", "dim": 3, "mass": 1e300, "inner_radius": 1.0}
+        cfg = write_config(tmp_path, metric=metric)
+        with np.errstate(all="ignore"):
+            assert main(["mass", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "adm_mass at schedule radius 10" in err and "non-finite" in err
 
     def test_flat_without_centers_passes(self, tmp_path):
         cfg = write_config(
