@@ -6,7 +6,14 @@ and ellipsoids, and certifies empirically that the two routes agree in the
 large-radius limit.
 """
 
-from .analysis import ConvergenceReport, compare, ellipsoid_family, fit_power_law, sweep
+from .analysis import (
+    ConvergenceReport,
+    compare,
+    ellipsoid_family,
+    fit_power_law,
+    sweep,
+    sweep_all,
+)
 from .catalog import CatalogSpec, build, rt_violator, standard_catalog
 from .curvature import (
     CurvatureBundle,
@@ -25,19 +32,17 @@ from .errors import (
     UndefinedCenterError,
 )
 from .invariants import (
-    CenterPair,
     KillingFieldId,
-    MassPair,
+    SurfaceEval,
     adm_mass_at,
-    center_pair,
     cs_center_at,
     field_X,
     field_Y,
     ibp_residual_X,
     ibp_residual_Y,
+    identity_residuals,
     intrinsic_center_at,
     intrinsic_mass_at,
-    mass_pair,
     scalar_curvature_moment,
 )
 from .metric_field import (
@@ -65,23 +70,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalogSpec",
-    "CenterPair",
     "ConfigError",
     "ConvergenceReport",
     "CurvatureBundle",
     "DecayReport",
     "DomainError",
     "KillingFieldId",
-    "MassPair",
     "MetricField",
     "MetricJet2",
     "NonFiniteError",
     "QuadSurface",
     "SingularMetricError",
+    "SurfaceEval",
     "UndefinedCenterError",
     "adm_mass_at",
     "build",
-    "center_pair",
     "christoffel",
     "compare",
     "cs_center_at",
@@ -99,12 +102,12 @@ __all__ = [
     "g_normal_and_area",
     "ibp_residual_X",
     "ibp_residual_Y",
+    "identity_residuals",
     "intrinsic_center_at",
     "intrinsic_mass_at",
     "jet2",
     "jet2_batch",
     "linearized_scalar",
-    "mass_pair",
     "parity_split",
     "ricci",
     "rt_violator",
@@ -113,6 +116,7 @@ __all__ = [
     "sphere_quadrature",
     "standard_catalog",
     "sweep",
+    "sweep_all",
     "unit_sphere_area",
     "unit_sphere_rule",
 ]

@@ -8,14 +8,16 @@ only guarantee convergence without a rate.
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
-from .invariants import adm_mass_at, cs_center_at, intrinsic_center_at, intrinsic_mass_at
+from .errors import AdmfluxError, NonFiniteError
+from .invariants import CENTER_FUNCTIONALS, SurfaceEval, normalized
 from .metric_field import MetricField
 from .surfaces import QuadSurface, ellipsoid_quadrature, sphere_quadrature
 
@@ -24,12 +26,15 @@ DEFAULT_TOL = 1e-4
 REFINEMENT_TOL = 1e-8
 MAX_ORDER = 96
 
+#: The swept functionals, in the order their checks are reported.  ``fn(total,
+#: dim, mass)`` turns a surface total into the functional's value.
 FUNCTIONALS: dict[str, dict] = {
-    "adm_mass": {"fn": adm_mass_at, "needs_mass": False},
-    "intrinsic_mass": {"fn": intrinsic_mass_at, "needs_mass": False},
-    "cs_center": {"fn": cs_center_at, "needs_mass": True},
-    "intrinsic_center": {"fn": intrinsic_center_at, "needs_mass": True},
+    name: {"fn": functools.partial(normalized, name), "needs_mass": name in CENTER_FUNCTIONALS}
+    for name in ("adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center")
 }
+#: The center functional on each mass functional's route: the jets (flux) or
+#: the curvature bundle (curvature) a mass total needs also give that center's total.
+_CENTER_ON_ROUTE = {"adm_mass": "cs_center", "intrinsic_mass": "intrinsic_center"}
 
 
 @dataclass(frozen=True)
@@ -230,19 +235,110 @@ def ellipsoid_family(ratios: Sequence[float]) -> Callable[[float, int], QuadSurf
     return make
 
 
-def _evaluate_refined(fn, builder, r, order, adaptive):
-    value = np.asarray(fn(builder(r, order)), dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"non-finite value {value.tolist()}")
-    if not adaptive:
-        return value
-    while True:
-        finer = np.asarray(fn(builder(r, 2 * order)), dtype=float)
-        scale = 1.0 + float(np.max(np.abs(finer)))
-        if float(np.max(np.abs(finer - value))) <= REFINEMENT_TOL * scale or 2 * order >= MAX_ORDER:
-            return finer
-        value = finer
-        order *= 2
+@contextmanager
+def _naming(functional: str, r: float):
+    """Name ``functional`` and radius ``r`` in a failure, keeping its type.
+
+    The package's own errors are raised again with both in the message;
+    any other exception passes through unchanged, with a note where
+    Python supports notes (3.11 on).
+    """
+    try:
+        yield
+    except AdmfluxError as exc:
+        raise type(exc)(f"{functional} at schedule radius {r:g}: {exc}") from exc
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"while evaluating {functional} at schedule radius {r:g}")
+        raise
+
+
+def _converged(finer: np.ndarray, coarser: np.ndarray) -> bool:
+    scale = 1.0 + float(np.max(np.abs(finer)))
+    return float(np.max(np.abs(finer - coarser))) <= REFINEMENT_TOL * scale
+
+
+class SharedSurfaces:
+    """Surface evaluations shared by the sweeps of one run.
+
+    Built for a field, a surface family, a start order and the functionals the
+    run sweeps.  It keeps only reduced totals per ``(radius, order)``.  The
+    first sweep to ask for a radius refines its whole group there side by
+    side (the run's mass functionals, or its center functionals for one
+    mass), so each surface is evaluated once for all of them.  A mass
+    functional's evaluation also yields the totals of the center functional
+    on its route, from the same jets or curvature bundle.  The curvature
+    kernel runs only for curvature functionals.
+    """
+
+    def __init__(
+        self,
+        field: MetricField,
+        functionals: Sequence[str],
+        *,
+        surface: Callable[[float, int], QuadSurface] | None = None,
+        order: int = 24,
+        adaptive: bool = True,
+    ):
+        unknown = [f for f in functionals if f not in FUNCTIONALS]
+        if unknown:
+            raise ValueError(f"unknown functional {unknown[0]!r}; choose from {sorted(FUNCTIONALS)}")
+        self.field = field
+        self.functionals = [f for f in FUNCTIONALS if f in functionals]
+        self.builder = surface if surface is not None else sphere_family(field.dim)
+        self.order = order
+        self.adaptive = adaptive
+        self._totals: dict[tuple[float, int], dict] = {}
+        self._refined: dict[tuple[str, float, float | None], np.ndarray] = {}
+
+    def refined(self, functional: str, r: float, mass: float | None = None) -> np.ndarray:
+        """The value of ``functional`` at radius ``r`` once its refinement stops."""
+        needs_mass = FUNCTIONALS[functional]["needs_mass"]
+        mass = mass if needs_mass else None
+        if (functional, r, mass) not in self._refined:
+            group = [f for f in self.functionals if FUNCTIONALS[f]["needs_mass"] == needs_mass]
+            centers = [] if needs_mass else [f for f in self.functionals if f not in group]
+            self._refine(group, centers, r, mass)
+        return self._refined[functional, r, mass]
+
+    def _refine(self, group: list[str], centers: list[str], r: float, mass: float | None) -> None:
+        active, previous, order = list(group), {}, self.order
+        while active:
+            partners = [_CENTER_ON_ROUTE[f] for f in active if _CENTER_ON_ROUTE.get(f) in centers]
+            values = self._values(r, order, active, partners, mass)
+            for f in active:
+                if not self.adaptive or (
+                    f in previous and (_converged(values[f], previous[f]) or order >= MAX_ORDER)
+                ):
+                    self._refined[f, r, mass] = values[f]
+            active = [f for f in active if (f, r, mass) not in self._refined]
+            previous, order = values, 2 * order
+
+    def _values(self, r, order, names, partners, mass) -> dict[str, np.ndarray]:
+        """Values of ``names`` on the ``(r, order)`` surface, read from its totals.
+
+        Missing totals come from one :class:`SurfaceEval`, made when the first
+        is missing; when it was made, it fills the totals of ``partners`` too.
+        A failure names the functional whose total or value was being formed.
+        """
+        totals = self._totals.setdefault((r, order), {})
+        evaluation = None
+        values = {}
+        for name in names:
+            with _naming(name, r):
+                if name not in totals:
+                    if evaluation is None:
+                        evaluation = SurfaceEval(self.field, self.builder(r, order))
+                    totals[name] = evaluation.total(name)
+                value = np.asarray(FUNCTIONALS[name]["fn"](totals[name], self.field.dim, mass), dtype=float)
+                if not np.all(np.isfinite(value)):
+                    raise NonFiniteError(f"non-finite value {value.tolist()}")
+                values[name] = value
+        for name in partners:
+            if evaluation is not None and name not in totals:
+                with _naming(name, r):
+                    totals[name] = evaluation.total(name)
+        return values
 
 
 def sweep(
@@ -255,6 +351,7 @@ def sweep(
     mass: float | None = None,
     tol: float = DEFAULT_TOL,
     adaptive: bool = True,
+    shared: SharedSurfaces | None = None,
 ) -> ConvergenceReport:
     """Evaluate a named functional over a growing surface schedule and fit its limit.
 
@@ -264,31 +361,24 @@ def sweep(
     when the final sample sits within ``tol * (1 + |limit|)`` of the fitted
     limit and the fitted rate is positive.  With ``adaptive`` set, each
     evaluation doubles the quadrature order until two consecutive orders agree
-    to within ``1e-8``.
+    to within ``1e-8``.  A failing evaluation names the functional and the
+    radius; the package's own errors carry both in their message.
+
+    ``shared`` lets the sweeps of one run share their surface evaluations; the
+    surface family, start order and adaptivity are then those it was built with.
     """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}")
+    if FUNCTIONALS.get(functional, {}).get("needs_mass") and mass is None:
+        raise ValueError(f"functional {functional!r} needs the mass normalization")
+    if shared is None:
+        shared = SharedSurfaces(field, [functional], surface=surface, order=order, adaptive=adaptive)
+    elif shared.field is not field or functional not in shared.functionals:
+        raise ValueError(f"shared evaluations do not cover {functional!r} on this field")
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("sweep needs an increasing schedule of at least 4 radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("schedule must be strictly increasing")
-    spec = FUNCTIONALS[functional]
-    if spec["needs_mass"]:
-        if mass is None:
-            raise ValueError(f"functional {functional!r} needs the mass normalization")
-        fn = lambda surf: spec["fn"](field, surf, mass)
-    else:
-        fn = lambda surf: spec["fn"](field, surf)
-    builder = surface if surface is not None else sphere_family(field.dim)
-
-    rows = []
-    for r in radii:
-        try:
-            rows.append(_evaluate_refined(fn, builder, r, order, adaptive))
-        except Exception as exc:
-            raise type(exc)(f"{functional} at schedule radius {r:g}: {exc}") from exc
-    values = np.stack(rows)
+    values = np.stack([shared.refined(functional, r, mass) for r in radii])
     limit, rate, residual = _fit_samples(np.asarray(radii), values)
     verdict, tol_eff = _verdict(values, limit, rate, tol)
     return ConvergenceReport(
@@ -301,6 +391,37 @@ def sweep(
         verdict=verdict,
         tolerance=tol_eff,
     )
+
+
+def sweep_all(
+    field: MetricField,
+    functionals: Sequence[str],
+    radii: Sequence[float],
+    *,
+    surface: Callable[[float, int], QuadSurface] | None = None,
+    order: int = 24,
+    mass: float | None = None,
+    tol: float = DEFAULT_TOL,
+    adaptive: bool = True,
+) -> dict[str, ConvergenceReport]:
+    """:func:`sweep` of several functionals over one schedule, sharing their surfaces.
+
+    The mass functionals run first.  Center functionals are normalized by
+    ``mass``, or, when it is None, by the fitted limit of ``adm_mass``, whose
+    report is then part of the result.
+    """
+    names = list(functionals)
+    if mass is None and "adm_mass" not in names and any(
+        FUNCTIONALS.get(f, {}).get("needs_mass") for f in names
+    ):
+        names.append("adm_mass")
+    shared = SharedSurfaces(field, names, surface=surface, order=order, adaptive=adaptive)
+    reports = {}
+    for name in shared.functionals:
+        if FUNCTIONALS[name]["needs_mass"] and mass is None:
+            mass = float(reports["adm_mass"].fitted_limit)
+        reports[name] = sweep(field, name, radii, mass=mass, tol=tol, shared=shared)
+    return reports
 
 
 def compare(a: ConvergenceReport, b: ConvergenceReport, tol: float = DEFAULT_TOL) -> ConvergenceReport:

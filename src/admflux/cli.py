@@ -239,34 +239,15 @@ def _surface_builder(cfg: RunConfig, fld: MetricField):
     return analysis.sphere_family(fld.dim)
 
 
-def _mass_for_centers(fld: MetricField, cfg: RunConfig, sweeps: dict) -> float:
-    if "adm_mass" in sweeps:
-        return float(sweeps["adm_mass"].fitted_limit)
-    report = analysis.sweep(
-        fld, "adm_mass", cfg.radii, surface=_surface_builder(cfg, fld),
-        order=cfg.order, tol=cfg.tol,
-    )
-    sweeps["adm_mass"] = report
-    return float(report.fitted_limit)
-
-
 def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool) -> list[Check]:
     fld = build(cfg.metric)
-    builder = _surface_builder(cfg, fld)
+    swept = [name for name in analysis.FUNCTIONALS if name in functionals]
     sweeps: dict[str, analysis.ConvergenceReport] = {}
-    checks: list[Check] = []
-
-    for name in ("adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center"):
-        if name not in functionals:
-            continue
-        kwargs = {}
-        if analysis.FUNCTIONALS[name]["needs_mass"]:
-            kwargs["mass"] = _mass_for_centers(fld, cfg, sweeps)
-        report = analysis.sweep(
-            fld, name, cfg.radii, surface=builder, order=cfg.order, tol=cfg.tol, **kwargs
+    if swept:
+        sweeps = analysis.sweep_all(
+            fld, swept, cfg.radii, surface=_surface_builder(cfg, fld), order=cfg.order, tol=cfg.tol
         )
-        sweeps[name] = report
-        checks.append(_report_check(report, name))
+    checks = [_report_check(sweeps[name], name) for name in swept]
 
     if with_compare and "adm_mass" in sweeps and "intrinsic_mass" in sweeps:
         diff = analysis.compare(sweeps["adm_mass"], sweeps["intrinsic_mass"], tol=cfg.tol)
@@ -295,9 +276,9 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
         outer = sphere_quadrature(fld.dim, cfg.radii[1], cfg.order)
         inner = sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
     r_used = outer.nominal_radius
-    out = []
-    res_x = invariants.ibp_residual_X(fld, outer, inner=inner)
-    out.append(
+    res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
+    rows = [float(res) for res in res_y]
+    out = [
         Check(
             name="identity_residual_X",
             verdict=abs(res_x) <= cfg.identity_tol,
@@ -307,17 +288,11 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
             table_columns=["r", "value"],
             table_rows=[[r_used, res_x]],
         )
-    )
-    rows = []
-    worst = 0.0
-    for alpha in range(1, fld.dim + 1):
-        res = invariants.ibp_residual_Y(fld, outer, alpha, inner=inner)
-        worst = max(worst, abs(res))
-        rows.append(res)
+    ]
     out.append(
         Check(
             name="identity_residual_Y",
-            verdict=worst <= cfg.identity_tol,
+            verdict=all(abs(res) <= cfg.identity_tol for res in rows),
             fitted_limit=np.array(rows),
             fitted_rate=None,
             tolerance=cfg.identity_tol,

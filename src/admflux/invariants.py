@@ -10,6 +10,8 @@ Two routes to the same invariants are kept deliberately separate:
 
 Their agreement in the large-radius limit is what the analysis layer
 certifies, so no silent substitution of normals or measures is made anywhere.
+Both routes read one :class:`SurfaceEval` per surface: the jets are evaluated
+once for all four functionals, each route with its own normals and measure.
 All reductions use ``math.fsum`` in node order for run-to-run determinism.
 """
 
@@ -34,6 +36,10 @@ from .surfaces import (
 
 #: Center functionals are undefined for |mass| below this threshold.
 MASS_THRESHOLD = 1e-8
+#: Most points :func:`scalar_curvature_moment` sends through the curvature
+#: kernel in one call: the node count of the order-48 sphere in R^3, the
+#: largest surface the default sweeps evaluate, so the shells add no memory peak.
+MAX_KERNEL_POINTS = 4802
 
 
 def field_X(x) -> Array:
@@ -75,37 +81,10 @@ class KillingFieldId:
         return field_Y(self.alpha, x)
 
 
-@dataclass(frozen=True)
-class MassPair:
-    """Flux mass and curvature mass evaluated on the same surface."""
-
-    r: float
-    adm: float
-    intrinsic: float
-
-    @property
-    def difference(self) -> float:
-        return self.adm - self.intrinsic
-
-
-@dataclass(frozen=True)
-class CenterPair:
-    """Both center functionals on one surface, sharing the mass normalization."""
-
-    r: float
-    cs: Array
-    intrinsic: Array
-    mass_used: float
-
-    def __post_init__(self):
-        if abs(self.mass_used) < MASS_THRESHOLD:
-            raise UndefinedCenterError(
-                f"center of mass undefined for |mass| = {abs(self.mass_used):.3e} < {MASS_THRESHOLD}"
-            )
-
-    @property
-    def difference(self) -> Array:
-        return self.cs - self.intrinsic
+#: The functionals read from the curvature bundle; the others need only the jets.
+CURVATURE_FUNCTIONALS = ("intrinsic_mass", "intrinsic_center")
+#: The functionals normalized by a mass as well.
+CENTER_FUNCTIONALS = ("cs_center", "intrinsic_center")
 
 
 def _fsum(contrib: Array) -> float:
@@ -124,16 +103,102 @@ def _flux_bracket(dg: Array) -> Array:
     return np.einsum("pkki->pi", dg) - np.einsum("pikk->pi", dg)
 
 
+def _conformal_generators(points: Array) -> Array:
+    # Y[p, alpha, i] = |x|^2 delta_(alpha i) - 2 x_alpha x_i
+    n = points.shape[1]
+    r2 = np.einsum("pi,pi->p", points, points)
+    return r2[:, None, None] * np.eye(n) - 2.0 * points[:, :, None] * points[:, None, :]
+
+
+def _require_mass(mass: float) -> float:
+    if abs(mass) < MASS_THRESHOLD:
+        raise UndefinedCenterError(
+            f"center of mass undefined for |mass| = {abs(mass):.3e} < {MASS_THRESHOLD}"
+        )
+    return float(mass)
+
+
+class SurfaceEval:
+    """One surface's metric jets, shared by every functional evaluated on it.
+
+    :meth:`total` gives a functional's ``fsum`` total before normalization.
+    The flux totals use the jets with the Euclidean normals and weights.  The
+    first curvature total makes the curvature bundle and the metric normals
+    and weights, once; flux totals never make them.
+    """
+
+    def __init__(self, field: MetricField, surf: QuadSurface):
+        self.field = field
+        self.surf = surf
+        self.g, self.dg, self.ddg = _surface_jets(field, surf)
+        self._curvature: tuple[Array, Array, Array] | None = None
+
+    def _einstein_frame(self) -> tuple[Array, Array, Array]:
+        """The Einstein tensor with the metric normals and area weights."""
+        if self._curvature is None:
+            bundle = curvature_arrays(self.g, self.dg, self.ddg)
+            nu_g, w_g = g_normals_and_areas(
+                self.g, self.surf.normals, self.surf.weights, ginv=bundle.ginv
+            )
+            self._curvature = (bundle.einstein, nu_g, w_g)
+        return self._curvature
+
+    def total(self, name: str) -> float | Array:
+        """The unnormalized total of functional ``name``: a float, or one per component."""
+        surf, n = self.surf, self.field.dim
+        if name == "adm_mass":
+            contrib = np.einsum("pi,pi->p", _flux_bracket(self.dg), surf.normals) * surf.weights
+            return _fsum(contrib)
+        if name == "cs_center":
+            h = self.g - np.eye(n)
+            flux = np.einsum("pj,pj->p", _flux_bracket(self.dg), surf.normals)
+            t1 = surf.points * flux[:, None]
+            t2 = np.einsum("pia,pi->pa", h, surf.normals) - np.einsum("pii->p", h)[:, None] * surf.normals
+            contrib = (t1 - t2) * surf.weights[:, None]
+            return np.array([_fsum(contrib[:, a]) for a in range(n)])
+        if name not in CURVATURE_FUNCTIONALS:
+            raise ValueError(f"unknown functional {name!r}")
+        einstein, nu_g, w_g = self._einstein_frame()
+        if name == "intrinsic_mass":
+            contrib = np.einsum("pij,pi,pj->p", einstein, surf.points, nu_g) * w_g
+            return _fsum(contrib)
+        Y = _conformal_generators(surf.points)
+        contrib = np.einsum("pij,pai,pj->pa", einstein, Y, nu_g) * w_g[:, None]
+        return np.array([_fsum(contrib[:, a]) for a in range(n)])
+
+    def value(self, name: str, mass: float | None = None) -> float | Array:
+        """Functional ``name`` on the surface; center functionals need ``mass``."""
+        return normalized(name, self.total(name), self.field.dim, mass)
+
+
+def normalized(name: str, total, n: int, mass: float | None = None) -> float | Array:
+    """Functional ``name`` in R^n from its surface total.
+
+    Divides by the functional's normalization and, for a center functional,
+    by ``mass`` as well, which must satisfy ``|mass| >= MASS_THRESHOLD``.
+    """
+    if name in ("adm_mass", "cs_center"):
+        scale = 2.0 * (n - 1) * unit_sphere_area(n)
+    elif name == "intrinsic_mass":
+        scale = (n - 1) * (2.0 - n) * unit_sphere_area(n)
+    elif name == "intrinsic_center":
+        scale = 2.0 * (n - 1) * (n - 2) * unit_sphere_area(n)
+    else:
+        raise ValueError(f"unknown functional {name!r}")
+    if name not in CENTER_FUNCTIONALS:
+        return total / scale
+    if mass is None:
+        raise ValueError(f"functional {name!r} needs the mass normalization")
+    return total / (scale * _require_mass(mass))
+
+
 def adm_mass_at(field: MetricField, surf: QuadSurface) -> float:
     """Flux mass: the divergence-type surface integral of first metric derivatives.
 
     Evaluates ``(d_j g_ij - d_i g_jj) nu_e^i`` against the Euclidean area
     weights, normalized by ``2 (n-1) omega_(n-1)``.
     """
-    n = field.dim
-    _, dg, _ = _surface_jets(field, surf)
-    contrib = np.einsum("pi,pi->p", _flux_bracket(dg), surf.normals) * surf.weights
-    return _fsum(contrib) / (2.0 * (n - 1) * unit_sphere_area(n))
+    return SurfaceEval(field, surf).value("adm_mass")
 
 
 def intrinsic_mass_at(field: MetricField, surf: QuadSurface) -> float:
@@ -143,29 +208,7 @@ def intrinsic_mass_at(field: MetricField, surf: QuadSurface) -> float:
     weights, normalized by ``(n-1)(2-n) omega_(n-1)``; the ``2 - n`` factor is
     negative and makes the result positive for positive-mass metrics.
     """
-    n = field.dim
-    g, dg, ddg = _surface_jets(field, surf)
-    bundle = curvature_arrays(g, dg, ddg)
-    nu_g, w_g = g_normals_and_areas(g, surf.normals, surf.weights, ginv=bundle.ginv)
-    contrib = np.einsum("pij,pi,pj->p", bundle.einstein, surf.points, nu_g) * w_g
-    return _fsum(contrib) / ((n - 1) * (2.0 - n) * unit_sphere_area(n))
-
-
-def mass_pair(field: MetricField, surf: QuadSurface) -> MassPair:
-    """Both mass functionals on one surface."""
-    return MassPair(
-        r=surf.nominal_radius,
-        adm=adm_mass_at(field, surf),
-        intrinsic=intrinsic_mass_at(field, surf),
-    )
-
-
-def _require_mass(mass: float) -> float:
-    if abs(mass) < MASS_THRESHOLD:
-        raise UndefinedCenterError(
-            f"center of mass undefined for |mass| = {abs(mass):.3e} < {MASS_THRESHOLD}"
-        )
-    return float(mass)
+    return SurfaceEval(field, surf).value("intrinsic_mass")
 
 
 def cs_center_at(field: MetricField, surf: QuadSurface, mass: float) -> Array:
@@ -178,23 +221,8 @@ def cs_center_at(field: MetricField, surf: QuadSurface, mass: float) -> Array:
     whose surface integral vanishes only by closed-surface symmetry, which
     reduces quadrature error.
     """
-    n = field.dim
-    mass = _require_mass(mass)
-    g, dg, _ = _surface_jets(field, surf)
-    h = g - np.eye(n)
-    flux = np.einsum("pj,pj->p", _flux_bracket(dg), surf.normals)
-    t1 = surf.points * flux[:, None]
-    t2 = np.einsum("pia,pi->pa", h, surf.normals) - np.einsum("pii->p", h)[:, None] * surf.normals
-    contrib = (t1 - t2) * surf.weights[:, None]
-    total = np.array([_fsum(contrib[:, a]) for a in range(n)])
-    return total / (2.0 * (n - 1) * unit_sphere_area(n) * mass)
-
-
-def _conformal_generators(points: Array) -> Array:
-    # Y[p, alpha, i] = |x|^2 delta_(alpha i) - 2 x_alpha x_i
-    n = points.shape[1]
-    r2 = np.einsum("pi,pi->p", points, points)
-    return r2[:, None, None] * np.eye(n) - 2.0 * points[:, :, None] * points[:, None, :]
+    _require_mass(mass)
+    return SurfaceEval(field, surf).value("cs_center", mass)
 
 
 def intrinsic_center_at(field: MetricField, surf: QuadSurface, mass: float) -> Array:
@@ -203,25 +231,8 @@ def intrinsic_center_at(field: MetricField, surf: QuadSurface, mass: float) -> A
     Component alpha integrates ``(Ric - R/2 g)(Y_alpha, nu_g)`` with metric
     normal and area weights, normalized by ``2 (n-1)(n-2) omega_(n-1) * mass``.
     """
-    n = field.dim
-    mass = _require_mass(mass)
-    g, dg, ddg = _surface_jets(field, surf)
-    bundle = curvature_arrays(g, dg, ddg)
-    nu_g, w_g = g_normals_and_areas(g, surf.normals, surf.weights, ginv=bundle.ginv)
-    Y = _conformal_generators(surf.points)
-    contrib = np.einsum("pij,pai,pj->pa", bundle.einstein, Y, nu_g) * w_g[:, None]
-    total = np.array([_fsum(contrib[:, a]) for a in range(n)])
-    return total / (2.0 * (n - 1) * (n - 2) * unit_sphere_area(n) * mass)
-
-
-def center_pair(field: MetricField, surf: QuadSurface, mass: float) -> CenterPair:
-    """Both center functionals on one surface."""
-    return CenterPair(
-        r=surf.nominal_radius,
-        cs=cs_center_at(field, surf, mass),
-        intrinsic=intrinsic_center_at(field, surf, mass),
-        mass_used=float(mass),
-    )
+    _require_mass(mass)
+    return SurfaceEval(field, surf).value("intrinsic_center", mass)
 
 
 def _require_enclosable(field: MetricField, surf: QuadSurface, inner: QuadSurface | None) -> None:
@@ -255,14 +266,45 @@ def _second_derivative_form(ddg: Array) -> tuple[Array, Array]:
     return M, s
 
 
-def _ibp_form_X(field: MetricField, surf: QuadSurface) -> float:
-    _, dg, ddg = _surface_jets(field, surf)
+def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
+    """Left minus right side of the dilation identity and of the ``n`` generator
+    identities on one surface, from one jet evaluation."""
+    g, dg, ddg = _surface_jets(field, surf)
     n = field.dim
     M, s = _second_derivative_form(ddg)
+    flux = np.einsum("pj,pj->p", _flux_bracket(dg), surf.normals)
     lhs = _fsum(np.einsum("pij,pi,pj->p", M, surf.points, surf.normals) * surf.weights)
-    flux = _fsum(np.einsum("pj,pj->p", _flux_bracket(dg), surf.normals) * surf.weights)
     radial = _fsum(s * np.einsum("pi,pi->p", surf.points, surf.normals) * surf.weights)
-    return lhs - (n - 2) * flux - radial
+    form_x = lhs - (n - 2) * _fsum(flux * surf.weights) - radial
+
+    h = g - np.eye(n)
+    trace = np.einsum("pkk->p", h)
+    generators = _conformal_generators(surf.points)
+    forms_y = []
+    for a in range(n):
+        Y = generators[:, a, :]
+        lhs = _fsum(np.einsum("pij,pi,pj->p", -M, Y, surf.normals) * surf.weights)
+        rhs1 = _fsum(-s * np.einsum("pi,pi->p", Y, surf.normals) * surf.weights)
+        trace_part = np.einsum("pk,pk->p", h[:, :, a], surf.normals) - trace * surf.normals[:, a]
+        rhs2 = 2.0 * (n - 2) * _fsum((surf.points[:, a] * flux - trace_part) * surf.weights)
+        forms_y.append(lhs - rhs1 - rhs2)
+    return form_x, np.array(forms_y)
+
+
+def identity_residuals(
+    field: MetricField, surf: QuadSurface, inner: QuadSurface | None = None
+) -> tuple[float, Array]:
+    """Defects of the dilation identity and of the ``n`` generator identities.
+
+    Returns :func:`ibp_residual_X` and :func:`ibp_residual_Y` for
+    ``alpha = 1..n`` (as an array), from one jet evaluation per surface.
+    """
+    _require_enclosable(field, surf, inner)
+    res_x, res_y = _ibp_forms(field, surf)
+    if inner is not None:
+        inner_x, inner_y = _ibp_forms(field, inner)
+        res_x, res_y = res_x - inner_x, res_y - inner_y
+    return res_x, res_y
 
 
 def ibp_residual_X(field: MetricField, surf: QuadSurface, inner: QuadSurface | None = None) -> float:
@@ -278,28 +320,7 @@ def ibp_residual_X(field: MetricField, surf: QuadSurface, inner: QuadSurface | N
     When ``inner`` is given the identity is applied on the annulus between the
     two surfaces instead, which makes fields with an excluded ball testable.
     """
-    _require_enclosable(field, surf, inner)
-    res = _ibp_form_X(field, surf)
-    if inner is not None:
-        res -= _ibp_form_X(field, inner)
-    return res
-
-
-def _ibp_form_Y(field: MetricField, surf: QuadSurface, alpha: int) -> float:
-    g, dg, ddg = _surface_jets(field, surf)
-    n = field.dim
-    M, s = _second_derivative_form(ddg)
-    Y = _conformal_generators(surf.points)[:, alpha - 1, :]
-    lhs = _fsum(np.einsum("pij,pi,pj->p", -M, Y, surf.normals) * surf.weights)
-    rhs1 = _fsum(-s * np.einsum("pi,pi->p", Y, surf.normals) * surf.weights)
-    h = g - np.eye(n)
-    flux = np.einsum("pi,pi->p", _flux_bracket(dg), surf.normals)
-    trace_part = (
-        np.einsum("pk,pk->p", h[:, :, alpha - 1], surf.normals)
-        - np.einsum("pkk->p", h) * surf.normals[:, alpha - 1]
-    )
-    rhs2 = 2.0 * (n - 2) * _fsum((surf.points[:, alpha - 1] * flux - trace_part) * surf.weights)
-    return lhs - rhs1 - rhs2
+    return identity_residuals(field, surf, inner)[0]
 
 
 def ibp_residual_Y(
@@ -313,11 +334,13 @@ def ibp_residual_Y(
     """
     if not 1 <= alpha <= field.dim:
         raise ValueError(f"component index must satisfy 1 <= alpha <= {field.dim}, got {alpha}")
-    _require_enclosable(field, surf, inner)
-    res = _ibp_form_Y(field, surf, alpha)
-    if inner is not None:
-        res -= _ibp_form_Y(field, inner, alpha)
-    return res
+    return float(identity_residuals(field, surf, inner)[1][alpha - 1])
+
+
+def _scalar_density(field: MetricField, points: Array) -> Array:
+    """``R sqrt(det g)`` at ``points``, from one jet evaluation and one kernel call."""
+    g, dg, ddg = jet2_batch(field, points)
+    return curvature_arrays(g, dg, ddg).scalar * np.sqrt(np.linalg.det(g))
 
 
 def scalar_curvature_moment(
@@ -333,7 +356,10 @@ def scalar_curvature_moment(
     Uses Gauss-Legendre in the radius against the unit-sphere rule, with the
     metric volume element ``sqrt(det g)``.  ``moment=0`` integrates the scalar
     curvature itself; ``moment=i`` (1-based) weights it by the coordinate
-    ``x^i``.  Shell-by-shell calls expose the convergence of the tail.
+    ``x^i``.  Shell-by-shell calls expose the convergence of the tail.  The
+    radial shells go through the curvature kernel together, in batches of at
+    most :data:`MAX_KERNEL_POINTS` nodes; each shell is still reduced in node
+    order.
     """
     if not (r1 > r0 >= field.inner_radius):
         raise ValueError(
@@ -347,13 +373,14 @@ def scalar_curvature_moment(
     t, wt = gauss_jacobi(radial_nodes, 0.0)
     radii = 0.5 * (r1 - r0) * t + 0.5 * (r1 + r0)
     w_rad = 0.5 * (r1 - r0) * wt
-    shells = []
-    for r, wr in zip(radii, w_rad):
-        pts = r * dirs
-        g, dg, ddg = jet2_batch(field, pts)
-        bundle = curvature_arrays(g, dg, ddg)
-        dens = bundle.scalar * np.sqrt(np.linalg.det(g))
-        if moment:
-            dens = dens * pts[:, moment - 1]
-        shells.append(wr * r ** (n - 1) * _fsum(dens * w_dir))
+    pts = (radii[:, None, None] * dirs).reshape(-1, n)
+    # whole shells per batch; a shell larger than the cap is cut at the cap
+    step = MAX_KERNEL_POINTS // len(dirs) * len(dirs) or MAX_KERNEL_POINTS
+    dens = np.concatenate([_scalar_density(field, pts[k : k + step]) for k in range(0, len(pts), step)])
+    if moment:
+        dens = dens * pts[:, moment - 1]
+    shells = [
+        wr * r ** (n - 1) * _fsum(d * w_dir)
+        for r, wr, d in zip(radii, w_rad, dens.reshape(radial_nodes, -1))
+    ]
     return math.fsum(shells)

@@ -1,17 +1,26 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
+from admflux import invariants
 from admflux.analysis import (
+    MAX_ORDER,
     RATE_GRID,
+    REFINEMENT_TOL,
+    SharedSurfaces,
     _profile,
     compare,
     ellipsoid_family,
     fit_power_law,
     sphere_family,
     sweep,
+    sweep_all,
 )
 from admflux.catalog import rt_violator
-from admflux.errors import DomainError
+from admflux.errors import DomainError, SingularMetricError
+from admflux.invariants import adm_mass_at, cs_center_at, intrinsic_center_at, intrinsic_mass_at
 
 SEVEN = np.array([10.0 * 2**k for k in range(7)])
 DEFAULT_TAIL = np.array([100.0 * 2**k for k in range(4, 9)])
@@ -138,6 +147,98 @@ class TestSweep:
     def test_sphere_family_builder(self):
         surf = sphere_family(3)(10.0, 8)
         assert surf.nominal_radius == 10.0
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+def refined_standalone(fn, r, order=24):
+    """The sweep's refinement of one radius, done with a standalone functional."""
+    value = np.asarray(fn(sphere_family(3)(r, order)), dtype=float)
+    while True:
+        finer = np.asarray(fn(sphere_family(3)(r, 2 * order)), dtype=float)
+        scale = 1.0 + float(np.max(np.abs(finer)))
+        if float(np.max(np.abs(finer - value))) <= REFINEMENT_TOL * scale or 2 * order >= MAX_ORDER:
+            return finer
+        value, order = finer, 2 * order
+
+
+class TestSharedSurfaces:
+    RADII = [10.0, 20.0, 40.0, 80.0]
+    ALL = ["adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center"]
+
+    def test_values_bitwise_equal_standalone(self, catalog):
+        field = catalog["schwarzschild-translated"]
+        reports = sweep_all(field, self.ALL, self.RADII)
+        mass = float(reports["adm_mass"].fitted_limit)
+        standalone = {
+            "adm_mass": lambda surf: adm_mass_at(field, surf),
+            "intrinsic_mass": lambda surf: intrinsic_mass_at(field, surf),
+            "cs_center": lambda surf: cs_center_at(field, surf, mass),
+            "intrinsic_center": lambda surf: intrinsic_center_at(field, surf, mass),
+        }
+        for name, fn in standalone.items():
+            for r, value in zip(self.RADII, reports[name].values):
+                assert np.array_equal(value, refined_standalone(fn, r)), (name, r)
+
+    def test_one_name_sweep_matches_shared_run(self, catalog):
+        field = catalog["schwarzschild-translated"]
+        reports = sweep_all(field, self.ALL, self.RADII)
+        alone = sweep(field, "intrinsic_center", self.RADII, mass=float(reports["adm_mass"].fitted_limit))
+        assert np.array_equal(alone.values, reports["intrinsic_center"].values)
+        assert np.array_equal(alone.fitted_limit, reports["intrinsic_center"].fitted_limit)
+
+    def test_centers_bring_the_mass_sweep(self, catalog):
+        reports = sweep_all(catalog["schwarzschild-translated"], ["cs_center"], self.RADII)
+        assert list(reports) == ["adm_mass", "cs_center"]
+        given = sweep_all(catalog["schwarzschild-translated"], ["cs_center"], self.RADII, mass=1.0)
+        assert list(given) == ["cs_center"]
+
+    def test_flux_only_run_never_calls_the_kernel(self, catalog, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("curvature kernel called on a flux-only run")
+
+        monkeypatch.setattr(invariants, "curvature_arrays", forbidden)
+        reports = sweep_all(catalog["schwarzschild-translated"], ["adm_mass", "cs_center"], self.RADII)
+        assert np.allclose(reports["cs_center"].fitted_limit, [1.0, 2.0, 3.0], atol=1e-2)
+
+    def test_other_exception_types_reach_the_caller(self, catalog):
+        def raising(points):
+            raise TwoArgumentError(7, "jet source unavailable")
+
+        field = dataclasses.replace(catalog["schwarzschild"], jet_batch=raising)
+        with pytest.raises(TwoArgumentError) as info:
+            sweep(field, "adm_mass", self.RADII)
+        assert info.value.args == (7, "jet source unavailable")
+        if sys.version_info >= (3, 11):
+            assert "adm_mass at schedule radius 10" in info.value.__notes__[-1]
+        with pytest.raises(TwoArgumentError):
+            sweep_all(field, self.ALL, self.RADII)
+
+    def test_curvature_failure_names_the_curvature_functional(self, catalog):
+        base = catalog["flat"]
+
+        def singular(points):
+            g, dg, ddg = base.jet_batch(points)
+            g = g.copy()
+            g[:, 2, 2] = 1e-14  # flux terms stay finite; the kernel's condition guard trips
+            return g, dg, ddg
+
+        field = dataclasses.replace(base, jet_batch=singular)
+        with pytest.raises(SingularMetricError) as info:
+            sweep_all(field, ["adm_mass", "intrinsic_mass"], self.RADII)
+        message = str(info.value)
+        assert message.startswith("intrinsic_mass at schedule radius 10:")
+        assert "adm_mass" not in message
+
+    def test_shared_evaluations_belong_to_their_field(self, catalog):
+        shared = SharedSurfaces(catalog["flat"], ["adm_mass"])
+        with pytest.raises(ValueError, match="shared"):
+            sweep(catalog["schwarzschild"], "adm_mass", self.RADII, shared=shared)
+        with pytest.raises(ValueError, match="shared"):
+            sweep(catalog["flat"], "intrinsic_mass", self.RADII, shared=shared)
 
 
 class TestDefaultScheduleCoverage:

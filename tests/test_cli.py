@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admflux.cli import main
+from admflux import analysis, invariants
+from admflux.catalog import build
+from admflux.cli import ALL_FUNCTIONALS, load_config, main, run_checks
 
 
 def write_config(tmp_path, **overrides):
@@ -97,6 +99,65 @@ class TestFullSuite:
         assert main(["mass", "--config", str(cfg)]) == 0
         records = json.loads((tmp_path / "out" / "adm_mass.json").read_text())
         assert records[0]["r"] == 10.0 and "value" in records[0]
+
+
+class TestEvaluationCounts:
+    RADII = [100.0, 200.0, 400.0, 800.0]
+
+    @staticmethod
+    def surfaces_built(monkeypatch, run):
+        """``(radius, order)`` of every sphere a sweep builds while ``run()`` runs."""
+        built = []
+        real = analysis.sphere_quadrature
+
+        def recording(n, r, order):
+            built.append((r, order))
+            return real(n, r, order)
+
+        monkeypatch.setattr(analysis, "sphere_quadrature", recording)
+        try:
+            run()
+        finally:
+            monkeypatch.setattr(analysis, "sphere_quadrature", real)
+        return built
+
+    def test_one_evaluation_per_surface_and_batched_shells(self, tmp_path, monkeypatch):
+        cfg = load_config(
+            write_config(tmp_path, schedule={"kind": "spheres", "radii": self.RADII}, order=24)
+        )
+        fld = build(cfg.metric)
+        mass = float(analysis.sweep(fld, "adm_mass", self.RADII).fitted_limit)
+        visits = {}
+        for name in analysis.FUNCTIONALS:
+            kwargs = {"mass": mass} if analysis.FUNCTIONALS[name]["needs_mass"] else {}
+            visits[name] = set(
+                self.surfaces_built(monkeypatch, lambda: analysis.sweep(fld, name, self.RADII, **kwargs))
+            )
+        swept = set().union(*visits.values())
+        curved = visits["intrinsic_mass"] | visits["intrinsic_center"]
+
+        kernel, jets = [], []
+        real_kernel, real_jets = invariants.curvature_arrays, invariants.jet2_batch
+
+        def counting_kernel(g, dg, ddg):
+            kernel.append(len(g))
+            return real_kernel(g, dg, ddg)
+
+        def counting_jets(field, points):
+            jets.append(len(points))
+            return real_jets(field, points)
+
+        monkeypatch.setattr(invariants, "curvature_arrays", counting_kernel)
+        monkeypatch.setattr(invariants, "jet2_batch", counting_jets)
+        built = self.surfaces_built(monkeypatch, lambda: run_checks(cfg, ALL_FUNCTIONALS, True))
+
+        annuli = len(self.RADII) - 1
+        assert sorted(built) == sorted(swept)  # each swept surface built once
+        assert len(kernel) == len(curved) + 4 * annuli
+        assert max(kernel) <= invariants.MAX_KERNEL_POINTS == 4802
+        # one jet evaluation per swept surface, per identity surface (an
+        # annulus here) and per batch of shells
+        assert len(jets) == len(swept) + 2 + 4 * annuli
 
 
 class TestOtherSubcommands:

@@ -1,25 +1,37 @@
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from admflux import invariants
 from admflux.catalog import CatalogSpec, build
+from admflux.curvature import curvature_arrays
 from admflux.errors import DomainError, UndefinedCenterError
 from admflux.invariants import (
-    CenterPair,
     KillingFieldId,
+    SurfaceEval,
     adm_mass_at,
-    center_pair,
     cs_center_at,
     field_X,
     field_Y,
     ibp_residual_X,
     ibp_residual_Y,
     intrinsic_center_at,
+    identity_residuals,
     intrinsic_mass_at,
-    mass_pair,
     scalar_curvature_moment,
 )
-from admflux.surfaces import ellipsoid_quadrature, sphere_quadrature
+from admflux.metric_field import jet2_batch
+from admflux.surfaces import ellipsoid_quadrature, gauss_jacobi, sphere_quadrature, unit_sphere_rule
+
+
+def mass_difference(field, surf):
+    """Flux mass minus curvature mass, both from one surface evaluation."""
+    evaluation = SurfaceEval(field, surf)
+    return evaluation.value("adm_mass") - evaluation.value("intrinsic_mass")
 
 
 def schwarzschild_flux_closed_form(m, r, n=3):
@@ -90,20 +102,19 @@ class TestMassFunctionals:
     def test_mass_difference_decays(self, catalog):
         diffs = []
         for r in (10.0, 40.0, 160.0):
-            pair = mass_pair(catalog["schwarzschild"], sphere_quadrature(3, r, order=24))
-            diffs.append(abs(pair.difference))
+            diffs.append(abs(mass_difference(catalog["schwarzschild"], sphere_quadrature(3, r, order=24))))
         assert diffs[0] > diffs[1] > diffs[2]
 
     def test_mass_pair_difference_exact(self, catalog):
-        pair = mass_pair(catalog["schwarzschild"], sphere_quadrature(3, 20.0, order=12))
-        assert pair.difference == pair.adm - pair.intrinsic
+        field, surf = catalog["schwarzschild"], sphere_quadrature(3, 20.0, order=12)
+        adm, intrinsic = adm_mass_at(field, surf), intrinsic_mass_at(field, surf)
+        assert mass_difference(field, surf) == adm - intrinsic
 
     def test_mass_difference_first_order_rate(self, catalog):
         # |adm - intrinsic| ~ C/r: doubling the radius roughly halves it
         diffs = []
         for r in [10.0 * 2**k for k in range(7)]:
-            pair = mass_pair(catalog["schwarzschild"], sphere_quadrature(3, r, order=24))
-            diffs.append(abs(pair.difference))
+            diffs.append(abs(mass_difference(catalog["schwarzschild"], sphere_quadrature(3, r, order=24))))
         for near, far in zip(diffs, diffs[1:]):
             assert 1.7 <= near / far <= 2.3
 
@@ -144,9 +155,9 @@ class TestCenterFunctionals:
         field = catalog["schwarzschild-translated"]
         gaps = []
         for r in (100.0, 400.0):
-            surf = sphere_quadrature(3, r, order=24)
-            pair = center_pair(field, surf, 1.0)
-            gaps.append(float(np.max(np.abs(pair.difference))))
+            evaluation = SurfaceEval(field, sphere_quadrature(3, r, order=24))
+            gap = evaluation.value("cs_center", 1.0) - evaluation.value("intrinsic_center", 1.0)
+            gaps.append(float(np.max(np.abs(gap))))
         assert gaps[1] < gaps[0]
 
     def test_mass_scaling_exact(self, catalog):
@@ -167,7 +178,7 @@ class TestCenterFunctionals:
         with pytest.raises(UndefinedCenterError):
             intrinsic_center_at(catalog["flat"], surf, 1e-9)
         with pytest.raises(UndefinedCenterError):
-            CenterPair(r=10.0, cs=np.zeros(3), intrinsic=np.zeros(3), mass_used=0.0)
+            SurfaceEval(catalog["flat"], surf).value("cs_center", 0.0)
 
 
 class TestIntegralIdentities:
@@ -209,10 +220,134 @@ class TestIntegralIdentities:
         with pytest.raises(ValueError):
             ibp_residual_Y(catalog["flat"], surf, 4)
 
+    @pytest.mark.parametrize("name", ["perturbed-gaussian", "schwarzschild-translated"])
+    def test_one_jet_evaluation_per_surface(self, catalog, name, monkeypatch):
+        field = catalog[name]
+        outer = sphere_quadrature(3, 100.0, order=16)
+        inner = None if field.metadata.get("globally_smooth") else sphere_quadrature(3, 10.0, order=16)
+        calls = []
+
+        def counting(field_, points):
+            calls.append(len(points))
+            return jet2_batch(field_, points)
+
+        monkeypatch.setattr(invariants, "jet2_batch", counting)
+        res_x, res_y = identity_residuals(field, outer, inner=inner)
+        assert len(calls) == (1 if inner is None else 2)
+        monkeypatch.undo()
+        assert res_x == form_x_oracle(field, outer) - (0.0 if inner is None else form_x_oracle(field, inner))
+        for alpha in (1, 2, 3):
+            expected = form_y_oracle(field, outer, alpha)
+            if inner is not None:
+                expected -= form_y_oracle(field, inner, alpha)
+            assert res_y[alpha - 1] == expected
+            assert ibp_residual_Y(field, outer, alpha, inner=inner) == expected
+
     def test_identity_on_ellipsoid(self, catalog):
         # the identities hold on any closed surface, not just spheres
         surf = ellipsoid_quadrature((40.0, 20.0, 20.0), order=24)
         assert abs(ibp_residual_X(catalog["perturbed-tail"], surf)) <= 1e-8
+
+
+def form_x_oracle(field, surf):
+    """The dilation identity on one surface, one formula at a time."""
+    g, dg, ddg = jet2_batch(field, surf.points)
+    M, s = invariants._second_derivative_form(ddg)
+    bracket = np.einsum("pkki->pi", dg) - np.einsum("pikk->pi", dg)
+    lhs = math.fsum(np.einsum("pij,pi,pj->p", M, surf.points, surf.normals) * surf.weights)
+    flux = math.fsum(np.einsum("pj,pj->p", bracket, surf.normals) * surf.weights)
+    radial = math.fsum(s * np.einsum("pi,pi->p", surf.points, surf.normals) * surf.weights)
+    return lhs - (3 - 2) * flux - radial
+
+
+def form_y_oracle(field, surf, alpha):
+    """The generator identity for one ``alpha`` on one surface, with its own jets."""
+    g, dg, ddg = jet2_batch(field, surf.points)
+    M, s = invariants._second_derivative_form(ddg)
+    Y = invariants._conformal_generators(surf.points)[:, alpha - 1, :]
+    lhs = math.fsum(np.einsum("pij,pi,pj->p", -M, Y, surf.normals) * surf.weights)
+    rhs1 = math.fsum(-s * np.einsum("pi,pi->p", Y, surf.normals) * surf.weights)
+    h = g - np.eye(3)
+    bracket = np.einsum("pkki->pi", dg) - np.einsum("pikk->pi", dg)
+    flux = np.einsum("pi,pi->p", bracket, surf.normals)
+    trace_part = (
+        np.einsum("pk,pk->p", h[:, :, alpha - 1], surf.normals)
+        - np.einsum("pkk->p", h) * surf.normals[:, alpha - 1]
+    )
+    rhs2 = 2.0 * (3 - 2) * math.fsum((surf.points[:, alpha - 1] * flux - trace_part) * surf.weights)
+    return lhs - rhs1 - rhs2
+
+
+def moment_oracle(field, r0, r1, moment, order, radial_nodes):
+    """The annulus moment with one kernel call per radial shell, and its scale.
+
+    The scale is the same integral of the largest ``|R_ij|`` at each node:
+    ``R`` is a contraction of ``R_ij``, so its rounding is relative to that
+    size, which stays finite where ``R`` itself vanishes (Schwarzschild).
+    """
+    n = field.dim
+    dirs, w_dir = unit_sphere_rule(n, order)
+    t, wt = gauss_jacobi(radial_nodes, 0.0)
+    shells, scale = [], []
+    for r, wr in zip(0.5 * (r1 - r0) * t + 0.5 * (r1 + r0), 0.5 * (r1 - r0) * wt):
+        pts = r * dirs
+        g, dg, ddg = jet2_batch(field, pts)
+        bundle = curvature_arrays(g, dg, ddg)
+        dens = bundle.scalar * np.sqrt(np.linalg.det(g))
+        size = np.abs(bundle.ricci).max(axis=(1, 2)) * np.sqrt(np.linalg.det(g))
+        if moment:
+            dens = dens * pts[:, moment - 1]
+            size = size * np.abs(pts[:, moment - 1])
+        shells.append(wr * r ** (n - 1) * math.fsum(dens * w_dir))
+        scale.append(abs(wr) * r ** (n - 1) * math.fsum(size * w_dir))
+    return math.fsum(shells), math.fsum(scale)
+
+
+@st.composite
+def moment_cases(draw):
+    n = draw(st.sampled_from([3, 4]))
+    center = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    if draw(st.booleans()):
+        spec = CatalogSpec(kind="schwarzschild", dim=n, mass=draw(st.floats(0.2, 2.0)), center=center)
+    else:
+        coeffs = ((1, draw(st.floats(0.1, 1.0))), (2, draw(st.floats(-0.5, 1.0))))
+        spec = CatalogSpec(kind="conformal", dim=n, u_coeffs=coeffs, center=center)
+    r0 = draw(st.floats(10.0, 100.0))
+    return (
+        build(spec),
+        r0,
+        r0 * draw(st.floats(1.1, 3.0)),
+        draw(st.integers(0, n)),
+        draw(st.integers(2, 8)),
+        draw(st.integers(1, 8)),
+        draw(st.sampled_from([invariants.MAX_KERNEL_POINTS, 50, 333, 1000])),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(moment_cases())
+def test_batched_moment_matches_shell_by_shell(case):
+    field, r0, r1, moment, order, radial_nodes, cap = case
+    expected, scale = moment_oracle(field, r0, r1, moment, order, radial_nodes)
+    with mock.patch.object(invariants, "MAX_KERNEL_POINTS", cap):
+        got = scalar_curvature_moment(field, r0, r1, moment=moment, order=order, radial_nodes=radial_nodes)
+    assert abs(got - expected) <= 1e-15 * scale
+
+
+def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
+    sizes = []
+
+    def counting(g, dg, ddg):
+        sizes.append(len(g))
+        return curvature_arrays(g, dg, ddg)
+
+    monkeypatch.setattr(invariants, "curvature_arrays", counting)
+    scalar_curvature_moment(catalog["conformal"], 10.0, 20.0, order=16)
+    assert sizes == [8 * 578] * 4  # whole shells of 578 nodes, 8 to a batch
+    sizes.clear()
+    field = build(CatalogSpec(kind="conformal", dim=4, u_coeffs=((1, 0.5),)))
+    scalar_curvature_moment(field, 10.0, 20.0, order=16, radial_nodes=2)
+    assert sizes == [4802, 4802, 4802, 4802, 2 * 9826 - 4 * 4802]  # shells above the cap are cut
 
 
 class TestScalarCurvatureMoments:
@@ -268,8 +403,8 @@ class TestGeneralSurfaces:
         field = catalog["schwarzschild"]
         diffs = []
         for r in (10.0, 40.0, 160.0):
-            surf = ellipsoid_quadrature((2 * r, r, r), order=24)
-            pair = mass_pair(field, surf)
-            assert pair.intrinsic == pytest.approx(1.0, abs=1e-9)
-            diffs.append(abs(pair.difference))
+            evaluation = SurfaceEval(field, ellipsoid_quadrature((2 * r, r, r), order=24))
+            intrinsic = evaluation.value("intrinsic_mass")
+            assert intrinsic == pytest.approx(1.0, abs=1e-9)
+            diffs.append(abs(evaluation.value("adm_mass") - intrinsic))
         assert diffs[0] > diffs[1] > diffs[2]
