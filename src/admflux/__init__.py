@@ -15,15 +15,7 @@ from .analysis import (
     sweep_all,
 )
 from .catalog import CatalogSpec, build, rt_violator, standard_catalog
-from .curvature import (
-    CurvatureBundle,
-    christoffel,
-    curvature_bundle,
-    einstein,
-    linearized_scalar,
-    ricci,
-    scalar_curvature,
-)
+from .curvature import CurvatureBundle
 from .errors import (
     ConfigError,
     DomainError,
@@ -32,12 +24,9 @@ from .errors import (
     UndefinedCenterError,
 )
 from .invariants import (
-    KillingFieldId,
     SurfaceEval,
     adm_mass_at,
     cs_center_at,
-    field_X,
-    field_Y,
     ibp_residual_X,
     ibp_residual_Y,
     identity_residuals,
@@ -60,7 +49,6 @@ from .metric_field import (
 from .surfaces import (
     QuadSurface,
     ellipsoid_quadrature,
-    g_normal_and_area,
     sphere_quadrature,
     unit_sphere_area,
     unit_sphere_rule,
@@ -75,7 +63,6 @@ __all__ = [
     "CurvatureBundle",
     "DecayReport",
     "DomainError",
-    "KillingFieldId",
     "MetricField",
     "MetricJet2",
     "NonFiniteError",
@@ -85,21 +72,15 @@ __all__ = [
     "UndefinedCenterError",
     "adm_mass_at",
     "build",
-    "christoffel",
     "compare",
     "cs_center_at",
-    "curvature_bundle",
     "decay_report",
     "default_fd_step",
-    "einstein",
     "ellipsoid_family",
     "ellipsoid_quadrature",
     "fd_jet2",
-    "field_X",
-    "field_Y",
     "field_from_values",
     "fit_power_law",
-    "g_normal_and_area",
     "ibp_residual_X",
     "ibp_residual_Y",
     "identity_residuals",
@@ -107,11 +88,8 @@ __all__ = [
     "intrinsic_mass_at",
     "jet2",
     "jet2_batch",
-    "linearized_scalar",
     "parity_split",
-    "ricci",
     "rt_violator",
-    "scalar_curvature",
     "scalar_curvature_moment",
     "sphere_quadrature",
     "standard_catalog",

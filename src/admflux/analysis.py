@@ -278,7 +278,6 @@ class SharedSurfaces:
         *,
         surface: Callable[[float, int], QuadSurface] | None = None,
         order: int = 24,
-        adaptive: bool = True,
     ):
         unknown = [f for f in functionals if f not in FUNCTIONALS]
         if unknown:
@@ -287,7 +286,6 @@ class SharedSurfaces:
         self.functionals = [f for f in FUNCTIONALS if f in functionals]
         self.builder = surface if surface is not None else sphere_family(field.dim)
         self.order = order
-        self.adaptive = adaptive
         self._totals: dict[tuple[float, int], dict] = {}
         self._refined: dict[tuple[str, float, float | None], np.ndarray] = {}
 
@@ -307,9 +305,7 @@ class SharedSurfaces:
             partners = [_CENTER_ON_ROUTE[f] for f in active if _CENTER_ON_ROUTE.get(f) in centers]
             values = self._values(r, order, active, partners, mass)
             for f in active:
-                if not self.adaptive or (
-                    f in previous and (_converged(values[f], previous[f]) or order >= MAX_ORDER)
-                ):
+                if f in previous and (_converged(values[f], previous[f]) or order >= MAX_ORDER):
                     self._refined[f, r, mass] = values[f]
             active = [f for f in active if (f, r, mass) not in self._refined]
             previous, order = values, 2 * order
@@ -350,7 +346,6 @@ def sweep(
     order: int = 24,
     mass: float | None = None,
     tol: float = DEFAULT_TOL,
-    adaptive: bool = True,
     shared: SharedSurfaces | None = None,
 ) -> ConvergenceReport:
     """Evaluate a named functional over a growing surface schedule and fit its limit.
@@ -359,18 +354,20 @@ def sweep(
     fed to a custom ``surface`` builder).  Center functionals require
     ``mass``.  The fit uses the last half of the samples; the verdict is true
     when the final sample sits within ``tol * (1 + |limit|)`` of the fitted
-    limit and the fitted rate is positive.  With ``adaptive`` set, each
-    evaluation doubles the quadrature order until two consecutive orders agree
-    to within ``1e-8``.  A failing evaluation names the functional and the
-    radius; the package's own errors carry both in their message.
+    limit and the fitted rate is positive.  Each evaluation starts at
+    quadrature order ``order`` and doubles it until two consecutive orders
+    agree to within :data:`REFINEMENT_TOL` of ``1 + |value|``; a value reached
+    at :data:`MAX_ORDER` or above is taken as it is.  A failing evaluation
+    names the functional and the radius; the package's own errors carry both
+    in their message.
 
     ``shared`` lets the sweeps of one run share their surface evaluations; the
-    surface family, start order and adaptivity are then those it was built with.
+    surface family and start order are then those it was built with.
     """
     if FUNCTIONALS.get(functional, {}).get("needs_mass") and mass is None:
         raise ValueError(f"functional {functional!r} needs the mass normalization")
     if shared is None:
-        shared = SharedSurfaces(field, [functional], surface=surface, order=order, adaptive=adaptive)
+        shared = SharedSurfaces(field, [functional], surface=surface, order=order)
     elif shared.field is not field or functional not in shared.functionals:
         raise ValueError(f"shared evaluations do not cover {functional!r} on this field")
     radii = [float(r) for r in radii]
@@ -402,7 +399,6 @@ def sweep_all(
     order: int = 24,
     mass: float | None = None,
     tol: float = DEFAULT_TOL,
-    adaptive: bool = True,
 ) -> dict[str, ConvergenceReport]:
     """:func:`sweep` of several functionals over one schedule, sharing their surfaces.
 
@@ -415,7 +411,7 @@ def sweep_all(
         FUNCTIONALS.get(f, {}).get("needs_mass") for f in names
     ):
         names.append("adm_mass")
-    shared = SharedSurfaces(field, names, surface=surface, order=order, adaptive=adaptive)
+    shared = SharedSurfaces(field, names, surface=surface, order=order)
     reports = {}
     for name in shared.functionals:
         if FUNCTIONALS[name]["needs_mass"] and mass is None:

@@ -91,6 +91,16 @@ def _finite(value, what: str) -> float:
     return out
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (``dict``, ``list`` or ``str``),
+    else :class:`ConfigError` naming ``what``.  Every config section and list
+    is read through here."""
+    if not isinstance(value, kind):
+        json_kind = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise ConfigError(f"{what} must be {json_kind}, got {value!r}")
+    return value
+
+
 def _parse_metric(obj: dict) -> CatalogSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("'metric' must be an object with a 'kind' entry")
@@ -102,22 +112,23 @@ def _parse_metric(obj: dict) -> CatalogSpec:
         kwargs["inner_radius"] = _finite(obj["inner_radius"], "inner_radius")
     if kind == "schwarzschild":
         kwargs["mass"] = _finite(obj.get("mass", 1.0), "mass")
-        kwargs["center"] = tuple(_finite(t, "center entry") for t in obj.get("center", ()))
+        kwargs["center"] = _center(obj)
     elif kind == "conformal":
-        coeffs = obj.get("u", ())
+        coeffs = [_typed(t, list, "'u' entry") for t in _typed(obj.get("u", []), list, "'u'")]
         kwargs["u_coeffs"] = tuple(
             (int(_finite(k, "u power")), _finite(a, "u coefficient")) for k, a in coeffs
         )
-        kwargs["center"] = tuple(_finite(t, "center entry") for t in obj.get("center", ()))
+        kwargs["center"] = _center(obj)
     elif kind == "perturbed":
         if "base" not in obj:
             raise ConfigError("perturbed metric config needs a 'base'")
         kwargs["base"] = _parse_metric(obj["base"])
-        bump = obj.get("bump", {})
+        bump = _typed(obj.get("bump", {}), dict, "'bump'")
         kwargs["bump_amplitude"] = _finite(bump.get("amplitude", 0.05), "bump amplitude")
         kwargs["bump_width"] = _finite(bump.get("width", 2.0), "bump width")
         kwargs["bump_location"] = tuple(
-            _finite(t, "bump location entry") for t in bump.get("location", ())
+            _finite(t, "bump location entry")
+            for t in _typed(bump.get("location", []), list, "bump 'location'")
         )
         kwargs["bump_parity"] = str(bump.get("parity", "none"))
         kwargs["bump_profile"] = str(bump.get("profile", "gaussian"))
@@ -127,6 +138,11 @@ def _parse_metric(obj: dict) -> CatalogSpec:
     elif kind != "flat":
         raise ConfigError(f"unknown metric kind {kind!r}")
     return CatalogSpec(**kwargs)
+
+
+def _center(obj: dict) -> tuple[float, ...]:
+    center = _typed(obj.get("center", []), list, "'center'")
+    return tuple(_finite(t, "center entry") for t in center)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -142,37 +158,41 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: missing 'metric'")
     cfg = RunConfig(metric=_parse_metric(obj["metric"]))
     if "functionals" in obj:
-        fns = tuple(str(t) for t in obj["functionals"])
+        fns = tuple(str(t) for t in _typed(obj["functionals"], list, "'functionals'"))
         unknown = [t for t in fns if t not in ALL_FUNCTIONALS]
         if unknown:
             raise ConfigError(f"{path}: unknown functionals {unknown}; choose from {ALL_FUNCTIONALS}")
         if not fns:
             raise ConfigError(f"{path}: 'functionals' must not be empty")
         cfg.functionals = fns
-    sched = obj.get("schedule", {})
+    sched = _typed(obj.get("schedule", {}), dict, "'schedule'")
     if sched:
         if "radii" in sched:
-            cfg.radii = tuple(_finite(t, "schedule radius") for t in sched["radii"])
+            radii = _typed(sched["radii"], list, "schedule 'radii'")
+            cfg.radii = tuple(_finite(t, "schedule radius") for t in radii)
         cfg.surface_kind = str(sched.get("kind", "spheres"))
         if cfg.surface_kind not in ("spheres", "ellipsoids"):
             raise ConfigError(f"{path}: schedule kind must be 'spheres' or 'ellipsoids'")
         if "ratios" in sched:
-            cfg.ellipsoid_ratios = tuple(_finite(t, "ellipsoid ratio") for t in sched["ratios"])
+            ratios = _typed(sched["ratios"], list, "schedule 'ratios'")
+            cfg.ellipsoid_ratios = tuple(_finite(t, "ellipsoid ratio") for t in ratios)
     if "order" in obj:
         cfg.order = int(_finite(obj["order"], "order"))
-    tols = obj.get("tolerances", {})
+    tols = _typed(obj.get("tolerances", {}), dict, "'tolerances'")
     cfg.tol = _finite(tols.get("limit", cfg.tol), "limit tolerance")
     cfg.identity_tol = _finite(tols.get("identity", cfg.identity_tol), "identity tolerance")
-    out = obj.get("output", {})
-    cfg.out_dir = Path(out.get("dir", cfg.out_dir))
+    out = _typed(obj.get("output", {}), dict, "'output'")
+    cfg.out_dir = Path(_typed(out.get("dir", str(cfg.out_dir)), str, "output 'dir'"))
     cfg.fmt = str(out.get("format", cfg.fmt))
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.order < 2:
-        raise ConfigError(f"quadrature order must be >= 2, got {cfg.order}")
+    if not 2 <= cfg.order <= analysis.MAX_ORDER:
+        raise ConfigError(
+            f"quadrature order must be between 2 and {analysis.MAX_ORDER}, got {cfg.order}"
+        )
     if len(cfg.radii) < 4 or any(b <= a for a, b in zip(cfg.radii, cfg.radii[1:])):
         raise ConfigError("schedule radii must be strictly increasing with at least 4 entries")
     if cfg.fmt not in ("csv", "json"):
@@ -278,7 +298,7 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
     r_used = outer.nominal_radius
     res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
     rows = [float(res) for res in res_y]
-    out = [
+    return [
         Check(
             name="identity_residual_X",
             verdict=abs(res_x) <= cfg.identity_tol,
@@ -287,9 +307,7 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
             tolerance=cfg.identity_tol,
             table_columns=["r", "value"],
             table_rows=[[r_used, res_x]],
-        )
-    ]
-    out.append(
+        ),
         Check(
             name="identity_residual_Y",
             verdict=all(abs(res) <= cfg.identity_tol for res in rows),
@@ -298,28 +316,24 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
             tolerance=cfg.identity_tol,
             table_columns=["r"] + [f"value_{a + 1}" for a in range(fld.dim)],
             table_rows=[[r_used, *rows]],
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
     """Shell integrals of the scalar curvature over the schedule's annuli."""
-    rows = []
-    shells = []
-    for r0, r1 in zip(cfg.radii, cfg.radii[1:]):
-        val = invariants.scalar_curvature_moment(fld, r0, r1, moment=0, order=min(cfg.order, 16))
-        shells.append(val)
-        rows.append([r1, val])
-    converging = decreasing_to_zero(np.abs(shells[len(shells) // 2 :]))
+    shells = [
+        invariants.scalar_curvature_moment(fld, r0, r1, moment=0, order=min(cfg.order, 16))
+        for r0, r1 in zip(cfg.radii, cfg.radii[1:])
+    ]
     return Check(
         name="scalar_moment_shells",
-        verdict=converging,
+        verdict=decreasing_to_zero(np.abs(shells[len(shells) // 2 :])),
         fitted_limit=shells[-1],
         fitted_rate=None,
         tolerance=cfg.tol,
         table_columns=["r", "value"],
-        table_rows=rows,
+        table_rows=[[r1, val] for r1, val in zip(cfg.radii[1:], shells)],
     )
 
 

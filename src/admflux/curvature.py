@@ -1,9 +1,10 @@
-"""Pointwise tensor calculus: Christoffel symbols, Ricci, scalar and Einstein tensors.
+"""Batched tensor calculus: Christoffel symbols, Ricci, scalar and Einstein tensors.
 
-All formulas are the full nonlinear ones; :func:`linearized_scalar` exposes the
-second-derivative truncation of the scalar curvature separately, as a
-cross-check quantity.  Array-level helpers accept a leading batch axis so that
-surface integrals can evaluate curvature at all quadrature nodes at once.
+Every function takes a leading point axis, so that surface and volume
+integrals evaluate curvature at many quadrature nodes per call; there is no
+single-point variant.  All formulas are the full nonlinear ones;
+:func:`linearized_scalar_arrays` gives the second-derivative truncation of the
+scalar curvature separately, as a cross-check quantity.
 
 With jets laid out as ``dg[l,i,j] = d_l g_ij`` and ``ddg[l,k,i,j] = d_l d_k g_ij``
 and ``T_sij = d_j g_is + d_i g_js - d_s g_ij``, the kernel
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMetricError
-from .metric_field import Array, MetricJet2
+from .metric_field import Array
 
 #: Metrics with condition number above this are rejected instead of inverted.
 CONDITION_LIMIT = 1e12
@@ -35,12 +36,12 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature data at one point (or a batch of points, with a leading axis).
+    """Curvature data at a batch of points, each array with a leading point axis.
 
-    ``gamma[k, i, j]`` holds the connection coefficients with upper index
+    ``gamma[p, k, i, j]`` holds the connection coefficients with upper index
     first.  ``einstein`` is ``ricci - scalar/2 * g`` and ``ginv`` the inverse
     metric.  ``dg`` and ``ddg`` are the metric partials the bundle was built
-    from; the connection partials ``dgamma[l, k, i, j]`` (derivative index
+    from; the connection partials ``dgamma[p, l, k, i, j]`` (derivative index
     first) are computed from them each time the property is read.
     """
 
@@ -135,50 +136,11 @@ def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     )
 
 
-def curvature_bundle(jet: MetricJet2) -> CurvatureBundle:
-    """Curvature bundle at a single point."""
-    b = curvature_arrays(jet.g[None], jet.dg[None], jet.ddg[None])
-    return CurvatureBundle(
-        gamma=b.gamma[0],
-        ricci=b.ricci[0],
-        scalar=float(b.scalar[0]),
-        einstein=b.einstein[0],
-        ginv=b.ginv[0],
-        dg=jet.dg,
-        ddg=jet.ddg,
-    )
-
-
-def christoffel(jet: MetricJet2) -> tuple[Array, Array]:
-    """Connection coefficients and their first partials, ``(gamma, dgamma)``."""
-    b = curvature_bundle(jet)
-    return b.gamma, b.dgamma
-
-
-def ricci(jet: MetricJet2) -> Array:
-    """Ricci tensor from the full nonlinear formula."""
-    return curvature_bundle(jet).ricci
-
-
-def scalar_curvature(jet: MetricJet2) -> float:
-    """Scalar curvature ``ginv[i,j] R_ij``."""
-    return curvature_bundle(jet).scalar
-
-
-def einstein(jet: MetricJet2) -> Array:
-    """Einstein tensor ``Ric - R/2 * g``."""
-    return curvature_bundle(jet).einstein
-
-
-def linearized_scalar(jet: MetricJet2) -> float:
-    """Second-derivative truncation of the scalar curvature.
-
-    Returns ``sum_{i,k} (d_i d_k g_ik - d_i d_i g_kk)``, which agrees with the
-    full scalar curvature up to terms quadratic in the metric deviation.
-    """
-    return float(linearized_scalar_arrays(jet.ddg[None])[0])
-
-
 def linearized_scalar_arrays(ddg: Array) -> Array:
-    """Batched version of :func:`linearized_scalar` on a ``(p, k, l, i, j)`` array."""
+    """Second-derivative truncation of the scalar curvature on a ``(p, k, l, i, j)`` array.
+
+    Returns ``sum_{i,k} (d_i d_k g_ik - d_i d_i g_kk)`` at each point, which
+    agrees with the full scalar curvature up to terms quadratic in the metric
+    deviation.
+    """
     return np.einsum("pikik->p", ddg) - np.einsum("piikk->p", ddg)

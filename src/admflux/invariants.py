@@ -18,7 +18,6 @@ All reductions use ``math.fsum`` in node order for run-to-run determinism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,49 +35,10 @@ from .surfaces import (
 
 #: Center functionals are undefined for |mass| below this threshold.
 MASS_THRESHOLD = 1e-8
-#: Most points :func:`scalar_curvature_moment` sends through the curvature
-#: kernel in one call: the node count of the order-48 sphere in R^3, the
-#: largest surface the default sweeps evaluate, so the shells add no memory peak.
+#: Most points any call of the curvature kernel takes: the node count of the
+#: order-48 sphere in R^3, the largest surface the default sweeps evaluate, so
+#: larger surfaces and the volume shells add no memory peak.
 MAX_KERNEL_POINTS = 4802
-
-
-def field_X(x) -> Array:
-    """Dilation field: ``X(x) = x``."""
-    return np.asarray(x, dtype=float).copy()
-
-
-def field_Y(alpha: int, x) -> Array:
-    """Special conformal generator ``Y^i = |x|^2 delta^(alpha i) - 2 x^alpha x^i``.
-
-    ``alpha`` is 1-based, matching the component index of the center of mass
-    it computes.  ``Y`` is even: ``Y(-x) = Y(x)``.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if not 1 <= alpha <= n:
-        raise ValueError(f"component index must satisfy 1 <= alpha <= {n}, got {alpha}")
-    y = -2.0 * x[alpha - 1] * x
-    y[alpha - 1] += float(x @ x)
-    return y
-
-
-@dataclass(frozen=True)
-class KillingFieldId:
-    """Identifier for the conformal Killing field entering a curvature functional."""
-
-    kind: str  # "X" or "Y"
-    alpha: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("X", "Y"):
-            raise ValueError(f"kind must be 'X' or 'Y', got {self.kind!r}")
-        if self.kind == "Y" and (self.alpha is None or self.alpha < 1):
-            raise ValueError("Y fields need a component index alpha >= 1")
-
-    def evaluate(self, x) -> Array:
-        if self.kind == "X":
-            return field_X(x)
-        return field_Y(self.alpha, x)
 
 
 #: The functionals read from the curvature bundle; the others need only the jets.
@@ -91,11 +51,14 @@ def _fsum(contrib: Array) -> float:
     return math.fsum(contrib.tolist())
 
 
-def _surface_jets(field: MetricField, surf: QuadSurface):
-    if surf.dim != field.dim:
-        raise ValueError(f"surface dimension {surf.dim} != field dimension {field.dim}")
-    check_surface_in_domain(field.inner_radius, surf)
-    return jet2_batch(field, surf.points)
+def _kernel_slices(total: int, block: int = 1) -> list[slice]:
+    """Slices of ``total`` points for one curvature-kernel call each.
+
+    Each slice holds as many whole ``block``s of points as fit in
+    :data:`MAX_KERNEL_POINTS`, or the cap itself when one block is larger.
+    """
+    step = MAX_KERNEL_POINTS // block * block or MAX_KERNEL_POINTS
+    return [slice(k, k + step) for k in range(0, total, step)]
 
 
 def _flux_bracket(dg: Array) -> Array:
@@ -128,19 +91,29 @@ class SurfaceEval:
     """
 
     def __init__(self, field: MetricField, surf: QuadSurface):
+        if surf.dim != field.dim:
+            raise ValueError(f"surface dimension {surf.dim} != field dimension {field.dim}")
+        check_surface_in_domain(field.inner_radius, surf)
         self.field = field
         self.surf = surf
-        self.g, self.dg, self.ddg = _surface_jets(field, surf)
+        self.g, self.dg, self.ddg = jet2_batch(field, surf.points)
         self._curvature: tuple[Array, Array, Array] | None = None
 
     def _einstein_frame(self) -> tuple[Array, Array, Array]:
-        """The Einstein tensor with the metric normals and area weights."""
+        """The Einstein tensor with the metric normals and area weights.
+
+        The kernel takes the nodes in slices of at most :data:`MAX_KERNEL_POINTS`.
+        """
         if self._curvature is None:
-            bundle = curvature_arrays(self.g, self.dg, self.ddg)
+            einstein, ginv = [], []
+            for part in _kernel_slices(len(self.surf)):
+                bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
+                einstein.append(bundle.einstein)
+                ginv.append(bundle.ginv)
             nu_g, w_g = g_normals_and_areas(
-                self.g, self.surf.normals, self.surf.weights, ginv=bundle.ginv
+                self.g, self.surf.normals, self.surf.weights, ginv=np.concatenate(ginv)
             )
-            self._curvature = (bundle.einstein, nu_g, w_g)
+            self._curvature = (np.concatenate(einstein), nu_g, w_g)
         return self._curvature
 
     def total(self, name: str) -> float | Array:
@@ -268,26 +241,26 @@ def _second_derivative_form(ddg: Array) -> tuple[Array, Array]:
 
 def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
     """Left minus right side of the dilation identity and of the ``n`` generator
-    identities on one surface, from one jet evaluation."""
-    g, dg, ddg = _surface_jets(field, surf)
+    identities on one surface, from one jet evaluation.
+
+    The boundary terms are the flux integrands: ``(n-2)`` times the flux-mass
+    total and ``2(n-2)`` times each flux-center total of the surface.
+    """
+    evaluation = SurfaceEval(field, surf)
     n = field.dim
-    M, s = _second_derivative_form(ddg)
-    flux = np.einsum("pj,pj->p", _flux_bracket(dg), surf.normals)
+    M, s = _second_derivative_form(evaluation.ddg)
     lhs = _fsum(np.einsum("pij,pi,pj->p", M, surf.points, surf.normals) * surf.weights)
     radial = _fsum(s * np.einsum("pi,pi->p", surf.points, surf.normals) * surf.weights)
-    form_x = lhs - (n - 2) * _fsum(flux * surf.weights) - radial
+    form_x = lhs - (n - 2) * evaluation.total("adm_mass") - radial
 
-    h = g - np.eye(n)
-    trace = np.einsum("pkk->p", h)
+    centers = evaluation.total("cs_center")
     generators = _conformal_generators(surf.points)
     forms_y = []
     for a in range(n):
         Y = generators[:, a, :]
         lhs = _fsum(np.einsum("pij,pi,pj->p", -M, Y, surf.normals) * surf.weights)
         rhs1 = _fsum(-s * np.einsum("pi,pi->p", Y, surf.normals) * surf.weights)
-        trace_part = np.einsum("pk,pk->p", h[:, :, a], surf.normals) - trace * surf.normals[:, a]
-        rhs2 = 2.0 * (n - 2) * _fsum((surf.points[:, a] * flux - trace_part) * surf.weights)
-        forms_y.append(lhs - rhs1 - rhs2)
+        forms_y.append(lhs - rhs1 - 2.0 * (n - 2) * centers[a])
     return form_x, np.array(forms_y)
 
 
@@ -374,9 +347,9 @@ def scalar_curvature_moment(
     radii = 0.5 * (r1 - r0) * t + 0.5 * (r1 + r0)
     w_rad = 0.5 * (r1 - r0) * wt
     pts = (radii[:, None, None] * dirs).reshape(-1, n)
-    # whole shells per batch; a shell larger than the cap is cut at the cap
-    step = MAX_KERNEL_POINTS // len(dirs) * len(dirs) or MAX_KERNEL_POINTS
-    dens = np.concatenate([_scalar_density(field, pts[k : k + step]) for k in range(0, len(pts), step)])
+    dens = np.concatenate(
+        [_scalar_density(field, pts[part]) for part in _kernel_slices(len(pts), len(dirs))]
+    )
     if moment:
         dens = dens * pts[:, moment - 1]
     shells = [

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curvature import metric_inverse
 from .errors import DomainError
-from .metric_field import Array, MetricJet2
+from .metric_field import Array
 
 DEFAULT_ORDER = 24
 
@@ -197,18 +197,6 @@ def g_normals_and_areas(
     nu_g = np.einsum("pij,pj->pi", ginv, nu_e) / np.sqrt(q)[:, None]
     w_g = np.asarray(w_e) * np.sqrt(np.linalg.det(g)) * np.sqrt(q)
     return nu_g, w_g
-
-
-def g_normal_and_area(jet: MetricJet2, x, nu_e, w_e: float) -> tuple[Array, float]:
-    """Metric normal and area weight at a single surface point.
-
-    ``x`` is accepted alongside the jet for interface symmetry with the
-    surface node tuple; only the jet enters the formulas.
-    """
-    del x
-    nu = np.asarray(nu_e, dtype=float)
-    nu_g, w_g = g_normals_and_areas(jet.g[None], nu[None], np.array([w_e]))
-    return nu_g[0], float(w_g[0])
 
 
 def check_surface_in_domain(field_inner_radius: float, surf: QuadSurface) -> None:

@@ -184,6 +184,16 @@ class TestExitCodes:
         assert main(["mass", "--config", str(cfg)]) == 2
         assert "order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_order_above_cap(self, tmp_path, capsys, flag):
+        # one above analysis.MAX_ORDER; rejected before any quadrature is built
+        order = analysis.MAX_ORDER + 1
+        cfg = write_config(tmp_path) if flag else write_config(tmp_path, order=order)
+        argv = ["mass", "--config", str(cfg)] + (["--order", str(order)] if flag else [])
+        assert main(argv) == 2
+        assert "order" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_json_positions(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"metric": }', encoding="utf-8")
@@ -273,6 +283,32 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, overrides, fi
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert field in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"metric": {"kind": "conformal", "dim": 3, "u": 5}}, "'u'"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [5]}}, "'u' entry"),
+        ({"metric": dict(SCHWARZSCHILD, center=5)}, "'center'"),
+        ({"metric": dict(PERTURBED, bump=3)}, "'bump'"),
+        ({"metric": dict(PERTURBED, bump={"location": 1.0})}, "bump 'location'"),
+        ({"schedule": [1]}, "'schedule'"),
+        ({"schedule": {"kind": "spheres", "radii": 100.0}}, "schedule 'radii'"),
+        ({"schedule": {"kind": "ellipsoids", "ratios": 2, "radii": RADII}}, "schedule 'ratios'"),
+        ({"tolerances": 5}, "'tolerances'"),
+        ({"output": 5}, "'output'"),
+        ({"output": {"dir": 5}}, "output 'dir'"),
+        ({"functionals": "adm_mass"}, "'functionals'"),
+    ],
+)
+def test_wrong_json_type_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "must be" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

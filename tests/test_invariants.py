@@ -11,12 +11,9 @@ from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.errors import DomainError, UndefinedCenterError
 from admflux.invariants import (
-    KillingFieldId,
     SurfaceEval,
     adm_mass_at,
     cs_center_at,
-    field_X,
-    field_Y,
     ibp_residual_X,
     ibp_residual_Y,
     intrinsic_center_at,
@@ -42,34 +39,22 @@ def schwarzschild_flux_closed_form(m, r, n=3):
 
 class TestKillingFields:
     def test_field_X(self):
-        assert np.array_equal(field_X([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
-        assert np.array_equal(field_X([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
-        assert np.array_equal(field_X([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        # the dilation field X = x is the surface nodes themselves; each generator
+        # contracts with it to x . Y_alpha = -|x|^2 X_alpha
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        Y = invariants._conformal_generators(x)
+        r2 = np.sum(x * x, axis=1)
+        assert np.array_equal(np.einsum("pi,pai->pa", x, Y), -r2[:, None] * x)
+        assert np.array_equal(np.einsum("pa,pai->pi", x, Y), -r2[:, None] * x)
 
     def test_field_Y_values(self):
-        assert np.allclose(field_Y(1, [1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0])
-        assert np.allclose(field_Y(1, [0.0, 1.0, 0.0]), [1.0, 0.0, 0.0])
+        Y = invariants._conformal_generators(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        assert np.allclose(Y[:, 0, :], [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_field_Y_even(self, rng):
-        for _ in range(20):
-            x = rng.normal(size=3)
-            alpha = int(rng.integers(1, 4))
-            assert np.allclose(field_Y(alpha, x), field_Y(alpha, -x), atol=1e-15)
-
-    def test_field_Y_range(self):
-        with pytest.raises(ValueError):
-            field_Y(4, [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            field_Y(0, [1.0, 0.0, 0.0])
-
-    def test_killing_field_id(self):
-        x = np.array([2.0, -1.0, 0.5])
-        assert np.array_equal(KillingFieldId("X").evaluate(x), x)
-        assert np.allclose(KillingFieldId("Y", 2).evaluate(x), field_Y(2, x))
-        with pytest.raises(ValueError):
-            KillingFieldId("Z")
-        with pytest.raises(ValueError):
-            KillingFieldId("Y")
+        x = rng.normal(size=(20, 3))
+        Y = invariants._conformal_generators
+        assert np.allclose(Y(x), Y(-x), atol=1e-15)
 
 
 class TestMassFunctionals:
@@ -348,6 +333,33 @@ def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
     field = build(CatalogSpec(kind="conformal", dim=4, u_coeffs=((1, 0.5),)))
     scalar_curvature_moment(field, 10.0, 20.0, order=16, radial_nodes=2)
     assert sizes == [4802, 4802, 4802, 4802, 2 * 9826 - 4 * 4802]  # shells above the cap are cut
+
+
+def test_surface_kernel_calls_hold_the_cap(catalog, monkeypatch):
+    sizes = []
+
+    def counting(g, dg, ddg):
+        sizes.append(len(g))
+        return curvature_arrays(g, dg, ddg)
+
+    monkeypatch.setattr(invariants, "curvature_arrays", counting)
+    surf = ellipsoid_quadrature((40.0, 10.0, 10.0), order=96)
+    mass = SurfaceEval(catalog["schwarzschild"], surf).value("intrinsic_mass")
+    assert len(surf) == 18818
+    assert sizes == [4802, 4802, 4802, 18818 - 3 * 4802]
+    assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("cap", [50, 161, 162])
+def test_sliced_surface_matches_one_kernel_call(catalog, cap):
+    # 162 nodes: slices with a remainder, one short of the surface, and the whole surface
+    field, surf = catalog["schwarzschild-translated"], sphere_quadrature(3, 20.0, order=8)
+    whole = SurfaceEval(field, surf)
+    expected = {name: whole.total(name) for name in ("intrinsic_mass", "intrinsic_center")}
+    with mock.patch.object(invariants, "MAX_KERNEL_POINTS", cap):
+        sliced = SurfaceEval(field, surf)
+        for name, want in expected.items():
+            assert sliced.total(name) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 class TestScalarCurvatureMoments:
