@@ -17,13 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AdmfluxError, NonFiniteError
-from .invariants import CENTER_FUNCTIONALS, SurfaceEval, normalized
+from .invariants import CENTER_FUNCTIONALS, REFINEMENT_TOL, SurfaceEval, normalized
 from .metric_field import MetricField
 from .surfaces import QuadSurface, ellipsoid_quadrature, sphere_quadrature
 
 DEFAULT_TOL = 1e-4
-#: Disagreement between consecutive quadrature orders that triggers doubling.
-REFINEMENT_TOL = 1e-8
+#: The highest quadrature order a sweep evaluates; doubling stops there.
 MAX_ORDER = 96
 
 #: The swept functionals, in the order their checks are reported.  ``fn(total,
@@ -261,11 +260,12 @@ def _converged(finer: np.ndarray, coarser: np.ndarray) -> bool:
 class SharedSurfaces:
     """Surface evaluations shared by the sweeps of one run.
 
-    Built for a field, a surface family, a start order and the functionals the
-    run sweeps.  It keeps only reduced totals per ``(radius, order)``.  The
-    first sweep to ask for a radius refines its whole group there side by
-    side (the run's mass functionals, or its center functionals for one
-    mass), so each surface is evaluated once for all of them.  A mass
+    Built for a field, a surface family, a start order (2 to
+    :data:`MAX_ORDER`) and the functionals the run sweeps.  It keeps only
+    reduced totals per ``(radius, order)``.  The first sweep to ask for a
+    radius refines its whole group there side by side (the run's mass
+    functionals, or its center functionals for one mass), so each surface
+    is evaluated once for all of them.  A mass
     functional's evaluation also yields the totals of the center functional
     on its route, from the same jets or curvature bundle.  The curvature
     kernel runs only for curvature functionals.
@@ -282,6 +282,8 @@ class SharedSurfaces:
         unknown = [f for f in functionals if f not in FUNCTIONALS]
         if unknown:
             raise ValueError(f"unknown functional {unknown[0]!r}; choose from {sorted(FUNCTIONALS)}")
+        if not 2 <= order <= MAX_ORDER:
+            raise ValueError(f"start order must be between 2 and {MAX_ORDER}, got {order}")
         self.field = field
         self.functionals = [f for f in FUNCTIONALS if f in functionals]
         self.builder = surface if surface is not None else sphere_family(field.dim)
@@ -305,10 +307,10 @@ class SharedSurfaces:
             partners = [_CENTER_ON_ROUTE[f] for f in active if _CENTER_ON_ROUTE.get(f) in centers]
             values = self._values(r, order, active, partners, mass)
             for f in active:
-                if f in previous and (_converged(values[f], previous[f]) or order >= MAX_ORDER):
+                if order >= MAX_ORDER or (f in previous and _converged(values[f], previous[f])):
                     self._refined[f, r, mass] = values[f]
             active = [f for f in active if (f, r, mass) not in self._refined]
-            previous, order = values, 2 * order
+            previous, order = values, min(2 * order, MAX_ORDER)
 
     def _values(self, r, order, names, partners, mass) -> dict[str, np.ndarray]:
         """Values of ``names`` on the ``(r, order)`` surface, read from its totals.
@@ -356,8 +358,8 @@ def sweep(
     when the final sample sits within ``tol * (1 + |limit|)`` of the fitted
     limit and the fitted rate is positive.  Each evaluation starts at
     quadrature order ``order`` and doubles it until two consecutive orders
-    agree to within :data:`REFINEMENT_TOL` of ``1 + |value|``; a value reached
-    at :data:`MAX_ORDER` or above is taken as it is.  A failing evaluation
+    agree to within :data:`REFINEMENT_TOL` of ``1 + |value|``; the doubling
+    stops at :data:`MAX_ORDER`, whose value is taken as it is.  A failing evaluation
     names the functional and the radius; the package's own errors carry both
     in their message.
 

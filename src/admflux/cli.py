@@ -55,6 +55,12 @@ EXIT_CERTIFICATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
+#: Scalar-curvature shells within this multiple of their scale are rounding
+#: noise: ``R`` is a contraction of ``R_ij``, so its rounding is relative to
+#: ``max |R_ij|``.  Schwarzschild shells, where ``R`` vanishes, measure up to
+#: about ``1.4 eps`` of their scale.
+SHELL_NOISE = 16 * sys.float_info.epsilon
+
 #: Reaches far enough out that the canonical examples' final samples sit
 #: within the default limit tolerance of their fitted limits.
 DEFAULT_RADII = tuple(100.0 * 2**k for k in range(9))
@@ -91,6 +97,15 @@ def _finite(value, what: str) -> float:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``, or :class:`ConfigError` naming ``what`` unless it
+    is a finite whole number (``3`` or ``3.0``, not ``3.7``)."""
+    out = _finite(value, what)
+    if not out.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(out)
+
+
 def _typed(value, kind: type, what: str):
     """``value`` if it has the JSON type ``kind`` (``dict``, ``list`` or ``str``),
     else :class:`ConfigError` naming ``what``.  Every config section and list
@@ -105,7 +120,7 @@ def _parse_metric(obj: dict) -> CatalogSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("'metric' must be an object with a 'kind' entry")
     kind = obj["kind"]
-    kwargs: dict = {"kind": kind, "dim": int(_finite(obj.get("dim", 3), "metric dim"))}
+    kwargs: dict = {"kind": kind, "dim": _integer(obj.get("dim", 3), "metric dim")}
     if "label" in obj:
         kwargs["label"] = str(obj["label"])
     if "inner_radius" in obj:
@@ -114,9 +129,12 @@ def _parse_metric(obj: dict) -> CatalogSpec:
         kwargs["mass"] = _finite(obj.get("mass", 1.0), "mass")
         kwargs["center"] = _center(obj)
     elif kind == "conformal":
-        coeffs = [_typed(t, list, "'u' entry") for t in _typed(obj.get("u", []), list, "'u'")]
+        pairs = [_typed(t, list, "'u' entry") for t in _typed(obj.get("u", []), list, "'u'")]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ConfigError(f"'u' entry must be a [power, coefficient] pair, got {pair!r}")
         kwargs["u_coeffs"] = tuple(
-            (int(_finite(k, "u power")), _finite(a, "u coefficient")) for k, a in coeffs
+            (_integer(k, "u power"), _finite(a, "u coefficient")) for k, a in pairs
         )
         kwargs["center"] = _center(obj)
     elif kind == "perturbed":
@@ -132,7 +150,7 @@ def _parse_metric(obj: dict) -> CatalogSpec:
         )
         kwargs["bump_parity"] = str(bump.get("parity", "none"))
         kwargs["bump_profile"] = str(bump.get("profile", "gaussian"))
-        kwargs["bump_tail_power"] = int(_finite(bump.get("tail_power", 3), "bump tail_power"))
+        kwargs["bump_tail_power"] = _integer(bump.get("tail_power", 3), "bump tail_power")
     elif kind == "rt_violator":
         kwargs["amplitude"] = _finite(obj.get("amplitude", 0.5), "amplitude")
     elif kind != "flat":
@@ -177,7 +195,7 @@ def load_config(path: str | Path) -> RunConfig:
             ratios = _typed(sched["ratios"], list, "schedule 'ratios'")
             cfg.ellipsoid_ratios = tuple(_finite(t, "ellipsoid ratio") for t in ratios)
     if "order" in obj:
-        cfg.order = int(_finite(obj["order"], "order"))
+        cfg.order = _integer(obj["order"], "order")
     tols = _typed(obj.get("tolerances", {}), dict, "'tolerances'")
     cfg.tol = _finite(tols.get("limit", cfg.tol), "limit tolerance")
     cfg.identity_tol = _finite(tols.get("identity", cfg.identity_tol), "identity tolerance")
@@ -221,18 +239,23 @@ class Check:
     tolerance: float
     table_columns: list[str] = field(default_factory=list)
     table_rows: list[list[float]] = field(default_factory=list)
+    #: What failed where, when the table alone does not show it.
+    failure: str | None = None
 
     def summary(self) -> dict:
         lim = self.fitted_limit
         if isinstance(lim, np.ndarray):
             lim = [float(t) for t in lim]
-        return {
+        out = {
             "functional": self.name,
             "fitted_limit": lim,
             "fitted_rate": self.fitted_rate,
             "verdict": bool(self.verdict),
             "tolerance": self.tolerance,
         }
+        if self.failure is not None:
+            out["failure"] = self.failure
+        return out
 
 
 def _report_check(report: analysis.ConvergenceReport, name: str) -> Check:
@@ -321,19 +344,31 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
 
 
 def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
-    """Shell integrals of the scalar curvature over the schedule's annuli."""
+    """Shell integrals of the scalar curvature over the schedule's annuli.
+
+    The outer half of the shells must decrease to zero, where a shell within
+    :data:`SHELL_NOISE` of its scale counts as zero.  An annulus whose radial
+    rule did not converge fails the check and is named in the failure.
+    """
+    annuli = list(zip(cfg.radii, cfg.radii[1:]))
     shells = [
         invariants.scalar_curvature_moment(fld, r0, r1, moment=0, order=min(cfg.order, 16))
-        for r0, r1 in zip(cfg.radii, cfg.radii[1:])
+        for r0, r1 in annuli
     ]
+    tail = shells[len(shells) // 2 :]
+    decays = decreasing_to_zero(
+        [abs(s.value) for s in tail], floor=[SHELL_NOISE * s.scale for s in tail]
+    )
+    stalled = [f"{r0:g} < |x| < {r1:g}" for (r0, r1), s in zip(annuli, shells) if not s.converged]
     return Check(
         name="scalar_moment_shells",
-        verdict=decreasing_to_zero(np.abs(shells[len(shells) // 2 :])),
-        fitted_limit=shells[-1],
+        verdict=decays and not stalled,
+        fitted_limit=shells[-1].value,
         fitted_rate=None,
         tolerance=cfg.tol,
-        table_columns=["r", "value"],
-        table_rows=[[r1, val] for r1, val in zip(cfg.radii[1:], shells)],
+        table_columns=["r", "value", "error", "scale"],
+        table_rows=[[r1, s.value, s.error, s.scale] for (_, r1), s in zip(annuli, shells)],
+        failure="radial rule unconverged on " + ", ".join(stalled) if stalled else None,
     )
 
 
@@ -394,8 +429,9 @@ def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare
     _write_tables(checks, cfg)
     for check in checks:
         status = "PASS" if check.verdict else "FAIL"
+        failure = f" ({check.failure})" if check.failure else ""
         print(f"[{status}] {check.name}: limit={_fmt(check.fitted_limit)} "
-              f"rate={_fmt(check.fitted_rate)} tol={check.tolerance:g}")
+              f"rate={_fmt(check.fitted_rate)} tol={check.tolerance:g}{failure}")
     if all(c.verdict for c in checks):
         return EXIT_PASS
     return EXIT_CERTIFICATION_FAILURE

@@ -18,6 +18,7 @@ All reductions use ``math.fsum`` in node order for run-to-run determinism.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .surfaces import (
     QuadSurface,
     check_surface_in_domain,
     g_normals_and_areas,
-    gauss_jacobi,
+    gauss_kronrod15,
     unit_sphere_area,
     unit_sphere_rule,
 )
@@ -39,6 +40,12 @@ MASS_THRESHOLD = 1e-8
 #: order-48 sphere in R^3, the largest surface the default sweeps evaluate, so
 #: larger surfaces and the volume shells add no memory peak.
 MAX_KERNEL_POINTS = 4802
+#: Relative disagreement that still counts as converged: between consecutive
+#: quadrature orders of a swept surface, and between the Kronrod and Gauss
+#: estimates of a radial piece of a scalar-curvature annulus.
+REFINEMENT_TOL = 1e-8
+#: Bisections of a radial piece before its annulus counts as unconverged.
+MAX_RADIAL_BISECTIONS = 6
 
 
 #: The functionals read from the curvature bundle; the others need only the jets.
@@ -310,29 +317,51 @@ def ibp_residual_Y(
     return float(identity_residuals(field, surf, inner)[1][alpha - 1])
 
 
-def _scalar_density(field: MetricField, points: Array) -> Array:
-    """``R sqrt(det g)`` at ``points``, from one jet evaluation and one kernel call."""
+class ShellIntegral(NamedTuple):
+    """An annulus integral of the scalar curvature, summed over its radial pieces.
+
+    ``error`` sums the pieces' Kronrod-minus-Gauss estimates and ``scale``
+    the same integral of ``max |R_ij|``, the size the rounding of ``R`` is
+    relative to.  ``converged`` is false when a piece still missed
+    ``REFINEMENT_TOL * scale`` after :data:`MAX_RADIAL_BISECTIONS` bisections.
+    """
+
+    value: float
+    error: float
+    scale: float
+    converged: bool
+
+
+def _scalar_densities(field: MetricField, points: Array) -> tuple[Array, Array]:
+    """``R sqrt(det g)`` and ``max |R_ij| sqrt(det g)`` at ``points``, from one
+    jet evaluation and one kernel call."""
     g, dg, ddg = jet2_batch(field, points)
-    return curvature_arrays(g, dg, ddg).scalar * np.sqrt(np.linalg.det(g))
+    bundle = curvature_arrays(g, dg, ddg)
+    volume = np.sqrt(np.linalg.det(g))
+    return bundle.scalar * volume, np.abs(bundle.ricci).max(axis=(1, 2)) * volume
 
 
 def scalar_curvature_moment(
-    field: MetricField,
-    r0: float,
-    r1: float,
-    moment: int = 0,
-    order: int = 16,
-    radial_nodes: int = 32,
-) -> float:
+    field: MetricField, r0: float, r1: float, moment: int = 0, order: int = 16
+) -> ShellIntegral:
     """Volume integral of ``R`` (or ``x^i R``) over the annulus ``r0 < |x| < r1``.
 
-    Uses Gauss-Legendre in the radius against the unit-sphere rule, with the
-    metric volume element ``sqrt(det g)``.  ``moment=0`` integrates the scalar
-    curvature itself; ``moment=i`` (1-based) weights it by the coordinate
-    ``x^i``.  Shell-by-shell calls expose the convergence of the tail.  The
-    radial shells go through the curvature kernel together, in batches of at
-    most :data:`MAX_KERNEL_POINTS` nodes; each shell is still reduced in node
-    order.
+    Uses the unit-sphere rule in the directions and the embedded 7/15-point
+    Gauss-Kronrod pair in the radius, with the metric volume element
+    ``sqrt(det g)``.  ``moment=0`` integrates the scalar curvature itself;
+    ``moment=i`` (1-based) weights it by the coordinate ``x^i``.  Shell-by-shell
+    calls expose the convergence of the tail.
+
+    The radial interval starts as one piece.  A piece is accepted when its
+    Kronrod and Gauss estimates agree to :data:`REFINEMENT_TOL` times its
+    scale, the Kronrod integral of ``max |R_ij| sqrt(det g)`` (times ``|x^i|``
+    for a moment); otherwise it is bisected, up to
+    :data:`MAX_RADIAL_BISECTIONS` times.  The 15 shells of every open piece go
+    through the curvature kernel together, in batches of whole shells of at
+    most :data:`MAX_KERNEL_POINTS` nodes; each shell is reduced in node order
+    and the pieces are summed in radial order.  Returns a
+    :class:`ShellIntegral`: the value, the summed error estimate, the scale
+    and whether every piece was accepted.
     """
     if not (r1 > r0 >= field.inner_radius):
         raise ValueError(
@@ -343,17 +372,36 @@ def scalar_curvature_moment(
     if not 0 <= moment <= n:
         raise ValueError(f"moment must be 0 or a 1-based index <= {n}, got {moment}")
     dirs, w_dir = unit_sphere_rule(n, order)
-    t, wt = gauss_jacobi(radial_nodes, 0.0)
-    radii = 0.5 * (r1 - r0) * t + 0.5 * (r1 + r0)
-    w_rad = 0.5 * (r1 - r0) * wt
-    pts = (radii[:, None, None] * dirs).reshape(-1, n)
-    dens = np.concatenate(
-        [_scalar_density(field, pts[part]) for part in _kernel_slices(len(pts), len(dirs))]
-    )
-    if moment:
-        dens = dens * pts[:, moment - 1]
-    shells = [
-        wr * r ** (n - 1) * _fsum(d * w_dir)
-        for r, wr, d in zip(radii, w_rad, dens.reshape(radial_nodes, -1))
-    ]
-    return math.fsum(shells)
+    t, w_kronrod, w_gauss = gauss_kronrod15()
+    pieces, accepted, converged = [(r0, r1)], [], True
+    for depth in range(MAX_RADIAL_BISECTIONS + 1):
+        ends = np.array(pieces)
+        mid, half = ends.mean(axis=1), 0.5 * (ends[:, 1] - ends[:, 0])
+        radii = (mid[:, None] + half[:, None] * t).reshape(-1)
+        pts = (radii[:, None, None] * dirs).reshape(-1, n)
+        parts = [_scalar_densities(field, pts[part]) for part in _kernel_slices(len(pts), len(dirs))]
+        dens, size = (np.concatenate(column) for column in zip(*parts))
+        if moment:
+            dens, size = dens * pts[:, moment - 1], size * np.abs(pts[:, moment - 1])
+        area = radii ** (n - 1)
+        shells, sizes = (
+            (area * [_fsum(d * w_dir) for d in f.reshape(len(radii), -1)]).reshape(len(pieces), -1)
+            for f in (dens, size)
+        )
+        still_open = []
+        for (a, b), c, h, shell, shell_size in zip(pieces, mid, half, shells, sizes):
+            kronrod = h * _fsum(w_kronrod * shell)
+            error = abs(kronrod - h * _fsum(w_gauss * shell[1::2]))
+            scale = h * _fsum(w_kronrod * shell_size)
+            settled = bool(error <= REFINEMENT_TOL * scale)
+            if settled or depth == MAX_RADIAL_BISECTIONS:
+                accepted.append((a, kronrod, error, scale))
+                converged = converged and settled
+            else:
+                still_open += [(a, c), (c, b)]
+        pieces = still_open
+        if not pieces:
+            break
+    accepted.sort()
+    _, values, errors, scales = zip(*accepted)
+    return ShellIntegral(math.fsum(values), math.fsum(errors), math.fsum(scales), converged)

@@ -240,17 +240,21 @@ class DecayReport:
         return [(r, tuple(self.sups[a])) for a, r in enumerate(self.radii)]
 
 
-def decreasing_to_zero(seq) -> bool:
+def decreasing_to_zero(seq, floor=None) -> bool:
     """Strict decrease, with entries at the rounding floor counting as decayed.
 
-    A constant positive sequence fails (no decay); trailing zeros after a
-    decrease, or an all-zero sequence, pass.
+    ``floor`` gives each entry's rounding floor (a number or one per entry);
+    by default it is ``1e-12 * max(1, max(seq))`` for all of them.  A constant
+    positive sequence fails (no decay); trailing zeros after a decrease, or an
+    all-zero sequence, pass.
     """
     seq = np.asarray(seq, dtype=float)
-    floor = 1e-12 * max(1.0, float(np.max(seq, initial=0.0)))
+    if floor is None:
+        floor = 1e-12 * max(1.0, float(np.max(seq, initial=0.0)))
+    floors = np.broadcast_to(np.asarray(floor, dtype=float), seq.shape)
     ok = True
-    for a, b in zip(seq, seq[1:]):
-        if a <= floor and b <= floor:
+    for a, b, fa, fb in zip(seq, seq[1:], floors, floors[1:]):
+        if a <= fa and b <= fb:
             continue
         ok = ok and (b <= a * (1.0 - 1e-9))
     return bool(ok)

@@ -96,6 +96,47 @@ def gauss_jacobi(m: int, a: float) -> tuple[Array, Array]:
     return t, 1.0 / total
 
 
+#: QUADPACK's ``qk15`` Kronrod extension of the 7-point Gauss-Legendre rule
+#: (Kronrod 1965; Piessens et al. 1983): the nonnegative nodes, descending, and
+#: their weights.  The Gauss nodes are ``_XGK[1::2]``.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+
+
+@functools.lru_cache(maxsize=1)
+def gauss_kronrod15() -> tuple[Array, Array, Array]:
+    """The 15-point Kronrod rule on ``[-1, 1]`` with its embedded 7-point Gauss rule.
+
+    Returns the ascending nodes ``t``, their Kronrod weights, and the Gauss
+    weights of the nodes ``t[1::2]`` (from :func:`gauss_jacobi`, whose nodes
+    they are).  The Kronrod rule integrates polynomials of degree 23 exactly,
+    the Gauss rule those of degree 13, so the difference of the two estimates
+    the Gauss rule's error at no extra evaluations.  The arrays are read-only.
+    """
+    xgk, wgk = np.array(_XGK), np.array(_WGK)
+    t = np.concatenate([-xgk[:-1], xgk[::-1]])
+    w_kronrod = np.concatenate([wgk[:-1], wgk[::-1]])
+    return _read_only(t, w_kronrod, gauss_jacobi(7, 0.0)[1])
+
+
 @functools.lru_cache(maxsize=16)
 def unit_sphere_rule(n: int, order: int) -> tuple[Array, Array]:
     """Nodes and weights on the unit sphere in R^n, exact for spherical

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from admflux import invariants
+from admflux import analysis, invariants
 from admflux.analysis import (
     MAX_ORDER,
     RATE_GRID,
@@ -241,6 +241,25 @@ class TestSharedSurfaces:
             sweep(catalog["schwarzschild"], "adm_mass", self.RADII, shared=shared)
         with pytest.raises(ValueError, match="shared"):
             sweep(catalog["flat"], "intrinsic_mass", self.RADII, shared=shared)
+
+    @pytest.mark.parametrize("start, orders", [(64, [64, 96]), (96, [96])])
+    def test_refinement_stops_at_max_order(self, catalog, monkeypatch, start, orders):
+        built = []
+        real = analysis.sphere_quadrature
+
+        def recording(n, r, order):
+            built.append(order)
+            return real(n, r, order)
+
+        monkeypatch.setattr(analysis, "sphere_quadrature", recording)
+        # the doubling from 64 is capped at 96; a start at 96 has nothing to compare with
+        sweep(catalog["schwarzschild-translated"], "adm_mass", self.RADII, order=start)
+        assert max(built) <= MAX_ORDER == 96
+        assert sorted(set(built)) == orders
+
+    def test_start_order_above_max_order_is_refused(self, catalog):
+        with pytest.raises(ValueError, match="start order"):
+            sweep(catalog["schwarzschild"], "adm_mass", self.RADII, order=MAX_ORDER + 1)
 
 
 class TestDefaultScheduleCoverage:

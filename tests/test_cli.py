@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admflux import analysis, invariants
+from admflux import analysis, cli, invariants
 from admflux.catalog import build
 from admflux.cli import ALL_FUNCTIONALS, load_config, main, run_checks
+from admflux.metric_field import decreasing_to_zero
 
 
 def write_config(tmp_path, **overrides):
@@ -26,6 +27,14 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+SCHWARZSCHILD_TRANSLATED = {"kind": "schwarzschild", "dim": 3, "mass": 1.0, "center": [1, 2, 3]}
+#: A Gaussian bump at the origin: the radial rule must bisect the annulus 1 < |x| < 10.
+NEAR_ORIGIN_BUMP = {
+    "kind": "perturbed", "dim": 3, "base": {"kind": "schwarzschild", "dim": 3, "mass": 1.0},
+    "bump": {"amplitude": 0.05, "width": 1.0, "location": [0, 0, 0]},
+}
 
 
 def read_summary(tmp_path):
@@ -153,11 +162,58 @@ class TestEvaluationCounts:
 
         annuli = len(self.RADII) - 1
         assert sorted(built) == sorted(swept)  # each swept surface built once
-        assert len(kernel) == len(curved) + 4 * annuli
+        assert len(kernel) == len(curved) + 2 * annuli
         assert max(kernel) <= invariants.MAX_KERNEL_POINTS == 4802
         # one jet evaluation per swept surface, per identity surface (an
         # annulus here) and per batch of shells
-        assert len(jets) == len(swept) + 2 + 4 * annuli
+        assert len(jets) == len(swept) + 2 + 2 * annuli
+
+
+class TestScalarMomentCheck:
+    def run_moments(self, tmp_path, metric, radii):
+        cfg = write_config(
+            tmp_path, metric=metric, functionals=["scalar_moments"],
+            schedule={"kind": "spheres", "radii": radii},
+        )
+        code = main(["sweep", "--config", str(cfg)])
+        with (tmp_path / "out" / "scalar_moment_shells.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["r", "value", "error", "scale"]
+        return code, [[float(v) for v in row] for row in rows[1:]], read_summary(tmp_path)["checks"][0]
+
+    def test_schwarzschild_noise_shells_pass(self, tmp_path, capsys):
+        code, rows, summary = self.run_moments(tmp_path, SCHWARZSCHILD_TRANSLATED, RADII)
+        assert code == 0 and summary["verdict"] is True and "failure" not in summary
+        assert "[PASS] scalar_moment_shells" in capsys.readouterr().out
+        for _, value, error, scale in rows:
+            # R vanishes: every shell is rounding noise, well inside the floor
+            assert abs(value) <= cli.SHELL_NOISE * scale
+            assert error <= analysis.REFINEMENT_TOL * scale
+
+    def test_stalled_shells_fail(self, tmp_path, monkeypatch, capsys):
+        real = invariants.scalar_curvature_moment
+
+        def stalled(*args, **kwargs):
+            return real(*args, **kwargs)._replace(value=1e-13)
+
+        monkeypatch.setattr(invariants, "scalar_curvature_moment", stalled)
+        code, rows, summary = self.run_moments(tmp_path, SCHWARZSCHILD_TRANSLATED, RADII)
+        assert code == 1 and summary["verdict"] is False
+        assert "[FAIL] scalar_moment_shells" in capsys.readouterr().out
+        # the absolute floor of 1e-12 took these for decayed
+        assert decreasing_to_zero([abs(row[1]) for row in rows[len(rows) // 2 :]])
+
+    def test_unconverged_annulus_fails_and_is_named(self, tmp_path, monkeypatch, capsys):
+        radii = [1.0, 10.0, 100.0, 1000.0, 10000.0]
+        code, _, summary = self.run_moments(tmp_path, NEAR_ORIGIN_BUMP, radii)
+        assert code == 0 and summary["verdict"] is True
+        capsys.readouterr()
+        monkeypatch.setattr(invariants, "MAX_RADIAL_BISECTIONS", 0)
+        code, _, summary = self.run_moments(tmp_path, NEAR_ORIGIN_BUMP, radii)
+        assert code == 1 and summary["verdict"] is False
+        assert summary["failure"] == "radial rule unconverged on 1 < |x| < 10"
+        out = capsys.readouterr().out
+        assert "[FAIL] scalar_moment_shells" in out and "1 < |x| < 10" in out
 
 
 class TestOtherSubcommands:
@@ -301,6 +357,8 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, overrides, fi
         ({"output": 5}, "'output'"),
         ({"output": {"dir": 5}}, "output 'dir'"),
         ({"functionals": "adm_mass"}, "'functionals'"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[1]]}}, "'u' entry"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[1, 0.5, 2]]}}, "'u' entry"),
     ],
 )
 def test_wrong_json_type_is_config_error(tmp_path, capsys, overrides, field):
@@ -310,6 +368,36 @@ def test_wrong_json_type_is_config_error(tmp_path, capsys, overrides, field):
     assert err.startswith("config error:") and field in err and "must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"order": 2.5}, "order"),
+        ({"metric": dict(SCHWARZSCHILD, dim=3.7)}, "metric dim"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[1.5, 0.5]]}}, "u power"),
+        ({"metric": dict(PERTURBED, bump={"tail_power": 2.5, "profile": "rational"})}, "bump tail_power"),
+    ],
+)
+def test_non_integer_config_value_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "must be an integer" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_whole_number_floats_are_integers(tmp_path):
+    cfg = load_config(write_config(tmp_path, order=16.0, metric=dict(SCHWARZSCHILD, dim=3.0)))
+    assert cfg.order == 16 and cfg.metric.dim == 3
+    assert isinstance(cfg.order, int) and isinstance(cfg.metric.dim, int)
+
+
+def test_u_pair_of_wrong_length_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, metric={"kind": "conformal", "dim": 3, "u": [[1, 0.5], [1]]})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "[power, coefficient] pair" in err and "[1]" in err and "unpack" not in err
 
 
 def test_non_finite_radii_flag_is_config_error(tmp_path, capsys):

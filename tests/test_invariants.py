@@ -22,7 +22,13 @@ from admflux.invariants import (
     scalar_curvature_moment,
 )
 from admflux.metric_field import jet2_batch
-from admflux.surfaces import ellipsoid_quadrature, gauss_jacobi, sphere_quadrature, unit_sphere_rule
+from admflux.surfaces import (
+    ellipsoid_quadrature,
+    gauss_jacobi,
+    gauss_kronrod15,
+    sphere_quadrature,
+    unit_sphere_rule,
+)
 
 
 def mass_difference(field, surf):
@@ -263,29 +269,57 @@ def form_y_oracle(field, surf, alpha):
     return lhs - rhs1 - rhs2
 
 
-def moment_oracle(field, r0, r1, moment, order, radial_nodes):
-    """The annulus moment with one kernel call per radial shell, and its scale.
+def moment_oracle(field, r0, r1, moment, order):
+    """The annulus moment with one kernel call per K15 shell of each accepted piece, and its scale.
 
-    The scale is the same integral of the largest ``|R_ij|`` at each node:
-    ``R`` is a contraction of ``R_ij``, so its rounding is relative to that
-    size, which stays finite where ``R`` itself vanishes (Schwarzschild).
+    Pieces are accepted or bisected as :func:`scalar_curvature_moment` does,
+    depth first.  The scale is the same integral of the largest ``|R_ij|`` at
+    each node: ``R`` is a contraction of ``R_ij``, so its rounding is relative
+    to that size, which stays finite where ``R`` itself vanishes (Schwarzschild).
     """
     n = field.dim
     dirs, w_dir = unit_sphere_rule(n, order)
-    t, wt = gauss_jacobi(radial_nodes, 0.0)
-    shells, scale = [], []
+    t, w_kronrod, w_gauss = gauss_kronrod15()
+
+    def piece(a, b, depth):
+        mid, half = (a + b) / 2, (b - a) / 2
+        shells, sizes = [], []
+        for r in mid + half * t:
+            pts = r * dirs
+            g, dg, ddg = jet2_batch(field, pts)
+            bundle = curvature_arrays(g, dg, ddg)
+            dens = bundle.scalar * np.sqrt(np.linalg.det(g))
+            size = np.abs(bundle.ricci).max(axis=(1, 2)) * np.sqrt(np.linalg.det(g))
+            if moment:
+                dens = dens * pts[:, moment - 1]
+                size = size * np.abs(pts[:, moment - 1])
+            shells.append(r ** (n - 1) * math.fsum(dens * w_dir))
+            sizes.append(r ** (n - 1) * math.fsum(size * w_dir))
+        kronrod = half * math.fsum(w_kronrod * shells)
+        error = abs(kronrod - half * math.fsum(w_gauss * shells[1::2]))
+        scale = half * math.fsum(w_kronrod * sizes)
+        if error <= invariants.REFINEMENT_TOL * scale or depth == 0:
+            return [(kronrod, scale)]
+        return piece(a, mid, depth - 1) + piece(mid, b, depth - 1)
+
+    values, scales = zip(*piece(r0, r1, invariants.MAX_RADIAL_BISECTIONS))
+    return math.fsum(values), math.fsum(scales)
+
+
+def gauss_legendre_moment(field, r0, r1, moment, order, nodes=32):
+    """The annulus moment on the ``nodes``-point Gauss-Legendre radial rule."""
+    n = field.dim
+    dirs, w_dir = unit_sphere_rule(n, order)
+    t, wt = gauss_jacobi(nodes, 0.0)
+    shells = []
     for r, wr in zip(0.5 * (r1 - r0) * t + 0.5 * (r1 + r0), 0.5 * (r1 - r0) * wt):
         pts = r * dirs
         g, dg, ddg = jet2_batch(field, pts)
-        bundle = curvature_arrays(g, dg, ddg)
-        dens = bundle.scalar * np.sqrt(np.linalg.det(g))
-        size = np.abs(bundle.ricci).max(axis=(1, 2)) * np.sqrt(np.linalg.det(g))
+        dens = curvature_arrays(g, dg, ddg).scalar * np.sqrt(np.linalg.det(g))
         if moment:
             dens = dens * pts[:, moment - 1]
-            size = size * np.abs(pts[:, moment - 1])
         shells.append(wr * r ** (n - 1) * math.fsum(dens * w_dir))
-        scale.append(abs(wr) * r ** (n - 1) * math.fsum(size * w_dir))
-    return math.fsum(shells), math.fsum(scale)
+    return math.fsum(shells)
 
 
 @st.composite
@@ -304,7 +338,6 @@ def moment_cases(draw):
         r0 * draw(st.floats(1.1, 3.0)),
         draw(st.integers(0, n)),
         draw(st.integers(2, 8)),
-        draw(st.integers(1, 8)),
         draw(st.sampled_from([invariants.MAX_KERNEL_POINTS, 50, 333, 1000])),
     )
 
@@ -312,11 +345,54 @@ def moment_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(moment_cases())
 def test_batched_moment_matches_shell_by_shell(case):
-    field, r0, r1, moment, order, radial_nodes, cap = case
-    expected, scale = moment_oracle(field, r0, r1, moment, order, radial_nodes)
+    field, r0, r1, moment, order, cap = case
+    expected, scale = moment_oracle(field, r0, r1, moment, order)
     with mock.patch.object(invariants, "MAX_KERNEL_POINTS", cap):
-        got = scalar_curvature_moment(field, r0, r1, moment=moment, order=order, radial_nodes=radial_nodes)
-    assert abs(got - expected) <= 1e-15 * scale
+        got = scalar_curvature_moment(field, r0, r1, moment=moment, order=order)
+    assert abs(got.value - expected) <= 1e-15 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(moment_cases())
+def test_kronrod_moment_matches_the_32_node_rule(case):
+    field, r0, r1, moment, order, _ = case
+    got = scalar_curvature_moment(field, r0, r1, moment=moment, order=order)
+    assert got.converged
+    assert abs(got.value - gauss_legendre_moment(field, r0, r1, moment, order)) <= 1e-13 * got.scale
+
+
+NEAR_ORIGIN_BUMP = CatalogSpec(
+    kind="perturbed", base=CatalogSpec(kind="schwarzschild"), bump_amplitude=0.05,
+    bump_width=1.0, bump_location=(0.0, 0.0, 0.0),
+)
+
+
+def test_bisection_converges_a_near_origin_bump(monkeypatch):
+    field = build(NEAR_ORIGIN_BUMP)
+    sizes = []
+
+    def counting(g, dg, ddg):
+        sizes.append(len(g))
+        return curvature_arrays(g, dg, ddg)
+
+    monkeypatch.setattr(invariants, "curvature_arrays", counting)
+    got = scalar_curvature_moment(field, 1.0, 10.0)
+    assert got.converged and got.error <= invariants.REFINEMENT_TOL * got.scale
+    assert sum(sizes) > 15 * 578  # the whole annulus was bisected
+    expected, scale = moment_oracle(field, 1.0, 10.0, 0, 16)
+    assert scale == pytest.approx(got.scale, rel=1e-14)
+    assert abs(got.value - expected) <= 1e-15 * scale
+    # the composite 32-node rule on 8 equal pieces agrees
+    edges = np.linspace(1.0, 10.0, 9)
+    composite = math.fsum(gauss_legendre_moment(field, a, b, 0, 16) for a, b in zip(edges, edges[1:]))
+    assert abs(got.value - composite) <= 1e-13 * got.scale
+
+
+def test_unbisected_bump_is_unconverged(monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_RADIAL_BISECTIONS", 0)
+    got = scalar_curvature_moment(build(NEAR_ORIGIN_BUMP), 1.0, 10.0)
+    assert not got.converged
+    assert got.error > invariants.REFINEMENT_TOL * got.scale
 
 
 def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
@@ -328,11 +404,12 @@ def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
 
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
     scalar_curvature_moment(catalog["conformal"], 10.0, 20.0, order=16)
-    assert sizes == [8 * 578] * 4  # whole shells of 578 nodes, 8 to a batch
+    assert sizes == [8 * 578, 7 * 578]  # 15 whole shells of 578 nodes, 8 to a batch
     sizes.clear()
     field = build(CatalogSpec(kind="conformal", dim=4, u_coeffs=((1, 0.5),)))
-    scalar_curvature_moment(field, 10.0, 20.0, order=16, radial_nodes=2)
-    assert sizes == [4802, 4802, 4802, 4802, 2 * 9826 - 4 * 4802]  # shells above the cap are cut
+    scalar_curvature_moment(field, 10.0, 20.0, order=16)
+    assert sizes == [4802] * 30 + [15 * 9826 - 30 * 4802]  # shells above the cap are cut
+    assert max(sizes) <= 4802
 
 
 def test_surface_kernel_calls_hold_the_cap(catalog, monkeypatch):
@@ -364,16 +441,16 @@ def test_sliced_surface_matches_one_kernel_call(catalog, cap):
 
 class TestScalarCurvatureMoments:
     def test_flat_zero(self, catalog):
-        assert scalar_curvature_moment(catalog["flat"], 5.0, 10.0) == 0.0
+        assert scalar_curvature_moment(catalog["flat"], 5.0, 10.0).value == 0.0
 
     def test_schwarzschild_scalar_flat(self, catalog):
-        got = scalar_curvature_moment(catalog["schwarzschild"], 10.0, 20.0)
+        got = scalar_curvature_moment(catalog["schwarzschild"], 10.0, 20.0).value
         assert abs(got) <= 1e-9
 
     def test_conformal_shells_converge(self, catalog):
         # R ~ -16 u^-5 / r^4 gives shell integrals ~ 1/r, halving per doubled shell
         field = catalog["conformal"]
-        shells = [scalar_curvature_moment(field, r, 2 * r) for r in (10.0, 20.0, 40.0, 80.0)]
+        shells = [scalar_curvature_moment(field, r, 2 * r).value for r in (10.0, 20.0, 40.0, 80.0)]
         assert all(s < 0 for s in shells)
         mags = [abs(s) for s in shells]
         assert mags[0] > mags[1] > mags[2] > mags[3]
@@ -381,7 +458,7 @@ class TestScalarCurvatureMoments:
             assert b / a == pytest.approx(0.5, abs=0.1)
 
     def test_first_moment_vanishes_by_symmetry(self, catalog):
-        got = scalar_curvature_moment(catalog["conformal"], 10.0, 20.0, moment=1)
+        got = scalar_curvature_moment(catalog["conformal"], 10.0, 20.0, moment=1).value
         assert abs(got) <= 1e-12
 
     def test_bad_radii(self, catalog):

@@ -191,6 +191,16 @@ def test_decreasing_to_zero_semantics():
     assert not decreasing_to_zero([1.0, 0.5, 0.75])
 
 
+def test_decreasing_to_zero_per_entry_floor():
+    stalled = [1e-13, 1e-13, 1e-13]
+    assert decreasing_to_zero(stalled)  # under the default floor of 1e-12
+    assert not decreasing_to_zero(stalled, floor=1e-14)
+    assert decreasing_to_zero(stalled, floor=[1e-12, 1e-12, 1e-12])
+    # an entry above its own floor must decrease from the one before
+    assert not decreasing_to_zero([1e-13, 2e-13], floor=[1e-12, 1e-14])
+    assert decreasing_to_zero([1.0, 0.5, 2e-13], floor=[1e-12, 1e-12, 1e-12])
+
+
 def test_jet_check_rejects_asymmetric():
     g = np.eye(3)
     dg = np.zeros((3, 3, 3))

@@ -11,6 +11,7 @@ from admflux.surfaces import (
     ellipsoid_quadrature,
     g_normals_and_areas,
     gauss_jacobi,
+    gauss_kronrod15,
     sphere_quadrature,
     unit_sphere_area,
     unit_sphere_rule,
@@ -189,6 +190,24 @@ def test_gauss_jacobi_integrates_even_moments_exactly(m, a):
         exact = math.gamma(k + 0.5) * math.gamma(a + 1) / math.gamma(k + a + 1.5)
         got = math.fsum((w * t ** (2 * k)).tolist())
         assert abs(got - exact) <= 1e-13 * exact, k
+
+
+def test_gauss_kronrod15_exactness_and_embedded_gauss_rule():
+    t, w_kronrod, w_gauss = gauss_kronrod15()
+    gauss_nodes, gauss_weights = gauss_jacobi(7, 0.0)
+    assert np.array_equal(t[1::2], gauss_nodes)  # the 7 Gauss nodes, bit for bit
+    assert np.array_equal(w_gauss, gauss_weights)
+    assert np.array_equal(t, -t[::-1]) and np.all(np.diff(t) > 0) and np.all(w_kronrod > 0)
+    for k in range(24):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(math.fsum((w_kronrod * t**k).tolist()) - exact) <= 2e-16, k
+        if k <= 13:
+            assert abs(math.fsum((w_gauss * t[1::2] ** k).tolist()) - exact) <= 5e-16, k
+    # degree 24 is beyond the Kronrod rule and degree 14 beyond the Gauss rule
+    assert abs(math.fsum((w_kronrod * t**24).tolist()) - 2.0 / 25) > 1e-9
+    assert abs(math.fsum((w_gauss * t[1::2] ** 14).tolist()) - 2.0 / 15) > 1e-5
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 0.0
 
 
 def test_unit_rule_is_cached_and_read_only():
