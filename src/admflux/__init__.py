@@ -27,8 +27,6 @@ from .invariants import (
     SurfaceEval,
     adm_mass_at,
     cs_center_at,
-    ibp_residual_X,
-    ibp_residual_Y,
     identity_residuals,
     intrinsic_center_at,
     intrinsic_mass_at,
@@ -37,12 +35,9 @@ from .invariants import (
 from .metric_field import (
     DecayReport,
     MetricField,
-    MetricJet2,
     decay_report,
-    default_fd_step,
     fd_jet2,
     field_from_values,
-    jet2,
     jet2_batch,
     parity_split,
 )
@@ -64,7 +59,6 @@ __all__ = [
     "DecayReport",
     "DomainError",
     "MetricField",
-    "MetricJet2",
     "NonFiniteError",
     "QuadSurface",
     "SingularMetricError",
@@ -75,18 +69,14 @@ __all__ = [
     "compare",
     "cs_center_at",
     "decay_report",
-    "default_fd_step",
     "ellipsoid_family",
     "ellipsoid_quadrature",
     "fd_jet2",
     "field_from_values",
     "fit_power_law",
-    "ibp_residual_X",
-    "ibp_residual_Y",
     "identity_residuals",
     "intrinsic_center_at",
     "intrinsic_mass_at",
-    "jet2",
     "jet2_batch",
     "parity_split",
     "rt_violator",

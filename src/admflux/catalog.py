@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .metric_field import Array, MetricField, MetricJet2
+from .metric_field import Array, MetricField
 
 KINDS = ("flat", "schwarzschild", "conformal", "perturbed", "rt_violator")
 BUMP_PROFILES = ("gaussian", "rational")
@@ -178,20 +178,6 @@ def _bump_jets(points: Array, spec: CatalogSpec):
 # builders
 
 
-def _field_from_batch(spec: CatalogSpec, batch, inner_radius: float, metadata: dict) -> MetricField:
-    def jet_at(x: Array) -> MetricJet2:
-        g, dg, ddg = batch(np.asarray(x, dtype=float)[None])
-        return MetricJet2(dim=spec.dim, g=g[0], dg=dg[0], ddg=ddg[0])
-
-    return MetricField(
-        dim=spec.dim,
-        jet_at=jet_at,
-        inner_radius=inner_radius,
-        metadata=metadata,
-        jet_batch=batch,
-    )
-
-
 def _default_inner_radius(spec: CatalogSpec) -> float:
     n = spec.dim
     if spec.kind == "flat":
@@ -243,7 +229,7 @@ def build(spec: CatalogSpec) -> MetricField:
             )
 
         inner = spec.inner_radius if spec.inner_radius is not None else 0.0
-        return _field_from_batch(spec, batch, inner, metadata)
+        return MetricField(n, batch, inner, metadata)
 
     if spec.kind in ("schwarzschild", "conformal"):
         coeffs = _coeffs(spec)
@@ -262,7 +248,7 @@ def build(spec: CatalogSpec) -> MetricField:
                 "conformal factor is not positive down to the inner radius; "
                 "raise inner_radius or adjust coefficients"
             )
-        return _field_from_batch(spec, batch, inner, metadata)
+        return MetricField(n, batch, inner, metadata)
 
     if spec.kind == "perturbed":
         base_field = build(spec.base)
@@ -279,7 +265,7 @@ def build(spec: CatalogSpec) -> MetricField:
 
         inner = spec.inner_radius if spec.inner_radius is not None else base_field.inner_radius
         metadata["globally_smooth"] = base_field.metadata.get("globally_smooth", False)
-        return _field_from_batch(spec, batch, inner, metadata)
+        return MetricField(n, batch, inner, metadata)
 
     return _build_rt_violator(spec, metadata)
 
@@ -325,7 +311,7 @@ def _build_rt_violator(spec: CatalogSpec, metadata: dict) -> MetricField:
         return g, dg, ddg
 
     inner = spec.inner_radius if spec.inner_radius is not None else _default_inner_radius(spec)
-    return _field_from_batch(spec, batch, inner, metadata)
+    return MetricField(n, batch, inner, metadata)
 
 
 def rt_violator(n: int = 3, amplitude: float = 0.5) -> MetricField:

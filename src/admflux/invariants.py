@@ -12,7 +12,11 @@ Their agreement in the large-radius limit is what the analysis layer
 certifies, so no silent substitution of normals or measures is made anywhere.
 Both routes read one :class:`SurfaceEval` per surface: the jets are evaluated
 once for all four functionals, each route with its own normals and measure.
-All reductions use ``math.fsum`` in node order for run-to-run determinism.
+The integration-by-parts identities (:func:`identity_residuals`) take their
+boundary terms from the same flux totals.  Every jet comes through
+:func:`~admflux.metric_field.jet2_batch`, which checks that the points lie in
+the field's domain and that the jets are finite.  All reductions use
+``math.fsum`` in node order for run-to-run determinism.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .errors import DomainError, UndefinedCenterError
 from .metric_field import Array, MetricField, jet2_batch
 from .surfaces import (
     QuadSurface,
-    check_surface_in_domain,
     g_normals_and_areas,
     gauss_kronrod15,
     unit_sphere_area,
@@ -100,7 +103,6 @@ class SurfaceEval:
     def __init__(self, field: MetricField, surf: QuadSurface):
         if surf.dim != field.dim:
             raise ValueError(f"surface dimension {surf.dim} != field dimension {field.dim}")
-        check_surface_in_domain(field.inner_radius, surf)
         self.field = field
         self.surf = surf
         self.g, self.dg, self.ddg = jet2_batch(field, surf.points)
@@ -230,7 +232,6 @@ def _require_enclosable(field: MetricField, surf: QuadSurface, inner: QuadSurfac
             f"inner surface (max radius {inner_max:.6g}) must lie strictly inside "
             f"the outer one (min radius {outer_min:.6g})"
         )
-    check_surface_in_domain(field.inner_radius, inner)
 
 
 def _second_derivative_form(ddg: Array) -> tuple[Array, Array]:
@@ -274,10 +275,22 @@ def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
 def identity_residuals(
     field: MetricField, surf: QuadSurface, inner: QuadSurface | None = None
 ) -> tuple[float, Array]:
-    """Defects of the dilation identity and of the ``n`` generator identities.
+    """Defects of the exact integration-by-parts identities on ``surf``.
 
-    Returns :func:`ibp_residual_X` and :func:`ibp_residual_Y` for
-    ``alpha = 1..n`` (as an array), from one jet evaluation per surface.
+    For the dilation field ``X = x``: the surface integral of the
+    second-derivative combination
+    ``(-dd_(kj) g_ki - dd_(ki) g_kj + dd_(kk) g_ij + dd_(ij) g_kk) x^i nu_e^j``
+    equals ``(n-2)`` times the flux-mass integrand plus the radial moment of
+    ``(-dd_(kj) g_kj + dd_(jj) g_kk)``, for any metric that is C^3 on the
+    enclosed region.  The identity for each conformal generator ``Y_alpha``
+    has the same structure, with the center-of-mass flux integrand as its
+    boundary term.  Returns left side minus right side for ``X`` and, as an
+    array, for ``Y_alpha`` with ``alpha = 1..n``, from one jet evaluation per
+    surface; only quadrature error remains for smooth fields.
+
+    When ``inner`` is given the identities are applied on the annulus between
+    the two surfaces instead, which makes fields with an excluded ball
+    testable.
     """
     _require_enclosable(field, surf, inner)
     res_x, res_y = _ibp_forms(field, surf)
@@ -285,36 +298,6 @@ def identity_residuals(
         inner_x, inner_y = _ibp_forms(field, inner)
         res_x, res_y = res_x - inner_x, res_y - inner_y
     return res_x, res_y
-
-
-def ibp_residual_X(field: MetricField, surf: QuadSurface, inner: QuadSurface | None = None) -> float:
-    """Defect of the exact integration-by-parts identity for the dilation field.
-
-    The surface integral of the second-derivative combination
-    ``(-dd_(kj) g_ki - dd_(ki) g_kj + dd_(kk) g_ij + dd_(ij) g_kk) x^i nu_e^j``
-    equals ``(n-2)`` times the flux-mass integrand plus the radial moment of
-    ``(-dd_(kj) g_kj + dd_(jj) g_kk)``, for any metric that is C^3 on the
-    enclosed region.  Returns left side minus right side; only quadrature
-    error remains for smooth fields.
-
-    When ``inner`` is given the identity is applied on the annulus between the
-    two surfaces instead, which makes fields with an excluded ball testable.
-    """
-    return identity_residuals(field, surf, inner)[0]
-
-
-def ibp_residual_Y(
-    field: MetricField, surf: QuadSurface, alpha: int, inner: QuadSurface | None = None
-) -> float:
-    """Defect of the integration-by-parts identity for the conformal generator.
-
-    Same structure as :func:`ibp_residual_X` with ``Y_alpha`` in place of the
-    dilation field; the boundary terms are the center-of-mass flux integrand.
-    ``alpha`` is 1-based.
-    """
-    if not 1 <= alpha <= field.dim:
-        raise ValueError(f"component index must satisfy 1 <= alpha <= {field.dim}, got {alpha}")
-    return float(identity_residuals(field, surf, inner)[1][alpha - 1])
 
 
 class ShellIntegral(NamedTuple):

@@ -1,13 +1,15 @@
 """Evaluatable Riemannian metrics on the outside of a ball, with second-order jets.
 
-A metric field is a map ``x -> (g, dg, ddg)`` on ``{|x| >= inner_radius}`` in
-Cartesian coordinates.  Index conventions used throughout the package:
+A metric field maps an ``(N, n)`` array of points on ``{|x| >= inner_radius}``
+in Cartesian coordinates to the batched jet arrays ``(g, dg, ddg)``, with one
+leading point axis and the index conventions used throughout the package:
 
-* ``g[i, j]``          -- metric components ``g_ij``
-* ``dg[k, i, j]``      -- first partials ``d_k g_ij``
-* ``ddg[k, l, i, j]``  -- second partials ``d_k d_l g_ij``
+* ``g[p, i, j]``          -- metric components ``g_ij``
+* ``dg[p, k, i, j]``      -- first partials ``d_k g_ij``
+* ``ddg[p, k, l, i, j]``  -- second partials ``d_k d_l g_ij``
 
-Batched variants carry one leading point axis, e.g. ``dg[p, k, i, j]``.
+:func:`jet2_batch` is the one place jets are read: it checks the domain
+before a field is called and the finiteness of what it returns.
 """
 
 from __future__ import annotations
@@ -17,78 +19,33 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteError
 
 Array = np.ndarray
+Jets = tuple[Array, Array, Array]
 
 #: Relative finite-difference step; absolute floor keeps steps sane near the origin.
 FD_STEP_REL = 1e-4
-
-
-def default_fd_step(x) -> float:
-    """Step size for finite-difference jets: ``max(1e-4, 1e-4 * |x|)``."""
-    return max(FD_STEP_REL, FD_STEP_REL * float(np.linalg.norm(x)))
-
-
-@dataclass(frozen=True)
-class MetricJet2:
-    """Value and first two derivative arrays of a metric at one point.
-
-    ``g`` is symmetric positive definite, ``dg`` is symmetric in its last two
-    axes and ``ddg`` in both its first and last pairs.  Parity decompositions
-    reuse this container for raw component arrays that need not satisfy the
-    positivity invariant.
-    """
-
-    dim: int
-    g: Array
-    dg: Array
-    ddg: Array
-
-    def check(self, tol: float = 1e-10) -> None:
-        """Raise ``ValueError`` if a symmetry or positivity invariant fails."""
-        n = self.dim
-        if self.g.shape != (n, n) or self.dg.shape != (n, n, n) or self.ddg.shape != (n, n, n, n):
-            raise ValueError("jet arrays have inconsistent shapes")
-        scale = 1.0 + float(np.max(np.abs(self.g)))
-        if np.max(np.abs(self.g - self.g.T)) > tol * scale:
-            raise ValueError("metric value is not symmetric")
-        if np.max(np.abs(self.dg - self.dg.transpose(0, 2, 1))) > tol * (1 + np.max(np.abs(self.dg))):
-            raise ValueError("dg is not symmetric in (i, j)")
-        dd = self.ddg
-        err = max(
-            np.max(np.abs(dd - dd.transpose(0, 1, 3, 2))),
-            np.max(np.abs(dd - dd.transpose(1, 0, 2, 3))),
-        )
-        if err > tol * (1 + np.max(np.abs(dd))):
-            raise ValueError("ddg is not symmetric in (i, j) or (k, l)")
-        if np.any(np.linalg.eigvalsh(self.g) <= 0):
-            raise ValueError("metric value is not positive definite")
-
-    @property
-    def h(self) -> Array:
-        """Deviation from the flat metric, ``g - identity``."""
-        return self.g - np.eye(self.dim)
 
 
 @dataclass(frozen=True)
 class MetricField:
     """A metric with evaluatable jets on ``{|x| >= inner_radius}``.
 
-    ``jet_at`` maps a point to a :class:`MetricJet2` and must be deterministic
-    and reentrant.  ``jet_batch``, when provided, maps an ``(N, dim)`` array of
-    points to batched ``(g, dg, ddg)`` arrays and is used to vectorize surface
-    and volume integrals; it must agree with ``jet_at`` pointwise.
+    ``jet_batch`` maps an ``(N, dim)`` array of points to the batched jets
+    ``(g, dg, ddg)``; it must be deterministic and reentrant, and each point's
+    jets must not depend on the other points of the batch.  ``g`` is
+    symmetric positive definite, ``dg`` symmetric in its last two axes and
+    ``ddg`` in both its derivative and its component pairs.
 
     ``metadata`` carries optional catalog information such as ``expected_mass``,
     ``expected_center``, ``globally_smooth`` and a human-readable ``label``.
     """
 
     dim: int
-    jet_at: Callable[[Array], MetricJet2]
+    jet_batch: Callable[[Array], Jets]
     inner_radius: float = 1.0
     metadata: dict = field(default_factory=dict)
-    jet_batch: Callable[[Array], tuple[Array, Array, Array]] | None = None
 
     @property
     def label(self) -> str:
@@ -96,7 +53,7 @@ class MetricField:
 
 
 def _check_domain(field_: MetricField, points: Array) -> None:
-    radii = np.linalg.norm(np.atleast_2d(points), axis=1)
+    radii = np.linalg.norm(points, axis=1)
     low = float(np.min(radii))
     if low < field_.inner_radius * (1 - 1e-12):
         raise DomainError(
@@ -105,71 +62,77 @@ def _check_domain(field_: MetricField, points: Array) -> None:
         )
 
 
-def jet2(field_: MetricField, x) -> MetricJet2:
-    """Evaluate the jet of ``field_`` at ``x`` after a domain check."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field_.dim,):
-        raise ValueError(f"expected a point in R^{field_.dim}, got shape {x.shape}")
-    _check_domain(field_, x)
-    return field_.jet_at(x)
+def _check_finite(field_: MetricField, points: Array, jets: Jets) -> None:
+    if all(np.isfinite(arr).all() for arr in jets):
+        return  # a third of the cost of locating the first bad point
+    finite = np.logical_and.reduce(
+        [np.isfinite(arr).reshape(len(points), -1).all(axis=1) for arr in jets]
+    )
+    radius = float(np.linalg.norm(points[np.argmin(finite)]))
+    raise NonFiniteError(f"non-finite jet of field {field_.label!r} at radius {radius:.6g}")
 
 
-def jet2_batch(field_: MetricField, points: Array) -> tuple[Array, Array, Array]:
-    """Jets at many points as stacked arrays ``(g, dg, ddg)`` with a leading point axis."""
+def jet2_batch(field_: MetricField, points: Array) -> Jets:
+    """Jets of ``field_`` at ``points`` as stacked arrays ``(g, dg, ddg)``.
+
+    Raises :class:`DomainError` when a point lies inside the field's inner
+    radius and :class:`NonFiniteError` when a jet entry is NaN or infinite;
+    both name the field and the radius of the offending point.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_domain(field_, points)
-    if field_.jet_batch is not None:
-        return field_.jet_batch(points)
-    jets = [field_.jet_at(p) for p in points]
-    return (
-        np.stack([j.g for j in jets]),
-        np.stack([j.dg for j in jets]),
-        np.stack([j.ddg for j in jets]),
-    )
+    jets = field_.jet_batch(points)
+    _check_finite(field_, points, jets)
+    return jets
 
 
-def fd_jet2(values: Callable[[Array], Array], x, h: float | None = None) -> MetricJet2:
-    """Second-order central-difference jet of a metric given only by its values.
+def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = None) -> Jets:
+    """Second-order central-difference jets of a metric given only by its values.
 
     Parameters
     ----------
     values : callable
-        Map from a point to the symmetric matrix of metric components, defined
-        on a ball of radius ``2 h`` around ``x``.
-    x : array_like
-        Evaluation point.
+        Map from an ``(M, n)`` array of points to the ``(M, n, n)`` symmetric
+        metric components there, defined on a ball of radius ``2 h`` around
+        each of ``points``.
+    points : array_like
+        ``(N, n)`` evaluation points.
     h : float, optional
-        Step size; defaults to :func:`default_fd_step`.
+        Step size; defaults to ``max(1e-4, 1e-4 * |x|)`` at each point.
 
-    The derivative error is ``O(h^2)`` for C^4 metrics, and the stencils are
-    exact on quadratic polynomials.
+    ``values`` is called once, on every stencil point of every evaluation
+    point.  The derivative error is ``O(h^2)`` for C^4 metrics, and the
+    stencils are exact on quadratic polynomials.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    N, n = points.shape
     if h is None:
-        h = default_fd_step(x)
-    if h <= 0:
+        steps = np.maximum(FD_STEP_REL, FD_STEP_REL * np.linalg.norm(points, axis=1))
+    elif h > 0:
+        steps = np.full(N, float(h))
+    else:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    g0 = np.asarray(values(x), dtype=float)
-    dg = np.empty((n, n, n))
-    ddg = np.empty((n, n, n, n))
-    offs = h * np.eye(n)
+    e = steps[:, None] * np.eye(n)[:, None, :]  # e[k] = h e_k at every point
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    stencil = [points]
     for k in range(n):
-        gp = np.asarray(values(x + offs[k]), dtype=float)
-        gm = np.asarray(values(x - offs[k]), dtype=float)
-        dg[k] = (gp - gm) / (2 * h)
-        ddg[k, k] = (gp - 2 * g0 + gm) / h**2
+        stencil += [points + e[k], points - e[k]]
+    for k, l in pairs:
+        stencil += [points + e[k] + e[l], points + e[k] - e[l],
+                    points - e[k] + e[l], points - e[k] - e[l]]
+    vals = np.asarray(values(np.concatenate(stencil)), dtype=float).reshape(len(stencil), N, n, n)
+    h = steps[:, None, None]
+    g0 = vals[0]
+    dg = np.empty((N, n, n, n))
+    ddg = np.empty((N, n, n, n, n))
     for k in range(n):
-        for l in range(k + 1, n):
-            mixed = (
-                np.asarray(values(x + offs[k] + offs[l]), dtype=float)
-                - np.asarray(values(x + offs[k] - offs[l]), dtype=float)
-                - np.asarray(values(x - offs[k] + offs[l]), dtype=float)
-                + np.asarray(values(x - offs[k] - offs[l]), dtype=float)
-            ) / (4 * h**2)
-            ddg[k, l] = mixed
-            ddg[l, k] = mixed
-    return MetricJet2(dim=n, g=g0, dg=dg, ddg=ddg)
+        gp, gm = vals[1 + 2 * k], vals[2 + 2 * k]
+        dg[:, k] = (gp - gm) / (2 * h)
+        ddg[:, k, k] = (gp - 2 * g0 + gm) / h**2
+    for m, (k, l) in enumerate(pairs):
+        pp, pm, mp, mm = vals[1 + 2 * n + 4 * m: 5 + 2 * n + 4 * m]
+        ddg[:, k, l] = ddg[:, l, k] = (pp - pm - mp + mm) / (4 * h**2)
+    return g0, dg, ddg
 
 
 def field_from_values(
@@ -179,38 +142,33 @@ def field_from_values(
     h: float | None = None,
     metadata: dict | None = None,
 ) -> MetricField:
-    """Wrap a metric given only by its component values, differencing for jets.
+    """Wrap a metric given only by its batched component values, differencing for jets.
 
     The fallback for metrics without analytic derivatives: every jet request
     goes through :func:`fd_jet2` with step ``h`` (relative default).  The
     values callable must be defined a stencil-width inside ``inner_radius``.
     """
-
-    def jet_at(x: Array) -> MetricJet2:
-        return fd_jet2(values, x, h)
-
-    return MetricField(dim=dim, jet_at=jet_at, inner_radius=inner_radius,
+    return MetricField(dim=dim, jet_batch=lambda points: fd_jet2(values, points, h),
+                       inner_radius=inner_radius,
                        metadata=metadata or {"label": "finite-difference field"})
 
 
-def parity_split(field_: MetricField, x) -> tuple[MetricJet2, MetricJet2]:
-    """Even/odd decomposition of every jet component function at ``x``.
+def parity_split(field_: MetricField, points: Array) -> tuple[Jets, Jets]:
+    """Jets of the even and odd parts of the metric at ``points``.
 
-    Each entry ``e`` of the jet is treated as a scalar function of the point;
-    the even part is ``(e(x) + e(-x)) / 2`` and the odd part is
-    ``(e(x) - e(-x)) / 2``, so ``even + odd`` reconstructs the jet at ``x``
-    exactly.  The returned parts are raw component arrays: the odd part is not
-    itself a metric jet.  Both ``x`` and ``-x`` must lie in the field's domain.
+    The even part is ``(g(x) + g(-x)) / 2`` and the odd part
+    ``(g(x) - g(-x)) / 2``.  Each derivative of ``g(-x)`` carries one sign
+    flip, so the odd part's first derivatives are ``(dg(x) + dg(-x)) / 2``
+    and its second ``(ddg(x) - ddg(-x)) / 2``, the reverse for the even part;
+    ``even + odd`` reconstructs the jets at ``points``.  The parts are raw
+    ``(g, dg, ddg)`` arrays: the odd part is not itself a metric.  Both
+    ``points`` and ``-points`` must lie in the field's domain.
     """
-    x = np.asarray(x, dtype=float)
-    a = jet2(field_, x)
-    b = jet2(field_, -x)
-    even = MetricJet2(
-        dim=a.dim, g=0.5 * (a.g + b.g), dg=0.5 * (a.dg + b.dg), ddg=0.5 * (a.ddg + b.ddg)
-    )
-    odd = MetricJet2(
-        dim=a.dim, g=0.5 * (a.g - b.g), dg=0.5 * (a.dg - b.dg), ddg=0.5 * (a.ddg - b.ddg)
-    )
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    g, dg, ddg = jet2_batch(field_, points)
+    gm, dgm, ddgm = jet2_batch(field_, -points)
+    even = (0.5 * (g + gm), 0.5 * (dg - dgm), 0.5 * (ddg + ddgm))
+    odd = (0.5 * (g - gm), 0.5 * (dg + dgm), 0.5 * (ddg - ddgm))
     return even, odd
 
 
@@ -267,9 +225,7 @@ def decay_report(field_: MetricField, radii, tau: float, part: str = "all",
     For ``part="all"`` the order-m sample at radius r is the sup of
     ``r^(m + tau) |d^m h|`` over a fixed angular grid.  For ``part="odd"`` the
     derivatives are those of the odd part ``h_odd(x) = (h(x) - h(-x)) / 2``,
-    whose jet combines values at ``x`` and ``-x`` with alternating signs:
-    ``d h_odd(x) = (dh(x) + dh(-x)) / 2`` and
-    ``dd h_odd(x) = (ddh(x) - ddh(-x)) / 2``.
+    as :func:`parity_split` gives them.
 
     The angular sample set is the unit-sphere quadrature grid at
     ``sample_order``, so reported sups are reproducible.
@@ -290,17 +246,11 @@ def decay_report(field_: MetricField, radii, tau: float, part: str = "all",
     eye = np.eye(field_.dim)
     sups = np.zeros((len(radii), 3))
     for a, r in enumerate(radii):
-        pts = r * dirs
-        g, dg, ddg = jet2_batch(field_, pts)
         if part == "odd":
-            gm, dgm, ddgm = jet2_batch(field_, -pts)
-            h = 0.5 * (g - gm)
-            dh = 0.5 * (dg + dgm)
-            ddh = 0.5 * (ddg - ddgm)
+            _, (h, dh, ddh) = parity_split(field_, r * dirs)
         else:
+            g, dh, ddh = jet2_batch(field_, r * dirs)
             h = g - eye
-            dh = dg
-            ddh = ddg
         sups[a, 0] = r**tau * np.max(np.abs(h))
         sups[a, 1] = r ** (1 + tau) * np.max(np.abs(dh))
         sups[a, 2] = r ** (2 + tau) * np.max(np.abs(ddh))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import metric_inverse
-from .errors import DomainError
 from .metric_field import Array
 
 DEFAULT_ORDER = 24
@@ -239,12 +238,3 @@ def g_normals_and_areas(
     w_g = np.asarray(w_e) * np.sqrt(np.linalg.det(g)) * np.sqrt(q)
     return nu_g, w_g
 
-
-def check_surface_in_domain(field_inner_radius: float, surf: QuadSurface) -> None:
-    """Raise :class:`DomainError` when any node lies inside the excluded ball."""
-    low = float(np.min(np.linalg.norm(surf.points, axis=1)))
-    if low < field_inner_radius * (1 - 1e-12):
-        raise DomainError(
-            f"surface {surf.label} reaches radius {low:.6g}, inside inner_radius "
-            f"{field_inner_radius:.6g}"
-        )

@@ -25,5 +25,5 @@ def sample_points(rng, n_points, dim=3, r_min=5.0, r_max=50.0):
 
 
 def metric_values(field):
-    """Metric-components callable for finite differencing against analytic jets."""
-    return lambda x: field.jet_at(np.asarray(x, dtype=float)).g
+    """Batched metric-components callable for finite differencing against analytic jets."""
+    return lambda points: field.jet_batch(np.asarray(points, dtype=float))[0]

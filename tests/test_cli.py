@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -305,6 +306,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["masses"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["identities", "decay"])
+    def test_non_finite_jets_are_numerical_errors(self, tmp_path, capsys, monkeypatch, command):
+        def spoiled_build(spec):
+            field = build(spec)
+
+            def jet_batch(points):
+                g, dg, ddg = field.jet_batch(points)
+                ddg = ddg.copy()
+                ddg[:, 0, 0, 0, 0] = np.nan
+                return g, dg, ddg
+
+            return dataclasses.replace(field, jet_batch=jet_batch)
+
+        monkeypatch.setattr(cli, "build", spoiled_build)
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("numerical error:")
+        assert "non-finite jet of field 'schwarzschild' at radius" in err
 
 
 NAN, INF = math.nan, math.inf

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from admflux.curvature import curvature_arrays, linearized_scalar_arrays
 from admflux.errors import SingularMetricError
-from admflux.metric_field import MetricField, MetricJet2, fd_jet2, jet2_batch
+from admflux.metric_field import MetricField, fd_jet2, jet2_batch
 
 from conftest import metric_values, sample_points
 
@@ -139,11 +139,6 @@ class TestLinearizedScalar:
         assert errs[2] <= 1.1 * bound * 1000.0**-4
 
 
-def stacked(jets):
-    """Pointwise jets as batched ``(g, dg, ddg)`` arrays."""
-    return tuple(np.stack([getattr(j, name) for j in jets]) for name in ("g", "dg", "ddg"))
-
-
 class TestAgainstFiniteDifferences:
     def test_ricci_from_fd_jets(self, catalog, rng):
         pts = sample_points(rng, 20)
@@ -152,7 +147,7 @@ class TestAgainstFiniteDifferences:
             exact = curvature_at(field, pts).ricci
             errs = {}
             for h in (1e-2, 5e-3):
-                fd = curvature_arrays(*stacked([fd_jet2(values, x, h=h) for x in pts])).ricci
+                fd = curvature_arrays(*fd_jet2(values, pts, h=h)).ricci
                 errs[h] = float(np.max(np.abs(fd - exact)))
             if errs[1e-2] < 1e-9:  # differencing noise floor, nothing to reduce
                 continue
@@ -162,11 +157,11 @@ class TestAgainstFiniteDifferences:
 def reflected(field: MetricField) -> MetricField:
     """Pullback of the field under x -> -x; first derivatives flip sign."""
 
-    def jet_at(x):
-        jet = field.jet_at(-np.asarray(x, dtype=float))
-        return MetricJet2(dim=jet.dim, g=jet.g, dg=-jet.dg, ddg=jet.ddg)
+    def jet_batch(points):
+        g, dg, ddg = field.jet_batch(-points)
+        return g, -dg, ddg
 
-    return MetricField(dim=field.dim, jet_at=jet_at, inner_radius=field.inner_radius)
+    return MetricField(dim=field.dim, jet_batch=jet_batch, inner_radius=field.inner_radius)
 
 
 class TestReflectionEquivariance:

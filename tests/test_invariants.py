@@ -14,8 +14,6 @@ from admflux.invariants import (
     SurfaceEval,
     adm_mass_at,
     cs_center_at,
-    ibp_residual_X,
-    ibp_residual_Y,
     intrinsic_center_at,
     identity_residuals,
     intrinsic_mass_at,
@@ -175,41 +173,44 @@ class TestCenterFunctionals:
 class TestIntegralIdentities:
     def test_flat_exact_zero(self, catalog):
         surf = sphere_quadrature(3, 100.0, order=12)
-        assert ibp_residual_X(catalog["flat"], surf) == 0.0
+        res_x, res_y = identity_residuals(catalog["flat"], surf)
+        assert res_x == 0.0
         for alpha in (1, 2, 3):
-            assert ibp_residual_Y(catalog["flat"], surf, alpha) == 0.0
+            assert res_y[alpha - 1] == 0.0
 
     @pytest.mark.parametrize("order", [24, 48])
     @pytest.mark.parametrize("name", ["perturbed-gaussian", "perturbed-tail"])
     def test_perturbed_flat(self, catalog, name, order):
         surf = sphere_quadrature(3, 100.0, order=order)
-        assert abs(ibp_residual_X(catalog[name], surf)) <= 1e-8
+        res_x, res_y = identity_residuals(catalog[name], surf)
+        assert abs(res_x) <= 1e-8
         for alpha in (1, 2, 3):
-            assert abs(ibp_residual_Y(catalog[name], surf, alpha)) <= 1e-8
+            assert abs(res_y[alpha - 1]) <= 1e-8
 
     def test_schwarzschild_annulus(self, catalog):
         outer = sphere_quadrature(3, 100.0, order=24)
         inner = sphere_quadrature(3, 10.0, order=24)
-        assert abs(ibp_residual_X(catalog["schwarzschild"], outer, inner=inner)) <= 1e-9
+        res_x, res_y = identity_residuals(catalog["schwarzschild"], outer, inner=inner)
+        assert abs(res_x) <= 1e-9
         for alpha in (1, 2, 3):
-            res = ibp_residual_Y(catalog["schwarzschild"], outer, alpha, inner=inner)
-            assert abs(res) <= 1e-9
+            assert abs(res_y[alpha - 1]) <= 1e-9
 
     def test_non_smooth_needs_annulus(self, catalog):
         surf = sphere_quadrature(3, 100.0, order=8)
         with pytest.raises(DomainError):
-            ibp_residual_X(catalog["schwarzschild"], surf)
+            identity_residuals(catalog["schwarzschild"], surf)
+
+    def test_inner_inside_excluded_ball(self, catalog):
+        outer = sphere_quadrature(3, 100.0, order=8)
+        inner = sphere_quadrature(3, 0.5, order=8)
+        with pytest.raises(DomainError, match="radius 0.5"):
+            identity_residuals(catalog["schwarzschild"], outer, inner=inner)
 
     def test_inner_must_be_inside(self, catalog):
         outer = sphere_quadrature(3, 10.0, order=8)
         inner = sphere_quadrature(3, 100.0, order=8)
         with pytest.raises(ValueError):
-            ibp_residual_X(catalog["schwarzschild"], outer, inner=inner)
-
-    def test_alpha_out_of_range(self, catalog):
-        surf = sphere_quadrature(3, 100.0, order=8)
-        with pytest.raises(ValueError):
-            ibp_residual_Y(catalog["flat"], surf, 4)
+            identity_residuals(catalog["schwarzschild"], outer, inner=inner)
 
     @pytest.mark.parametrize("name", ["perturbed-gaussian", "schwarzschild-translated"])
     def test_one_jet_evaluation_per_surface(self, catalog, name, monkeypatch):
@@ -232,12 +233,11 @@ class TestIntegralIdentities:
             if inner is not None:
                 expected -= form_y_oracle(field, inner, alpha)
             assert res_y[alpha - 1] == expected
-            assert ibp_residual_Y(field, outer, alpha, inner=inner) == expected
 
     def test_identity_on_ellipsoid(self, catalog):
         # the identities hold on any closed surface, not just spheres
         surf = ellipsoid_quadrature((40.0, 20.0, 20.0), order=24)
-        assert abs(ibp_residual_X(catalog["perturbed-tail"], surf)) <= 1e-8
+        assert abs(identity_residuals(catalog["perturbed-tail"], surf)[0]) <= 1e-8
 
 
 def form_x_oracle(field, surf):

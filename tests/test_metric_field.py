@@ -1,15 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from admflux.catalog import CatalogSpec, build
-from admflux.errors import DomainError
+from admflux.errors import DomainError, NonFiniteError
 from admflux.metric_field import (
-    MetricJet2,
     decay_report,
     decreasing_to_zero,
     fd_jet2,
     field_from_values,
-    jet2,
     jet2_batch,
     parity_split,
 )
@@ -17,66 +17,127 @@ from admflux.metric_field import (
 from conftest import metric_values, sample_points
 
 
+def max_asymmetry(a, *axes):
+    """Largest change of ``a`` under the axis permutation ``axes``."""
+    return np.max(np.abs(a - a.transpose(*axes)), axis=tuple(range(1, a.ndim)))
+
+
 class TestJet2:
     def test_flat(self, catalog):
-        jet = jet2(catalog["flat"], np.array([2.0, 0.0, 0.0]))
-        assert np.array_equal(jet.g, np.eye(3))
-        assert not jet.dg.any()
-        assert not jet.ddg.any()
+        g, dg, ddg = jet2_batch(catalog["flat"], [[2.0, 0.0, 0.0]])
+        assert np.array_equal(g[0], np.eye(3))
+        assert not dg.any()
+        assert not ddg.any()
 
     def test_schwarzschild_value(self, catalog):
         # u = 1 + 1/(2*2) = 1.25, g11 = u^4
-        jet = jet2(catalog["schwarzschild"], np.array([2.0, 0.0, 0.0]))
-        assert jet.g[0, 0] == pytest.approx(1.25**4, rel=1e-14)
-        assert jet.g[0, 0] == pytest.approx(2.44140625, rel=1e-14)
+        g, _, _ = jet2_batch(catalog["schwarzschild"], [[2.0, 0.0, 0.0]])
+        assert g[0, 0, 0] == pytest.approx(1.25**4, rel=1e-14)
+        assert g[0, 0, 0] == pytest.approx(2.44140625, rel=1e-14)
 
     def test_domain_error(self):
         field = build(CatalogSpec(kind="schwarzschild", mass=1.0, inner_radius=1.0))
         with pytest.raises(DomainError):
-            jet2(field, np.array([0.5, 0.0, 0.0]))
+            jet2_batch(field, [[5.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jets_name_field_and_radius(self, catalog, part, bad):
+        base = catalog["schwarzschild"]
+
+        def spoiled(points):
+            jets = [a.copy() for a in base.jet_batch(points)]
+            jets[part][1:][..., 0, 0] = bad
+            return tuple(jets)
+
+        field = dataclasses.replace(base, jet_batch=spoiled)
+        with pytest.raises(NonFiniteError, match="'schwarzschild' at radius 20"):
+            jet2_batch(field, [[10.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 30.0]])
 
     def test_symmetry_invariants_hold(self, catalog, rng):
         pts = sample_points(rng, 25)
-        for field in catalog.values():
-            for x in pts:
-                jet2(field, x).check()
+        for name, field in catalog.items():
+            g, dg, ddg = jet2_batch(field, pts)
+            assert g.shape == (25, 3, 3) and dg.shape == (25, 3, 3, 3), name
+            assert ddg.shape == (25, 3, 3, 3, 3), name
+            tol = 1e-10
+            assert np.all(max_asymmetry(g, 0, 2, 1) <= tol * (1 + np.abs(g).max(axis=(1, 2)))), name
+            dg_scale = 1 + np.abs(dg).max(axis=(1, 2, 3))
+            assert np.all(max_asymmetry(dg, 0, 1, 3, 2) <= tol * dg_scale), name
+            ddg_scale = 1 + np.abs(ddg).max(axis=(1, 2, 3, 4))
+            assert np.all(max_asymmetry(ddg, 0, 1, 2, 4, 3) <= tol * ddg_scale), name
+            assert np.all(max_asymmetry(ddg, 0, 2, 1, 3, 4) <= tol * ddg_scale), name
+            assert np.all(np.linalg.eigvalsh(g) > 0), name
 
     def test_batch_matches_pointwise(self, catalog, rng):
         pts = sample_points(rng, 10)
         for field in catalog.values():
             g, dg, ddg = jet2_batch(field, pts)
             for i, x in enumerate(pts):
-                jet = field.jet_at(x)
-                assert np.allclose(g[i], jet.g, atol=1e-15)
-                assert np.allclose(dg[i], jet.dg, atol=1e-15)
-                assert np.allclose(ddg[i], jet.ddg, atol=1e-15)
+                gx, dgx, ddgx = jet2_batch(field, x[None])
+                assert np.allclose(g[i], gx[0], atol=1e-15)
+                assert np.allclose(dg[i], dgx[0], atol=1e-15)
+                assert np.allclose(ddg[i], ddgx[0], atol=1e-15)
+
+
+def pointwise_fd_jet2(values, x, h):
+    """Reference: the central-difference stencils one point at a time."""
+    n = x.size
+
+    def at(y):
+        return values(y[None])[0]
+
+    offs = h * np.eye(n)
+    g0 = at(x)
+    dg, ddg = np.empty((n, n, n)), np.empty((n, n, n, n))
+    for k in range(n):
+        gp, gm = at(x + offs[k]), at(x - offs[k])
+        dg[k] = (gp - gm) / (2 * h)
+        ddg[k, k] = (gp - 2 * g0 + gm) / h**2
+    for k in range(n):
+        for l in range(k + 1, n):
+            ddg[k, l] = ddg[l, k] = (
+                at(x + offs[k] + offs[l]) - at(x + offs[k] - offs[l])
+                - at(x - offs[k] + offs[l]) + at(x - offs[k] - offs[l])
+            ) / (4 * h**2)
+    return g0, dg, ddg
 
 
 class TestFdJet2:
+    def test_matches_pointwise_stencils(self, catalog, rng):
+        pts = sample_points(rng, 10)
+        for name, field in catalog.items():
+            values = metric_values(field)
+            for h in (1e-2, 5e-3):
+                batched = fd_jet2(values, pts, h=h)
+                for i, x in enumerate(pts):
+                    for got, want in zip(batched, pointwise_fd_jet2(values, x, h)):
+                        assert np.array_equal(got[i], want), (name, h)
+
     def test_flat(self, catalog):
-        jet = fd_jet2(metric_values(catalog["flat"]), np.array([3.0, 1.0, -2.0]), h=1e-3)
-        assert np.max(np.abs(jet.dg)) < 1e-12
-        assert np.max(np.abs(jet.ddg)) < 1e-9
+        _, dg, ddg = fd_jet2(metric_values(catalog["flat"]), [[3.0, 1.0, -2.0]], h=1e-3)
+        assert np.max(np.abs(dg)) < 1e-12
+        assert np.max(np.abs(ddg)) < 1e-9
 
     def test_schwarzschild_first_derivatives(self, catalog):
-        x = np.array([10.0, 0.0, 0.0])
-        fd = fd_jet2(metric_values(catalog["schwarzschild"]), x, h=1e-3)
-        exact = catalog["schwarzschild"].jet_at(x)
-        assert np.max(np.abs(fd.dg - exact.dg)) < 1e-7
+        x = np.array([[10.0, 0.0, 0.0]])
+        _, dg, _ = fd_jet2(metric_values(catalog["schwarzschild"]), x, h=1e-3)
+        _, exact, _ = jet2_batch(catalog["schwarzschild"], x)
+        assert np.max(np.abs(dg - exact)) < 1e-7
 
     def test_quadratic_exactness(self):
         # g_11 = 1 + x1^2: second differences are exact on quadratics
-        def values(x):
-            g = np.eye(3)
-            g[0, 0] += x[0] ** 2
+        def values(points):
+            g = np.eye(3)[None].repeat(len(points), axis=0)
+            g[:, 0, 0] += points[:, 0] ** 2
             return g
 
-        jet = fd_jet2(values, np.zeros(3), h=0.1)
-        assert jet.ddg[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
+        _, _, ddg = fd_jet2(values, np.zeros((1, 3)), h=0.1)
+        assert ddg[0, 0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_nonpositive_step(self, catalog):
         with pytest.raises(ValueError):
-            fd_jet2(metric_values(catalog["flat"]), np.zeros(3), h=0.0)
+            fd_jet2(metric_values(catalog["flat"]), np.zeros((1, 3)), h=0.0)
 
     def test_values_only_field_supports_functionals(self, catalog):
         # a metric handed over without analytic jets still feeds the integrals
@@ -93,18 +154,11 @@ class TestFdJet2:
         pts = sample_points(rng, 100)
         for name, field in catalog.items():
             values = metric_values(field)
+            _, dg, ddg = jet2_batch(field, pts)
             errs = {}
             for h in (1e-2, 5e-3):
-                worst = 0.0
-                for x in pts:
-                    fd = fd_jet2(values, x, h=h)
-                    exact = field.jet_at(x)
-                    worst = max(
-                        worst,
-                        float(np.max(np.abs(fd.dg - exact.dg))),
-                        float(np.max(np.abs(fd.ddg - exact.ddg))),
-                    )
-                errs[h] = worst
+                _, fd_dg, fd_ddg = fd_jet2(values, pts, h=h)
+                errs[h] = max(float(np.max(np.abs(fd_dg - dg))), float(np.max(np.abs(fd_ddg - ddg))))
             if errs[1e-2] < 1e-12:  # flat: nothing to reduce
                 continue
             assert errs[1e-2] / errs[5e-3] >= 3.5, name
@@ -112,39 +166,45 @@ class TestFdJet2:
 
 class TestParitySplit:
     def test_reconstruction(self, catalog, rng):
-        pts = sample_points(rng, 100)
+        pts = sample_points(rng, 100)[:20]
         for field in catalog.values():
-            for x in pts[:20]:
-                even, odd = parity_split(field, x)
-                jet = field.jet_at(x)
-                assert np.allclose(even.g + odd.g, jet.g, atol=1e-15)
-                assert np.allclose(even.dg + odd.dg, jet.dg, atol=1e-15)
-                assert np.allclose(even.ddg + odd.ddg, jet.ddg, atol=1e-15)
+            even, odd = parity_split(field, pts)
+            for e, o, exact in zip(even, odd, jet2_batch(field, pts)):
+                assert np.allclose(e + o, exact, atol=1e-15)
 
     def test_flat_odd_zero(self, catalog):
-        _, odd = parity_split(catalog["flat"], np.array([4.0, -1.0, 2.0]))
-        assert not odd.g.any()
+        _, (g_odd, _, _) = parity_split(catalog["flat"], [[4.0, -1.0, 2.0]])
+        assert not g_odd.any()
 
     def test_centered_schwarzschild_odd_zero(self, catalog):
         # |x| = |-x|, so the radial metric has no odd part
-        _, odd = parity_split(catalog["schwarzschild"], np.array([5.0, 2.0, -1.0]))
-        assert np.max(np.abs(odd.g)) < 1e-15
+        _, (g_odd, _, _) = parity_split(catalog["schwarzschild"], [[5.0, 2.0, -1.0]])
+        assert np.max(np.abs(g_odd)) < 1e-15
 
     def test_translated_closed_form(self):
         # center (1,0,0): |x - c| = 9 and |-x - c| = 11 at x = (10,0,0)
         field = build(CatalogSpec(kind="schwarzschild", mass=1.0, center=(1.0, 0.0, 0.0)))
-        _, odd = parity_split(field, np.array([10.0, 0.0, 0.0]))
+        _, (g_odd, _, _) = parity_split(field, [[10.0, 0.0, 0.0]])
         expected = 0.5 * ((1 + 1 / 18) ** 4 - (1 + 1 / 22) ** 4)
-        assert odd.g[0, 0] == pytest.approx(expected, rel=1e-13)
+        assert g_odd[0, 0, 0] == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(0.0234207, abs=5e-7)
 
     def test_odd_antisymmetry(self, catalog, rng):
         pts = sample_points(rng, 10)
         for field in catalog.values():
-            for x in pts:
-                _, odd_here = parity_split(field, x)
-                _, odd_there = parity_split(field, -x)
-                assert np.allclose(odd_here.g, -odd_there.g, atol=1e-15)
+            _, (odd_here, _, _) = parity_split(field, pts)
+            _, (odd_there, _, _) = parity_split(field, -pts)
+            assert np.allclose(odd_here, -odd_there, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["schwarzschild-translated", "perturbed-tail", "rt-violator"])
+    def test_part_derivatives_differentiate_the_parts(self, catalog, rng, name):
+        field = catalog[name]
+        pts = sample_points(rng, 20)
+        for which in (0, 1):  # even, odd
+            _, dg, ddg = parity_split(field, pts)[which]
+            _, fd_dg, fd_ddg = fd_jet2(lambda x: parity_split(field, x)[which][0], pts, h=1e-3)
+            assert np.max(np.abs(fd_dg - dg)) <= 1e-6 * (1 + np.max(np.abs(dg))), which
+            assert np.max(np.abs(fd_ddg - ddg)) <= 1e-4 * (1 + np.max(np.abs(ddg))), which
 
 
 class TestDecayReport:
@@ -200,11 +260,3 @@ def test_decreasing_to_zero_per_entry_floor():
     assert not decreasing_to_zero([1e-13, 2e-13], floor=[1e-12, 1e-14])
     assert decreasing_to_zero([1.0, 0.5, 2e-13], floor=[1e-12, 1e-12, 1e-12])
 
-
-def test_jet_check_rejects_asymmetric():
-    g = np.eye(3)
-    dg = np.zeros((3, 3, 3))
-    dg[0, 0, 1] = 1.0  # not symmetric in (i, j)
-    jet = MetricJet2(dim=3, g=g, dg=dg, ddg=np.zeros((3, 3, 3, 3)))
-    with pytest.raises(ValueError):
-        jet.check()
