@@ -12,9 +12,8 @@ from .analysis import (
     ellipsoid_family,
     fit_power_law,
     sweep,
-    sweep_all,
 )
-from .catalog import CatalogSpec, build, rt_violator, standard_catalog
+from .catalog import CatalogSpec, build, standard_catalog
 from .curvature import CurvatureBundle
 from .errors import (
     ConfigError,
@@ -25,11 +24,7 @@ from .errors import (
 )
 from .invariants import (
     SurfaceEval,
-    adm_mass_at,
-    cs_center_at,
     identity_residuals,
-    intrinsic_center_at,
-    intrinsic_mass_at,
     scalar_curvature_moment,
 )
 from .metric_field import (
@@ -64,10 +59,8 @@ __all__ = [
     "SingularMetricError",
     "SurfaceEval",
     "UndefinedCenterError",
-    "adm_mass_at",
     "build",
     "compare",
-    "cs_center_at",
     "decay_report",
     "ellipsoid_family",
     "ellipsoid_quadrature",
@@ -75,16 +68,12 @@ __all__ = [
     "field_from_values",
     "fit_power_law",
     "identity_residuals",
-    "intrinsic_center_at",
-    "intrinsic_mass_at",
     "jet2_batch",
     "parity_split",
-    "rt_violator",
     "scalar_curvature_moment",
     "sphere_quadrature",
     "standard_catalog",
     "sweep",
-    "sweep_all",
     "unit_sphere_area",
     "unit_sphere_rule",
 ]

@@ -1,9 +1,10 @@
 """Radius sweeps, power-law limit extrapolation, and convergence verdicts.
 
-Sampled functional values over a growing schedule of surfaces are fitted on
-the tail with the model ``value(r) = limit + A * r^(-p)``.  A fitted rate is
-reported alongside the limit rather than assumed, since the decay hypotheses
-only guarantee convergence without a rate.
+:func:`sweep` is the one entry point: it samples a list of functionals over a
+growing schedule of surfaces, each surface evaluated once for all of them,
+and fits each on the tail with the model ``value(r) = limit + A * r^(-p)``.
+A fitted rate is reported alongside the limit rather than assumed, since the
+decay hypotheses only guarantee convergence without a rate.
 """
 
 from __future__ import annotations
@@ -235,20 +236,20 @@ def ellipsoid_family(ratios: Sequence[float]) -> Callable[[float, int], QuadSurf
 
 
 @contextmanager
-def _naming(functional: str, r: float):
-    """Name ``functional`` and radius ``r`` in a failure, keeping its type.
+def _naming(where: str):
+    """Name ``where`` a failure happened, keeping the failure's type.
 
-    The package's own errors are raised again with both in the message;
-    any other exception passes through unchanged, with a note where
+    The package's own errors are raised again with ``where`` leading their
+    message; any other exception passes through unchanged, with a note where
     Python supports notes (3.11 on).
     """
     try:
         yield
     except AdmfluxError as exc:
-        raise type(exc)(f"{functional} at schedule radius {r:g}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
     except Exception as exc:
         if hasattr(exc, "add_note"):
-            exc.add_note(f"while evaluating {functional} at schedule radius {r:g}")
+            exc.add_note(f"while evaluating {where}")
         raise
 
 
@@ -258,12 +259,12 @@ def _converged(finer: np.ndarray, coarser: np.ndarray) -> bool:
 
 
 class SharedSurfaces:
-    """Surface evaluations shared by the sweeps of one run.
+    """The surface evaluations of one :func:`sweep` call, shared by its functionals.
 
     Built for a field, a surface family, a start order (2 to
-    :data:`MAX_ORDER`) and the functionals the run sweeps.  It keeps only
-    reduced totals per ``(radius, order)``.  The first sweep to ask for a
-    radius refines its whole group there side by side (the run's mass
+    :data:`MAX_ORDER`) and the functionals the call sweeps.  It keeps only
+    reduced totals per ``(radius, order)``.  The first functional to ask for a
+    radius refines its whole group there side by side (the call's mass
     functionals, or its center functionals for one mass), so each surface
     is evaluated once for all of them.  A mass
     functional's evaluation also yields the totals of the center functional
@@ -323,7 +324,7 @@ class SharedSurfaces:
         evaluation = None
         values = {}
         for name in names:
-            with _naming(name, r):
+            with _naming(f"{name} at schedule radius {r:g}"):
                 if name not in totals:
                     if evaluation is None:
                         evaluation = SurfaceEval(self.field, self.builder(r, order))
@@ -334,65 +335,12 @@ class SharedSurfaces:
                 values[name] = value
         for name in partners:
             if evaluation is not None and name not in totals:
-                with _naming(name, r):
+                with _naming(f"{name} at schedule radius {r:g}"):
                     totals[name] = evaluation.total(name)
         return values
 
 
 def sweep(
-    field: MetricField,
-    functional: str,
-    radii: Sequence[float],
-    *,
-    surface: Callable[[float, int], QuadSurface] | None = None,
-    order: int = 24,
-    mass: float | None = None,
-    tol: float = DEFAULT_TOL,
-    shared: SharedSurfaces | None = None,
-) -> ConvergenceReport:
-    """Evaluate a named functional over a growing surface schedule and fit its limit.
-
-    ``radii`` is the increasing family parameter (sphere radius, or the scale
-    fed to a custom ``surface`` builder).  Center functionals require
-    ``mass``.  The fit uses the last half of the samples; the verdict is true
-    when the final sample sits within ``tol * (1 + |limit|)`` of the fitted
-    limit and the fitted rate is positive.  Each evaluation starts at
-    quadrature order ``order`` and doubles it until two consecutive orders
-    agree to within :data:`REFINEMENT_TOL` of ``1 + |value|``; the doubling
-    stops at :data:`MAX_ORDER`, whose value is taken as it is.  A failing evaluation
-    names the functional and the radius; the package's own errors carry both
-    in their message.
-
-    ``shared`` lets the sweeps of one run share their surface evaluations; the
-    surface family and start order are then those it was built with.
-    """
-    if FUNCTIONALS.get(functional, {}).get("needs_mass") and mass is None:
-        raise ValueError(f"functional {functional!r} needs the mass normalization")
-    if shared is None:
-        shared = SharedSurfaces(field, [functional], surface=surface, order=order)
-    elif shared.field is not field or functional not in shared.functionals:
-        raise ValueError(f"shared evaluations do not cover {functional!r} on this field")
-    radii = [float(r) for r in radii]
-    if len(radii) < 4:
-        raise ValueError("sweep needs an increasing schedule of at least 4 radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    values = np.stack([shared.refined(functional, r, mass) for r in radii])
-    limit, rate, residual = _fit_samples(np.asarray(radii), values)
-    verdict, tol_eff = _verdict(values, limit, rate, tol)
-    return ConvergenceReport(
-        quantity=functional,
-        radii=tuple(radii),
-        values=values,
-        fitted_limit=limit,
-        fitted_rate=rate,
-        residual=residual,
-        verdict=verdict,
-        tolerance=tol_eff,
-    )
-
-
-def sweep_all(
     field: MetricField,
     functionals: Sequence[str],
     radii: Sequence[float],
@@ -402,23 +350,54 @@ def sweep_all(
     mass: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> dict[str, ConvergenceReport]:
-    """:func:`sweep` of several functionals over one schedule, sharing their surfaces.
+    """Evaluate named functionals over a growing surface schedule and fit their limits.
 
-    The mass functionals run first.  Center functionals are normalized by
-    ``mass``, or, when it is None, by the fitted limit of ``adm_mass``, whose
-    report is then part of the result.
+    ``radii`` is the increasing family parameter (sphere radius, or the scale
+    fed to a custom ``surface`` builder).  The functionals share their
+    surfaces (:class:`SharedSurfaces`) and are reported in the order of
+    :data:`FUNCTIONALS`, mass functionals first.  Center functionals are
+    normalized by ``mass``, or, when it is None, by the fitted limit of
+    ``adm_mass``, whose report then joins the result.
+
+    The fit uses the last half of the samples; the verdict is true when the
+    final sample sits within ``tol * (1 + |limit|)`` of the fitted limit and
+    the fitted rate is positive.  Each evaluation starts at quadrature order
+    ``order`` and doubles it until two consecutive orders agree to within
+    :data:`REFINEMENT_TOL` of ``1 + |value|``; the doubling stops at
+    :data:`MAX_ORDER`, whose value is taken as it is.  A failing evaluation
+    names the functional and the radius; the package's own errors carry both
+    in their message.
     """
+    if isinstance(functionals, str):
+        raise TypeError(f"sweep takes a list of functionals, got the string {functionals!r}")
     names = list(functionals)
     if mass is None and "adm_mass" not in names and any(
         FUNCTIONALS.get(f, {}).get("needs_mass") for f in names
     ):
         names.append("adm_mass")
     shared = SharedSurfaces(field, names, surface=surface, order=order)
+    radii = [float(r) for r in radii]
+    if len(radii) < 4:
+        raise ValueError("sweep needs an increasing schedule of at least 4 radii")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("schedule must be strictly increasing")
     reports = {}
     for name in shared.functionals:
         if FUNCTIONALS[name]["needs_mass"] and mass is None:
             mass = float(reports["adm_mass"].fitted_limit)
-        reports[name] = sweep(field, name, radii, mass=mass, tol=tol, shared=shared)
+        values = np.stack([shared.refined(name, r, mass) for r in radii])
+        limit, rate, residual = _fit_samples(np.asarray(radii), values)
+        verdict, tol_eff = _verdict(values, limit, rate, tol)
+        reports[name] = ConvergenceReport(
+            quantity=name,
+            radii=tuple(radii),
+            values=values,
+            fitted_limit=limit,
+            fitted_rate=rate,
+            residual=residual,
+            verdict=verdict,
+            tolerance=tol_eff,
+        )
     return reports
 
 

@@ -3,12 +3,20 @@
 All families are conformally flat or flat-plus-bump, chosen so that every jet
 entry has a closed form.  The conformal factor is restricted to finite sums
 ``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its Laplacian analytic and the
-scalar-flatness oracle exact.
+scalar-flatness oracle exact.  :func:`build` turns a :class:`CatalogSpec` into
+a field; ``dataclasses.replace`` derives one spec from another.
+
+The ``rt_violator`` kind is the negative control: the flat metric plus the odd
+deviation ``h_11 = amplitude * x^1 |x|^(-n/2 - 1)``.  The deviation decays
+exactly like ``|x|^(-n/2)``, so its odd part fails the ``o(|x|^(-n/2))``
+parity condition needed by the center-of-mass equivalence, while the plain
+``o(|x|^(-(n-2)/2))`` hypothesis for the mass equivalence still holds.  Its
+flux mass vanishes identically by parity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,20 +322,6 @@ def _build_rt_violator(spec: CatalogSpec, metadata: dict) -> MetricField:
     return MetricField(n, batch, inner, metadata)
 
 
-def rt_violator(n: int = 3, amplitude: float = 0.5) -> MetricField:
-    """Flat metric plus the odd deviation ``h_11 = amplitude * x^1 |x|^(-n/2 - 1)``.
-
-    The deviation decays exactly like ``|x|^(-n/2)``, so its odd part fails
-    the ``o(|x|^(-n/2))`` parity condition needed by the center-of-mass
-    equivalence, while the plain ``o(|x|^(-(n-2)/2))`` hypothesis for the mass
-    equivalence still holds.  The flux mass vanishes identically by parity.
-    """
-    if n < 3:
-        raise ConfigError(f"rt_violator needs dimension >= 3, got {n}")
-    spec = CatalogSpec(kind="rt_violator", dim=n, amplitude=amplitude, label="rt-violator")
-    return build(spec)
-
-
 def standard_catalog(dim: int = 3) -> dict[str, MetricField]:
     """Named fields covering the decay and parity regimes the test suite exercises."""
     if dim != 3:
@@ -356,12 +350,3 @@ def standard_catalog(dim: int = 3) -> dict[str, MetricField]:
         "rt-violator": CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"),
     }
     return {name: build(spec) for name, spec in specs.items()}
-
-
-def translated(spec: CatalogSpec, shift) -> CatalogSpec:
-    """Spec for the same metric translated by ``shift``."""
-    shift = np.asarray(shift, dtype=float)
-    base = np.zeros(spec.dim)
-    if spec.center:
-        base[: len(spec.center)] = spec.center
-    return replace(spec, center=tuple(base + shift))

@@ -2,9 +2,16 @@
 
 Subcommands select which checks run; a JSON config file describes the metric,
 the surface schedule and tolerances.  Each check writes a CSV (or JSON) table
-of per-radius values plus an entry in ``summary.json``; the exit status is 0
-only when every requested check passes.  All quantities are dimensionless
-(geometrized units).
+of per-radius values plus an entry in ``summary.json``.  All quantities are
+dimensionless (geometrized units).
+
+Exit codes: 0 every requested check passes, 1 a certification failed, 2 a
+usage or configuration error, 3 a numerical error (singular metric,
+non-finite jets, undefined center, radius inside the excluded ball), 4 an
+internal error (any other exception, reported in one line).  A numerical
+error names the check that hit it and where: the functional and schedule
+radius of a sweep, the identity surface, the decay check, or the annulus of
+a scalar-curvature shell.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ EXIT_PASS = 0
 EXIT_CERTIFICATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 #: Scalar-curvature shells within this multiple of their scale are rounding
 #: noise: ``R`` is a contraction of ``R_ij``, so its rounding is relative to
@@ -287,7 +295,7 @@ def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool)
     swept = [name for name in analysis.FUNCTIONALS if name in functionals]
     sweeps: dict[str, analysis.ConvergenceReport] = {}
     if swept:
-        sweeps = analysis.sweep_all(
+        sweeps = analysis.sweep(
             fld, swept, cfg.radii, surface=_surface_builder(cfg, fld), order=cfg.order, tol=cfg.tol
         )
     checks = [_report_check(sweeps[name], name) for name in swept]
@@ -319,7 +327,8 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
         outer = sphere_quadrature(fld.dim, cfg.radii[1], cfg.order)
         inner = sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
     r_used = outer.nominal_radius
-    res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
+    with analysis._naming(f"identity_residuals at schedule radius {r_used:g}"):
+        res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
     rows = [float(res) for res in res_y]
     return [
         Check(
@@ -351,10 +360,12 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
     rule did not converge fails the check and is named in the failure.
     """
     annuli = list(zip(cfg.radii, cfg.radii[1:]))
-    shells = [
-        invariants.scalar_curvature_moment(fld, r0, r1, moment=0, order=min(cfg.order, 16))
-        for r0, r1 in annuli
-    ]
+    shells = []
+    for r0, r1 in annuli:
+        with analysis._naming(f"scalar_moment_shells on {r0:g} < |x| < {r1:g}"):
+            shells.append(
+                invariants.scalar_curvature_moment(fld, r0, r1, moment=0, order=min(cfg.order, 16))
+            )
     tail = shells[len(shells) // 2 :]
     decays = decreasing_to_zero(
         [abs(s.value) for s in tail], floor=[SHELL_NOISE * s.scale for s in tail]
@@ -379,7 +390,8 @@ def _decay_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
         ("decay_all", (n - 2) / 2.0, "all"),
         ("decay_odd", n / 2.0, "odd"),
     ):
-        rep = decay_report(fld, cfg.radii, tau, part=part)
+        with analysis._naming(name):
+            rep = decay_report(fld, cfg.radii, tau, part=part)
         out.append(
             Check(
                 name=name,
@@ -474,7 +486,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a subcommand and return its exit status.
+
+    An exception that neither the configuration (exit 2) nor the numerics
+    (exit 3) account for is a crash, not a verdict: it prints one
+    ``internal error`` line and returns :data:`EXIT_INTERNAL_ERROR`.
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+
+
+def _main(args: argparse.Namespace) -> int:
     try:
         if args.config is not None:
             cfg = load_config(args.config)

@@ -3,15 +3,16 @@
 Two routes to the same invariants are kept deliberately separate:
 
 * flux form -- first derivatives of the metric against the *Euclidean* normal
-  and area element (:func:`adm_mass_at`, :func:`cs_center_at`);
+  and area element (``adm_mass``, ``cs_center``);
 * curvature form -- the Einstein tensor contracted with a conformal Killing
   field against the *metric* normal and area element
-  (:func:`intrinsic_mass_at`, :func:`intrinsic_center_at`).
+  (``intrinsic_mass``, ``intrinsic_center``).
 
 Their agreement in the large-radius limit is what the analysis layer
 certifies, so no silent substitution of normals or measures is made anywhere.
-Both routes read one :class:`SurfaceEval` per surface: the jets are evaluated
-once for all four functionals, each route with its own normals and measure.
+:class:`SurfaceEval` is the one way to evaluate a functional: its jets are
+evaluated once per surface for all four, each route with its own normals and
+measure, and :meth:`SurfaceEval.value` reads any of them.
 The integration-by-parts identities (:func:`identity_residuals`) take their
 boundary terms from the same flux totals.  Every jet comes through
 :func:`~admflux.metric_field.jet2_batch`, which checks that the points lie in
@@ -83,14 +84,6 @@ def _conformal_generators(points: Array) -> Array:
     return r2[:, None, None] * np.eye(n) - 2.0 * points[:, :, None] * points[:, None, :]
 
 
-def _require_mass(mass: float) -> float:
-    if abs(mass) < MASS_THRESHOLD:
-        raise UndefinedCenterError(
-            f"center of mass undefined for |mass| = {abs(mass):.3e} < {MASS_THRESHOLD}"
-        )
-    return float(mass)
-
-
 class SurfaceEval:
     """One surface's metric jets, shared by every functional evaluated on it.
 
@@ -120,13 +113,31 @@ class SurfaceEval:
                 einstein.append(bundle.einstein)
                 ginv.append(bundle.ginv)
             nu_g, w_g = g_normals_and_areas(
-                self.g, self.surf.normals, self.surf.weights, ginv=np.concatenate(ginv)
+                self.g, self.surf.normals, self.surf.weights, np.concatenate(ginv)
             )
             self._curvature = (np.concatenate(einstein), nu_g, w_g)
         return self._curvature
 
     def total(self, name: str) -> float | Array:
-        """The unnormalized total of functional ``name``: a float, or one per component."""
+        """The unnormalized total of functional ``name``: a float, or one per component.
+
+        * ``adm_mass``, the flux mass: ``(d_j g_ij - d_i g_jj) nu_e^i`` against
+          the Euclidean weights, over ``2 (n-1) omega_(n-1)``.
+        * ``cs_center``, the flux center (Hamiltonian form): component alpha
+          integrates ``x^alpha (d_i g_ij - d_j g_ii) nu_e^j - (h_(i alpha) nu_e^i
+          - h_ii nu_e^alpha)`` against the Euclidean weights, over
+          ``2 (n-1) omega_(n-1) * mass``.  The deviation ``h = g - identity``
+          drops a pure-trace term whose integral vanishes only by closed-surface
+          symmetry, which reduces quadrature error.
+        * ``intrinsic_mass``, the curvature mass: ``(Ric - R/2 g)(X, nu_g)`` with
+          the metric normal and weights, over ``(n-1)(2-n) omega_(n-1)``; the
+          negative ``2 - n`` makes it positive for positive-mass metrics.
+        * ``intrinsic_center``, the curvature center: component alpha integrates
+          ``(Ric - R/2 g)(Y_alpha, nu_g)`` with the metric normal and weights,
+          over ``2 (n-1)(n-2) omega_(n-1) * mass``.
+
+        :func:`normalized` divides by these normalizations.
+        """
         surf, n = self.surf, self.field.dim
         if name == "adm_mass":
             contrib = np.einsum("pi,pi->p", _flux_bracket(self.dg), surf.normals) * surf.weights
@@ -149,7 +160,8 @@ class SurfaceEval:
         return np.array([_fsum(contrib[:, a]) for a in range(n)])
 
     def value(self, name: str, mass: float | None = None) -> float | Array:
-        """Functional ``name`` on the surface; center functionals need ``mass``."""
+        """Functional ``name`` on the surface; center functionals need ``mass``,
+        with ``|mass| >= MASS_THRESHOLD``."""
         return normalized(name, self.total(name), self.field.dim, mass)
 
 
@@ -171,50 +183,11 @@ def normalized(name: str, total, n: int, mass: float | None = None) -> float | A
         return total / scale
     if mass is None:
         raise ValueError(f"functional {name!r} needs the mass normalization")
-    return total / (scale * _require_mass(mass))
-
-
-def adm_mass_at(field: MetricField, surf: QuadSurface) -> float:
-    """Flux mass: the divergence-type surface integral of first metric derivatives.
-
-    Evaluates ``(d_j g_ij - d_i g_jj) nu_e^i`` against the Euclidean area
-    weights, normalized by ``2 (n-1) omega_(n-1)``.
-    """
-    return SurfaceEval(field, surf).value("adm_mass")
-
-
-def intrinsic_mass_at(field: MetricField, surf: QuadSurface) -> float:
-    """Curvature mass: the Einstein tensor paired with the dilation field.
-
-    Evaluates ``(Ric - R/2 g)(X, nu_g)`` with the metric normal and area
-    weights, normalized by ``(n-1)(2-n) omega_(n-1)``; the ``2 - n`` factor is
-    negative and makes the result positive for positive-mass metrics.
-    """
-    return SurfaceEval(field, surf).value("intrinsic_mass")
-
-
-def cs_center_at(field: MetricField, surf: QuadSurface, mass: float) -> Array:
-    """Flux center of mass (Hamiltonian form), one component per coordinate.
-
-    Component alpha integrates
-    ``x^alpha (d_i g_ij - d_j g_ii) nu_e^j - (h_(i alpha) nu_e^i - h_ii nu_e^alpha)``
-    over the surface, normalized by ``2 (n-1) omega_(n-1) * mass``.  Using the
-    deviation ``h = g - identity`` in the second group drops a pure-trace term
-    whose surface integral vanishes only by closed-surface symmetry, which
-    reduces quadrature error.
-    """
-    _require_mass(mass)
-    return SurfaceEval(field, surf).value("cs_center", mass)
-
-
-def intrinsic_center_at(field: MetricField, surf: QuadSurface, mass: float) -> Array:
-    """Curvature center of mass: Einstein tensor against the conformal generators.
-
-    Component alpha integrates ``(Ric - R/2 g)(Y_alpha, nu_g)`` with metric
-    normal and area weights, normalized by ``2 (n-1)(n-2) omega_(n-1) * mass``.
-    """
-    _require_mass(mass)
-    return SurfaceEval(field, surf).value("intrinsic_center", mass)
+    if abs(mass) < MASS_THRESHOLD:
+        raise UndefinedCenterError(
+            f"center of mass undefined for |mass| = {abs(mass):.3e} < {MASS_THRESHOLD}"
+        )
+    return total / (scale * float(mass))
 
 
 def _require_enclosable(field: MetricField, surf: QuadSurface, inner: QuadSurface | None) -> None:

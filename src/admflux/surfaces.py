@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import metric_inverse
 from .metric_field import Array
 
 DEFAULT_ORDER = 24
@@ -221,18 +220,14 @@ def ellipsoid_quadrature(semi_axes, order: int = DEFAULT_ORDER) -> QuadSurface:
     )
 
 
-def g_normals_and_areas(
-    g: Array, nu_e: Array, w_e: Array, ginv: Array | None = None
-) -> tuple[Array, Array]:
+def g_normals_and_areas(g: Array, nu_e: Array, w_e: Array, ginv: Array) -> tuple[Array, Array]:
     """Batched metric normals and area weights from Euclidean ones.
 
-    Given the Euclidean unit conormal ``nu_e`` of a surface, the unit outward
-    normal vector with respect to ``g`` is ``ginv nu_e / sqrt(nu_e ginv nu_e)``
-    and the induced area element is
+    Given the Euclidean unit conormal ``nu_e`` of a surface and the inverse
+    metric ``ginv``, the unit outward normal vector with respect to ``g`` is
+    ``ginv nu_e / sqrt(nu_e ginv nu_e)`` and the induced area element is
     ``w_g = w_e * sqrt(det g) * sqrt(nu_e ginv nu_e)``.
     """
-    if ginv is None:
-        ginv = metric_inverse(g)
     q = np.einsum("pkl,pk,pl->p", ginv, nu_e, nu_e)
     nu_g = np.einsum("pij,pj->pi", ginv, nu_e) / np.sqrt(q)[:, None]
     w_g = np.asarray(w_e) * np.sqrt(np.linalg.det(g)) * np.sqrt(q)

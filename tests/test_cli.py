@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -136,13 +137,11 @@ class TestEvaluationCounts:
             write_config(tmp_path, schedule={"kind": "spheres", "radii": self.RADII}, order=24)
         )
         fld = build(cfg.metric)
-        mass = float(analysis.sweep(fld, "adm_mass", self.RADII).fitted_limit)
+        mass = float(analysis.sweep(fld, ["adm_mass"], self.RADII)["adm_mass"].fitted_limit)
         visits = {}
         for name in analysis.FUNCTIONALS:
-            kwargs = {"mass": mass} if analysis.FUNCTIONALS[name]["needs_mass"] else {}
-            visits[name] = set(
-                self.surfaces_built(monkeypatch, lambda: analysis.sweep(fld, name, self.RADII, **kwargs))
-            )
+            sweep_one = functools.partial(analysis.sweep, fld, [name], self.RADII, mass=mass)
+            visits[name] = set(self.surfaces_built(monkeypatch, sweep_one))
         swept = set().union(*visits.values())
         curved = visits["intrinsic_mass"] | visits["intrinsic_center"]
 
@@ -307,8 +306,22 @@ class TestExitCodes:
             main(["masses"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("command", ["identities", "decay"])
-    def test_non_finite_jets_are_numerical_errors(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "command, functionals, where",
+        [
+            pytest.param(
+                "identities", None, "identity_residuals at schedule radius 20", id="identities"
+            ),
+            pytest.param("decay", None, "decay_all", id="decay"),
+            pytest.param(
+                "sweep", ["scalar_moments"], "scalar_moment_shells on 10 < |x| < 20",
+                id="scalar_moments",
+            ),
+        ],
+    )
+    def test_non_finite_jets_are_numerical_errors(
+        self, tmp_path, capsys, monkeypatch, command, functionals, where
+    ):
         def spoiled_build(spec):
             field = build(spec)
 
@@ -321,12 +334,29 @@ class TestExitCodes:
             return dataclasses.replace(field, jet_batch=jet_batch)
 
         monkeypatch.setattr(cli, "build", spoiled_build)
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, **({"functionals": functionals} if functionals else {}))
         assert main([command, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith("numerical error:")
+        assert err.startswith(f"numerical error: {where}: ")
         assert "non-finite jet of field 'schwarzschild' at radius" in err
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("checks could not start")
+
+        monkeypatch.setattr(cli, "run_checks", broken)
+        assert main(["mass", "--config", str(write_config(tmp_path))]) == cli.EXIT_INTERNAL_ERROR == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: checks could not start\n"
+
+    def test_overflowing_dimension_is_internal_error(self, tmp_path, capsys):
+        # the quadrature rule that probes the inner radius overflows a float
+        # in 5000 dimensions, before any node array is built
+        metric = {"kind": "schwarzschild", "dim": 5000, "mass": 1.0}
+        assert main(["mass", "--config", str(write_config(tmp_path, metric=metric))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 NAN, INF = math.nan, math.inf

@@ -12,11 +12,7 @@ from admflux.curvature import curvature_arrays
 from admflux.errors import DomainError, UndefinedCenterError
 from admflux.invariants import (
     SurfaceEval,
-    adm_mass_at,
-    cs_center_at,
-    intrinsic_center_at,
     identity_residuals,
-    intrinsic_mass_at,
     scalar_curvature_moment,
 )
 from admflux.metric_field import jet2_batch
@@ -64,26 +60,28 @@ class TestKillingFields:
 class TestMassFunctionals:
     def test_flat_zero(self, catalog):
         surf = sphere_quadrature(3, 10.0, order=8)
-        assert adm_mass_at(catalog["flat"], surf) == 0.0
-        assert abs(intrinsic_mass_at(catalog["flat"], surf)) < 1e-14
+        evaluation = SurfaceEval(catalog["flat"], surf)
+        assert evaluation.value("adm_mass") == 0.0
+        assert abs(evaluation.value("intrinsic_mass")) < 1e-14
 
     @pytest.mark.parametrize("m,r", [(1.0, 100.0), (2.0, 1000.0)])
     def test_adm_closed_form(self, m, r):
         field = build(CatalogSpec(kind="schwarzschild", mass=m))
-        got = adm_mass_at(field, sphere_quadrature(3, r, order=24))
+        got = SurfaceEval(field, sphere_quadrature(3, r, order=24)).value("adm_mass")
         assert got == pytest.approx(schwarzschild_flux_closed_form(m, r), rel=1e-12)
 
     def test_adm_frozen_values(self, catalog):
-        got = adm_mass_at(catalog["schwarzschild"], sphere_quadrature(3, 100.0, order=24))
+        surf = sphere_quadrature(3, 100.0, order=24)
+        got = SurfaceEval(catalog["schwarzschild"], surf).value("adm_mass")
         assert got == pytest.approx(1.015075125, rel=1e-10)
         field = build(CatalogSpec(kind="schwarzschild", mass=2.0))
-        got = adm_mass_at(field, sphere_quadrature(3, 1000.0, order=24))
+        got = SurfaceEval(field, sphere_quadrature(3, 1000.0, order=24)).value("adm_mass")
         assert got == pytest.approx(2.0 * 1.001**3, rel=1e-10)
 
     def test_intrinsic_mass_schwarzschild(self, catalog):
         # the curvature mass of the isotropic slice is exactly m at every radius
         surf = sphere_quadrature(3, 100.0, order=24)
-        got = intrinsic_mass_at(catalog["schwarzschild"], surf)
+        got = SurfaceEval(catalog["schwarzschild"], surf).value("intrinsic_mass")
         assert got == pytest.approx(1.0, abs=2e-2)
         assert got == pytest.approx(1.0, abs=1e-9)
         assert got > 0  # sign fixed by the (2 - n) normalization
@@ -96,7 +94,8 @@ class TestMassFunctionals:
 
     def test_mass_pair_difference_exact(self, catalog):
         field, surf = catalog["schwarzschild"], sphere_quadrature(3, 20.0, order=12)
-        adm, intrinsic = adm_mass_at(field, surf), intrinsic_mass_at(field, surf)
+        adm = SurfaceEval(field, surf).value("adm_mass")
+        intrinsic = SurfaceEval(field, surf).value("intrinsic_mass")
         assert mass_difference(field, surf) == adm - intrinsic
 
     def test_mass_difference_first_order_rate(self, catalog):
@@ -111,15 +110,17 @@ class TestMassFunctionals:
 class TestCenterFunctionals:
     def test_centered_is_zero(self, catalog):
         surf = sphere_quadrature(3, 50.0, order=16)
-        assert np.max(np.abs(cs_center_at(catalog["schwarzschild"], surf, 1.0))) < 1e-10
-        assert np.max(np.abs(intrinsic_center_at(catalog["schwarzschild"], surf, 1.0))) < 1e-9
+        evaluation = SurfaceEval(catalog["schwarzschild"], surf)
+        assert np.max(np.abs(evaluation.value("cs_center", 1.0))) < 1e-10
+        assert np.max(np.abs(evaluation.value("intrinsic_center", 1.0))) < 1e-9
 
     def test_translated_recovers_center(self, catalog):
         surf = sphere_quadrature(3, 1000.0, order=24)
         field = catalog["schwarzschild-translated"]
         c = np.array([1.0, 2.0, 3.0])
-        assert np.max(np.abs(cs_center_at(field, surf, 1.0) - c)) < 1e-2
-        assert np.max(np.abs(intrinsic_center_at(field, surf, 1.0) - c)) < 1e-2
+        evaluation = SurfaceEval(field, surf)
+        assert np.max(np.abs(evaluation.value("cs_center", 1.0) - c)) < 1e-2
+        assert np.max(np.abs(evaluation.value("intrinsic_center", 1.0) - c)) < 1e-2
 
     def test_translation_covariance_conformal(self):
         # translating a (non-radially-exact) field shifts both centers by v
@@ -130,11 +131,11 @@ class TestCenterFunctionals:
         mass = moved.metadata["expected_mass"]
         errs = []
         for r in (200.0, 800.0):
-            surf = sphere_quadrature(3, r, order=16)
+            evaluation = SurfaceEval(moved, sphere_quadrature(3, r, order=16))
             errs.append(
                 max(
-                    float(np.max(np.abs(cs_center_at(moved, surf, mass) - v))),
-                    float(np.max(np.abs(intrinsic_center_at(moved, surf, mass) - v))),
+                    float(np.max(np.abs(evaluation.value("cs_center", mass) - v))),
+                    float(np.max(np.abs(evaluation.value("intrinsic_center", mass) - v))),
                 )
             )
         assert errs[1] < errs[0]
@@ -151,23 +152,22 @@ class TestCenterFunctionals:
 
     def test_mass_scaling_exact(self, catalog):
         surf = sphere_quadrature(3, 200.0, order=12)
-        field = catalog["schwarzschild-translated"]
+        evaluation = SurfaceEval(catalog["schwarzschild-translated"], surf)
         assert np.array_equal(
-            cs_center_at(field, surf, 2.0), 0.5 * cs_center_at(field, surf, 1.0)
+            evaluation.value("cs_center", 2.0), 0.5 * evaluation.value("cs_center", 1.0)
         )
         assert np.array_equal(
-            intrinsic_center_at(field, surf, 2.0),
-            0.5 * intrinsic_center_at(field, surf, 1.0),
+            evaluation.value("intrinsic_center", 2.0),
+            0.5 * evaluation.value("intrinsic_center", 1.0),
         )
 
     def test_undefined_center_guard(self, catalog):
         surf = sphere_quadrature(3, 10.0, order=8)
+        evaluation = SurfaceEval(catalog["flat"], surf)
         with pytest.raises(UndefinedCenterError):
-            cs_center_at(catalog["flat"], surf, 0.0)
+            evaluation.value("cs_center", 0.0)
         with pytest.raises(UndefinedCenterError):
-            intrinsic_center_at(catalog["flat"], surf, 1e-9)
-        with pytest.raises(UndefinedCenterError):
-            SurfaceEval(catalog["flat"], surf).value("cs_center", 0.0)
+            evaluation.value("intrinsic_center", 1e-9)
 
 
 class TestIntegralIdentities:
@@ -476,15 +476,17 @@ class TestHigherDimensions:
         field = build(CatalogSpec(kind="schwarzschild", dim=n, mass=1.0))
         surf = sphere_quadrature(n, 20.0, order=12)
         closed = schwarzschild_flux_closed_form(1.0, 20.0, n)
-        assert adm_mass_at(field, surf) == pytest.approx(closed, rel=1e-12)
-        assert intrinsic_mass_at(field, surf) == pytest.approx(1.0, abs=1e-9)
+        evaluation = SurfaceEval(field, surf)
+        assert evaluation.value("adm_mass") == pytest.approx(closed, rel=1e-12)
+        assert evaluation.value("intrinsic_mass") == pytest.approx(1.0, abs=1e-9)
 
     def test_translated_centers_dimension_four(self):
         c = (1.0, -2.0, 0.5, 0.0)
         field = build(CatalogSpec(kind="schwarzschild", dim=4, mass=1.0, center=c))
         surf = sphere_quadrature(4, 400.0, order=12)
-        assert np.allclose(cs_center_at(field, surf, 1.0), c, atol=1e-4)
-        assert np.allclose(intrinsic_center_at(field, surf, 1.0), c, atol=1e-6)
+        evaluation = SurfaceEval(field, surf)
+        assert np.allclose(evaluation.value("cs_center", 1.0), c, atol=1e-4)
+        assert np.allclose(evaluation.value("intrinsic_center", 1.0), c, atol=1e-6)
 
 
 class TestGeneralSurfaces:

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import admflux
 from admflux.metric_field import MetricField
@@ -20,20 +22,34 @@ REMOVED = (
     "ibp_residual_X",
     "ibp_residual_Y",
     "check_surface_in_domain",
+    "adm_mass_at",
+    "intrinsic_mass_at",
+    "cs_center_at",
+    "intrinsic_center_at",
+    "sweep_all",
+    "rt_violator",
+    "translated",
 )
 
 
 def test_every_exported_name_resolves():
-    assert len(admflux.__all__) == len(set(admflux.__all__)) == 35
+    assert len(admflux.__all__) == len(set(admflux.__all__)) == 29
     for name in admflux.__all__:
         assert getattr(admflux, name) is not None, name
 
 
 def test_single_point_api_is_gone():
-    from admflux import catalog, curvature, invariants, metric_field, surfaces
+    from admflux import analysis, catalog, curvature, invariants, metric_field, surfaces
 
-    modules = (admflux, catalog, curvature, invariants, metric_field, surfaces)
+    modules = (admflux, analysis, catalog, curvature, invariants, metric_field, surfaces)
     for name in REMOVED:
         assert name not in admflux.__all__
         assert not any(hasattr(m, name) for m in modules), name
     assert "jet_at" not in {f.name for f in dataclasses.fields(MetricField)}
+
+
+def test_readme_tour_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admflux.curvature import metric_inverse
 from admflux.errors import SingularMetricError
 from admflux.metric_field import jet2_batch
 from admflux.surfaces import (
@@ -123,7 +124,8 @@ class TestEllipsoidQuadrature:
 class TestMetricNormalsAndAreas:
     def test_flat_identity(self):
         nu = np.array([[0.0, 0.0, 1.0]])
-        nu_g, w_g = g_normals_and_areas(np.eye(3)[None], nu, np.array([0.7]))
+        g = np.eye(3)[None]
+        nu_g, w_g = g_normals_and_areas(g, nu, np.array([0.7]), metric_inverse(g))
         assert np.allclose(nu_g, nu, atol=1e-15)
         assert w_g == pytest.approx([0.7], rel=1e-15)
 
@@ -134,7 +136,7 @@ class TestMetricNormalsAndAreas:
         u = 1 + 0.5 / rho
         nu = pts / rho[:, None]
         g, _, _ = jet2_batch(catalog["schwarzschild"], pts)
-        nu_g, w_g = g_normals_and_areas(g, nu, np.full(len(pts), 1.3))
+        nu_g, w_g = g_normals_and_areas(g, nu, np.full(len(pts), 1.3), metric_inverse(g))
         assert np.allclose(nu_g, nu / u[:, None] ** 2, atol=1e-13)
         assert w_g == pytest.approx(1.3 * u**4, rel=1e-13)
 
@@ -143,7 +145,7 @@ class TestMetricNormalsAndAreas:
         g = a @ a.swapaxes(1, 2) + 3 * np.eye(3)
         nu = rng.normal(size=(25, 3))
         nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-        nu_g, _ = g_normals_and_areas(g, nu, np.ones(25))
+        nu_g, _ = g_normals_and_areas(g, nu, np.ones(25), metric_inverse(g))
         assert np.einsum("pij,pi,pj->p", g, nu_g, nu_g) == pytest.approx(1.0, abs=1e-12)
 
     def test_normal_difference_decays(self, catalog):
@@ -153,7 +155,7 @@ class TestMetricNormalsAndAreas:
         for r in (10.0, 100.0, 1000.0):
             surf = sphere_quadrature(3, r, order=8)
             g, _, _ = (field.jet_batch(surf.points))
-            nu_g, _ = g_normals_and_areas(g, surf.normals, surf.weights)
+            nu_g, _ = g_normals_and_areas(g, surf.normals, surf.weights, metric_inverse(g))
             sup = float(np.max(np.linalg.norm(nu_g - surf.normals, axis=1)))
             h_sup = float(np.max(np.abs(g - np.eye(3))))
             assert sup <= 3.0 * h_sup
@@ -161,9 +163,9 @@ class TestMetricNormalsAndAreas:
         assert weighted[0] > weighted[1] > weighted[2]
 
     def test_singular_metric(self):
-        g = np.diag([1.0, 1.0, 1e-16])
+        g = np.diag([1.0, 1.0, 1e-16])[None]
         with pytest.raises(SingularMetricError):
-            g_normals_and_areas(g[None], np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
+            g_normals_and_areas(g, np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), metric_inverse(g))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_metric(self, bad):
@@ -171,7 +173,7 @@ class TestMetricNormalsAndAreas:
         g[0, 0, 1] = g[0, 1, 0] = bad
         nu = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SingularMetricError, match="non-finite"):
-            g_normals_and_areas(g, nu, np.ones(2))
+            g_normals_and_areas(g, nu, np.ones(2), metric_inverse(g))
 
 
 def test_unit_rule_node_count_default_order():
