@@ -1,8 +1,9 @@
 """Radius sweeps, power-law limit extrapolation, and convergence verdicts.
 
 :func:`sweep` is the one entry point: it samples a list of functionals over a
-growing schedule of surfaces, each surface evaluated once for all of them,
-and fits each on the tail with the model ``value(r) = limit + A * r^(-p)``.
+growing schedule of surfaces, the masses in one pass and then the centers,
+normalized by the mass, in a second, each surface evaluated once for all of
+them.  It fits each on the tail with the model ``value(r) = limit + A * r^(-p)``.
 A fitted rate is reported alongside the limit rather than assumed, since the
 decay hypotheses only guarantee convergence without a rate.
 """
@@ -181,14 +182,6 @@ class ConvergenceReport:
     tolerance: float
 
     @property
-    def samples(self) -> list[tuple[float, float | list[float]]]:
-        out = []
-        for a, r in enumerate(self.radii):
-            v = self.values[a]
-            out.append((r, float(v) if np.ndim(v) == 0 else [float(t) for t in v]))
-        return out
-
-    @property
     def is_vector(self) -> bool:
         return self.values.ndim == 2
 
@@ -258,88 +251,6 @@ def _converged(finer: np.ndarray, coarser: np.ndarray) -> bool:
     return float(np.max(np.abs(finer - coarser))) <= REFINEMENT_TOL * scale
 
 
-class SharedSurfaces:
-    """The surface evaluations of one :func:`sweep` call, shared by its functionals.
-
-    Built for a field, a surface family, a start order (2 to
-    :data:`MAX_ORDER`) and the functionals the call sweeps.  It keeps only
-    reduced totals per ``(radius, order)``.  The first functional to ask for a
-    radius refines its whole group there side by side (the call's mass
-    functionals, or its center functionals for one mass), so each surface
-    is evaluated once for all of them.  A mass
-    functional's evaluation also yields the totals of the center functional
-    on its route, from the same jets or curvature bundle.  The curvature
-    kernel runs only for curvature functionals.
-    """
-
-    def __init__(
-        self,
-        field: MetricField,
-        functionals: Sequence[str],
-        *,
-        surface: Callable[[float, int], QuadSurface] | None = None,
-        order: int = 24,
-    ):
-        unknown = [f for f in functionals if f not in FUNCTIONALS]
-        if unknown:
-            raise ValueError(f"unknown functional {unknown[0]!r}; choose from {sorted(FUNCTIONALS)}")
-        if not 2 <= order <= MAX_ORDER:
-            raise ValueError(f"start order must be between 2 and {MAX_ORDER}, got {order}")
-        self.field = field
-        self.functionals = [f for f in FUNCTIONALS if f in functionals]
-        self.builder = surface if surface is not None else sphere_family(field.dim)
-        self.order = order
-        self._totals: dict[tuple[float, int], dict] = {}
-        self._refined: dict[tuple[str, float, float | None], np.ndarray] = {}
-
-    def refined(self, functional: str, r: float, mass: float | None = None) -> np.ndarray:
-        """The value of ``functional`` at radius ``r`` once its refinement stops."""
-        needs_mass = FUNCTIONALS[functional]["needs_mass"]
-        mass = mass if needs_mass else None
-        if (functional, r, mass) not in self._refined:
-            group = [f for f in self.functionals if FUNCTIONALS[f]["needs_mass"] == needs_mass]
-            centers = [] if needs_mass else [f for f in self.functionals if f not in group]
-            self._refine(group, centers, r, mass)
-        return self._refined[functional, r, mass]
-
-    def _refine(self, group: list[str], centers: list[str], r: float, mass: float | None) -> None:
-        active, previous, order = list(group), {}, self.order
-        while active:
-            partners = [_CENTER_ON_ROUTE[f] for f in active if _CENTER_ON_ROUTE.get(f) in centers]
-            values = self._values(r, order, active, partners, mass)
-            for f in active:
-                if order >= MAX_ORDER or (f in previous and _converged(values[f], previous[f])):
-                    self._refined[f, r, mass] = values[f]
-            active = [f for f in active if (f, r, mass) not in self._refined]
-            previous, order = values, min(2 * order, MAX_ORDER)
-
-    def _values(self, r, order, names, partners, mass) -> dict[str, np.ndarray]:
-        """Values of ``names`` on the ``(r, order)`` surface, read from its totals.
-
-        Missing totals come from one :class:`SurfaceEval`, made when the first
-        is missing; when it was made, it fills the totals of ``partners`` too.
-        A failure names the functional whose total or value was being formed.
-        """
-        totals = self._totals.setdefault((r, order), {})
-        evaluation = None
-        values = {}
-        for name in names:
-            with _naming(f"{name} at schedule radius {r:g}"):
-                if name not in totals:
-                    if evaluation is None:
-                        evaluation = SurfaceEval(self.field, self.builder(r, order))
-                    totals[name] = evaluation.total(name)
-                value = np.asarray(FUNCTIONALS[name]["fn"](totals[name], self.field.dim, mass), dtype=float)
-                if not np.all(np.isfinite(value)):
-                    raise NonFiniteError(f"non-finite value {value.tolist()}")
-                values[name] = value
-        for name in partners:
-            if evaluation is not None and name not in totals:
-                with _naming(f"{name} at schedule radius {r:g}"):
-                    totals[name] = evaluation.total(name)
-        return values
-
-
 def sweep(
     field: MetricField,
     functionals: Sequence[str],
@@ -353,51 +264,105 @@ def sweep(
     """Evaluate named functionals over a growing surface schedule and fit their limits.
 
     ``radii`` is the increasing family parameter (sphere radius, or the scale
-    fed to a custom ``surface`` builder).  The functionals share their
-    surfaces (:class:`SharedSurfaces`) and are reported in the order of
-    :data:`FUNCTIONALS`, mass functionals first.  Center functionals are
-    normalized by ``mass``, or, when it is None, by the fitted limit of
-    ``adm_mass``, whose report then joins the result.
+    fed to a custom ``surface`` builder).  Two passes run over the schedule: a
+    mass pass over the mass functionals (with ``adm_mass`` added when a center
+    needs the fitted mass), then a center pass over the center functionals,
+    normalized by ``mass`` or, when it is None, by the fitted limit of
+    ``adm_mass``.  Reports come in the order of :data:`FUNCTIONALS`.  Both
+    passes read one table of totals per ``(radius, order)``: a surface is
+    evaluated once for all functionals, and a mass total's evaluation also
+    stores the total of the center on its route, which the center pass reuses.
 
-    The fit uses the last half of the samples; the verdict is true when the
-    final sample sits within ``tol * (1 + |limit|)`` of the fitted limit and
-    the fitted rate is positive.  Each evaluation starts at quadrature order
-    ``order`` and doubles it until two consecutive orders agree to within
-    :data:`REFINEMENT_TOL` of ``1 + |value|``; the doubling stops at
-    :data:`MAX_ORDER`, whose value is taken as it is.  A failing evaluation
-    names the functional and the radius; the package's own errors carry both
-    in their message.
+    At each radius a pass starts at quadrature order ``order`` (2 to
+    :data:`MAX_ORDER`) and doubles it until two consecutive orders agree to
+    within :data:`REFINEMENT_TOL` of ``1 + |value|``; the doubling stops at
+    :data:`MAX_ORDER`, whose value is taken as it is.  The fit uses the last
+    half of the samples; the verdict is true when the final sample sits within
+    ``tol * (1 + |limit|)`` of the fitted limit and the fitted rate is
+    positive.  A failing evaluation names the functional and the radius; the
+    package's own errors carry both in their message.
     """
     if isinstance(functionals, str):
         raise TypeError(f"sweep takes a list of functionals, got the string {functionals!r}")
-    names = list(functionals)
-    if mass is None and "adm_mass" not in names and any(
-        FUNCTIONALS.get(f, {}).get("needs_mass") for f in names
-    ):
-        names.append("adm_mass")
-    shared = SharedSurfaces(field, names, surface=surface, order=order)
+    unknown = [f for f in functionals if f not in FUNCTIONALS]
+    if unknown:
+        raise ValueError(f"unknown functional {unknown[0]!r}; choose from {sorted(FUNCTIONALS)}")
+    if not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"start order must be between 2 and {MAX_ORDER}, got {order}")
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("sweep needs an increasing schedule of at least 4 radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("schedule must be strictly increasing")
-    reports = {}
-    for name in shared.functionals:
-        if FUNCTIONALS[name]["needs_mass"] and mass is None:
+    centers = [f for f in FUNCTIONALS if f in functionals and FUNCTIONALS[f]["needs_mass"]]
+    masses = [f for f in FUNCTIONALS if f in functionals and f not in centers]
+    if centers and mass is None and "adm_mass" not in masses:
+        masses.insert(0, "adm_mass")
+    builder = surface if surface is not None else sphere_family(field.dim)
+    totals: dict[tuple[float, int], dict] = {}
+
+    def values_at(r: float, at: int, active: list[str], mass: float | None) -> dict:
+        """Values of ``active`` on the ``(r, at)`` surface, read from ``totals``.
+
+        Missing totals come from one :class:`SurfaceEval`, made when the first
+        is missing, which then also stores the totals of the swept centers on
+        the routes of ``active``.  A failure names the functional being formed.
+        """
+        got = totals.setdefault((r, at), {})
+        evaluation = None
+        values = {}
+        for name in active:
+            with _naming(f"{name} at schedule radius {r:g}"):
+                if name not in got:
+                    if evaluation is None:
+                        evaluation = SurfaceEval(field, builder(r, at))
+                    got[name] = evaluation.total(name)
+                value = np.asarray(FUNCTIONALS[name]["fn"](got[name], field.dim, mass), dtype=float)
+                if not np.all(np.isfinite(value)):
+                    raise NonFiniteError(f"non-finite value {value.tolist()}")
+                values[name] = value
+        for name in [_CENTER_ON_ROUTE.get(f) for f in active]:
+            if evaluation is not None and name in centers and name not in got:
+                with _naming(f"{name} at schedule radius {r:g}"):
+                    got[name] = evaluation.total(name)
+        return values
+
+    def swept(names: list[str], mass: float | None) -> dict[str, ConvergenceReport]:
+        samples: dict[str, list] = {name: [] for name in names}
+        for r in radii:
+            active, previous, at = names, {}, order
+            while active:
+                values = values_at(r, at, active, mass)
+                done = [
+                    f for f in active
+                    if at >= MAX_ORDER or (f in previous and _converged(values[f], previous[f]))
+                ]
+                for f in done:
+                    samples[f].append(values[f])
+                active = [f for f in active if f not in done]
+                previous, at = values, min(2 * at, MAX_ORDER)
+        reports = {}
+        for name in names:
+            values = np.stack(samples[name])
+            limit, rate, residual = _fit_samples(np.asarray(radii), values)
+            verdict, tol_eff = _verdict(values, limit, rate, tol)
+            reports[name] = ConvergenceReport(
+                quantity=name,
+                radii=tuple(radii),
+                values=values,
+                fitted_limit=limit,
+                fitted_rate=rate,
+                residual=residual,
+                verdict=verdict,
+                tolerance=tol_eff,
+            )
+        return reports
+
+    reports = swept(masses, None)
+    if centers:
+        if mass is None:
             mass = float(reports["adm_mass"].fitted_limit)
-        values = np.stack([shared.refined(name, r, mass) for r in radii])
-        limit, rate, residual = _fit_samples(np.asarray(radii), values)
-        verdict, tol_eff = _verdict(values, limit, rate, tol)
-        reports[name] = ConvergenceReport(
-            quantity=name,
-            radii=tuple(radii),
-            values=values,
-            fitted_limit=limit,
-            fitted_rate=rate,
-            residual=residual,
-            verdict=verdict,
-            tolerance=tol_eff,
-        )
+        reports.update(swept(centers, mass))
     return reports
 
 

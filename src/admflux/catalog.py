@@ -114,17 +114,6 @@ def _powers_u(points: Array, coeffs, center: Array):
     return u, du, ddu
 
 
-def laplacian_u(spec: CatalogSpec, points: Array) -> Array:
-    """Closed-form Laplacian of the conformal factor, ``sum a_k k (k+2-n) rho^(-k-2)``."""
-    coeffs = _coeffs(spec)
-    y = np.atleast_2d(points) - spec._center()
-    rho = np.linalg.norm(y, axis=1)
-    out = np.zeros(len(y))
-    for k, a in coeffs:
-        out += a * k * (k + 2 - spec.dim) * rho ** (-k - 2)
-    return out
-
-
 def _coeffs(spec: CatalogSpec) -> tuple[tuple[int, float], ...]:
     if spec.kind == "schwarzschild":
         return ((spec.dim - 2, spec.mass / 2.0),)
@@ -222,7 +211,6 @@ def build(spec: CatalogSpec) -> MetricField:
     eye = np.eye(n)
     metadata = {
         "label": spec.label or spec.kind,
-        "spec": spec,
         "globally_smooth": spec.kind == "flat",
         "expected_mass": _expected_mass(spec),
     }

@@ -93,11 +93,14 @@ class RunConfig:
 def _finite(value, what: str) -> float:
     """``float(value)``, or :class:`ConfigError` naming ``what`` unless it is a finite number.
 
-    JSON admits ``NaN`` and ``Infinity``; every numeric config value passes
-    through here so that neither reaches the certification.
+    JSON admits ``NaN``, ``Infinity`` and integers too large for a float;
+    every numeric config value passes through here so that none reaches the
+    certification.
     """
     try:
         out = float(value)
+    except OverflowError:
+        out = math.inf
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(out):
@@ -284,20 +287,15 @@ def _report_check(report: analysis.ConvergenceReport, name: str) -> Check:
     )
 
 
-def _surface_builder(cfg: RunConfig, fld: MetricField):
-    if cfg.surface_kind == "ellipsoids":
-        return analysis.ellipsoid_family(cfg.ellipsoid_ratios)
-    return analysis.sphere_family(fld.dim)
-
-
 def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool) -> list[Check]:
     fld = build(cfg.metric)
     swept = [name for name in analysis.FUNCTIONALS if name in functionals]
     sweeps: dict[str, analysis.ConvergenceReport] = {}
     if swept:
-        sweeps = analysis.sweep(
-            fld, swept, cfg.radii, surface=_surface_builder(cfg, fld), order=cfg.order, tol=cfg.tol
-        )
+        surface = None
+        if cfg.surface_kind == "ellipsoids":
+            surface = analysis.ellipsoid_family(cfg.ellipsoid_ratios)
+        sweeps = analysis.sweep(fld, swept, cfg.radii, surface=surface, order=cfg.order, tol=cfg.tol)
     checks = [_report_check(sweeps[name], name) for name in swept]
 
     if with_compare and "adm_mass" in sweeps and "intrinsic_mass" in sweeps:

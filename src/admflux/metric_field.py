@@ -193,10 +193,6 @@ class DecayReport:
     def ok(self) -> bool:
         return all(self.verdicts)
 
-    @property
-    def samples(self) -> list[tuple[float, tuple[float, float, float]]]:
-        return [(r, tuple(self.sups[a])) for a, r in enumerate(self.radii)]
-
 
 def decreasing_to_zero(seq, floor=None) -> bool:
     """Strict decrease, with entries at the rounding floor counting as decayed.

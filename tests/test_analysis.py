@@ -107,8 +107,7 @@ class TestSweep:
         )["cs_center"]
         assert report.is_vector
         assert np.allclose(report.fitted_limit, [1.0, 2.0, 3.0], atol=1e-3)
-        rows = report.samples
-        assert rows[0][0] == 50.0 and len(rows[0][1]) == 3
+        assert report.radii[0] == 50.0 and report.values.shape == (4, 3)
 
     def test_unknown_functional(self, catalog):
         with pytest.raises(ValueError, match="unknown functional"):
@@ -190,6 +189,18 @@ class TestSharedSurfaces:
         alone = sweep(field, ["intrinsic_center"], self.RADII, mass=mass)["intrinsic_center"]
         assert np.array_equal(alone.values, reports["intrinsic_center"].values)
         assert np.array_equal(alone.fitted_limit, reports["intrinsic_center"].fitted_limit)
+
+    def test_given_mass_beside_a_swept_adm_mass(self, catalog):
+        # the given mass normalizes the centers; the swept adm_mass is reported as it is
+        field = catalog["schwarzschild-translated"]
+        reports = sweep(field, self.ALL, self.RADII, mass=2.0)
+        centers = sweep(field, ["cs_center", "intrinsic_center"], self.RADII, mass=2.0)
+        for name in centers:
+            assert np.array_equal(reports[name].values, centers[name].values), name
+            assert np.array_equal(reports[name].fitted_limit, centers[name].fitted_limit), name
+        alone = sweep(field, ["adm_mass"], self.RADII)["adm_mass"]
+        for f in dataclasses.fields(alone):
+            assert np.array_equal(getattr(reports["adm_mass"], f.name), getattr(alone, f.name)), f.name
 
     def test_centers_bring_the_mass_sweep(self, catalog):
         reports = sweep(catalog["schwarzschild-translated"], ["cs_center"], self.RADII)

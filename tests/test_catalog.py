@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from admflux.catalog import CatalogSpec, build, laplacian_u, standard_catalog
+from admflux.catalog import CatalogSpec, build, standard_catalog
 from admflux.curvature import curvature_arrays
 from admflux.errors import ConfigError
 from admflux.invariants import SurfaceEval
@@ -61,12 +61,6 @@ class TestBuild:
         assert field.metadata["scalar_flat"]
         scalar = curvature_arrays(*jet2_batch(field, sample_points(rng, 100))).scalar
         assert np.all(np.abs(scalar) < 1e-9)
-
-    def test_laplacian_helper(self, catalog):
-        spec = catalog["conformal"].metadata["spec"]
-        pts = np.array([[5.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
-        got = laplacian_u(spec, pts)
-        assert np.allclose(got, [2.0 / 5.0**4, 2.0 / 10.0**4], rtol=1e-13)
 
     def test_perturbed_inherits_base_smoothness(self, catalog):
         assert catalog["perturbed-gaussian"].metadata["globally_smooth"]

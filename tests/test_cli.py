@@ -384,6 +384,8 @@ RADII = [10.0 * 2**k for k in range(7)]
         ({"order": INF}, "order"),
         ({"tolerances": {"limit": NAN, "identity": 1e-8}}, "limit tolerance"),
         ({"tolerances": {"limit": 5e-3, "identity": INF}}, "identity tolerance"),
+        ({"metric": dict(SCHWARZSCHILD, mass=10**400)}, "mass"),
+        ({"order": 10**400}, "order"),
     ],
 )
 def test_non_finite_config_value_is_config_error(tmp_path, capsys, overrides, field):
