@@ -9,11 +9,10 @@ large-radius limit.
 from .analysis import (
     ConvergenceReport,
     compare,
-    ellipsoid_family,
     fit_power_law,
     sweep,
 )
-from .catalog import CatalogSpec, build, standard_catalog
+from .catalog import CatalogSpec, build
 from .curvature import CurvatureBundle
 from .errors import (
     ConfigError,
@@ -32,7 +31,6 @@ from .metric_field import (
     MetricField,
     decay_report,
     fd_jet2,
-    field_from_values,
     jet2_batch,
     parity_split,
 )
@@ -62,17 +60,14 @@ __all__ = [
     "build",
     "compare",
     "decay_report",
-    "ellipsoid_family",
     "ellipsoid_quadrature",
     "fd_jet2",
-    "field_from_values",
     "fit_power_law",
     "identity_residuals",
     "jet2_batch",
     "parity_split",
     "scalar_curvature_moment",
     "sphere_quadrature",
-    "standard_catalog",
     "sweep",
     "unit_sphere_area",
     "unit_sphere_rule",

@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmfluxError, NonFiniteError
+from .errors import AdmfluxError, ConfigError, NonFiniteError
 from .invariants import CENTER_FUNCTIONALS, REFINEMENT_TOL, SurfaceEval, normalized
 from .metric_field import MetricField
-from .surfaces import QuadSurface, ellipsoid_quadrature, sphere_quadrature
+from .surfaces import ellipsoid_quadrature, sphere_quadrature
 
 DEFAULT_TOL = 1e-4
 #: The highest quadrature order a sweep evaluates; doubling stops there.
@@ -211,21 +211,15 @@ def _verdict(values, limit, rate, tol) -> tuple[bool, float]:
     return bool(np.all(np.abs(last - lim) <= tol_eff) and rate > 0), tol_eff
 
 
-def sphere_family(dim: int) -> Callable[[float, int], QuadSurface]:
-    """Surface builder producing coordinate spheres."""
-    return lambda r, order: sphere_quadrature(dim, r, order)
-
-
-def ellipsoid_family(ratios: Sequence[float]) -> Callable[[float, int], QuadSurface]:
-    """Surface builder producing ellipsoids with semi-axes ``ratios * r``."""
-    ratios = tuple(float(t) for t in ratios)
-    if min(ratios) <= 0:
-        raise ValueError("ellipsoid axis ratios must be positive")
-
-    def make(r: float, order: int) -> QuadSurface:
-        return ellipsoid_quadrature([t * r for t in ratios], order)
-
-    return make
+def check_schedule(radii: Sequence[float], order: int) -> None:
+    """Raise :class:`ConfigError` unless ``order`` is a start order from 2 to :data:`MAX_ORDER`
+    and ``radii`` a positive, strictly increasing schedule of at least 4 radii."""
+    if not 2 <= order <= MAX_ORDER:
+        raise ConfigError(f"start order must be between 2 and {MAX_ORDER}, got {order}")
+    if len(radii) < 4 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError(
+            "schedule radii must be positive and strictly increasing, with at least 4 entries"
+        )
 
 
 @contextmanager
@@ -256,15 +250,16 @@ def sweep(
     functionals: Sequence[str],
     radii: Sequence[float],
     *,
-    surface: Callable[[float, int], QuadSurface] | None = None,
+    ratios: Sequence[float] | None = None,
     order: int = 24,
     mass: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> dict[str, ConvergenceReport]:
     """Evaluate named functionals over a growing surface schedule and fit their limits.
 
-    ``radii`` is the increasing family parameter (sphere radius, or the scale
-    fed to a custom ``surface`` builder).  Two passes run over the schedule: a
+    ``radii`` is the increasing family parameter: the radius of coordinate
+    spheres or, given ``ratios``, the scale ``r`` of the ellipsoids with
+    semi-axes ``ratios * r``.  Two passes run over the schedule: a
     mass pass over the mass functionals (with ``adm_mass`` added when a center
     needs the fitted mass), then a center pass over the center functionals,
     normalized by ``mass`` or, when it is None, by the fitted limit of
@@ -287,18 +282,12 @@ def sweep(
     unknown = [f for f in functionals if f not in FUNCTIONALS]
     if unknown:
         raise ValueError(f"unknown functional {unknown[0]!r}; choose from {sorted(FUNCTIONALS)}")
-    if not 2 <= order <= MAX_ORDER:
-        raise ValueError(f"start order must be between 2 and {MAX_ORDER}, got {order}")
     radii = [float(r) for r in radii]
-    if len(radii) < 4:
-        raise ValueError("sweep needs an increasing schedule of at least 4 radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    check_schedule(radii, order)
     centers = [f for f in FUNCTIONALS if f in functionals and FUNCTIONALS[f]["needs_mass"]]
     masses = [f for f in FUNCTIONALS if f in functionals and f not in centers]
     if centers and mass is None and "adm_mass" not in masses:
         masses.insert(0, "adm_mass")
-    builder = surface if surface is not None else sphere_family(field.dim)
     totals: dict[tuple[float, int], dict] = {}
 
     def values_at(r: float, at: int, active: list[str], mass: float | None) -> dict:
@@ -315,7 +304,11 @@ def sweep(
             with _naming(f"{name} at schedule radius {r:g}"):
                 if name not in got:
                     if evaluation is None:
-                        evaluation = SurfaceEval(field, builder(r, at))
+                        surface = (
+                            sphere_quadrature(field.dim, r, at) if ratios is None
+                            else ellipsoid_quadrature([t * r for t in ratios], at)
+                        )
+                        evaluation = SurfaceEval(field, surface)
                     got[name] = evaluation.total(name)
                 value = np.asarray(FUNCTIONALS[name]["fn"](got[name], field.dim, mass), dtype=float)
                 if not np.all(np.isfinite(value)):

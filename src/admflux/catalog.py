@@ -73,6 +73,9 @@ def _validate(spec: CatalogSpec) -> None:
         raise ConfigError(f"unknown catalog kind {spec.kind!r}; choose one of {KINDS}")
     if spec.dim < 3:
         raise ConfigError(f"catalog metrics need dimension >= 3, got {spec.dim}")
+    for what, entries in (("center", spec.center), ("bump location", spec.bump_location)):
+        if len(entries) > spec.dim:
+            raise ConfigError(f"{what} has {len(entries)} entries, more than dim {spec.dim}")
     if spec.kind == "conformal":
         if not spec.u_coeffs:
             raise ConfigError("conformal metrics need at least one (power, coefficient) pair")
@@ -81,6 +84,8 @@ def _validate(spec: CatalogSpec) -> None:
     if spec.kind == "perturbed":
         if spec.base is None:
             raise ConfigError("perturbed metrics need a base spec")
+        if spec.base.dim != spec.dim:
+            raise ConfigError(f"perturbed dim {spec.dim} differs from its base's {spec.base.dim}")
         if spec.bump_profile not in BUMP_PROFILES:
             raise ConfigError(f"bump profile must be one of {BUMP_PROFILES}")
         if spec.bump_parity not in BUMP_PARITIES:
@@ -140,14 +145,15 @@ def _conformal_jets(points: Array, coeffs, center: Array, n: int):
 
 def _bump_jets_raw(points: Array, spec: CatalogSpec):
     y = points - spec._location()
-    sigma2 = spec.bump_width**2
+    # numpy and float arithmetic: powers out of range give non-finite jets, not errors
+    sigma2 = np.float64(spec.bump_width) ** 2
     eye = np.eye(points.shape[1])
     if spec.bump_profile == "gaussian":
         v = spec.bump_amplitude * np.exp(-np.einsum("pi,pi->p", y, y) / (2 * sigma2))
         dv = -v[:, None] * y / sigma2
         ddv = v[:, None, None] * (y[:, :, None] * y[:, None, :] / sigma2**2 - eye / sigma2)
         return v, dv, ddv
-    k = spec.bump_tail_power
+    k = float(spec.bump_tail_power)
     q = 1.0 + np.einsum("pi,pi->p", y, y) / sigma2
     s = k / 2.0
     v = spec.bump_amplitude * q**(-s)
@@ -308,33 +314,3 @@ def _build_rt_violator(spec: CatalogSpec, metadata: dict) -> MetricField:
 
     inner = spec.inner_radius if spec.inner_radius is not None else _default_inner_radius(spec)
     return MetricField(n, batch, inner, metadata)
-
-
-def standard_catalog(dim: int = 3) -> dict[str, MetricField]:
-    """Named fields covering the decay and parity regimes the test suite exercises."""
-    if dim != 3:
-        raise ConfigError("the standard catalog is three-dimensional; build others directly")
-    specs = {
-        "flat": CatalogSpec(kind="flat", label="flat"),
-        "schwarzschild": CatalogSpec(kind="schwarzschild", mass=1.0, label="schwarzschild"),
-        "schwarzschild-translated": CatalogSpec(
-            kind="schwarzschild", mass=1.0, center=(1.0, 2.0, 3.0),
-            label="schwarzschild-translated",
-        ),
-        "conformal": CatalogSpec(
-            kind="conformal", u_coeffs=((1, 1.0), (2, 1.0)), label="conformal"
-        ),
-        "perturbed-gaussian": CatalogSpec(
-            kind="perturbed", base=CatalogSpec(kind="flat"),
-            bump_amplitude=0.05, bump_width=2.0, bump_location=(5.0, 0.0, 0.0),
-            bump_parity="none", bump_profile="gaussian", label="perturbed-gaussian",
-        ),
-        "perturbed-tail": CatalogSpec(
-            kind="perturbed", base=CatalogSpec(kind="flat"),
-            bump_amplitude=0.05, bump_width=1.5, bump_location=(3.0, 1.0, -2.0),
-            bump_parity="none", bump_profile="rational", bump_tail_power=3,
-            label="perturbed-tail",
-        ),
-        "rt-violator": CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"),
-    }
-    return {name: build(spec) for name, spec in specs.items()}

@@ -1,8 +1,10 @@
 """Configuration-driven command line producing convergence tables and verdicts.
 
 Subcommands select which checks run; a JSON config file describes the metric,
-the surface schedule and tolerances.  Each check writes a CSV (or JSON) table
-of per-radius values plus an entry in ``summary.json``.  All quantities are
+the surface schedule and tolerances.  Flags override the config, and the final
+run is validated once, in :func:`run_checks`, which builds the one metric
+field every check uses.  Each check writes a CSV (or JSON) table of
+per-radius values plus an entry in ``summary.json``.  All quantities are
 dimensionless (geometrized units).
 
 Exit codes: 0 every requested check passes, 1 a certification failed, 2 a
@@ -76,13 +78,13 @@ DEFAULT_RADII = tuple(100.0 * 2**k for k in range(9))
 
 @dataclass
 class RunConfig:
-    """Validated run description: metric, checks, schedule, outputs."""
+    """Run description: metric, checks, schedule, outputs."""
 
     metric: CatalogSpec
     functionals: tuple[str, ...] = ALL_FUNCTIONALS
     radii: tuple[float, ...] = DEFAULT_RADII
-    surface_kind: str = "spheres"
-    ellipsoid_ratios: tuple[float, ...] = (2.0, 1.0, 1.0)
+    #: Semi-axes per unit radius of the schedule's ellipsoids; None for spheres.
+    ratios: tuple[float, ...] | None = None
     order: int = 24
     tol: float = 1e-4
     identity_tol: float = 1e-8
@@ -175,7 +177,7 @@ def _center(obj: dict) -> tuple[float, ...]:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse a JSON run configuration; :func:`run_checks` validates the run."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
@@ -195,16 +197,15 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: 'functionals' must not be empty")
         cfg.functionals = fns
     sched = _typed(obj.get("schedule", {}), dict, "'schedule'")
-    if sched:
-        if "radii" in sched:
-            radii = _typed(sched["radii"], list, "schedule 'radii'")
-            cfg.radii = tuple(_finite(t, "schedule radius") for t in radii)
-        cfg.surface_kind = str(sched.get("kind", "spheres"))
-        if cfg.surface_kind not in ("spheres", "ellipsoids"):
-            raise ConfigError(f"{path}: schedule kind must be 'spheres' or 'ellipsoids'")
-        if "ratios" in sched:
-            ratios = _typed(sched["ratios"], list, "schedule 'ratios'")
-            cfg.ellipsoid_ratios = tuple(_finite(t, "ellipsoid ratio") for t in ratios)
+    if "radii" in sched:
+        radii = _typed(sched["radii"], list, "schedule 'radii'")
+        cfg.radii = tuple(_finite(t, "schedule radius") for t in radii)
+    kind = str(sched.get("kind", "spheres"))
+    if kind not in ("spheres", "ellipsoids"):
+        raise ConfigError(f"{path}: schedule kind must be 'spheres' or 'ellipsoids'")
+    ratios = _typed(sched.get("ratios", [2.0, 1.0, 1.0]), list, "schedule 'ratios'")
+    ratios = tuple(_finite(t, "ellipsoid ratio") for t in ratios)
+    cfg.ratios = ratios if kind == "ellipsoids" else None
     if "order" in obj:
         cfg.order = _integer(obj["order"], "order")
     tols = _typed(obj.get("tolerances", {}), dict, "'tolerances'")
@@ -213,28 +214,35 @@ def load_config(path: str | Path) -> RunConfig:
     out = _typed(obj.get("output", {}), dict, "'output'")
     cfg.out_dir = Path(_typed(out.get("dir", str(cfg.out_dir)), str, "output 'dir'"))
     cfg.fmt = str(out.get("format", cfg.fmt))
-    _validate_config(cfg)
     return cfg
 
 
-def _validate_config(cfg: RunConfig) -> None:
-    if not 2 <= cfg.order <= analysis.MAX_ORDER:
-        raise ConfigError(
-            f"quadrature order must be between 2 and {analysis.MAX_ORDER}, got {cfg.order}"
-        )
-    if len(cfg.radii) < 4 or any(b <= a for a, b in zip(cfg.radii, cfg.radii[1:])):
-        raise ConfigError("schedule radii must be strictly increasing with at least 4 entries")
+def _validate_config(cfg: RunConfig) -> MetricField:
+    """The field of the run ``cfg`` describes, or :class:`ConfigError` naming
+    what makes the run invalid."""
+    analysis.check_schedule(cfg.radii, cfg.order)
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {cfg.fmt!r}")
     if cfg.tol <= 0 or cfg.identity_tol <= 0:
         raise ConfigError("tolerances must be positive")
-    inner = build(cfg.metric).inner_radius
-    scale = min(cfg.ellipsoid_ratios) if cfg.surface_kind == "ellipsoids" else 1.0
-    if cfg.radii[0] * scale < inner:
+    fld = build(cfg.metric)
+    if cfg.ratios is not None and (len(cfg.ratios) != fld.dim or min(cfg.ratios) <= 0):
         raise ConfigError(
-            f"smallest schedule radius {cfg.radii[0]:g} (scale {scale:g}) lies inside the "
-            f"metric's inner radius {inner:g}"
+            f"schedule ratios must be {fld.dim} positive numbers, got {list(cfg.ratios)}"
         )
+    ratios = cfg.ratios or (1.0,)
+    if cfg.radii[0] * min(ratios) < fld.inner_radius:
+        raise ConfigError(
+            f"smallest schedule radius {cfg.radii[0]:g} (scale {min(ratios):g}) lies inside "
+            f"the metric's inner radius {fld.inner_radius:g}"
+        )
+    # the checks form powers of a radius up to r^(2 + n/2), at most r^(n + 2)
+    if (fld.dim + 2) * math.log(cfg.radii[-1] * max(ratios)) > math.log(sys.float_info.max):
+        raise ConfigError(
+            f"largest schedule radius {cfg.radii[-1]:g} (scale {max(ratios):g}) is too large: "
+            f"its power {fld.dim + 2} overflows a float"
+        )
+    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +296,14 @@ def _report_check(report: analysis.ConvergenceReport, name: str) -> Check:
 
 
 def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool) -> list[Check]:
-    fld = build(cfg.metric)
+    """Validate the run and build its field once, then run the requested checks."""
+    fld = _validate_config(cfg)
     swept = [name for name in analysis.FUNCTIONALS if name in functionals]
     sweeps: dict[str, analysis.ConvergenceReport] = {}
     if swept:
-        surface = None
-        if cfg.surface_kind == "ellipsoids":
-            surface = analysis.ellipsoid_family(cfg.ellipsoid_ratios)
-        sweeps = analysis.sweep(fld, swept, cfg.radii, surface=surface, order=cfg.order, tol=cfg.tol)
+        sweeps = analysis.sweep(
+            fld, swept, cfg.radii, ratios=cfg.ratios, order=cfg.order, tol=cfg.tol
+        )
     checks = [_report_check(sweeps[name], name) for name in swept]
 
     if with_compare and "adm_mass" in sweeps and "intrinsic_mass" in sweeps:
@@ -433,6 +441,9 @@ def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare
     wanted = functionals if functionals is not None else cfg.functionals
     try:
         checks = run_checks(cfg, wanted, with_compare)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except (DomainError, NonFiniteError, SingularMetricError, UndefinedCenterError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
@@ -512,7 +523,6 @@ def _main(args: argparse.Namespace) -> int:
             cfg.out_dir = args.out
         if args.format is not None:
             cfg.fmt = args.format
-        _validate_config(cfg)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -2,9 +2,7 @@
 
 Every function takes a leading point axis, so that surface and volume
 integrals evaluate curvature at many quadrature nodes per call; there is no
-single-point variant.  All formulas are the full nonlinear ones;
-:func:`linearized_scalar_arrays` gives the second-derivative truncation of the
-scalar curvature separately, as a cross-check quantity.
+single-point variant.  All formulas are the full nonlinear ones.
 
 With jets laid out as ``dg[l,i,j] = d_l g_ij`` and ``ddg[l,k,i,j] = d_l d_k g_ij``
 and ``T_sij = d_j g_is + d_i g_js - d_s g_ij``, the kernel
@@ -134,13 +132,3 @@ def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     return CurvatureBundle(
         gamma=gamma, ricci=ric, scalar=scalar, einstein=einstein_, ginv=ginv, dg=dg, ddg=ddg
     )
-
-
-def linearized_scalar_arrays(ddg: Array) -> Array:
-    """Second-derivative truncation of the scalar curvature on a ``(p, k, l, i, j)`` array.
-
-    Returns ``sum_{i,k} (d_i d_k g_ik - d_i d_i g_kk)`` at each point, which
-    agrees with the full scalar curvature up to terms quadratic in the metric
-    deviation.
-    """
-    return np.einsum("pikik->p", ddg) - np.einsum("piikk->p", ddg)

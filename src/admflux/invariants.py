@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import curvature_arrays
-from .errors import DomainError, UndefinedCenterError
+from .errors import DomainError, NonFiniteError, UndefinedCenterError
 from .metric_field import Array, MetricField, jet2_batch
 from .surfaces import (
     QuadSurface,
@@ -59,7 +59,11 @@ CENTER_FUNCTIONALS = ("cs_center", "intrinsic_center")
 
 
 def _fsum(contrib: Array) -> float:
-    return math.fsum(contrib.tolist())
+    """``math.fsum`` of ``contrib``; an overflowed integrand raises :class:`NonFiniteError`."""
+    try:
+        return math.fsum(contrib.tolist())
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteError(f"surface integrand overflows: {exc}") from None
 
 
 def _kernel_slices(total: int, block: int = 1) -> list[slice]:

@@ -135,24 +135,6 @@ def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = N
     return g0, dg, ddg
 
 
-def field_from_values(
-    values: Callable[[Array], Array],
-    dim: int,
-    inner_radius: float = 1.0,
-    h: float | None = None,
-    metadata: dict | None = None,
-) -> MetricField:
-    """Wrap a metric given only by its batched component values, differencing for jets.
-
-    The fallback for metrics without analytic derivatives: every jet request
-    goes through :func:`fd_jet2` with step ``h`` (relative default).  The
-    values callable must be defined a stencil-width inside ``inner_radius``.
-    """
-    return MetricField(dim=dim, jet_batch=lambda points: fd_jet2(values, points, h),
-                       inner_radius=inner_radius,
-                       metadata=metadata or {"label": "finite-difference field"})
-
-
 def parity_split(field_: MetricField, points: Array) -> tuple[Jets, Jets]:
     """Jets of the even and odd parts of the metric at ``points``.
 

@@ -11,9 +11,7 @@ from admflux.analysis import (
     REFINEMENT_TOL,
     _profile,
     compare,
-    ellipsoid_family,
     fit_power_law,
-    sphere_family,
     sweep,
 )
 from admflux.catalog import CatalogSpec, build
@@ -140,14 +138,10 @@ class TestSweep:
             catalog["schwarzschild"],
             ["intrinsic_mass"],
             [10.0, 20.0, 40.0, 80.0],
-            surface=ellipsoid_family((2.0, 1.0, 1.0)),
+            ratios=(2.0, 1.0, 1.0),
             order=16,
         )["intrinsic_mass"]
         assert np.allclose(report.values, 1.0, atol=1e-8)
-
-    def test_sphere_family_builder(self):
-        surf = sphere_family(3)(10.0, 8)
-        assert surf.nominal_radius == 10.0
 
 
 class TwoArgumentError(Exception):
@@ -157,9 +151,9 @@ class TwoArgumentError(Exception):
 
 def refined_standalone(fn, r, order=24):
     """The sweep's refinement of one radius, done with a standalone functional."""
-    value = np.asarray(fn(sphere_family(3)(r, order)), dtype=float)
+    value = np.asarray(fn(sphere_quadrature(3, r, order)), dtype=float)
     while True:
-        finer = np.asarray(fn(sphere_family(3)(r, 2 * order)), dtype=float)
+        finer = np.asarray(fn(sphere_quadrature(3, r, 2 * order)), dtype=float)
         scale = 1.0 + float(np.max(np.abs(finer)))
         if float(np.max(np.abs(finer - value))) <= REFINEMENT_TOL * scale or 2 * order >= MAX_ORDER:
             return finer

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from admflux.catalog import CatalogSpec, build, standard_catalog
+from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.errors import ConfigError
 from admflux.invariants import SurfaceEval
@@ -90,6 +90,17 @@ class TestBuild:
             there, _, _ = jet2_batch(field, -pts)
             assert np.allclose(here - np.eye(3), sign * (there - np.eye(3)), atol=1e-15)
 
+    @pytest.mark.parametrize("profile", ["gaussian", "rational"])
+    def test_bump_too_wide_for_its_square_is_constant(self, rng, profile):
+        spec = CatalogSpec(
+            kind="perturbed", base=CatalogSpec(kind="flat"), bump_amplitude=0.05,
+            bump_width=1e200, bump_profile=profile,
+        )
+        with np.errstate(over="ignore"):  # the square of the width is inf
+            g, dg, ddg = jet2_batch(build(spec), sample_points(rng, 5))
+        assert np.all(g == np.diag([1.05, 1.0, 1.0]))
+        assert not dg.any() and not ddg.any()
+
 
 class TestRtViolator:
     def test_decay_verdicts(self):
@@ -160,7 +171,3 @@ class TestValidation:
                     kind="perturbed", base=CatalogSpec(kind="flat"), bump_amplitude=1.5
                 )
             )
-
-    def test_standard_catalog_is_three_dimensional(self):
-        with pytest.raises(ConfigError):
-            standard_catalog(dim=4)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from admflux import analysis, cli, invariants
-from admflux.catalog import build
+from admflux.catalog import CatalogSpec, build
 from admflux.cli import ALL_FUNCTIONALS, load_config, main, run_checks
 from admflux.metric_field import decreasing_to_zero
 
@@ -452,6 +452,98 @@ def test_u_pair_of_wrong_length_is_named(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "[power, coefficient] pair" in err and "[1]" in err and "unpack" not in err
+
+
+ELLIPSOIDS = {"kind": "ellipsoids", "radii": RADII}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("mass", {"schedule": dict(ELLIPSOIDS, ratios=[2, 1])}, "ratios"),
+        ("mass", {"schedule": dict(ELLIPSOIDS, ratios=[2, 1, 1, 1])}, "ratios"),
+        ("mass", {"metric": dict(SCHWARZSCHILD, dim=4), "schedule": ELLIPSOIDS}, "ratios"),
+        ("mass", {"schedule": dict(ELLIPSOIDS, ratios=[2, -1, 1])}, "ratios must be 3 positive"),
+        ("mass", {"schedule": dict(ELLIPSOIDS, ratios=[])}, "ratios must be 3 positive"),
+        ("decay", {"metric": dict(PERTURBED, bump={"location": [1, 2, 3, 4]})}, "location"),
+        ("decay", {"metric": dict(PERTURBED, base=dict(SCHWARZSCHILD, dim=4))}, "base"),
+        ("mass", {"metric": dict(SCHWARZSCHILD, center=[1, 2, 3, 4])}, "center"),
+        ("mass", {"schedule": {"radii": [10.0, 20.0, 40.0, 1e300]}}, "radius"),
+        ("decay", {"schedule": {"radii": [10.0, 20.0, 40.0, 1e300]}}, "radius"),
+        ("mass", {"metric": {"kind": "flat"}, "schedule": {"radii": [0, 20, 40, 80]}}, "radii"),
+    ],
+)
+def test_well_formed_config_the_run_cannot_use_is_config_error(
+    tmp_path, capsys, command, overrides, field
+):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "metric, radii",
+    [
+        (dict(PERTURBED, bump={"profile": "rational", "width": 1e-300}), RADII),
+        (dict(PERTURBED, bump={"profile": "rational", "tail_power": 1e300}), RADII),
+        (dict(SCHWARZSCHILD, mass=1e58, inner_radius=0.5), [1.0, 2.0, 4.0, 8.0]),
+    ],
+)
+def test_overflowing_jets_and_integrands_are_numerical_errors(tmp_path, capsys, metric, radii):
+    cfg = write_config(tmp_path, metric=metric, schedule={"radii": radii}, order=8)
+    with np.errstate(all="ignore"):
+        assert main(["mass", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert "non-finite jet" in err or "surface integrand overflows" in err
+
+
+def test_shorter_center_and_location_are_zero_padded(tmp_path):
+    metric = dict(PERTURBED, base=dict(SCHWARZSCHILD, center=[1.0]), bump={"location": [5.0]})
+    fld = cli._validate_config(load_config(write_config(tmp_path, metric=metric)))
+    base = CatalogSpec(kind="schwarzschild", center=(1.0, 0.0, 0.0))
+    padded = build(CatalogSpec(kind="perturbed", base=base, bump_location=(5.0, 0.0, 0.0)))
+    points = np.array([[20.0, 3.0, -4.0], [-7.0, 15.0, 2.0]])
+    for got, want in zip(fld.jet_batch(points), padded.jet_batch(points)):
+        assert np.array_equal(got, want)
+
+
+def test_far_schedule_below_the_overflow_runs(tmp_path):
+    # (1e58)^5 is a float; the largest power any check forms is r^(2 + n/2)
+    cfg = write_config(tmp_path, schedule={"radii": [1e55, 1e56, 1e57, 1e58]})
+    assert main(["mass", "--config", str(cfg)]) == 0
+
+
+def test_flags_override_the_config_before_it_is_checked(tmp_path):
+    cfg = write_config(tmp_path, order=500)
+    assert main(["mass", "--config", str(cfg), "--order", "24"]) == 0
+
+
+def test_run_maps_a_config_error_to_exit_two(tmp_path, capsys):
+    cfg = load_config(write_config(tmp_path, schedule=dict(ELLIPSOIDS, ratios=[2, 1])))
+    assert cli.run(cfg, functionals=("adm_mass",)) == cli.EXIT_CONFIG_ERROR == 2
+    assert capsys.readouterr().err.startswith("config error: schedule ratios")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["mass", "sweep"])
+def test_one_validation_and_one_build_per_invocation(tmp_path, monkeypatch, command):
+    calls = {"build": 0, "validate": 0}
+    real_build, real_validate = cli.build, cli._validate_config
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "build", counting("build", real_build))
+    monkeypatch.setattr(cli, "_validate_config", counting("validate", real_validate))
+    cfg = write_config(tmp_path, functionals=["adm_mass", "identity_residuals", "decay_checks"])
+    assert main([command, "--config", str(cfg)]) == 0
+    assert calls == {"build": 1, "validate": 1}
 
 
 def test_non_finite_radii_flag_is_config_error(tmp_path, capsys):

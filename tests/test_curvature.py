@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from admflux.curvature import curvature_arrays, linearized_scalar_arrays
+from admflux.curvature import curvature_arrays
 from admflux.errors import SingularMetricError
 from admflux.metric_field import MetricField, fd_jet2, jet2_batch
 
-from conftest import metric_values, sample_points
+from conftest import linearized_scalar_arrays, metric_values, sample_points
 
 
 def flat_jets(count=1, n=3):

@@ -6,10 +6,10 @@ import pytest
 from admflux.catalog import CatalogSpec, build
 from admflux.errors import DomainError, NonFiniteError
 from admflux.metric_field import (
+    MetricField,
     decay_report,
     decreasing_to_zero,
     fd_jet2,
-    field_from_values,
     jet2_batch,
     parity_split,
 )
@@ -144,8 +144,8 @@ class TestFdJet2:
         from admflux.invariants import SurfaceEval
         from admflux.surfaces import sphere_quadrature
 
-        fd_field = field_from_values(metric_values(catalog["schwarzschild"]), dim=3,
-                                     inner_radius=1.0)
+        values = metric_values(catalog["schwarzschild"])
+        fd_field = MetricField(3, lambda points: fd_jet2(values, points), inner_radius=1.0)
         surf = sphere_quadrature(3, 100.0, order=8)
         exact = SurfaceEval(catalog["schwarzschild"], surf).value("adm_mass")
         assert SurfaceEval(fd_field, surf).value("adm_mass") == pytest.approx(exact, abs=1e-7)
