@@ -32,7 +32,7 @@ from .metric_field import (
     decay_report,
     fd_jet2,
     jet2_batch,
-    parity_split,
+    parity_parts,
 )
 from .surfaces import (
     QuadSurface,
@@ -65,7 +65,7 @@ __all__ = [
     "fit_power_law",
     "identity_residuals",
     "jet2_batch",
-    "parity_split",
+    "parity_parts",
     "scalar_curvature_moment",
     "sphere_quadrature",
     "sweep",

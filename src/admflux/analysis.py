@@ -1,11 +1,11 @@
 """Radius sweeps, power-law limit extrapolation, and convergence verdicts.
 
 :func:`sweep` is the one entry point: it samples a list of functionals over a
-growing schedule of surfaces, the masses in one pass and then the centers,
-normalized by the mass, in a second, each surface evaluated once for all of
-them.  It fits each on the tail with the model ``value(r) = limit + A * r^(-p)``.
-A fitted rate is reported alongside the limit rather than assumed, since the
-decay hypotheses only guarantee convergence without a rate.
+growing schedule of surfaces in one pass, each surface evaluated once for all
+of them, and then divides the centers by the mass.  It fits each on the tail
+with the model ``value(r) = limit + A * r^(-p)``.  A fitted rate is reported
+alongside the limit rather than assumed, since the decay hypotheses only
+guarantee convergence without a rate.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ FUNCTIONALS: dict[str, dict] = {
     name: {"fn": functools.partial(normalized, name), "needs_mass": name in CENTER_FUNCTIONALS}
     for name in ("adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center")
 }
-#: The center functional on each mass functional's route: the jets (flux) or
-#: the curvature bundle (curvature) a mass total needs also give that center's total.
-_CENTER_ON_ROUTE = {"adm_mass": "cs_center", "intrinsic_mass": "intrinsic_center"}
 
 
 @dataclass(frozen=True)
@@ -240,6 +237,13 @@ def _naming(where: str):
         raise
 
 
+def _finite(value) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteError(f"non-finite value {value.tolist()}")
+    return value
+
+
 def _converged(finer: np.ndarray, coarser: np.ndarray) -> bool:
     scale = 1.0 + float(np.max(np.abs(finer)))
     return float(np.max(np.abs(finer - coarser))) <= REFINEMENT_TOL * scale
@@ -259,18 +263,16 @@ def sweep(
 
     ``radii`` is the increasing family parameter: the radius of coordinate
     spheres or, given ``ratios``, the scale ``r`` of the ellipsoids with
-    semi-axes ``ratios * r``.  Two passes run over the schedule: a
-    mass pass over the mass functionals (with ``adm_mass`` added when a center
-    needs the fitted mass), then a center pass over the center functionals,
-    normalized by ``mass`` or, when it is None, by the fitted limit of
-    ``adm_mass``.  Reports come in the order of :data:`FUNCTIONALS`.  Both
-    passes read one table of totals per ``(radius, order)``: a surface is
-    evaluated once for all functionals, and a mass total's evaluation also
-    stores the total of the center on its route, which the center pass reuses.
+    semi-axes ``ratios * r``.  One pass walks the schedule: at each radius and
+    order one surface is evaluated once for every functional still refining
+    there.  Centers are then normalized by ``mass`` or, when it is None, by
+    the fitted limit of ``adm_mass``, which is swept for them.  Reports come
+    in the order of :data:`FUNCTIONALS`.
 
-    At each radius a pass starts at quadrature order ``order`` (2 to
+    At each radius a functional starts at quadrature order ``order`` (2 to
     :data:`MAX_ORDER`) and doubles it until two consecutive orders agree to
-    within :data:`REFINEMENT_TOL` of ``1 + |value|``; the doubling stops at
+    within :data:`REFINEMENT_TOL` of ``1 + |value|``, judged on the surface
+    integral before any division by the mass; the doubling stops at
     :data:`MAX_ORDER`, whose value is taken as it is.  The fit uses the last
     half of the samples; the verdict is true when the final sample sits within
     ``tol * (1 + |limit|)`` of the fitted limit and the fitted rate is
@@ -284,78 +286,65 @@ def sweep(
         raise ValueError(f"unknown functional {unknown[0]!r}; choose from {sorted(FUNCTIONALS)}")
     radii = [float(r) for r in radii]
     check_schedule(radii, order)
-    centers = [f for f in FUNCTIONALS if f in functionals and FUNCTIONALS[f]["needs_mass"]]
-    masses = [f for f in FUNCTIONALS if f in functionals and f not in centers]
-    if centers and mass is None and "adm_mass" not in masses:
-        masses.insert(0, "adm_mass")
-    totals: dict[tuple[float, int], dict] = {}
+    names = [f for f in FUNCTIONALS if f in functionals]
+    centers = [f for f in names if FUNCTIONALS[f]["needs_mass"]]
+    if centers and mass is None and "adm_mass" not in names:
+        names.insert(0, "adm_mass")
 
-    def values_at(r: float, at: int, active: list[str], mass: float | None) -> dict:
-        """Values of ``active`` on the ``(r, at)`` surface, read from ``totals``.
+    def evaluate(r: float, at: int, active: list[str]) -> tuple[dict, dict]:
+        """Totals and refinement values of ``active`` on the ``(r, at)`` surface.
 
-        Missing totals come from one :class:`SurfaceEval`, made when the first
-        is missing, which then also stores the totals of the swept centers on
-        the routes of ``active``.  A failure names the functional being formed.
+        One :class:`SurfaceEval`, made for the first, serves them all; it and
+        its jets are freed on return.  A failure names the functional.
         """
-        got = totals.setdefault((r, at), {})
-        evaluation = None
-        values = {}
+        evaluation, got, values = None, {}, {}
         for name in active:
             with _naming(f"{name} at schedule radius {r:g}"):
-                if name not in got:
-                    if evaluation is None:
-                        surface = (
-                            sphere_quadrature(field.dim, r, at) if ratios is None
-                            else ellipsoid_quadrature([t * r for t in ratios], at)
-                        )
-                        evaluation = SurfaceEval(field, surface)
-                    got[name] = evaluation.total(name)
-                value = np.asarray(FUNCTIONALS[name]["fn"](got[name], field.dim, mass), dtype=float)
-                if not np.all(np.isfinite(value)):
-                    raise NonFiniteError(f"non-finite value {value.tolist()}")
-                values[name] = value
-        for name in [_CENTER_ON_ROUTE.get(f) for f in active]:
-            if evaluation is not None and name in centers and name not in got:
-                with _naming(f"{name} at schedule radius {r:g}"):
-                    got[name] = evaluation.total(name)
-        return values
+                if evaluation is None:
+                    surface = (
+                        sphere_quadrature(field.dim, r, at) if ratios is None
+                        else ellipsoid_quadrature([t * r for t in ratios], at)
+                    )
+                    evaluation = SurfaceEval(field, surface)
+                got[name] = evaluation.total(name)
+                values[name] = _finite(FUNCTIONALS[name]["fn"](got[name], field.dim, 1.0))
+        return got, values
 
-    def swept(names: list[str], mass: float | None) -> dict[str, ConvergenceReport]:
-        samples: dict[str, list] = {name: [] for name in names}
-        for r in radii:
-            active, previous, at = names, {}, order
-            while active:
-                values = values_at(r, at, active, mass)
-                done = [
-                    f for f in active
-                    if at >= MAX_ORDER or (f in previous and _converged(values[f], previous[f]))
-                ]
-                for f in done:
-                    samples[f].append(values[f])
-                active = [f for f in active if f not in done]
-                previous, at = values, min(2 * at, MAX_ORDER)
-        reports = {}
-        for name in names:
-            values = np.stack(samples[name])
-            limit, rate, residual = _fit_samples(np.asarray(radii), values)
-            verdict, tol_eff = _verdict(values, limit, rate, tol)
-            reports[name] = ConvergenceReport(
-                quantity=name,
-                radii=tuple(radii),
-                values=values,
-                fitted_limit=limit,
-                fitted_rate=rate,
-                residual=residual,
-                verdict=verdict,
-                tolerance=tol_eff,
-            )
-        return reports
+    totals: dict[str, list] = {name: [] for name in names}
+    for r in radii:
+        active, previous, at = names, {}, order
+        while active:
+            got, values = evaluate(r, at, active)
+            done = [
+                f for f in active
+                if at >= MAX_ORDER or (f in previous and _converged(values[f], previous[f]))
+            ]
+            for f in done:
+                totals[f].append(got[f])
+            active = [f for f in active if f not in done]
+            previous, at = values, min(2 * at, MAX_ORDER)
 
-    reports = swept(masses, None)
-    if centers:
-        if mass is None:
+    reports = {}
+    for name in names:  # the masses come first, so a center can take the fitted mass
+        if name in centers and mass is None:
             mass = float(reports["adm_mass"].fitted_limit)
-        reports.update(swept(centers, mass))
+        samples = []
+        for r, total in zip(radii, totals[name]):
+            with _naming(f"{name} at schedule radius {r:g}"):
+                samples.append(_finite(normalized(name, total, field.dim, mass)))
+        values = np.stack(samples)
+        limit, rate, residual = _fit_samples(np.asarray(radii), values)
+        verdict, tol_eff = _verdict(values, limit, rate, tol)
+        reports[name] = ConvergenceReport(
+            quantity=name,
+            radii=tuple(radii),
+            values=values,
+            fitted_limit=limit,
+            fitted_rate=rate,
+            residual=residual,
+            verdict=verdict,
+            tolerance=tol_eff,
+        )
     return reports
 
 

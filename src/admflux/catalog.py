@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .metric_field import Array, MetricField
+from .metric_field import Array, MetricField, parity_parts
 
 KINDS = ("flat", "schwarzschild", "conformal", "perturbed", "rt_violator")
 BUMP_PROFILES = ("gaussian", "rational")
@@ -166,15 +166,11 @@ def _bump_jets_raw(points: Array, spec: CatalogSpec):
 
 
 def _bump_jets(points: Array, spec: CatalogSpec):
-    v, dv, ddv = _bump_jets_raw(points, spec)
+    jets = _bump_jets_raw(points, spec)
     if spec.bump_parity == "none":
-        return v, dv, ddv
-    vm, dvm, ddvm = _bump_jets_raw(-points, spec)
-    # parity parts of the scalar bump as a function: derivatives of b(-x)
-    # carry one sign flip per derivative order
-    if spec.bump_parity == "even":
-        return 0.5 * (v + vm), 0.5 * (dv - dvm), 0.5 * (ddv + ddvm)
-    return 0.5 * (v - vm), 0.5 * (dv + dvm), 0.5 * (ddv - ddvm)
+        return jets
+    even, odd = parity_parts(jets, _bump_jets_raw(-points, spec))
+    return even if spec.bump_parity == "even" else odd
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +240,9 @@ def build(spec: CatalogSpec) -> MetricField:
             return _conformal_jets(points, coeffs, center, n)
 
         inner = spec.inner_radius if spec.inner_radius is not None else _default_inner_radius(spec)
-        u_check, _, _ = _powers_u(_probe_points(n, inner), coeffs, center)
-        if np.any(u_check <= 1e-10):
+        # u alone, summed as _powers_u sums it: the probe needs no derivatives
+        rho = np.linalg.norm(_probe_points(n, inner) - center, axis=1)
+        if np.any(sum((a * rho**(-k) for k, a in coeffs), np.ones(len(rho))) <= 1e-10):
             raise ConfigError(
                 "conformal factor is not positive down to the inner radius; "
                 "raise inner_radius or adjust coefficients"

@@ -390,26 +390,20 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
 
 
 def _decay_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
-    n = fld.dim
-    out = []
-    for name, tau, part in (
-        ("decay_all", (n - 2) / 2.0, "all"),
-        ("decay_odd", n / 2.0, "odd"),
-    ):
-        with analysis._naming(name):
-            rep = decay_report(fld, cfg.radii, tau, part=part)
-        out.append(
-            Check(
-                name=name,
-                verdict=rep.ok,
-                fitted_limit=rep.sups[-1].tolist(),
-                fitted_rate=None,
-                tolerance=cfg.tol,
-                table_columns=["r", "value_1", "value_2", "value_3"],
-                table_rows=[[r, *map(float, rep.sups[a])] for a, r in enumerate(rep.radii)],
-            )
+    with analysis._naming("decay_checks"):
+        reports = decay_report(fld, cfg.radii)
+    return [
+        Check(
+            name=f"decay_{rep.part}",
+            verdict=rep.ok,
+            fitted_limit=rep.sups[-1].tolist(),
+            fitted_rate=None,
+            tolerance=cfg.tol,
+            table_columns=["r", "value_1", "value_2", "value_3"],
+            table_rows=[[r, *map(float, rep.sups[a])] for a, r in enumerate(rep.radii)],
         )
-    return out
+        for rep in reports
+    ]
 
 
 # ---------------------------------------------------------------------------

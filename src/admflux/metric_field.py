@@ -81,7 +81,8 @@ def jet2_batch(field_: MetricField, points: Array) -> Jets:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_domain(field_, points)
-    jets = field_.jet_batch(points)
+    with np.errstate(all="ignore"):  # a non-finite jet is named just below
+        jets = field_.jet_batch(points)
     _check_finite(field_, points, jets)
     return jets
 
@@ -135,22 +136,19 @@ def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = N
     return g0, dg, ddg
 
 
-def parity_split(field_: MetricField, points: Array) -> tuple[Jets, Jets]:
-    """Jets of the even and odd parts of the metric at ``points``.
+def parity_parts(jets: Jets, reflected: Jets) -> tuple[Jets, Jets]:
+    """Jets of the even and odd parts of ``f`` from its jets at ``x`` and at ``-x``.
 
-    The even part is ``(g(x) + g(-x)) / 2`` and the odd part
-    ``(g(x) - g(-x)) / 2``.  Each derivative of ``g(-x)`` carries one sign
-    flip, so the odd part's first derivatives are ``(dg(x) + dg(-x)) / 2``
-    and its second ``(ddg(x) - ddg(-x)) / 2``, the reverse for the even part;
-    ``even + odd`` reconstructs the jets at ``points``.  The parts are raw
-    ``(g, dg, ddg)`` arrays: the odd part is not itself a metric.  Both
-    ``points`` and ``-points`` must lie in the field's domain.
+    The even part is ``(f(x) + f(-x)) / 2`` and the odd part
+    ``(f(x) - f(-x)) / 2``.  Each derivative of ``f(-x)`` carries one sign
+    flip, so the odd part's first derivatives are ``(df(x) + df(-x)) / 2``
+    and its second ``(ddf(x) - ddf(-x)) / 2``, the reverse for the even part;
+    ``even + odd`` reconstructs ``jets``.  For a metric the odd part is raw
+    ``(g, dg, ddg)`` arrays, not itself a metric.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    g, dg, ddg = jet2_batch(field_, points)
-    gm, dgm, ddgm = jet2_batch(field_, -points)
-    even = (0.5 * (g + gm), 0.5 * (dg - dgm), 0.5 * (ddg + ddgm))
-    odd = (0.5 * (g - gm), 0.5 * (dg + dgm), 0.5 * (ddg - ddgm))
+    (f, df, ddf), (fm, dfm, ddfm) = jets, reflected
+    even = (0.5 * (f + fm), 0.5 * (df - dfm), 0.5 * (ddf + ddfm))
+    odd = (0.5 * (f - fm), 0.5 * (df + dfm), 0.5 * (ddf - ddfm))
     return even, odd
 
 
@@ -196,42 +194,42 @@ def decreasing_to_zero(seq, floor=None) -> bool:
     return bool(ok)
 
 
-def decay_report(field_: MetricField, radii, tau: float, part: str = "all",
-                 sample_order: int = 8) -> DecayReport:
-    """Empirically check that ``h`` (or its odd part) decays like ``o(|x|^-tau)``.
+def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
+    """Empirically check the decay of ``h`` and of its odd part, as ``(all, odd)`` reports.
 
-    For ``part="all"`` the order-m sample at radius r is the sup of
-    ``r^(m + tau) |d^m h|`` over a fixed angular grid.  For ``part="odd"`` the
-    derivatives are those of the odd part ``h_odd(x) = (h(x) - h(-x)) / 2``,
-    as :func:`parity_split` gives them.
-
-    The angular sample set is the unit-sphere quadrature grid at
-    ``sample_order``, so reported sups are reproducible.
+    ``all`` tests ``h = o(|x|^-tau)`` with ``tau = (n - 2) / 2`` (the mass
+    hypothesis), ``odd`` the odd part with ``tau = n / 2`` (the center's).
+    The order-m sample at radius r is the sup of ``r^(m + tau) |d^m h|`` over
+    the order-8 unit-sphere quadrature grid, so reported sups are
+    reproducible; for ``odd`` the derivatives are those of
+    ``h_odd(x) = (h(x) - h(-x)) / 2``, as :func:`parity_parts` gives them.
+    Each radius takes one jet evaluation on the grid and one on its reflection.
     """
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("decay_report needs at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    if radii[0] < field_.inner_radius:
-        raise DomainError(f"radius {radii[0]} below inner_radius {field_.inner_radius}")
-    if part not in ("all", "odd"):
-        raise ValueError(f"part must be 'all' or 'odd', got {part!r}")
 
     from .surfaces import unit_sphere_rule  # deferred: surfaces imports this module
 
-    dirs, _ = unit_sphere_rule(field_.dim, sample_order)
-    eye = np.eye(field_.dim)
-    sups = np.zeros((len(radii), 3))
+    n = field_.dim
+    dirs, _ = unit_sphere_rule(n, 8)
+    taus = {"all": (n - 2) / 2.0, "odd": n / 2.0}
+    sups = {part: np.zeros((len(radii), 3)) for part in taus}
     for a, r in enumerate(radii):
-        if part == "odd":
-            _, (h, dh, ddh) = parity_split(field_, r * dirs)
-        else:
-            g, dh, ddh = jet2_batch(field_, r * dirs)
-            h = g - eye
-        sups[a, 0] = r**tau * np.max(np.abs(h))
-        sups[a, 1] = r ** (1 + tau) * np.max(np.abs(dh))
-        sups[a, 2] = r ** (2 + tau) * np.max(np.abs(ddh))
+        g, dg, ddg = jets = jet2_batch(field_, r * dirs)
+        _, odd = parity_parts(jets, jet2_batch(field_, -r * dirs))
+        for part, h in (("all", (g - np.eye(n), dg, ddg)), ("odd", odd)):
+            sups[part][a] = [r ** (m + taus[part]) * np.max(np.abs(d)) for m, d in enumerate(h)]
     half = len(radii) - (len(radii) + 1) // 2
-    verdicts = tuple(decreasing_to_zero(sups[half:, m]) for m in range(3))
-    return DecayReport(tau=tau, part=part, radii=tuple(radii), sups=sups, verdicts=verdicts)
+    return tuple(
+        DecayReport(
+            tau=taus[part],
+            part=part,
+            radii=tuple(radii),
+            sups=sups[part],
+            verdicts=tuple(decreasing_to_zero(sups[part][half:, m]) for m in range(3)),
+        )
+        for part in taus
+    )

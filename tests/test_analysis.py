@@ -17,7 +17,7 @@ from admflux.analysis import (
 from admflux.catalog import CatalogSpec, build
 from admflux.errors import DomainError, SingularMetricError
 from admflux.invariants import SurfaceEval
-from admflux.surfaces import sphere_quadrature
+from admflux.surfaces import sphere_quadrature, unit_sphere_area
 
 SEVEN = np.array([10.0 * 2**k for k in range(7)])
 DEFAULT_TAIL = np.array([100.0 * 2**k for k in range(4, 9)])
@@ -149,14 +149,19 @@ class TwoArgumentError(Exception):
         super().__init__(code, detail)
 
 
-def refined_standalone(fn, r, order=24):
-    """The sweep's refinement of one radius, done with a standalone functional."""
-    value = np.asarray(fn(sphere_quadrature(3, r, order)), dtype=float)
+def refined_standalone(fn, r, mass, order=24):
+    """The sweep's refinement of one radius, done with a standalone functional.
+
+    Refinement judges ``fn(surface, 1.0)``, the surface integral before any
+    division by the mass; the accepted surface's value is ``fn(surface, mass)``.
+    """
+    value = np.asarray(fn(sphere_quadrature(3, r, order), 1.0), dtype=float)
     while True:
-        finer = np.asarray(fn(sphere_quadrature(3, r, 2 * order)), dtype=float)
+        surf = sphere_quadrature(3, r, 2 * order)
+        finer = np.asarray(fn(surf, 1.0), dtype=float)
         scale = 1.0 + float(np.max(np.abs(finer)))
         if float(np.max(np.abs(finer - value))) <= REFINEMENT_TOL * scale or 2 * order >= MAX_ORDER:
-            return finer
+            return np.asarray(fn(surf, mass), dtype=float)
         value, order = finer, 2 * order
 
 
@@ -170,11 +175,11 @@ class TestSharedSurfaces:
         mass = float(reports["adm_mass"].fitted_limit)
         for name in self.ALL:
 
-            def fn(surf):
-                return SurfaceEval(field, surf).value(name, mass)
+            def fn(surf, m):
+                return SurfaceEval(field, surf).value(name, m)
 
             for r, value in zip(self.RADII, reports[name].values):
-                assert np.array_equal(value, refined_standalone(fn, r)), (name, r)
+                assert np.array_equal(value, refined_standalone(fn, r, mass)), (name, r)
 
     def test_one_name_sweep_matches_shared_run(self, catalog):
         field = catalog["schwarzschild-translated"]
@@ -195,6 +200,28 @@ class TestSharedSurfaces:
         alone = sweep(field, ["adm_mass"], self.RADII)["adm_mass"]
         for f in dataclasses.fields(alone):
             assert np.array_equal(getattr(reports["adm_mass"], f.name), getattr(alone, f.name)), f.name
+
+    def test_refinement_judges_the_integral_before_the_mass(self, catalog, monkeypatch):
+        # divided by the mass 0.5, the order-24 center would sit 1.6e-8 from order 48
+        scale = 2.0 * (3 - 1) * unit_sphere_area(3)
+        orders = []
+
+        class FakeEval:
+            def __init__(self, field, order):
+                orders.append(order)
+                self.order = order
+
+            def total(self, name):
+                if name == "adm_mass":
+                    return 0.5 * scale
+                return scale * np.array([0.8e-8 if self.order == 24 else 0.0, 0.0, 0.0])
+
+        monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: order)
+        monkeypatch.setattr(analysis, "SurfaceEval", FakeEval)
+        reports = sweep(catalog["flat"], ["cs_center"], self.RADII)
+        assert max(orders) == 48
+        assert reports["adm_mass"].fitted_limit == 0.5
+        assert not reports["cs_center"].values.any()
 
     def test_centers_bring_the_mass_sweep(self, catalog):
         reports = sweep(catalog["schwarzschild-translated"], ["cs_center"], self.RADII)

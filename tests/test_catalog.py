@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import admflux.catalog as catalog_module
 from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.errors import ConfigError
@@ -49,6 +50,15 @@ class TestBuild:
             expected = 1.0 * (1 + 1 / (2 * r**3)) ** (1.0 / 3.0)
             assert got == pytest.approx(expected, rel=1e-10)
         assert field.metadata["expected_mass"] == 1.0
+
+    def test_positivity_probe_evaluates_u_alone(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the u > 0 probe formed the jets of u")
+
+        monkeypatch.setattr(catalog_module, "_powers_u", forbidden)
+        assert build(CatalogSpec(kind="schwarzschild", dim=6)).dim == 6
+        with pytest.raises(ConfigError, match="not positive"):
+            build(CatalogSpec(kind="conformal", u_coeffs=((1, -2.0),), inner_radius=1.0))
 
     def test_conformal_mass_metadata(self):
         field = build(CatalogSpec(kind="conformal", u_coeffs=((1, 1.0), (2, 1.0))))
@@ -106,11 +116,11 @@ class TestRtViolator:
     def test_decay_verdicts(self):
         field = build(CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"))
         radii = [10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0]
-        odd = decay_report(field, radii, tau=1.5, part="odd")
+        odd = decay_report(field, radii)[1]
         assert not odd.ok
         # the weighted sup is constant by scale invariance of the deviation
         assert np.allclose(odd.sups[:, 0], 0.5, rtol=1e-12)
-        assert decay_report(field, radii, tau=0.5, part="all").ok
+        assert decay_report(field, radii)[0].ok
 
     def test_flux_mass_vanishes_by_parity(self):
         field = build(CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"))
@@ -127,7 +137,7 @@ class TestCatalogWideProperties:
     def test_all_fields_satisfy_mass_hypothesis_decay(self, catalog):
         radii = [10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0]
         for name, field in catalog.items():
-            rep = decay_report(field, radii, tau=0.5, part="all")
+            rep = decay_report(field, radii)[0]
             assert rep.ok, name
 
     def test_jets_vectorize_consistently(self, catalog, rng):

@@ -312,7 +312,7 @@ class TestExitCodes:
             pytest.param(
                 "identities", None, "identity_residuals at schedule radius 20", id="identities"
             ),
-            pytest.param("decay", None, "decay_all", id="decay"),
+            pytest.param("decay", None, "decay_checks", id="decay"),
             pytest.param(
                 "sweep", ["scalar_moments"], "scalar_moment_shells on 10 < |x| < 20",
                 id="scalar_moments",
@@ -498,6 +498,22 @@ def test_overflowing_jets_and_integrands_are_numerical_errors(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
     assert "non-finite jet" in err or "surface integrand overflows" in err
+
+
+def test_numpy_warnings_stay_off_the_one_line_error(tmp_path):
+    # the field overflows inside numpy; the jet check names the radius instead
+    metric = dict(PERTURBED, bump={"profile": "rational", "tail_power": 1e300})
+    cfg = write_config(tmp_path, metric=metric, schedule={"radii": RADII}, order=8)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "admflux.cli", "mass", "--config", str(cfg)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 3
+    assert out.stderr.count("\n") == 1, out.stderr
+    assert out.stderr.startswith("numerical error: adm_mass at schedule radius")
 
 
 def test_shorter_center_and_location_are_zero_padded(tmp_path):

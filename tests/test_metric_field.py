@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from admflux import metric_field
 from admflux.catalog import CatalogSpec, build
 from admflux.errors import DomainError, NonFiniteError
 from admflux.metric_field import (
@@ -11,7 +12,7 @@ from admflux.metric_field import (
     decreasing_to_zero,
     fd_jet2,
     jet2_batch,
-    parity_split,
+    parity_parts,
 )
 
 from conftest import metric_values, sample_points
@@ -164,6 +165,12 @@ class TestFdJet2:
             assert errs[1e-2] / errs[5e-3] >= 3.5, name
 
 
+def parity_split(field, pts):
+    """Even and odd parts of ``field``'s jets at ``pts``."""
+    pts = np.asarray(pts, dtype=float)
+    return parity_parts(jet2_batch(field, pts), jet2_batch(field, -pts))
+
+
 class TestParitySplit:
     def test_reconstruction(self, catalog, rng):
         pts = sample_points(rng, 100)[:20]
@@ -211,36 +218,46 @@ class TestDecayReport:
     RADII = [10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0]
 
     def test_flat_all_zero(self, catalog):
-        rep = decay_report(catalog["flat"], self.RADII, tau=0.5)
+        rep = decay_report(catalog["flat"], self.RADII)[0]
         assert not rep.sups.any()
         assert rep.ok
 
     def test_schwarzschild_leading_order(self, catalog):
         # h ~ (2m/r) delta to leading order, so sup0 ~ 2 r^(-1/2) at tau = 1/2
-        rep = decay_report(catalog["schwarzschild"], self.RADII, tau=0.5)
+        rep = decay_report(catalog["schwarzschild"], self.RADII)[0]
         assert rep.ok
         assert rep.sups[-1, 0] == pytest.approx(2.0 / np.sqrt(1000.0), rel=1e-2)
 
     def test_translated_parity_decay(self, catalog):
         # odd part is the dipole term, O(r^-2) = o(r^-3/2)
-        rep = decay_report(catalog["schwarzschild-translated"], self.RADII, tau=1.5, part="odd")
+        rep = decay_report(catalog["schwarzschild-translated"], self.RADII)[1]
         assert rep.ok
+
+    def test_both_hypotheses_from_one_walk(self, catalog, monkeypatch):
+        sizes = []
+        real = metric_field.jet2_batch
+
+        def counting(field, points):
+            sizes.append(len(points))
+            return real(field, points)
+
+        monkeypatch.setattr(metric_field, "jet2_batch", counting)
+        all_part, odd = decay_report(catalog["schwarzschild-translated"], self.RADII)
+        assert (all_part.part, all_part.tau, odd.part, odd.tau) == ("all", 0.5, "odd", 1.5)
+        assert len(sizes) == 2 * len(self.RADII)  # the grid and its reflection at each radius
+        assert all_part.ok and odd.ok
 
     def test_empty_radii(self, catalog):
         with pytest.raises(ValueError):
-            decay_report(catalog["flat"], [], tau=0.5)
+            decay_report(catalog["flat"], [])
 
     def test_nonincreasing_radii(self, catalog):
         with pytest.raises(ValueError):
-            decay_report(catalog["flat"], [10.0, 10.0], tau=0.5)
-
-    def test_bad_part(self, catalog):
-        with pytest.raises(ValueError):
-            decay_report(catalog["flat"], [10.0, 20.0], tau=0.5, part="even")
+            decay_report(catalog["flat"], [10.0, 10.0])
 
     def test_radius_below_inner(self, catalog):
         with pytest.raises(DomainError):
-            decay_report(catalog["schwarzschild"], [0.5, 10.0], tau=0.5)
+            decay_report(catalog["schwarzschild"], [0.5, 10.0])
 
 
 def test_decreasing_to_zero_semantics():

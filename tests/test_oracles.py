@@ -1,10 +1,15 @@
-"""An oracle with off-diagonal jets, and a center check that must fail.
+"""Oracles beyond one conformal center, and a center check that must fail.
 
-The catalog's closed-form invariants all come from conformally flat metrics,
-whose jets are diagonal.  The Kerr-Schild slice of Schwarzschild (Kerr and
-Schild 1965) is ``g = delta + 2m y y^T / |y|^3`` with ``y = x - c``: the same
-mass ``m`` and center ``c``, with off-diagonal jets, nonzero scalar curvature
-and the ``O(1/r)`` term on the curvature route instead of the flux route.
+The catalog's closed-form invariants all come from conformally flat metrics
+about one center, whose jets are diagonal.  The Kerr-Schild slice of
+Schwarzschild (Kerr and Schild 1965) is ``g = delta + 2m y y^T / |y|^3`` with
+``y = x - c``: the same mass ``m`` and center ``c``, with off-diagonal jets,
+nonzero scalar curvature and the ``O(1/r)`` term on the curvature route
+instead of the flux route.
+
+Brill-Lindquist data (Brill and Lindquist 1963) is ``g = u^4 delta`` with
+``u = 1 + sum_i m_i / (2 |x - c_i|)``: two punctures, whose mass is
+``M = sum_i m_i`` and whose center is ``sum_i m_i c_i / M``.
 
 The negative control adds the ``rt_violator`` tail to Schwarzschild.  Its odd
 part decays exactly like ``|x|^(-n/2)``, so the Regge-Teitelboim parity
@@ -58,6 +63,75 @@ KERR_SCHILD = MetricField(
     3, kerr_schild_jets, inner_radius=float(np.linalg.norm(CENTER)) + 4.0 * MASS,
     metadata={"label": "kerr-schild"},
 )
+
+
+BL_MASSES = (1.0, 0.5)
+BL_CENTERS = np.array([[3.0, -1.0, 2.0], [-2.0, 4.0, -1.0]])
+BL_MASS = sum(BL_MASSES)
+BL_CENTER = sum(m * c for m, c in zip(BL_MASSES, BL_CENTERS)) / BL_MASS
+
+
+def brill_lindquist_jets(points):
+    """Closed-form jets of ``g = u^4 delta`` with ``u = 1 + sum_i m_i / (2 |x - c_i|)``."""
+    n = points.shape[1]
+    eye = np.eye(n)
+    u, du, ddu = np.ones(len(points)), np.zeros_like(points), np.zeros((len(points), n, n))
+    for m, c in zip(BL_MASSES, BL_CENTERS):
+        y = points - c
+        rho = np.linalg.norm(y, axis=1)
+        u += 0.5 * m / rho
+        du -= 0.5 * m * rho[:, None] ** -3 * y
+        ddu += 0.5 * m * (
+            3.0 * rho[:, None, None] ** -5 * y[:, :, None] * y[:, None, :]
+            - rho[:, None, None] ** -3 * eye
+        )
+    g = u[:, None, None] ** 4 * eye
+    dg = 4.0 * u[:, None, None, None] ** 3 * du[:, :, None, None] * eye
+    dd = (
+        12.0 * u[:, None, None] ** 2 * du[:, :, None] * du[:, None, :]
+        + 4.0 * u[:, None, None] ** 3 * ddu
+    )
+    return g, dg, dd[:, :, :, None, None] * eye
+
+
+BRILL_LINDQUIST = MetricField(
+    3, brill_lindquist_jets, inner_radius=10.0, metadata={"label": "brill-lindquist"}
+)
+
+
+@pytest.fixture(scope="module")
+def brill_lindquist_sweep():
+    return sweep(BRILL_LINDQUIST, FUNCTIONALS, RADII)
+
+
+class TestBrillLindquist:
+    def test_jets_match_finite_differences(self, rng):
+        pts = sample_points(rng, 50, r_min=10.0, r_max=100.0)
+        g, dg, ddg = jet2_batch(BRILL_LINDQUIST, pts)
+        fd_g, fd_dg, fd_ddg = fd_jet2(metric_values(BRILL_LINDQUIST), pts)
+        assert np.array_equal(fd_g, g)
+        assert np.max(np.abs(fd_dg - dg)) <= 1e-9
+        assert np.max(np.abs(fd_ddg - ddg)) <= 1e-8
+
+    def test_limits_recover_mass_and_center(self, brill_lindquist_sweep):
+        reports = brill_lindquist_sweep
+        assert all(report.verdict for report in reports.values())
+        # the flux mass's 1e-7 error is the bias of the one-term fit
+        for name in ("adm_mass", "intrinsic_mass"):
+            assert abs(reports[name].fitted_limit - BL_MASS) <= 1e-6, name
+        for name in ("cs_center", "intrinsic_center"):
+            assert np.max(np.abs(reports[name].fitted_limit - BL_CENTER)) <= 1e-6, name
+
+    def test_routes_agree(self, brill_lindquist_sweep):
+        reports = brill_lindquist_sweep
+        assert compare(reports["adm_mass"], reports["intrinsic_mass"]).verdict
+        assert compare(reports["cs_center"], reports["intrinsic_center"]).verdict
+
+    def test_identities_hold_on_an_annulus(self):
+        outer, inner = (sphere_quadrature(3, r, 24) for r in (200.0, 100.0))
+        res_x, res_y = identity_residuals(BRILL_LINDQUIST, outer, inner=inner)
+        assert abs(res_x) <= 1e-9
+        assert np.max(np.abs(res_y)) <= 1e-9
 
 
 SCHWARZSCHILD = build(CatalogSpec(kind="schwarzschild", mass=1.0))

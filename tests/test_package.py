@@ -34,6 +34,7 @@ REMOVED = (
     "field_from_values",
     "standard_catalog",
     "linearized_scalar_arrays",
+    "parity_split",
 )
 
 
