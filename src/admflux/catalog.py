@@ -1,13 +1,14 @@
 """Closed-form metric families with known invariants, used as ground truth.
 
-All families are conformally flat or flat-plus-bump, chosen so that every jet
-entry has a closed form.  The conformal factor is restricted to finite sums
-``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its Laplacian analytic and the
-scalar-flatness oracle exact.  :func:`build` turns a :class:`CatalogSpec` into
-a field; ``dataclasses.replace`` derives one spec from another.
+All families are conformally flat, or a base metric plus a term in ``g_11``,
+chosen so that every jet entry has a closed form.  The conformal factor is
+restricted to finite sums ``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its
+Laplacian analytic and the scalar-flatness oracle exact.  :func:`build` turns
+a :class:`CatalogSpec` into a field and decides each kind in one branch;
+``dataclasses.replace`` derives one spec from another.
 
 The ``rt_violator`` kind is the negative control: the flat metric plus the odd
-deviation ``h_11 = amplitude * x^1 |x|^(-n/2 - 1)``.  The deviation decays
+``g_11`` tail ``h_11 = amplitude * x^1 |x|^(-n/2 - 1)``.  The deviation decays
 exactly like ``|x|^(-n/2)``, so its odd part fails the ``o(|x|^(-n/2))``
 parity condition needed by the center-of-mass equivalence, while the plain
 ``o(|x|^(-(n-2)/2))`` hypothesis for the mass equivalence still holds.  Its
@@ -22,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric_field import Array, MetricField, parity_parts
+from .surfaces import unit_sphere_rule
 
 KINDS = ("flat", "schwarzschild", "conformal", "perturbed", "rt_violator")
 BUMP_PROFILES = ("gaussian", "rational")
@@ -55,17 +57,12 @@ class CatalogSpec:
     inner_radius: float | None = None
     label: str | None = None
 
-    def _center(self) -> Array:
-        c = np.zeros(self.dim)
-        if self.center:
-            c[: len(self.center)] = self.center
-        return c
 
-    def _location(self) -> Array:
-        c = np.zeros(self.dim)
-        if self.bump_location:
-            c[: len(self.bump_location)] = self.bump_location
-        return c
+def _padded(entries: tuple[float, ...], n: int) -> Array:
+    """``entries`` as a point of R^n, its missing coordinates zero."""
+    out = np.zeros(n)
+    out[: len(entries)] = entries
+    return out
 
 
 def _validate(spec: CatalogSpec) -> None:
@@ -119,12 +116,6 @@ def _powers_u(points: Array, coeffs, center: Array):
     return u, du, ddu
 
 
-def _coeffs(spec: CatalogSpec) -> tuple[tuple[int, float], ...]:
-    if spec.kind == "schwarzschild":
-        return ((spec.dim - 2, spec.mass / 2.0),)
-    return tuple((int(k), float(a)) for k, a in spec.u_coeffs)
-
-
 def _conformal_jets(points: Array, coeffs, center: Array, n: int):
     u, du, ddu = _powers_u(points, coeffs, center)
     p = 4.0 / (n - 2)
@@ -144,7 +135,7 @@ def _conformal_jets(points: Array, coeffs, center: Array, n: int):
 
 
 def _bump_jets_raw(points: Array, spec: CatalogSpec):
-    y = points - spec._location()
+    y = points - _padded(spec.bump_location, points.shape[1])
     # numpy and float arithmetic: powers out of range give non-finite jets, not errors
     sigma2 = np.float64(spec.bump_width) ** 2
     eye = np.eye(points.shape[1])
@@ -174,50 +165,73 @@ def _bump_jets(points: Array, spec: CatalogSpec):
 
 
 # ---------------------------------------------------------------------------
-# builders
+# g_11 terms
 
 
-def _default_inner_radius(spec: CatalogSpec) -> float:
-    n = spec.dim
-    if spec.kind == "flat":
-        return 0.0
-    if spec.kind == "rt_violator":
-        return max(1.0, (2.0 * abs(spec.amplitude)) ** (2.0 / n))
-    if spec.kind == "perturbed":
-        return _default_inner_radius(spec.base)
-    # conformal factor is singular at its center; stay clear of the radius
-    # where the leading coefficient could drive u toward zero
-    c = float(np.linalg.norm(spec._center()))
-    bound = max(abs(a) ** (1.0 / k) for k, a in _coeffs(spec))
-    return c + max(1.0, 1.5 * bound)
+def _rt_tail_jets(points: Array, A: float):
+    """Jets of the ``rt_violator`` tail ``A x^1 |x|^(-n/2 - 1)``."""
+    n = points.shape[1]
+    p = n / 2.0 + 1.0
+    r = np.linalg.norm(points, axis=1)
+    x1 = points[:, 0]
+    eye = np.eye(n)
+    f = A * x1 * r**(-p)
+    e1 = eye[0]
+    df = A * (
+        e1[None, :] * r[:, None] ** (-p) - p * x1[:, None] * points * r[:, None] ** (-p - 2)
+    )
+    ddf = A * (
+        -p * r[:, None, None] ** (-p - 2)
+        * (
+            e1[None, :, None] * points[:, None, :]
+            + e1[None, None, :] * points[:, :, None]
+            + x1[:, None, None] * eye
+        )
+        + p * (p + 2) * x1[:, None, None] * points[:, :, None] * points[:, None, :]
+        * r[:, None, None] ** (-p - 4)
+    )
+    return f, df, ddf
 
 
-def _expected_mass(spec: CatalogSpec) -> float | None:
-    n = spec.dim
-    if spec.kind in ("flat", "rt_violator"):
-        return 0.0
-    if spec.kind == "schwarzschild":
-        return spec.mass
-    if spec.kind == "perturbed":
-        return _expected_mass(spec.base)
-    coeffs = dict(_coeffs(spec))
-    if any(k < n - 2 for k in coeffs):
-        return None  # flux integral diverges
-    return 2.0 * coeffs.get(n - 2, 0.0)
+def _plus_g11(base: MetricField, term, inner: float, metadata: dict) -> MetricField:
+    """``base`` with the jets ``term(points) = (v, dv, ddv)`` added to its ``g_11``."""
+    n = base.dim
+    pattern = np.zeros((n, n))
+    pattern[0, 0] = 1.0
+
+    def batch(points: Array):
+        g, dg, ddg = base.jet_batch(points)
+        v, dv, ddv = term(points)
+        g = g + v[:, None, None] * pattern
+        dg = dg + dv[:, :, None, None] * pattern
+        ddg = ddg + ddv[:, :, :, None, None] * pattern
+        return g, dg, ddg
+
+    return MetricField(n, batch, inner, metadata)
+
+
+# ---------------------------------------------------------------------------
+# builder
 
 
 def build(spec: CatalogSpec) -> MetricField:
-    """Construct the metric field described by ``spec``, with analytic jets."""
+    """Construct the metric field described by ``spec``, with analytic jets.
+
+    Each kind is decided in one branch, which sets the field's default inner
+    radius and its metadata: ``expected_mass`` (None when the flux integral
+    diverges), plus ``expected_center`` and ``scalar_flat`` where the kind
+    knows them.  ``perturbed`` takes its default inner radius, expected mass
+    and smoothness from its base field; ``rt_violator`` is the flat field plus
+    its ``g_11`` tail.
+    """
     _validate(spec)
     n = spec.dim
-    eye = np.eye(n)
-    metadata = {
-        "label": spec.label or spec.kind,
-        "globally_smooth": spec.kind == "flat",
-        "expected_mass": _expected_mass(spec),
-    }
+    inner = spec.inner_radius
+    metadata = {"label": spec.label or spec.kind, "globally_smooth": spec.kind == "flat"}
 
     if spec.kind == "flat":
+        eye = np.eye(n)
+
         def batch(points: Array):
             N = len(points)
             return (
@@ -226,88 +240,49 @@ def build(spec: CatalogSpec) -> MetricField:
                 np.zeros((N, n, n, n, n)),
             )
 
-        inner = spec.inner_radius if spec.inner_radius is not None else 0.0
-        return MetricField(n, batch, inner, metadata)
-
-    if spec.kind in ("schwarzschild", "conformal"):
-        coeffs = _coeffs(spec)
-        center = spec._center()
-        metadata["scalar_flat"] = all(k == n - 2 for k, _ in coeffs)
-        if spec.kind == "schwarzschild" and spec.mass != 0.0:
-            metadata["expected_center"] = center.copy()
-
-        def batch(points: Array):
-            return _conformal_jets(points, coeffs, center, n)
-
-        inner = spec.inner_radius if spec.inner_radius is not None else _default_inner_radius(spec)
-        # u alone, summed as _powers_u sums it: the probe needs no derivatives
-        rho = np.linalg.norm(_probe_points(n, inner) - center, axis=1)
-        if np.any(sum((a * rho**(-k) for k, a in coeffs), np.ones(len(rho))) <= 1e-10):
-            raise ConfigError(
-                "conformal factor is not positive down to the inner radius; "
-                "raise inner_radius or adjust coefficients"
-            )
-        return MetricField(n, batch, inner, metadata)
+        metadata["expected_mass"] = 0.0
+        return MetricField(n, batch, 0.0 if inner is None else inner, metadata)
 
     if spec.kind == "perturbed":
-        base_field = build(spec.base)
-        pattern = np.zeros((n, n))
-        pattern[0, 0] = 1.0
+        base = build(spec.base)
+        metadata["expected_mass"] = base.metadata["expected_mass"]
+        metadata["globally_smooth"] = base.metadata["globally_smooth"]
+        inner = base.inner_radius if inner is None else inner
+        return _plus_g11(base, lambda x: _bump_jets(x, spec), inner, metadata)
 
-        def batch(points: Array):
-            g, dg, ddg = base_field.jet_batch(points)
-            v, dv, ddv = _bump_jets(points, spec)
-            g = g + v[:, None, None] * pattern
-            dg = dg + dv[:, :, None, None] * pattern
-            ddg = ddg + ddv[:, :, :, None, None] * pattern
-            return g, dg, ddg
+    if spec.kind == "rt_violator":
+        metadata["expected_mass"] = 0.0
+        inner = max(1.0, (2.0 * abs(spec.amplitude)) ** (2.0 / n)) if inner is None else inner
+        flat = build(CatalogSpec(kind="flat", dim=n))
+        return _plus_g11(flat, lambda x: _rt_tail_jets(x, spec.amplitude), inner, metadata)
 
-        inner = spec.inner_radius if spec.inner_radius is not None else base_field.inner_radius
-        metadata["globally_smooth"] = base_field.metadata.get("globally_smooth", False)
-        return MetricField(n, batch, inner, metadata)
-
-    return _build_rt_violator(spec, metadata)
-
-
-def _probe_points(n: int, radius: float) -> Array:
-    # sample the domain boundary |x| = inner_radius, the worst case for u > 0
-    from .surfaces import unit_sphere_rule
-
+    # schwarzschild and conformal: u^(4/(n-2)) delta about ``center``
+    center = _padded(spec.center, n)
+    if spec.kind == "schwarzschild":
+        coeffs = ((n - 2, spec.mass / 2.0),)
+        metadata["expected_mass"] = spec.mass
+        if spec.mass != 0.0:
+            metadata["expected_center"] = center.copy()
+    else:
+        coeffs = tuple((int(k), float(a)) for k, a in spec.u_coeffs)
+        powers = dict(coeffs)
+        # a term of u slower than |x|^(2-n) makes the flux integral diverge
+        slow = any(k < n - 2 for k in powers)
+        metadata["expected_mass"] = None if slow else 2.0 * powers.get(n - 2, 0.0)
+    metadata["scalar_flat"] = all(k == n - 2 for k, _ in coeffs)
+    if inner is None:
+        # u is singular at its center; stay clear of the radius where the
+        # leading coefficient could drive u toward zero
+        bound = max(abs(a) ** (1.0 / k) for k, a in coeffs)
+        inner = float(np.linalg.norm(center)) + max(1.0, 1.5 * bound)
+    # probe u alone, summed as _powers_u sums it, on the domain boundary
+    # |x| = inner_radius, the worst case for u > 0
     dirs, _ = unit_sphere_rule(n, 8)
-    return max(radius, 1e-6) * dirs
-
-
-def _build_rt_violator(spec: CatalogSpec, metadata: dict) -> MetricField:
-    n = spec.dim
-    A = spec.amplitude
-    p = n / 2.0 + 1.0
-    pattern = np.zeros((n, n))
-    pattern[0, 0] = 1.0
-
-    def batch(points: Array):
-        r = np.linalg.norm(points, axis=1)
-        x1 = points[:, 0]
-        eye = np.eye(n)
-        f = A * x1 * r**(-p)
-        e1 = eye[0]
-        df = A * (
-            e1[None, :] * r[:, None] ** (-p) - p * x1[:, None] * points * r[:, None] ** (-p - 2)
+    rho = np.linalg.norm(max(inner, 1e-6) * dirs - center, axis=1)
+    if np.any(sum((a * rho**(-k) for k, a in coeffs), np.ones(len(rho))) <= 1e-10):
+        raise ConfigError(
+            "conformal factor is not positive down to the inner radius; "
+            "raise inner_radius or adjust coefficients"
         )
-        ddf = A * (
-            -p * r[:, None, None] ** (-p - 2)
-            * (
-                e1[None, :, None] * points[:, None, :]
-                + e1[None, None, :] * points[:, :, None]
-                + x1[:, None, None] * eye
-            )
-            + p * (p + 2) * x1[:, None, None] * points[:, :, None] * points[:, None, :]
-            * r[:, None, None] ** (-p - 4)
-        )
-        N = len(points)
-        g = np.broadcast_to(eye, (N, n, n)).copy() + f[:, None, None] * pattern
-        dg = df[:, :, None, None] * pattern[None, None, :, :]
-        ddg = ddf[:, :, :, None, None] * pattern[None, None, None, :, :]
-        return g, dg, ddg
+    return MetricField(n, lambda x: _conformal_jets(x, coeffs, center, n), inner, metadata)
 
-    inner = spec.inner_radius if spec.inner_radius is not None else _default_inner_radius(spec)
-    return MetricField(n, batch, inner, metadata)

@@ -129,51 +129,53 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _floats(value, what: str, entry: str) -> tuple[float, ...]:
+    """The JSON array ``value``, named ``what``, as a tuple of finite numbers."""
+    return tuple(_finite(t, entry) for t in _typed(value, list, what))
+
+
+#: Each key of a metric's ``bump`` object: its CatalogSpec field and reader.
+_BUMP_KEYS = {
+    "amplitude": ("bump_amplitude", lambda v: _finite(v, "bump amplitude")),
+    "width": ("bump_width", lambda v: _finite(v, "bump width")),
+    "location": ("bump_location", lambda v: _floats(v, "bump 'location'", "bump location entry")),
+    "parity": ("bump_parity", str),
+    "profile": ("bump_profile", str),
+    "tail_power": ("bump_tail_power", lambda v: _integer(v, "bump tail_power")),
+}
+
+
 def _parse_metric(obj: dict) -> CatalogSpec:
+    """The :class:`CatalogSpec` of a metric object: every key present, read as
+    its JSON type; the spec's defaults fill the rest, and :func:`build`
+    decides what the kind needs."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("'metric' must be an object with a 'kind' entry")
-    kind = obj["kind"]
-    kwargs: dict = {"kind": kind, "dim": _integer(obj.get("dim", 3), "metric dim")}
+    kwargs: dict = {"kind": obj["kind"]}
+    if "dim" in obj:
+        kwargs["dim"] = _integer(obj["dim"], "metric dim")
     if "label" in obj:
         kwargs["label"] = str(obj["label"])
-    if "inner_radius" in obj:
-        kwargs["inner_radius"] = _finite(obj["inner_radius"], "inner_radius")
-    if kind == "schwarzschild":
-        kwargs["mass"] = _finite(obj.get("mass", 1.0), "mass")
-        kwargs["center"] = _center(obj)
-    elif kind == "conformal":
-        pairs = [_typed(t, list, "'u' entry") for t in _typed(obj.get("u", []), list, "'u'")]
+    for key in ("inner_radius", "mass", "amplitude"):
+        if key in obj:
+            kwargs[key] = _finite(obj[key], key)
+    if "center" in obj:
+        kwargs["center"] = _floats(obj["center"], "'center'", "center entry")
+    if "u" in obj:
+        pairs = [_typed(t, list, "'u' entry") for t in _typed(obj["u"], list, "'u'")]
         for pair in pairs:
             if len(pair) != 2:
                 raise ConfigError(f"'u' entry must be a [power, coefficient] pair, got {pair!r}")
         kwargs["u_coeffs"] = tuple(
             (_integer(k, "u power"), _finite(a, "u coefficient")) for k, a in pairs
         )
-        kwargs["center"] = _center(obj)
-    elif kind == "perturbed":
-        if "base" not in obj:
-            raise ConfigError("perturbed metric config needs a 'base'")
+    if "base" in obj:
         kwargs["base"] = _parse_metric(obj["base"])
-        bump = _typed(obj.get("bump", {}), dict, "'bump'")
-        kwargs["bump_amplitude"] = _finite(bump.get("amplitude", 0.05), "bump amplitude")
-        kwargs["bump_width"] = _finite(bump.get("width", 2.0), "bump width")
-        kwargs["bump_location"] = tuple(
-            _finite(t, "bump location entry")
-            for t in _typed(bump.get("location", []), list, "bump 'location'")
-        )
-        kwargs["bump_parity"] = str(bump.get("parity", "none"))
-        kwargs["bump_profile"] = str(bump.get("profile", "gaussian"))
-        kwargs["bump_tail_power"] = _integer(bump.get("tail_power", 3), "bump tail_power")
-    elif kind == "rt_violator":
-        kwargs["amplitude"] = _finite(obj.get("amplitude", 0.5), "amplitude")
-    elif kind != "flat":
-        raise ConfigError(f"unknown metric kind {kind!r}")
+    bump = _typed(obj.get("bump", {}), dict, "'bump'")
+    for key, (name, read) in _BUMP_KEYS.items():
+        if key in bump:
+            kwargs[name] = read(bump[key])
     return CatalogSpec(**kwargs)
-
-
-def _center(obj: dict) -> tuple[float, ...]:
-    center = _typed(obj.get("center", []), list, "'center'")
-    return tuple(_finite(t, "center entry") for t in center)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -198,13 +200,11 @@ def load_config(path: str | Path) -> RunConfig:
         cfg.functionals = fns
     sched = _typed(obj.get("schedule", {}), dict, "'schedule'")
     if "radii" in sched:
-        radii = _typed(sched["radii"], list, "schedule 'radii'")
-        cfg.radii = tuple(_finite(t, "schedule radius") for t in radii)
+        cfg.radii = _floats(sched["radii"], "schedule 'radii'", "schedule radius")
     kind = str(sched.get("kind", "spheres"))
     if kind not in ("spheres", "ellipsoids"):
         raise ConfigError(f"{path}: schedule kind must be 'spheres' or 'ellipsoids'")
-    ratios = _typed(sched.get("ratios", [2.0, 1.0, 1.0]), list, "schedule 'ratios'")
-    ratios = tuple(_finite(t, "ellipsoid ratio") for t in ratios)
+    ratios = _floats(sched.get("ratios", [2.0, 1.0, 1.0]), "schedule 'ratios'", "ellipsoid ratio")
     cfg.ratios = ratios if kind == "ellipsoids" else None
     if "order" in obj:
         cfg.order = _integer(obj["order"], "order")
@@ -225,6 +225,11 @@ def _validate_config(cfg: RunConfig) -> MetricField:
         raise ConfigError(f"output format must be 'csv' or 'json', got {cfg.fmt!r}")
     if cfg.tol <= 0 or cfg.identity_tol <= 0:
         raise ConfigError("tolerances must be positive")
+    # the tables are written only after every check: refuse a directory that
+    # cannot be made before any check runs
+    for path in (cfg.out_dir, *cfg.out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"output 'dir' {cfg.out_dir}: {path} is not a directory")
     fld = build(cfg.metric)
     if cfg.ratios is not None and (len(cfg.ratios) != fld.dim or min(cfg.ratios) <= 0):
         raise ConfigError(
@@ -434,7 +439,8 @@ def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare
     """Execute the configured checks, write artifacts, and return the exit status."""
     wanted = functionals if functionals is not None else cfg.functionals
     try:
-        checks = run_checks(cfg, wanted, with_compare)
+        with np.errstate(all="ignore"):  # a failure is reported in one line below
+            checks = run_checks(cfg, wanted, with_compare)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -81,8 +81,7 @@ def jet2_batch(field_: MetricField, points: Array) -> Jets:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_domain(field_, points)
-    with np.errstate(all="ignore"):  # a non-finite jet is named just below
-        jets = field_.jet_batch(points)
+    jets = field_.jet_batch(points)
     _check_finite(field_, points, jets)
     return jets
 

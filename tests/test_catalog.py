@@ -132,6 +132,20 @@ class TestRtViolator:
         with pytest.raises(ConfigError):
             build(CatalogSpec(kind="rt_violator", dim=2))
 
+    def test_bump_on_rt_violator_adds_to_its_g11(self, rng):
+        base = CatalogSpec(kind="rt_violator", amplitude=0.5)
+        spec = CatalogSpec(
+            kind="perturbed", base=base, bump_profile="rational", bump_location=(3.0, -1.0, 2.0)
+        )
+        pts = sample_points(rng, 9)
+        g, dg, ddg = jet2_batch(build(base), pts)
+        v, dv, ddv = catalog_module._bump_jets(pts, spec)
+        g[:, 0, 0] += v
+        dg[:, :, 0, 0] += dv
+        ddg[:, :, :, 0, 0] += ddv
+        for got, want in zip(jet2_batch(build(spec), pts), (g, dg, ddg)):
+            assert np.array_equal(got, want)
+
 
 class TestCatalogWideProperties:
     def test_all_fields_satisfy_mass_hypothesis_decay(self, catalog):

@@ -413,6 +413,8 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, overrides, fi
         ({"functionals": "adm_mass"}, "'functionals'"),
         ({"metric": {"kind": "conformal", "dim": 3, "u": [[1]]}}, "'u' entry"),
         ({"metric": {"kind": "conformal", "dim": 3, "u": [[1, 0.5, 2]]}}, "'u' entry"),
+        # a key the kind does not use is read all the same
+        ({"metric": {"kind": "flat", "dim": 3, "mass": "heavy"}}, "mass"),
     ],
 )
 def test_wrong_json_type_is_config_error(tmp_path, capsys, overrides, field):
@@ -500,20 +502,51 @@ def test_overflowing_jets_and_integrands_are_numerical_errors(tmp_path, capsys, 
     assert "non-finite jet" in err or "surface integrand overflows" in err
 
 
-def test_numpy_warnings_stay_off_the_one_line_error(tmp_path):
-    # the field overflows inside numpy; the jet check names the radius instead
-    metric = dict(PERTURBED, bump={"profile": "rational", "tail_power": 1e300})
-    cfg = write_config(tmp_path, metric=metric, schedule={"radii": RADII}, order=8)
+def run_in_subprocess(*args):
+    """``python -m admflux.cli *args`` in a new interpreter, where numpy prints its warnings."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-m", "admflux.cli", "mass", "--config", str(cfg)],
+    return subprocess.run(
+        [sys.executable, "-m", "admflux.cli", *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )
+
+
+def test_numpy_warnings_stay_off_the_one_line_error(tmp_path):
+    # the field overflows inside numpy; the jet check names the radius instead
+    metric = dict(PERTURBED, bump={"profile": "rational", "tail_power": 1e300})
+    cfg = write_config(tmp_path, metric=metric, schedule={"radii": RADII}, order=8)
+    out = run_in_subprocess("mass", "--config", str(cfg))
     assert out.returncode == 3
     assert out.stderr.count("\n") == 1, out.stderr
     assert out.stderr.startswith("numerical error: adm_mass at schedule radius")
+
+
+def test_numpy_warnings_of_the_checks_stay_off_the_one_line_error(tmp_path):
+    # finite jets whose determinant and Einstein contraction overflow inside numpy
+    metric = dict(SCHWARZSCHILD, mass=1e58, inner_radius=0.5)
+    cfg = write_config(tmp_path, metric=metric, schedule={"radii": [1.0, 2.0, 4.0, 8.0]}, order=8)
+    out = run_in_subprocess("mass", "--config", str(cfg))
+    assert out.returncode == 3
+    assert out.stderr.count("\n") == 1, out.stderr
+    assert out.stderr.startswith("numerical error: ") and "at schedule radius 1: " in out.stderr
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-a-file"])
+def test_unusable_output_dir_is_config_error_before_any_check(
+    tmp_path, capsys, monkeypatch, under
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran before the output directory was checked")
+
+    monkeypatch.setattr(analysis, "sweep", forbidden)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["mass", "--out", str(taken.joinpath(*under))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output 'dir'") and err.count("\n") == 1
+    assert taken.is_file()
 
 
 def test_shorter_center_and_location_are_zero_padded(tmp_path):
