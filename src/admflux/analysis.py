@@ -40,7 +40,6 @@ class PowerLawFit:
     limit: float
     amplitude: float
     rate: float
-    residual: float
 
 
 #: Trial rates of the coarse scan that seeds the profile search.
@@ -70,15 +69,13 @@ def fit_power_law(radii, values) -> PowerLawFit:
     scale = max(1.0, float(np.max(np.abs(v))))
     # spread at the quadrature-refinement noise floor: already converged
     if float(np.max(v) - np.min(v)) <= 1e-11 * scale:
-        return PowerLawFit(limit=float(np.mean(v)), amplitude=0.0, rate=1.0, residual=0.0)
+        return PowerLawFit(limit=float(np.mean(v)), amplitude=0.0, rate=1.0)
 
     p0 = float(RATE_GRID[np.argmin(_profile(r, v, RATE_GRID)[0])])
     p = _golden_minimum(lambda p: _profile(r, v, p)[0], max(0.01, p0 - 0.5), p0 + 0.5, xatol=1e-13)
     L, A = _profile(r, v, p)[1]
-    (L, A, p), res = _polish(r, v, np.array([L, A, p]))
-    return PowerLawFit(
-        limit=float(L), amplitude=float(A), rate=float(p), residual=float(np.sqrt(np.mean(res**2)))
-    )
+    L, A, p = _polish(r, v, np.array([L, A, p]))
+    return PowerLawFit(limit=float(L), amplitude=float(A), rate=float(p))
 
 
 def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray]:
@@ -123,13 +120,13 @@ def _golden_minimum(f: Callable[[float], float], lo: float, hi: float, xatol: fl
     return c if fc <= fd else d
 
 
-def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt on ``L + A r^-p - v`` from ``x = (L, A, p)``.
 
     Each step solves the 3x3 damped normal equations in Jacobian-column-scaled
     variables; a step that does not lower the squared residual is retried with
     ten times the damping.  Stops once the scaled step is at most ``1e-15`` of
-    the scaled parameters.  Returns the parameters and their residual vector.
+    the scaled parameters.  Returns the parameters.
     """
     log_r = np.log(r)
 
@@ -156,49 +153,39 @@ def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np
             damping *= 10.0
         if np.linalg.norm(y) <= 1e-15 * np.linalg.norm(d * x):
             break
-    return x, f
+    return x
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Functional samples over a schedule plus the fitted limit and rate.
+    """Functional samples over a schedule plus the fitted limit, rate and verdict.
 
     ``values`` has shape ``(len(radii),)`` for scalar functionals or
     ``(len(radii), dim)`` for vector ones, in which case ``fitted_limit`` is a
     vector and ``fitted_rate`` is taken from the component with the largest
     fitted amplitude (the component that actually carries the decay signal).
+    The CLI renders a check's table from ``radii`` and ``values``.
     """
 
-    quantity: str
     radii: tuple[float, ...]
     values: np.ndarray
     fitted_limit: float | np.ndarray
     fitted_rate: float
-    residual: float
     verdict: bool
     tolerance: float
 
-    @property
-    def is_vector(self) -> bool:
-        return self.values.ndim == 2
-
-
-def _tail(length: int) -> int:
-    return max(3, (length + 1) // 2)
-
 
 def _fit_samples(radii: np.ndarray, values: np.ndarray) -> tuple:
-    """Tail fit; returns (limit, rate, residual) with vector support."""
-    tail = _tail(len(radii))
+    """Tail fit; returns (limit, rate) with vector support."""
+    tail = max(3, (len(radii) + 1) // 2)
     r = radii[-tail:]
     if values.ndim == 1:
         fit = fit_power_law(r, values[-tail:])
-        return fit.limit, fit.rate, fit.residual
+        return fit.limit, fit.rate
     fits = [fit_power_law(r, values[-tail:, a]) for a in range(values.shape[1])]
     limits = np.array([f.limit for f in fits])
     lead = max(range(len(fits)), key=lambda a: abs(fits[a].amplitude))
-    residual = max(f.residual for f in fits)
-    return limits, fits[lead].rate, residual
+    return limits, fits[lead].rate
 
 
 def _verdict(values, limit, rate, tol) -> tuple[bool, float]:
@@ -333,15 +320,13 @@ def sweep(
             with _naming(f"{name} at schedule radius {r:g}"):
                 samples.append(_finite(normalized(name, total, field.dim, mass)))
         values = np.stack(samples)
-        limit, rate, residual = _fit_samples(np.asarray(radii), values)
+        limit, rate = _fit_samples(np.asarray(radii), values)
         verdict, tol_eff = _verdict(values, limit, rate, tol)
         reports[name] = ConvergenceReport(
-            quantity=name,
             radii=tuple(radii),
             values=values,
             fitted_limit=limit,
             fitted_rate=rate,
-            residual=residual,
             verdict=verdict,
             tolerance=tol_eff,
         )
@@ -359,15 +344,13 @@ def compare(a: ConvergenceReport, b: ConvergenceReport, tol: float = DEFAULT_TOL
     if a.values.shape != b.values.shape:
         raise ValueError("cannot compare scalar and vector reports")
     diff = a.values - b.values
-    limit, rate, residual = _fit_samples(np.asarray(a.radii), diff)
+    limit, rate = _fit_samples(np.asarray(a.radii), diff)
     verdict = bool(np.max(np.abs(np.atleast_1d(limit))) <= tol)
     return ConvergenceReport(
-        quantity=f"{a.quantity}-{b.quantity}",
         radii=a.radii,
         values=diff,
         fitted_limit=limit,
         fitted_rate=rate,
-        residual=residual,
         verdict=verdict,
         tolerance=tol,
     )

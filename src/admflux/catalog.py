@@ -220,14 +220,14 @@ def build(spec: CatalogSpec) -> MetricField:
     Each kind is decided in one branch, which sets the field's default inner
     radius and its metadata: ``expected_mass`` (None when the flux integral
     diverges), plus ``expected_center`` and ``scalar_flat`` where the kind
-    knows them.  ``perturbed`` takes its default inner radius, expected mass
-    and smoothness from its base field; ``rt_violator`` is the flat field plus
-    its ``g_11`` tail.
+    knows them.  ``perturbed`` takes its default inner radius and expected
+    mass from its base field; ``rt_violator`` is the flat field plus its
+    ``g_11`` tail.  The coefficients of a power that ``u_coeffs`` repeats add.
     """
     _validate(spec)
     n = spec.dim
     inner = spec.inner_radius
-    metadata = {"label": spec.label or spec.kind, "globally_smooth": spec.kind == "flat"}
+    metadata = {"label": spec.label or spec.kind}
 
     if spec.kind == "flat":
         eye = np.eye(n)
@@ -246,7 +246,6 @@ def build(spec: CatalogSpec) -> MetricField:
     if spec.kind == "perturbed":
         base = build(spec.base)
         metadata["expected_mass"] = base.metadata["expected_mass"]
-        metadata["globally_smooth"] = base.metadata["globally_smooth"]
         inner = base.inner_radius if inner is None else inner
         return _plus_g11(base, lambda x: _bump_jets(x, spec), inner, metadata)
 
@@ -264,8 +263,11 @@ def build(spec: CatalogSpec) -> MetricField:
         if spec.mass != 0.0:
             metadata["expected_center"] = center.copy()
     else:
-        coeffs = tuple((int(k), float(a)) for k, a in spec.u_coeffs)
-        powers = dict(coeffs)
+        powers: dict[int, float] = {}
+        for k, a in spec.u_coeffs:  # a repeated power adds its coefficients
+            k, a = int(k), float(a)
+            powers[k] = powers[k] + a if k in powers else a
+        coeffs = tuple(powers.items())
         # a term of u slower than |x|^(2-n) makes the flux integral diverge
         slow = any(k < n - 2 for k in powers)
         metadata["expected_mass"] = None if slow else 2.0 * powers.get(n - 2, 0.0)

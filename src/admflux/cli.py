@@ -3,9 +3,10 @@
 Subcommands select which checks run; a JSON config file describes the metric,
 the surface schedule and tolerances.  Flags override the config, and the final
 run is validated once, in :func:`run_checks`, which builds the one metric
-field every check uses.  Each check writes a CSV (or JSON) table of
-per-radius values plus an entry in ``summary.json``.  All quantities are
-dimensionless (geometrized units).
+field every check uses.  Each check's CSV (or JSON) table is rendered from its
+per-radius values by :meth:`Check.table`, next to its entry in ``summary.json``;
+every file is written to a temporary sibling and renamed into place.  All
+quantities are dimensionless (geometrized units).
 
 Exit codes: 0 every requested check passes, 1 a certification failed, 2 a
 usage or configuration error, 3 a numerical error (singular metric,
@@ -20,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -256,23 +259,33 @@ def _validate_config(cfg: RunConfig) -> MetricField:
 
 @dataclass
 class Check:
+    """A check's verdict and fitted limit, and its ``values`` at ``radii``: numbers,
+    or vectors whose entries are ``value_1..value_k`` unless ``columns`` names them."""
+
     name: str
     verdict: bool
     fitted_limit: object
     fitted_rate: float | None
     tolerance: float
-    table_columns: list[str] = field(default_factory=list)
-    table_rows: list[list[float]] = field(default_factory=list)
+    radii: tuple[float, ...]
+    values: object
+    columns: tuple[str, ...] | None = None
     #: What failed where, when the table alone does not show it.
     failure: str | None = None
 
+    def table(self) -> tuple[list[str], list[list[float]]]:
+        """The header ``["r", *columns]`` and the rows ``[r, *values[i]]``."""
+        values = np.asarray(self.values, dtype=float)
+        columns = self.columns or (
+            ("value",) if values.ndim == 1 else tuple(f"value_{a + 1}" for a in range(values.shape[1]))
+        )
+        rows = [[float(r), *np.atleast_1d(v).tolist()] for r, v in zip(self.radii, values)]
+        return ["r", *columns], rows
+
     def summary(self) -> dict:
-        lim = self.fitted_limit
-        if isinstance(lim, np.ndarray):
-            lim = [float(t) for t in lim]
         out = {
             "functional": self.name,
-            "fitted_limit": lim,
+            "fitted_limit": np.asarray(self.fitted_limit).tolist(),
             "fitted_rate": self.fitted_rate,
             "verdict": bool(self.verdict),
             "tolerance": self.tolerance,
@@ -280,24 +293,6 @@ class Check:
         if self.failure is not None:
             out["failure"] = self.failure
         return out
-
-
-def _report_check(report: analysis.ConvergenceReport, name: str) -> Check:
-    if report.is_vector:
-        cols = ["r"] + [f"value_{a + 1}" for a in range(report.values.shape[1])]
-        rows = [[r, *map(float, report.values[i])] for i, r in enumerate(report.radii)]
-    else:
-        cols = ["r", "value"]
-        rows = [[r, float(report.values[i])] for i, r in enumerate(report.radii)]
-    return Check(
-        name=name,
-        verdict=report.verdict,
-        fitted_limit=report.fitted_limit,
-        fitted_rate=report.fitted_rate,
-        tolerance=report.tolerance,
-        table_columns=cols,
-        table_rows=rows,
-    )
 
 
 def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool) -> list[Check]:
@@ -309,14 +304,17 @@ def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool)
         sweeps = analysis.sweep(
             fld, swept, cfg.radii, ratios=cfg.ratios, order=cfg.order, tol=cfg.tol
         )
-    checks = [_report_check(sweeps[name], name) for name in swept]
-
-    if with_compare and "adm_mass" in sweeps and "intrinsic_mass" in sweeps:
-        diff = analysis.compare(sweeps["adm_mass"], sweeps["intrinsic_mass"], tol=cfg.tol)
-        checks.append(_report_check(diff, "mass_difference"))
-    if with_compare and "cs_center" in sweeps and "intrinsic_center" in sweeps:
-        diff = analysis.compare(sweeps["cs_center"], sweeps["intrinsic_center"], tol=cfg.tol)
-        checks.append(_report_check(diff, "center_difference"))
+    reports = {name: sweeps[name] for name in swept}
+    for name, a, b in (
+        ("mass_difference", "adm_mass", "intrinsic_mass"),
+        ("center_difference", "cs_center", "intrinsic_center"),
+    ):
+        if with_compare and a in sweeps and b in sweeps:
+            reports[name] = analysis.compare(sweeps[a], sweeps[b], tol=cfg.tol)
+    checks = [
+        Check(name, rep.verdict, rep.fitted_limit, rep.fitted_rate, rep.tolerance, rep.radii, rep.values)
+        for name, rep in reports.items()
+    ]
 
     if "identity_residuals" in functionals:
         checks.extend(_identity_checks(fld, cfg))
@@ -331,7 +329,7 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
     # The identities hold on any enclosing surface; small radii keep the
     # cancelled integrals O(1) so the residual reflects quadrature error
     # rather than rounding of large terms.
-    if fld.metadata.get("globally_smooth", False):
+    if fld.inner_radius == 0:
         outer = sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
         inner = None
     else:
@@ -340,26 +338,17 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
     r_used = outer.nominal_radius
     with analysis._naming(f"identity_residuals at schedule radius {r_used:g}"):
         res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
-    rows = [float(res) for res in res_y]
     return [
         Check(
-            name="identity_residual_X",
-            verdict=abs(res_x) <= cfg.identity_tol,
-            fitted_limit=res_x,
+            name=f"identity_residual_{which}",
+            verdict=bool(np.all(np.abs(res) <= cfg.identity_tol)),
+            fitted_limit=res,
             fitted_rate=None,
             tolerance=cfg.identity_tol,
-            table_columns=["r", "value"],
-            table_rows=[[r_used, res_x]],
-        ),
-        Check(
-            name="identity_residual_Y",
-            verdict=all(abs(res) <= cfg.identity_tol for res in rows),
-            fitted_limit=np.array(rows),
-            fitted_rate=None,
-            tolerance=cfg.identity_tol,
-            table_columns=["r"] + [f"value_{a + 1}" for a in range(fld.dim)],
-            table_rows=[[r_used, *rows]],
-        ),
+            radii=(r_used,),
+            values=[res],
+        )
+        for which, res in (("X", res_x), ("Y", res_y))
     ]
 
 
@@ -388,8 +377,9 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
         fitted_limit=shells[-1].value,
         fitted_rate=None,
         tolerance=cfg.tol,
-        table_columns=["r", "value", "error", "scale"],
-        table_rows=[[r1, s.value, s.error, s.scale] for (_, r1), s in zip(annuli, shells)],
+        radii=cfg.radii[1:],
+        values=[(s.value, s.error, s.scale) for s in shells],
+        columns=("value", "error", "scale"),
         failure="radial rule unconverged on " + ", ".join(stalled) if stalled else None,
     )
 
@@ -401,11 +391,11 @@ def _decay_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
         Check(
             name=f"decay_{rep.part}",
             verdict=rep.ok,
-            fitted_limit=rep.sups[-1].tolist(),
+            fitted_limit=rep.sups[-1],
             fitted_rate=None,
             tolerance=cfg.tol,
-            table_columns=["r", "value_1", "value_2", "value_3"],
-            table_rows=[[r, *map(float, rep.sups[a])] for a, r in enumerate(rep.radii)],
+            radii=rep.radii,
+            values=rep.sups,
         )
         for rep in reports
     ]
@@ -416,23 +406,26 @@ def _decay_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
 
 
 def _write_tables(checks: list[Check], cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
     for check in checks:
+        columns, rows = check.table()
         if cfg.fmt == "csv":
-            path = cfg.out_dir / f"{check.name}.csv"
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(check.table_columns)
-                for row in check.table_rows:
-                    writer.writerow([repr(float(v)) for v in row])
+            buf = io.StringIO()
+            csv.writer(buf).writerows([columns, *([repr(float(v)) for v in row] for row in rows)])
+            files[f"{check.name}.csv"] = buf.getvalue()
         else:
-            path = cfg.out_dir / f"{check.name}.json"
-            records = [dict(zip(check.table_columns, map(float, row))) for row in check.table_rows]
-            path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            records = [dict(zip(columns, row)) for row in rows]
+            files[f"{check.name}.json"] = json.dumps(records, indent=2, sort_keys=True) + "\n"
     summary = {"checks": [c.summary() for c in checks]}
-    (cfg.out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():  # renamed into place: a failed write keeps the old file
+        tmp = cfg.out_dir / f".{name}.tmp"
+        try:
+            tmp.write_text(text, encoding="utf-8", newline="")
+            os.replace(tmp, cfg.out_dir / name)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare: bool = True) -> int:

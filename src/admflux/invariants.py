@@ -196,10 +196,10 @@ def normalized(name: str, total, n: int, mass: float | None = None) -> float | A
 
 def _require_enclosable(field: MetricField, surf: QuadSurface, inner: QuadSurface | None) -> None:
     if inner is None:
-        if not field.metadata.get("globally_smooth", False):
+        if field.inner_radius != 0:
             raise DomainError(
-                f"field {field.label!r} is not smooth on the enclosed region; "
-                "pass an inner surface to use the annulus form"
+                f"field {field.label!r} is not defined on the whole enclosed region "
+                f"(inner radius {field.inner_radius:g}); pass an inner surface to use the annulus form"
             )
         return
     inner_max = float(np.max(np.linalg.norm(inner.points, axis=1)))

@@ -38,8 +38,8 @@ class MetricField:
     symmetric positive definite, ``dg`` symmetric in its last two axes and
     ``ddg`` in both its derivative and its component pairs.
 
-    ``metadata`` carries optional catalog information such as ``expected_mass``,
-    ``expected_center``, ``globally_smooth`` and a human-readable ``label``.
+    ``inner_radius == 0`` means the whole space.  ``metadata`` carries optional
+    catalog information such as ``expected_mass`` and a human-readable ``label``.
     """
 
     dim: int

@@ -45,7 +45,6 @@ class QuadSurface:
     points: Array
     normals: Array
     weights: Array
-    label: str
     nominal_radius: float
 
     def __len__(self) -> int:
@@ -187,7 +186,6 @@ def sphere_quadrature(n: int, r: float, order: int = DEFAULT_ORDER) -> QuadSurfa
         points=r * pts,
         normals=pts,
         weights=w * r ** (n - 1),
-        label=f"sphere(r={r:g})",
         nominal_radius=float(r),
     )
 
@@ -209,13 +207,11 @@ def ellipsoid_quadrature(semi_axes, order: int = DEFAULT_ORDER) -> QuadSurface:
     u, wu = unit_sphere_rule(n, order)
     covec = u / a
     stretch = np.linalg.norm(covec, axis=1)
-    axes = ",".join(f"{v:g}" for v in a)
     return QuadSurface(
         dim=n,
         points=u * a,
         normals=covec / stretch[:, None],
         weights=wu * float(np.prod(a)) * stretch,
-        label=f"ellipsoid({axes})",
         nominal_radius=float(np.min(a)),
     )
 

@@ -19,13 +19,13 @@ class TestBuild:
         assert np.array_equal(g[0], np.eye(3))
         assert not dg.any() and not ddg.any()
         assert field.metadata["expected_mass"] == 0.0
-        assert field.metadata["globally_smooth"]
+        assert field.inner_radius == 0
 
     def test_schwarzschild_metadata(self, catalog):
         meta = catalog["schwarzschild"].metadata
         assert meta["expected_mass"] == 1.0
         assert meta["scalar_flat"]
-        assert not meta["globally_smooth"]
+        assert catalog["schwarzschild"].inner_radius > 0
         assert np.array_equal(catalog["schwarzschild-translated"].metadata["expected_center"],
                               [1.0, 2.0, 3.0])
 
@@ -66,6 +66,15 @@ class TestBuild:
         slow = build(CatalogSpec(kind="conformal", dim=5, u_coeffs=((1, 1.0),)))
         assert slow.metadata["expected_mass"] is None
 
+    def test_repeated_power_adds_its_coefficients(self, rng):
+        doubled = build(CatalogSpec(kind="conformal", u_coeffs=((1, 0.5), (1, 0.5))))
+        single = build(CatalogSpec(kind="conformal", u_coeffs=((1, 1.0),)))
+        assert doubled.metadata["expected_mass"] == 2.0
+        assert doubled.inner_radius == 1.5
+        points = sample_points(rng, 50)
+        for got, want in zip(jet2_batch(doubled, points), jet2_batch(single, points)):
+            assert np.array_equal(got, want)
+
     def test_harmonic_conformal_scalar_flat(self, rng):
         field = build(CatalogSpec(kind="conformal", u_coeffs=((1, 0.7),)))
         assert field.metadata["scalar_flat"]
@@ -73,7 +82,7 @@ class TestBuild:
         assert np.all(np.abs(scalar) < 1e-9)
 
     def test_perturbed_inherits_base_smoothness(self, catalog):
-        assert catalog["perturbed-gaussian"].metadata["globally_smooth"]
+        assert catalog["perturbed-gaussian"].inner_radius == 0
         bumped_schw = build(
             CatalogSpec(
                 kind="perturbed",
@@ -81,7 +90,7 @@ class TestBuild:
                 bump_amplitude=0.01,
             )
         )
-        assert not bumped_schw.metadata["globally_smooth"]
+        assert bumped_schw.inner_radius > 0
 
     def test_perturbed_parity_parts(self, rng):
         for parity, sign in (("even", 1.0), ("odd", -1.0)):

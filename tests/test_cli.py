@@ -112,6 +112,72 @@ class TestFullSuite:
         assert records[0]["r"] == 10.0 and "value" in records[0]
 
 
+class TestTableLayout:
+    RADII = [10.0 * 2**k for k in range(7)]
+    VECTOR = ["r", "value_1", "value_2", "value_3"]
+    #: Every table of a full sweep: its header and the radii of its rows.
+    TABLES = {
+        "adm_mass": (["r", "value"], RADII),
+        "intrinsic_mass": (["r", "value"], RADII),
+        "cs_center": (VECTOR, RADII),
+        "intrinsic_center": (VECTOR, RADII),
+        "mass_difference": (["r", "value"], RADII),
+        "center_difference": (VECTOR, RADII),
+        # the translated Schwarzschild field excludes a ball: the annulus form,
+        # with the outer surface at the second radius
+        "identity_residual_X": (["r", "value"], RADII[1:2]),
+        "identity_residual_Y": (VECTOR, RADII[1:2]),
+        "scalar_moment_shells": (["r", "value", "error", "scale"], RADII[1:]),
+        "decay_all": (VECTOR, RADII),
+        "decay_odd": (VECTOR, RADII),
+    }
+
+    def test_every_table_has_its_header_and_rows_in_both_formats(self, tmp_path):
+        csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(csv_dir)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(json_dir), "--format", "json"]) == 0
+        assert {p.stem for p in csv_dir.glob("*.csv")} == set(self.TABLES)
+        assert {p.stem for p in json_dir.glob("*.json")} == {*self.TABLES, "summary"}
+        for name, (header, radii) in self.TABLES.items():
+            with (csv_dir / f"{name}.csv").open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == header, name
+            assert [float(row[0]) for row in rows[1:]] == radii, name
+            assert all(len(row) == len(header) for row in rows), name
+            records = json.loads((json_dir / f"{name}.json").read_text(encoding="utf-8"))
+            assert len(records) == len(rows) - 1, name
+            for record, row in zip(records, rows[1:]):
+                assert sorted(record) == sorted(header), name
+                assert [record[c] for c in header] == [float(v) for v in row], name
+
+
+def test_tables_are_replaced_atomically(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["mass", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["adm_mass.csv", "intrinsic_mass.csv", "summary.json"]
+    first = (out / "summary.json").read_bytes()
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == "summary.json":
+            raise OSError("no space left")
+        return replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    assert main(["identities", "--config", str(cfg)]) == cli.EXIT_INTERNAL_ERROR == 4
+    assert capsys.readouterr().err == "internal error: OSError: no space left\n"
+    assert (out / "summary.json").read_bytes() == first
+    assert sorted(p.name for p in out.iterdir()) == [
+        "adm_mass.csv",
+        "identity_residual_X.csv",
+        "identity_residual_Y.csv",
+        "intrinsic_mass.csv",
+        "summary.json",
+    ]
+
+
 class TestEvaluationCounts:
     RADII = [100.0, 200.0, 400.0, 800.0]
 

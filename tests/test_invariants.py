@@ -200,6 +200,11 @@ class TestIntegralIdentities:
         with pytest.raises(DomainError):
             identity_residuals(catalog["schwarzschild"], surf)
 
+    def test_flat_with_an_inner_radius_needs_annulus(self):
+        surf = sphere_quadrature(3, 100.0, order=8)
+        with pytest.raises(DomainError, match="inner radius 2"):
+            identity_residuals(build(CatalogSpec(kind="flat", inner_radius=2.0)), surf)
+
     def test_inner_inside_excluded_ball(self, catalog):
         outer = sphere_quadrature(3, 100.0, order=8)
         inner = sphere_quadrature(3, 0.5, order=8)
@@ -216,7 +221,7 @@ class TestIntegralIdentities:
     def test_one_jet_evaluation_per_surface(self, catalog, name, monkeypatch):
         field = catalog[name]
         outer = sphere_quadrature(3, 100.0, order=16)
-        inner = None if field.metadata.get("globally_smooth") else sphere_quadrature(3, 10.0, order=16)
+        inner = None if field.inner_radius == 0 else sphere_quadrature(3, 10.0, order=16)
         calls = []
 
         def counting(field_, points):

@@ -54,6 +54,22 @@ def test_single_point_api_is_gone():
     assert "jet_at" not in {f.name for f in dataclasses.fields(MetricField)}
 
 
+def test_record_fields_nobody_read_are_gone():
+    from admflux.analysis import ConvergenceReport, PowerLawFit
+    from admflux.cli import Check
+    from admflux.surfaces import QuadSurface
+
+    def names(record):
+        return {f.name for f in dataclasses.fields(record)}
+
+    assert not {"quantity", "residual", "is_vector"} & names(ConvergenceReport)
+    assert not hasattr(ConvergenceReport, "is_vector")
+    assert "residual" not in names(PowerLawFit)
+    assert "label" not in names(QuadSurface)
+    assert not {"table_columns", "table_rows"} & names(Check)
+    assert {"radii", "values", "columns"} <= names(Check)
+
+
 def test_readme_tour_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
