@@ -2,10 +2,12 @@
 
 :func:`sweep` is the one entry point: it samples a list of functionals over a
 growing schedule of surfaces in one pass, each surface evaluated once for all
-of them, and then divides the centers by the mass.  It fits each on the tail
-with the model ``value(r) = limit + A * r^(-p)``.  A fitted rate is reported
-alongside the limit rather than assumed, since the decay hypotheses only
-guarantee convergence without a rate.
+of them, and then divides the centers by the mass.  The start order is
+accepted once its half agrees with it, the rule the scalar-curvature shells
+use for their directions.  It fits each on the tail with the model
+``value(r) = limit + A * r^(-p)``.  A fitted rate is reported alongside the
+limit rather than assumed, since the decay hypotheses only guarantee
+convergence without a rate.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AdmfluxError, ConfigError, NonFiniteError
-from .invariants import CENTER_FUNCTIONALS, REFINEMENT_TOL, SurfaceEval, normalized
+from .invariants import CENTER_FUNCTIONALS, MAX_ORDER, REFINEMENT_TOL, SurfaceEval, normalized
+from .invariants import agrees, refinement_orders
 from .metric_field import MetricField
 from .surfaces import ellipsoid_quadrature, sphere_quadrature
 
 DEFAULT_TOL = 1e-4
-#: The highest quadrature order a sweep evaluates; doubling stops there.
-MAX_ORDER = 96
 
 #: The swept functionals, in the order their checks are reported.  ``fn(total,
 #: dim, mass)`` turns a surface total into the functional's value.
@@ -164,7 +165,8 @@ class ConvergenceReport:
     ``(len(radii), dim)`` for vector ones, in which case ``fitted_limit`` is a
     vector and ``fitted_rate`` is taken from the component with the largest
     fitted amplitude (the component that actually carries the decay signal).
-    The CLI renders a check's table from ``radii`` and ``values``.
+    The CLI renders a check's table from ``radii`` and ``values``; ``failure``
+    names the radii whose refinement stalled at :data:`MAX_ORDER`.
     """
 
     radii: tuple[float, ...]
@@ -173,6 +175,7 @@ class ConvergenceReport:
     fitted_rate: float
     verdict: bool
     tolerance: float
+    failure: str | None = None
 
 
 def _fit_samples(radii: np.ndarray, values: np.ndarray) -> tuple:
@@ -231,11 +234,6 @@ def _finite(value) -> np.ndarray:
     return value
 
 
-def _converged(finer: np.ndarray, coarser: np.ndarray) -> bool:
-    scale = 1.0 + float(np.max(np.abs(finer)))
-    return float(np.max(np.abs(finer - coarser))) <= REFINEMENT_TOL * scale
-
-
 def sweep(
     field: MetricField,
     functionals: Sequence[str],
@@ -256,12 +254,14 @@ def sweep(
     the fitted limit of ``adm_mass``, which is swept for them.  Reports come
     in the order of :data:`FUNCTIONALS`.
 
-    At each radius a functional starts at quadrature order ``order`` (2 to
-    :data:`MAX_ORDER`) and doubles it until two consecutive orders agree to
-    within :data:`REFINEMENT_TOL` of ``1 + |value|``, judged on the surface
-    integral before any division by the mass; the doubling stops at
-    :data:`MAX_ORDER`, whose value is taken as it is.  The fit uses the last
-    half of the samples; the verdict is true when the final sample sits within
+    At each radius a functional walks :func:`refinement_orders` from
+    ``order`` (2 to :data:`MAX_ORDER`): it evaluates the companion
+    ``order // 2``, then ``order``, and accepts an order once it agrees with
+    the one before to :data:`REFINEMENT_TOL` of ``1 + |value|``, judged on
+    the surface integral before any division by the mass.  A radius still
+    unconverged at :data:`MAX_ORDER` keeps that value and fails, named in the
+    report's ``failure``.  The fit uses the last half of the samples; the
+    verdict is true when no radius failed, the final sample sits within
     ``tol * (1 + |limit|)`` of the fitted limit and the fitted rate is
     positive.  A failing evaluation names the functional and the radius; the
     package's own errors carry both in their message.
@@ -298,18 +298,24 @@ def sweep(
         return got, values
 
     totals: dict[str, list] = {name: [] for name in names}
+    stalled: dict[str, list] = {name: [] for name in names}
+    orders = refinement_orders(order)
     for r in radii:
-        active, previous, at = names, {}, order
-        while active:
+        active, previous = names, {}
+        for at in orders:
             got, values = evaluate(r, at, active)
             done = [
                 f for f in active
-                if at >= MAX_ORDER or (f in previous and _converged(values[f], previous[f]))
+                if f in previous and agrees(values[f], previous[f], 1.0 + float(np.max(np.abs(values[f]))))
             ]
-            for f in done:
+            # the last order takes every value still refining, and names its radius
+            for f in active if at == orders[-1] else done:
                 totals[f].append(got[f])
-            active = [f for f in active if f not in done]
-            previous, at = values, min(2 * at, MAX_ORDER)
+                if f not in done:
+                    stalled[f].append(f"{f} unconverged at schedule radius {r:g} (order {at})")
+            active, previous = [f for f in active if f not in done], values
+            if not active:
+                break
 
     reports = {}
     for name in names:  # the masses come first, so a center can take the fitted mass
@@ -322,13 +328,15 @@ def sweep(
         values = np.stack(samples)
         limit, rate = _fit_samples(np.asarray(radii), values)
         verdict, tol_eff = _verdict(values, limit, rate, tol)
+        failure = "; ".join(stalled[name]) or None
         reports[name] = ConvergenceReport(
             radii=tuple(radii),
             values=values,
             fitted_limit=limit,
             fitted_rate=rate,
-            verdict=verdict,
+            verdict=verdict and failure is None,
             tolerance=tol_eff,
+            failure=failure,
         )
     return reports
 

@@ -312,7 +312,8 @@ def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool)
         if with_compare and a in sweeps and b in sweeps:
             reports[name] = analysis.compare(sweeps[a], sweeps[b], tol=cfg.tol)
     checks = [
-        Check(name, rep.verdict, rep.fitted_limit, rep.fitted_rate, rep.tolerance, rep.radii, rep.values)
+        Check(name, rep.verdict, rep.fitted_limit, rep.fitted_rate, rep.tolerance, rep.radii,
+              rep.values, failure=rep.failure)
         for name, rep in reports.items()
     ]
 
@@ -357,20 +358,22 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
 
     The outer half of the shells must decrease to zero, where a shell within
     :data:`SHELL_NOISE` of its scale counts as zero.  An annulus whose radial
-    rule did not converge fails the check and is named in the failure.
+    or angular rule did not converge fails the check and is named in the
+    failure with that rule.
     """
     annuli = list(zip(cfg.radii, cfg.radii[1:]))
     shells = []
     for r0, r1 in annuli:
         with analysis._naming(f"scalar_moment_shells on {r0:g} < |x| < {r1:g}"):
-            shells.append(
-                invariants.scalar_curvature_moment(fld, r0, r1, moment=0, order=min(cfg.order, 16))
-            )
+            shells.append(invariants.scalar_curvature_moment(fld, r0, r1, moment=0))
     tail = shells[len(shells) // 2 :]
     decays = decreasing_to_zero(
         [abs(s.value) for s in tail], floor=[SHELL_NOISE * s.scale for s in tail]
     )
-    stalled = [f"{r0:g} < |x| < {r1:g}" for (r0, r1), s in zip(annuli, shells) if not s.converged]
+    stalled = [
+        f"{s.stalled} rule unconverged on {r0:g} < |x| < {r1:g}"
+        for (r0, r1), s in zip(annuli, shells) if s.stalled
+    ]
     return Check(
         name="scalar_moment_shells",
         verdict=decays and not stalled,
@@ -380,7 +383,7 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
         radii=cfg.radii[1:],
         values=[(s.value, s.error, s.scale) for s in shells],
         columns=("value", "error", "scale"),
-        failure="radial rule unconverged on " + ", ".join(stalled) if stalled else None,
+        failure="; ".join(stalled) or None,
     )
 
 

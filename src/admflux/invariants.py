@@ -41,15 +41,33 @@ from .surfaces import (
 #: Center functionals are undefined for |mass| below this threshold.
 MASS_THRESHOLD = 1e-8
 #: Most points any call of the curvature kernel takes: the node count of the
-#: order-48 sphere in R^3, the largest surface the default sweeps evaluate, so
-#: larger surfaces and the volume shells add no memory peak.
+#: order-48 sphere in R^3, so larger surfaces and the volume shells add no
+#: memory peak.
 MAX_KERNEL_POINTS = 4802
 #: Relative disagreement that still counts as converged: between consecutive
-#: quadrature orders of a swept surface, and between the Kronrod and Gauss
-#: estimates of a radial piece of a scalar-curvature annulus.
+#: quadrature orders of a swept surface or of an annulus's directions, and
+#: between the Kronrod and Gauss estimates of a radial piece of an annulus.
 REFINEMENT_TOL = 1e-8
+#: The highest quadrature order any refinement evaluates; doubling stops there.
+MAX_ORDER = 96
 #: Bisections of a radial piece before its annulus counts as unconverged.
 MAX_RADIAL_BISECTIONS = 6
+
+
+def refinement_orders(start: int) -> list[int]:
+    """The orders the refinement rule evaluates from ``start``: the companion
+    ``start // 2``, then ``start``, doubling up to :data:`MAX_ORDER`.  Each order
+    is accepted when it :func:`agrees` with the one before.  A start below 4 has
+    no companion of order 2 or more; it comes first and its double follows."""
+    orders = [start // 2, start] if start >= 4 else [start, 2 * start]
+    while orders[-1] < MAX_ORDER:
+        orders.append(min(2 * orders[-1], MAX_ORDER))
+    return orders
+
+
+def agrees(finer, coarser, scale: float) -> bool:
+    """Whether consecutive orders' values agree to :data:`REFINEMENT_TOL` times ``scale``."""
+    return float(np.max(np.abs(np.subtract(finer, coarser)))) <= REFINEMENT_TOL * scale
 
 
 #: The functionals read from the curvature bundle; the others need only the jets.
@@ -282,14 +300,21 @@ class ShellIntegral(NamedTuple):
 
     ``error`` sums the pieces' Kronrod-minus-Gauss estimates and ``scale``
     the same integral of ``max |R_ij|``, the size the rounding of ``R`` is
-    relative to.  ``converged`` is false when a piece still missed
-    ``REFINEMENT_TOL * scale`` after :data:`MAX_RADIAL_BISECTIONS` bisections.
+    relative to.  ``order`` is the angular order accepted.  ``stalled`` names
+    the rule that hit its cap: ``"radial"`` when a piece still missed
+    ``REFINEMENT_TOL * scale`` after :data:`MAX_RADIAL_BISECTIONS` bisections,
+    else ``"angular"`` when no two orders up to :data:`MAX_ORDER` agreed.
     """
 
     value: float
     error: float
     scale: float
-    converged: bool
+    order: int
+    stalled: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stalled is None
 
 
 def _scalar_densities(field: MetricField, points: Array) -> tuple[Array, Array]:
@@ -301,16 +326,39 @@ def _scalar_densities(field: MetricField, points: Array) -> tuple[Array, Array]:
     return bundle.scalar * volume, np.abs(bundle.ricci).max(axis=(1, 2)) * volume
 
 
-def scalar_curvature_moment(
-    field: MetricField, r0: float, r1: float, moment: int = 0, order: int = 16
-) -> ShellIntegral:
+def scalar_curvature_moment(field: MetricField, r0: float, r1: float, moment: int = 0) -> ShellIntegral:
     """Volume integral of ``R`` (or ``x^i R``) over the annulus ``r0 < |x| < r1``.
 
-    Uses the unit-sphere rule in the directions and the embedded 7/15-point
+    Uses a unit-sphere rule in the directions and the embedded 7/15-point
     Gauss-Kronrod pair in the radius, with the metric volume element
     ``sqrt(det g)``.  ``moment=0`` integrates the scalar curvature itself;
     ``moment=i`` (1-based) weights it by the coordinate ``x^i``.  Shell-by-shell
     calls expose the convergence of the tail.
+
+    The angular order follows :func:`refinement_orders` from 4: the annulus is
+    integrated at order 2, then 4, doubling until two consecutive orders agree
+    to :data:`REFINEMENT_TOL` times the finer one's scale, up to
+    :data:`MAX_ORDER`.  Returns the :class:`ShellIntegral` of the accepted
+    order; at the cap it is marked ``"angular"`` unless its radial rule stalled.
+    """
+    if not (r1 > r0 >= field.inner_radius):
+        raise ValueError(
+            f"need r1 > r0 >= inner_radius, got r0={r0}, r1={r1}, "
+            f"inner_radius={field.inner_radius}"
+        )
+    if not 0 <= moment <= field.dim:
+        raise ValueError(f"moment must be 0 or a 1-based index <= {field.dim}, got {moment}")
+    previous = None
+    for order in refinement_orders(4):
+        shell = _radial_moment(field, r0, r1, moment, order)
+        if previous is not None and agrees(shell.value, previous.value, shell.scale):
+            return shell
+        previous = shell
+    return shell if shell.stalled else shell._replace(stalled="angular")
+
+
+def _radial_moment(field: MetricField, r0: float, r1: float, moment: int, order: int) -> ShellIntegral:
+    """The annulus integral on the order-``order`` unit-sphere rule.
 
     The radial interval starts as one piece.  A piece is accepted when its
     Kronrod and Gauss estimates agree to :data:`REFINEMENT_TOL` times its
@@ -319,21 +367,12 @@ def scalar_curvature_moment(
     :data:`MAX_RADIAL_BISECTIONS` times.  The 15 shells of every open piece go
     through the curvature kernel together, in batches of whole shells of at
     most :data:`MAX_KERNEL_POINTS` nodes; each shell is reduced in node order
-    and the pieces are summed in radial order.  Returns a
-    :class:`ShellIntegral`: the value, the summed error estimate, the scale
-    and whether every piece was accepted.
+    and the pieces are summed in radial order.
     """
-    if not (r1 > r0 >= field.inner_radius):
-        raise ValueError(
-            f"need r1 > r0 >= inner_radius, got r0={r0}, r1={r1}, "
-            f"inner_radius={field.inner_radius}"
-        )
     n = field.dim
-    if not 0 <= moment <= n:
-        raise ValueError(f"moment must be 0 or a 1-based index <= {n}, got {moment}")
     dirs, w_dir = unit_sphere_rule(n, order)
     t, w_kronrod, w_gauss = gauss_kronrod15()
-    pieces, accepted, converged = [(r0, r1)], [], True
+    pieces, accepted, stalled = [(r0, r1)], [], None
     for depth in range(MAX_RADIAL_BISECTIONS + 1):
         ends = np.array(pieces)
         mid, half = ends.mean(axis=1), 0.5 * (ends[:, 1] - ends[:, 0])
@@ -356,7 +395,7 @@ def scalar_curvature_moment(
             settled = bool(error <= REFINEMENT_TOL * scale)
             if settled or depth == MAX_RADIAL_BISECTIONS:
                 accepted.append((a, kronrod, error, scale))
-                converged = converged and settled
+                stalled = stalled if settled else "radial"
             else:
                 still_open += [(a, c), (c, b)]
         pieces = still_open
@@ -364,4 +403,4 @@ def scalar_curvature_moment(
             break
     accepted.sort()
     _, values, errors, scales = zip(*accepted)
-    return ShellIntegral(math.fsum(values), math.fsum(errors), math.fsum(scales), converged)
+    return ShellIntegral(math.fsum(values), math.fsum(errors), math.fsum(scales), order, stalled)

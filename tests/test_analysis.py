@@ -152,9 +152,11 @@ class TwoArgumentError(Exception):
 def refined_standalone(fn, r, mass, order=24):
     """The sweep's refinement of one radius, done with a standalone functional.
 
-    Refinement judges ``fn(surface, 1.0)``, the surface integral before any
-    division by the mass; the accepted surface's value is ``fn(surface, mass)``.
+    Refinement starts at the companion ``order // 2`` and judges
+    ``fn(surface, 1.0)``, the surface integral before any division by the
+    mass; the accepted surface's value is ``fn(surface, mass)``.
     """
+    order //= 2
     value = np.asarray(fn(sphere_quadrature(3, r, order), 1.0), dtype=float)
     while True:
         surf = sphere_quadrature(3, r, 2 * order)
@@ -202,7 +204,7 @@ class TestSharedSurfaces:
             assert np.array_equal(getattr(reports["adm_mass"], f.name), getattr(alone, f.name)), f.name
 
     def test_refinement_judges_the_integral_before_the_mass(self, catalog, monkeypatch):
-        # divided by the mass 0.5, the order-24 center would sit 1.6e-8 from order 48
+        # divided by the mass 0.5, the order-12 center would sit 1.6e-8 from order 24
         scale = 2.0 * (3 - 1) * unit_sphere_area(3)
         orders = []
 
@@ -214,12 +216,12 @@ class TestSharedSurfaces:
             def total(self, name):
                 if name == "adm_mass":
                     return 0.5 * scale
-                return scale * np.array([0.8e-8 if self.order == 24 else 0.0, 0.0, 0.0])
+                return scale * np.array([0.8e-8 if self.order == 12 else 0.0, 0.0, 0.0])
 
         monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: order)
         monkeypatch.setattr(analysis, "SurfaceEval", FakeEval)
         reports = sweep(catalog["flat"], ["cs_center"], self.RADII)
-        assert max(orders) == 48
+        assert max(orders) == 24
         assert reports["adm_mass"].fitted_limit == 0.5
         assert not reports["cs_center"].values.any()
 
@@ -266,7 +268,7 @@ class TestSharedSurfaces:
         assert message.startswith("intrinsic_mass at schedule radius 10:")
         assert "adm_mass" not in message
 
-    @pytest.mark.parametrize("start, orders", [(64, [64, 96]), (96, [96])])
+    @pytest.mark.parametrize("start, orders", [(64, [32, 64, 96]), (96, [48, 96])])
     def test_refinement_stops_at_max_order(self, catalog, monkeypatch, start, orders):
         built = []
         real = analysis.sphere_quadrature
@@ -276,10 +278,27 @@ class TestSharedSurfaces:
             return real(n, r, order)
 
         monkeypatch.setattr(analysis, "sphere_quadrature", recording)
-        # the doubling from 64 is capped at 96; a start at 96 has nothing to compare with
-        sweep(catalog["schwarzschild-translated"], ["adm_mass"], self.RADII, order=start)
+        # the doubling from 64 is capped at 96; a start at 96 is compared with 48 alone.
+        # The sphere of radius 5 passes 0.26 outside the inner radius, where
+        # order 32 still misses order 64.
+        sweep(catalog["schwarzschild-translated"], ["adm_mass"], [5.0, 10.0, 20.0, 40.0], order=start)
         assert max(built) <= MAX_ORDER == 96
         assert sorted(set(built)) == orders
+
+    @pytest.mark.parametrize("start, orders", [(2, [2, 4]), (3, [3, 6]), (25, [12, 25])])
+    def test_bottom_and_odd_starts(self, catalog, monkeypatch, start, orders):
+        built = []
+        real = analysis.sphere_quadrature
+
+        def recording(n, r, order):
+            built.append(order)
+            return real(n, r, order)
+
+        monkeypatch.setattr(analysis, "sphere_quadrature", recording)
+        # Schwarzschild at the origin: every order agrees, so the first comparison accepts
+        report = sweep(catalog["schwarzschild"], ["adm_mass"], self.RADII, order=start)["adm_mass"]
+        assert sorted(set(built)) == orders
+        assert report.failure is None
 
     def test_start_order_above_max_order_is_refused(self, catalog):
         with pytest.raises(ValueError, match="start order"):
@@ -346,9 +365,9 @@ class TestCompare:
         assert isinstance(diff.verdict, bool)
 
     def test_curvature_sweep_in_four_dimensions(self):
-        # every functional in R^4 from start order 8; the refinement reaches 16.
-        # Measured: limits within 3e-10 of the closed form, compare limits
-        # 3.8e-11 (mass) and 3.0e-10 (center)
+        # every functional in R^4 from start order 8; orders 4 and 8 agree.
+        # Measured: limits within 2.0e-9 of the closed form, compare limits
+        # 3.8e-11 (mass) and 2.0e-9 (center)
         center = np.array([1.0, -0.5, 0.0, 0.25])
         field = build(CatalogSpec(kind="schwarzschild", dim=4, mass=1.0, center=tuple(center)))
         names = ["adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center"]

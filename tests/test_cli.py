@@ -281,6 +281,45 @@ class TestScalarMomentCheck:
         out = capsys.readouterr().out
         assert "[FAIL] scalar_moment_shells" in out and "1 < |x| < 10" in out
 
+    def test_angular_rule_at_its_cap_fails_and_is_named(self, tmp_path, monkeypatch, capsys):
+        # the bump's directions on 5 < |x| < 10 need order 64; capped at 16 they stall
+        metric = dict(NEAR_ORIGIN_BUMP, bump={
+            "amplitude": 0.05, "width": 2.0, "location": [3, -1, 2], "profile": "rational",
+        })
+        monkeypatch.setattr(invariants, "MAX_ORDER", 16)
+        code, _, summary = self.run_moments(tmp_path, metric, [5.0, 10.0, 20.0, 40.0, 80.0])
+        assert code == 1 and summary["verdict"] is False
+        assert summary["failure"] == "angular rule unconverged on 5 < |x| < 10"
+        assert "[FAIL] scalar_moment_shells" in capsys.readouterr().out
+
+
+class TestUnconvergedSweep:
+    def test_radius_whose_orders_never_agree_fails_and_is_named(self, tmp_path, monkeypatch, capsys):
+        # at radius 800 the flux mass moves by 1e-8 per unit of order, so
+        # consecutive orders differ by at least 1.2e-7 against a tolerance of
+        # about 2e-8; every other radius reads 1 at every order
+        scale = 2.0 * (3 - 1) * 4.0 * math.pi
+
+        class NeverAgrees:
+            def __init__(self, field, surface):
+                self.r, self.order = surface
+
+            def total(self, name):
+                return scale * (1.0 + (1e-8 * self.order if self.r == 800.0 else 0.0))
+
+        monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: (r, order))
+        monkeypatch.setattr(analysis, "SurfaceEval", NeverAgrees)
+        cfg = write_config(
+            tmp_path, functionals=["adm_mass"], order=24,
+            schedule={"kind": "spheres", "radii": list(cli.DEFAULT_RADII)},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        summary = read_summary(tmp_path)["checks"][0]
+        assert summary["verdict"] is False
+        assert summary["failure"] == "adm_mass unconverged at schedule radius 800 (order 96)"
+        out = capsys.readouterr().out
+        assert "[FAIL] adm_mass" in out and "radius 800 (order 96)" in out
+
 
 class TestOtherSubcommands:
     def test_center_positive_path(self, tmp_path, capsys):

@@ -277,8 +277,8 @@ def form_y_oracle(field, surf, alpha):
 def moment_oracle(field, r0, r1, moment, order):
     """The annulus moment with one kernel call per K15 shell of each accepted piece, and its scale.
 
-    Pieces are accepted or bisected as :func:`scalar_curvature_moment` does,
-    depth first.  The scale is the same integral of the largest ``|R_ij|`` at
+    Pieces are accepted or bisected as the radial rule of
+    :func:`scalar_curvature_moment` does at one angular order, depth first.  The scale is the same integral of the largest ``|R_ij|`` at
     each node: ``R`` is a contraction of ``R_ij``, so its rounding is relative
     to that size, which stays finite where ``R`` itself vanishes (Schwarzschild).
     """
@@ -353,7 +353,7 @@ def test_batched_moment_matches_shell_by_shell(case):
     field, r0, r1, moment, order, cap = case
     expected, scale = moment_oracle(field, r0, r1, moment, order)
     with mock.patch.object(invariants, "MAX_KERNEL_POINTS", cap):
-        got = scalar_curvature_moment(field, r0, r1, moment=moment, order=order)
+        got = invariants._radial_moment(field, r0, r1, moment, order)
     assert abs(got.value - expected) <= 1e-15 * scale
 
 
@@ -361,7 +361,7 @@ def test_batched_moment_matches_shell_by_shell(case):
 @given(moment_cases())
 def test_kronrod_moment_matches_the_32_node_rule(case):
     field, r0, r1, moment, order, _ = case
-    got = scalar_curvature_moment(field, r0, r1, moment=moment, order=order)
+    got = invariants._radial_moment(field, r0, r1, moment, order)
     assert got.converged
     assert abs(got.value - gauss_legendre_moment(field, r0, r1, moment, order)) <= 1e-13 * got.scale
 
@@ -381,7 +381,7 @@ def test_bisection_converges_a_near_origin_bump(monkeypatch):
         return curvature_arrays(g, dg, ddg)
 
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
-    got = scalar_curvature_moment(field, 1.0, 10.0)
+    got = invariants._radial_moment(field, 1.0, 10.0, 0, 16)
     assert got.converged and got.error <= invariants.REFINEMENT_TOL * got.scale
     assert sum(sizes) > 15 * 578  # the whole annulus was bisected
     expected, scale = moment_oracle(field, 1.0, 10.0, 0, 16)
@@ -400,6 +400,58 @@ def test_unbisected_bump_is_unconverged(monkeypatch):
     assert got.error > invariants.REFINEMENT_TOL * got.scale
 
 
+#: A rational bump 3.7 from the origin: the directions of 5 < |x| < 10 need more than order 16.
+OFF_CENTER_RATIONAL_BUMP = CatalogSpec(
+    kind="perturbed", base=CatalogSpec(kind="schwarzschild"), bump_amplitude=0.05,
+    bump_width=2.0, bump_location=(3.0, -1.0, 2.0), bump_profile="rational",
+)
+
+
+@pytest.mark.parametrize(
+    "start, orders",
+    [(2, [2, 4, 8, 16, 32, 64, 96]), (3, [3, 6, 12, 24, 48, 96]), (4, [2, 4, 8, 16, 32, 64, 96]),
+     (25, [12, 25, 50, 96]), (64, [32, 64, 96]), (96, [48, 96])],
+)
+def test_refinement_orders_start_at_the_companion(start, orders):
+    assert invariants.refinement_orders(start) == orders
+
+
+def test_angular_rule_refines_a_near_origin_annulus(monkeypatch):
+    shells = {}
+    real = invariants._radial_moment
+
+    def recording(field, r0, r1, moment, order):
+        shells[order] = real(field, r0, r1, moment, order)
+        return shells[order]
+
+    monkeypatch.setattr(invariants, "_radial_moment", recording)
+    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), 5.0, 10.0)
+    assert got.converged and got.order == 64 and list(shells) == [2, 4, 8, 16, 32, 64]
+    reference = shells[64]
+    assert abs(shells[32].value - reference.value) <= 1e-12 * reference.scale
+    # a fixed order 16 misses the reference by more than the refinement tolerance
+    assert abs(shells[16].value - reference.value) > invariants.REFINEMENT_TOL * reference.scale
+
+
+def test_far_annulus_accepts_order_4(monkeypatch):
+    sizes = []
+
+    def counting(g, dg, ddg):
+        sizes.append(len(g))
+        return curvature_arrays(g, dg, ddg)
+
+    monkeypatch.setattr(invariants, "curvature_arrays", counting)
+    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), 100.0, 200.0)
+    assert got.converged and got.order == 4
+    assert sizes == [15 * 18, 15 * 50]  # one kernel call each at orders 2 and 4
+
+
+def test_angular_rule_at_its_cap_is_unconverged(monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_ORDER", 16)
+    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), 5.0, 10.0)
+    assert got.order == 16 and got.stalled == "angular" and not got.converged
+
+
 def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
     sizes = []
 
@@ -408,11 +460,11 @@ def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
         return curvature_arrays(g, dg, ddg)
 
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
-    scalar_curvature_moment(catalog["conformal"], 10.0, 20.0, order=16)
+    invariants._radial_moment(catalog["conformal"], 10.0, 20.0, 0, 16)
     assert sizes == [8 * 578, 7 * 578]  # 15 whole shells of 578 nodes, 8 to a batch
     sizes.clear()
     field = build(CatalogSpec(kind="conformal", dim=4, u_coeffs=((1, 0.5),)))
-    scalar_curvature_moment(field, 10.0, 20.0, order=16)
+    invariants._radial_moment(field, 10.0, 20.0, 0, 16)
     assert sizes == [4802] * 30 + [15 * 9826 - 30 * 4802]  # shells above the cap are cut
     assert max(sizes) <= 4802
 
