@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric_field import Array, MetricField, parity_parts
-from .surfaces import unit_sphere_rule
+from .surfaces import check_rule_size, unit_sphere_rule
 
 KINDS = ("flat", "schwarzschild", "conformal", "perturbed", "rt_violator")
 BUMP_PROFILES = ("gaussian", "rational")
@@ -277,6 +277,7 @@ def build(spec: CatalogSpec) -> MetricField:
         # leading coefficient could drive u toward zero
         bound = max(abs(a) ** (1.0 / k) for k, a in coeffs)
         inner = float(np.linalg.norm(center)) + max(1.0, 1.5 * bound)
+    check_rule_size(n, 8)
     # probe u alone, summed as _powers_u sums it, on the domain boundary
     # |x| = inner_radius, the worst case for u > 0
     dirs, _ = unit_sphere_rule(n, 8)

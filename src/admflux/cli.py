@@ -41,7 +41,7 @@ from .errors import (
     UndefinedCenterError,
 )
 from .metric_field import MetricField, decay_report, decreasing_to_zero
-from .surfaces import sphere_quadrature
+from .surfaces import check_rule_size, sphere_quadrature
 
 ALL_FUNCTIONALS = (
     "adm_mass",
@@ -224,6 +224,7 @@ def _validate_config(cfg: RunConfig) -> MetricField:
     """The field of the run ``cfg`` describes, or :class:`ConfigError` naming
     what makes the run invalid."""
     analysis.check_schedule(cfg.radii, cfg.order)
+    check_rule_size(cfg.metric.dim, cfg.order)
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {cfg.fmt!r}")
     if cfg.tol <= 0 or cfg.identity_tol <= 0:

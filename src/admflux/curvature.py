@@ -5,17 +5,19 @@ integrals evaluate curvature at many quadrature nodes per call; there is no
 single-point variant.  All formulas are the full nonlinear ones.
 
 With jets laid out as ``dg[l,i,j] = d_l g_ij`` and ``ddg[l,k,i,j] = d_l d_k g_ij``
-and ``T_sij = d_j g_is + d_i g_js - d_s g_ij``, the kernel
-:func:`curvature_arrays` contracts the derivatives of the connection that the
-Ricci tensor needs as it forms them:
+and ``P[l]^a_b = g^as d_l g_sb``, the kernel :func:`curvature_arrays`
+contracts the derivatives of the connection that the Ricci tensor needs as it
+forms them:
 
-* ``gamma^k_ij = g^ks T_sij / 2``;
-* ``d_k gamma^k_ij = v^s T_sij / 2 + g^ks (d_k d_j g_is + d_k d_i g_js - d_k d_s g_ij) / 2``
-  with ``v^s = d_k g^ks = -g^ka d_k g_ab g^bs``;
-* ``d_j gamma^k_ki = g^ks d_j d_i g_ks / 2 - g^ka d_j g_ab g^bs d_i g_ks / 2``;
+* ``gamma^k_ij = (P[j]^k_i + P[i]^k_j - g^ks d_s g_ij) / 2``, so ``gamma^k_kl = P[l]^a_a / 2``;
+* ``d_k gamma^k_ij = -P[a]^a_k gamma^k_ij + g^ks (d_k d_j g_is + d_k d_i g_js - d_k d_s g_ij) / 2``;
+* ``d_j gamma^k_ki = g^ks d_j d_i g_ks / 2 - tr(P[j] P[i]) / 2``;
 * ``R_ij = d_k gamma^k_ij - d_j gamma^k_ki + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ki``.
 
-The full partials ``d_l gamma^k_ij`` are formed only on request
+Inside the kernel the point axis is the last one: each contraction is a
+plain ``einsum`` over a trailing ``...``, a sum of products of per-point
+vectors.  The second partials are read through a strided view, never
+copied.  The full partials ``d_l gamma^k_ij`` are formed only on request
 (:attr:`CurvatureBundle.dgamma`).
 """
 
@@ -53,82 +55,94 @@ class CurvatureBundle:
 
     @property
     def dgamma(self) -> Array:
-        """``d_l gamma^k_ij = (d_l g^ks T_sij + g^ks d_l T_sij) / 2``."""
-        ginv, ddg = self.ginv, self.ddg
-        dginv = -np.einsum("...ab,...lbc,...cd->...lad", ginv, self.dg, ginv)
+        """``d_l gamma^k_ij = (d_l g^ks T_sij + g^ks d_l T_sij) / 2``
+        with ``T_sij = d_j g_is + d_i g_js - d_s g_ij``."""
+        ginv, dg, ddg = self.ginv, self.dg, self.ddg
+        dginv = -np.einsum("...ab,...lbc,...cd->...lad", ginv, dg, ginv)
+        T = np.einsum("...jis->...sij", dg) + np.einsum("...ijs->...sij", dg) - dg
         dT = np.einsum("...ljis->...lsij", ddg) + np.einsum("...lijs->...lsij", ddg) - ddg
         return 0.5 * (
-            np.einsum("...lks,...sij->...lkij", dginv, _lowered_connection(self.dg))
+            np.einsum("...lks,...sij->...lkij", dginv, T)
             + np.einsum("...ks,...lsij->...lkij", ginv, dT)
         )
 
 
 def metric_inverse(g: Array) -> Array:
-    """Inverse metric with finiteness and condition-number guards (batched).
+    """Inverse of a batch ``g[..., i, j]`` of positive definite metrics, with
+    finiteness, definiteness and condition-number guards.
 
-    For symmetric ``g`` the 2-norm condition number is ``max|lambda| / min|lambda|``
-    over its eigenvalues, so ``eigvalsh`` stands in for an SVD.
+    Gauss-Jordan elimination in place and without pivoting, one row operation
+    at a time over every point: stable for symmetric positive definite
+    matrices, and a non-positive pivot means ``g`` is not one.  The 2-norm
+    condition number is bounded by ``|g|_F |g^-1|_F``; only where that bound
+    exceeds :data:`CONDITION_LIMIT` are the eigenvalues taken for the exact
+    one.  The result is a point-first view of an array whose point axes are last.
     """
     if not np.isfinite(g).all():
         raise SingularMetricError("metric has non-finite entries")
-    lam = np.abs(np.linalg.eigvalsh(g))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = lam.max(axis=-1) / lam.min(axis=-1)
-    worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > CONDITION_LIMIT:
-        raise SingularMetricError(
-            f"metric condition number {worst:.3e} exceeds limit {CONDITION_LIMIT:.0e}"
-        )
-    return np.linalg.inv(g)
-
-
-def _lowered_connection(dg: Array) -> Array:
-    """``T[s,i,j] = d_j g_is + d_i g_js - d_s g_ij`` over any leading axes."""
-    return np.einsum("...jis->...sij", dg) + np.einsum("...ijs->...sij", dg) - dg
+    n = g.shape[-1]
+    a = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # a[i, j] is a vector over the points
+    with np.errstate(all="ignore"):
+        frobenius = np.einsum("ij...,ij...->...", a, a)
+        for k in range(n):
+            pivot = a[k, k].copy()
+            if not (pivot > 0).all():
+                raise SingularMetricError("metric is not positive definite")
+            a[k, k] = 1.0
+            a[k] /= pivot
+            for i in range(n):
+                if i != k:
+                    factor = a[i, k].copy()
+                    a[i, k] = 0.0
+                    a[i] -= factor * a[k]
+        suspect = ~(np.sqrt(frobenius * np.einsum("ij...,ij...->...", a, a)) <= CONDITION_LIMIT)
+    if suspect.any():
+        # for symmetric g the 2-norm condition number is max|lambda| / min|lambda|
+        lam = np.abs(np.linalg.eigvalsh(g[suspect]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.max(lam.max(axis=-1) / lam.min(axis=-1)))
+        if not np.isfinite(worst) or worst > CONDITION_LIMIT:
+            raise SingularMetricError(
+                f"metric condition number {worst:.3e} exceeds limit {CONDITION_LIMIT:.0e}"
+            )
+    return np.moveaxis(a, (0, 1), (-2, -1))
 
 
 def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     """Full curvature bundle from batched jets ``g[p,i,j]``, ``dg[p,l,i,j]``, ``ddg[p,l,k,i,j]``.
 
-    With ``T_sij = d_j g_is + d_i g_js - d_s g_ij`` and
-    ``v^s = d_k g^ks = -g^ka d_k g_ab g^bs``:
-
-    * ``gamma^k_ij = g^ks T_sij / 2``;
-    * ``d_k gamma^k_ij = v^s T_sij / 2 + g^ks (d_k d_j g_is + d_k d_i g_js - d_k d_s g_ij) / 2``;
-    * ``d_j gamma^k_ki = g^ks d_j d_i g_ks / 2 - g^ka d_j g_ab g^bs d_i g_ks / 2``;
-    * ``R_ij = d_k gamma^k_ij - d_j gamma^k_ki + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ki``,
-      symmetrized against rounding; ``R = g^ij R_ij`` and ``G_ij = R_ij - R g_ij / 2``.
-
-    The divergence and the trace derivative are contracted as they are
-    formed, so the 5-index ``dgamma`` array is never built here.
+    The formulas are the module's; ``R_ij`` is symmetrized against rounding,
+    ``R = g^ij R_ij`` and ``G_ij = R_ij - R g_ij / 2``.  The divergence and the
+    trace derivative are contracted as they are formed, so the 5-index
+    ``dgamma`` array is never built here.
     """
     ginv = metric_inverse(g)
-    T = _lowered_connection(dg)
     p, n = g.shape[:2]
-    gamma = 0.5 * (ginv @ T.reshape(p, n, n * n)).reshape(T.shape)
-    # P[l] = ginv @ dg[l]:  v^s = -P[k,k,b] g^bs  and  g^ka d_j g_ab g^bs d_i g_ks = tr(P[j] P[i])
-    P = ginv[:, None] @ dg
-    v = -np.einsum("pkkb,pbs->ps", P, ginv, optimize=True)
-    # A_ij = g^ks d_k d_j g_is, read as d_j d_k g_si so that k, s are adjacent in ddg;
-    # the d_k d_i g_js term is its transpose
-    A = np.einsum("pks,pjksi->pij", ginv, ddg, optimize=True)
-    # div and trace_d are twice d_k gamma^k_ij and twice d_j gamma^k_ki
-    div = (
-        np.einsum("ps,psij->pij", v, T, optimize=True)
-        + A
-        + A.swapaxes(-1, -2)
-        - np.einsum("pks,pksij->pij", ginv, ddg, optimize=True)
-    )
-    trace_d = np.einsum("pks,pjiks->pij", ginv, ddg, optimize=True) - np.einsum(
-        "pjks,pisk->pij", P, P, optimize=True
-    )
-    ric = 0.5 * (div - trace_d) + (
-        np.einsum("pkkl,plij->pij", gamma, gamma, optimize=True)
-        - np.einsum("pkjl,plki->pij", gamma, gamma, optimize=True)
-    )
-    ric = 0.5 * (ric + ric.swapaxes(-1, -2))
-    scalar = np.einsum("pij,pij->p", ginv, ric)
-    einstein_ = ric - 0.5 * scalar[:, None, None] * g
-    return CurvatureBundle(
-        gamma=gamma, ricci=ric, scalar=scalar, einstein=einstein_, ginv=ginv, dg=dg, ddg=ddg
-    )
+    # the point axis last: gi[k, s, p], dG[l, i, j, p] and the view ddG[l, k, i, j, p]
+    gi = np.moveaxis(ginv, (-2, -1), (0, 1))
+    dG = np.ascontiguousarray(np.moveaxis(dg, 0, -1))
+    ddG = np.moveaxis(ddg, 0, -1)
+    P = np.einsum("as...,lsb...->lab...", gi, dG)
+    gamma = P.transpose(1, 2, 0, 3) + P.transpose(1, 0, 2, 3)
+    gamma -= np.einsum("ks...,sij...->kij...", gi, dG)
+    gamma *= 0.5
+    # gamma^k_kl gamma^l_ij - P[a]^a_k gamma^k_ij, the first-order part of R_ij
+    c = 0.5 * np.einsum("kaa...->k...", P) - np.einsum("aak...->k...", P)
+    ric = np.einsum("k...,kij...->ij...", c, gamma)
+    ric -= np.einsum("kjl...,lki...->ij...", gamma, gamma)
+    # twice the rest of d_k gamma^k_ij - d_j gamma^k_ki, flattened over (i, j);
+    # 2 g^ks d_k d_j g_is = 2 g^ks ddg[k, j, i, s] is added at (j, i), and the
+    # symmetrization below makes it the sum with its d_k d_i g_js companion
+    gm, flat = gi.reshape(n * n, p), ddG.reshape(n * n, n * n, p)
+    rest = np.einsum("jab...,iba...->ij...", P, P).reshape(n * n, p)
+    rest -= np.einsum("m...,mq...->q...", gm, flat)
+    rest -= np.einsum("m...,qm...->q...", gm, flat)
+    mixed = ddG.reshape(n, n * n, n, p)
+    for s in range(n):
+        rest += np.einsum("k...,kq...->q...", 2.0 * gi[:, s], mixed[:, :, s])
+    ric += 0.5 * rest.reshape(n, n, p)
+    ric = 0.5 * (ric + ric.transpose(1, 0, 2))
+    scalar = np.einsum("ij...,ij...->...", gi, ric)
+    einstein_ = ric - 0.5 * scalar * np.moveaxis(g, 0, -1)
+    gamma, ric, einstein_ = (np.moveaxis(a, -1, 0) for a in (gamma, ric, einstein_))
+    return CurvatureBundle(gamma, ric, scalar, einstein_, ginv, dg, ddg)

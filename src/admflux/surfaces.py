@@ -21,9 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .metric_field import Array
 
 DEFAULT_ORDER = 24
+
+#: Most nodes a unit-sphere rule may have (see :func:`check_rule_size`).
+MAX_RULE_NODES = 10**6
+
+
+def check_rule_size(n: int, order: int) -> None:
+    """Raise :class:`ConfigError` unless the order-``order`` rule on the unit sphere
+    in R^n, with its ``2 (order + 1)^(n - 1)`` nodes, fits :data:`MAX_RULE_NODES`."""
+    if n >= 2 and 2 * (order + 1) ** (n - 1) > MAX_RULE_NODES:
+        raise ConfigError(
+            f"metric dim {n}: an order-{order} sphere rule has 2*{order + 1}^{n - 1} nodes, "
+            f"more than the {MAX_RULE_NODES} a rule may have"
+        )
 
 
 def unit_sphere_area(n: int) -> float:

@@ -181,6 +181,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build(CatalogSpec(kind="flat", dim=2))
 
+    def test_inner_radius_probe_within_node_budget(self):
+        # the order-8 probe has 2*9^5 nodes in R^6 and 2*9^6 > 10^6 in R^7
+        assert build(CatalogSpec(kind="schwarzschild", dim=6)).dim == 6
+        with pytest.raises(ConfigError, match=r"metric dim 7: .* 2\*9\^6 nodes"):
+            build(CatalogSpec(kind="schwarzschild", dim=7))
+
     def test_conformal_needs_coefficients(self):
         with pytest.raises(ConfigError):
             build(CatalogSpec(kind="conformal"))

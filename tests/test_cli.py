@@ -454,13 +454,13 @@ class TestExitCodes:
         assert main(["mass", "--config", str(write_config(tmp_path))]) == cli.EXIT_INTERNAL_ERROR == 4
         assert capsys.readouterr().err == "internal error: RuntimeError: checks could not start\n"
 
-    def test_overflowing_dimension_is_internal_error(self, tmp_path, capsys):
-        # the quadrature rule that probes the inner radius overflows a float
-        # in 5000 dimensions, before any node array is built
+    def test_oversized_dimension_is_config_error(self, tmp_path, capsys):
+        # 2*17^4999 nodes on the order-16 start sphere: refused before any rule is built
         metric = {"kind": "schwarzschild", "dim": 5000, "mass": 1.0}
-        assert main(["mass", "--config", str(write_config(tmp_path, metric=metric))]) == 4
+        assert main(["mass", "--config", str(write_config(tmp_path, metric=metric))]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+        assert err.startswith("config error: metric dim 5000: ") and err.count("\n") == 1
+        assert "2*17^4999 nodes" in err
         assert not (tmp_path / "out").exists()
 
 

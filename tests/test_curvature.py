@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from admflux.curvature import curvature_arrays
+from admflux.curvature import curvature_arrays, metric_inverse
 from admflux.errors import SingularMetricError
 from admflux.metric_field import MetricField, fd_jet2, jet2_batch
+from admflux.surfaces import sphere_quadrature
 
 from conftest import linearized_scalar_arrays, metric_values, sample_points
 
@@ -190,9 +191,57 @@ def test_non_finite_metric_rejected(bad):
         curvature_arrays(g, np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3)))
 
 
-def reference_curvature(g, dg, ddg):
-    """Reference oracle: the kernel's formulas through the full 5-index ``dgamma``."""
-    ginv = np.linalg.inv(g)
+@st.composite
+def spd_batches(draw):
+    """Batches of symmetric positive definite matrices, n in {3, 4, 5}."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    a = draw(arrays(np.float64, (draw(st.integers(1, 6)), n, n), elements=unit))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return scale * (np.eye(n) * draw(st.floats(0.05, 1.0)) + a @ a.swapaxes(-1, -2))
+
+
+@settings(deadline=None)
+@given(spd_batches())
+def test_metric_inverse_matches_lapack(g):
+    ginv = metric_inverse(g)
+    want = np.linalg.inv(g)
+    assert np.abs(ginv - want).max() <= 1e-13 * np.abs(want).max()
+    n = g.shape[-1]
+    assert np.allclose(g @ ginv, np.eye(n), rtol=0, atol=1e-13)
+
+
+def test_frobenius_bound_falls_back_to_the_exact_condition_number(monkeypatch):
+    # |g|_F |g^-1|_F = 1.29e12 exceeds the limit, the exact cond_2 = 9.1e11 does not
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    g = np.diag([1.0, 1.0, 1.1e-12])[None].repeat(2, axis=0)
+    g[0] = np.eye(3)
+    assert np.array_equal(metric_inverse(g)[1], np.diag([1.0, 1.0, 1 / 1.1e-12]))
+    assert calls == [(1, 3, 3)]  # only the suspect point
+
+
+def test_indefinite_metric_rejected():
+    g = np.diag([1.0, 1.0, -1.0])[None]
+    with pytest.raises(SingularMetricError, match="positive definite"):
+        metric_inverse(g)
+
+
+def test_kernel_needs_no_lapack(catalog, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    jets = jet2_batch(catalog["schwarzschild"], sphere_quadrature(3, 50.0, 24).points)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    bundle = curvature_arrays(*jets)
+    assert np.all(np.isfinite(bundle.einstein)) and bundle.scalar.shape == (len(jets[0]),)
+
+
+def reference_curvature(g, dg, ddg, ginv):
+    """Reference oracle: the kernel's formulas through the full 5-index ``dgamma``,
+    with the inverse metric ``ginv`` given."""
     T = np.einsum("pjis->psij", dg) + np.einsum("pijs->psij", dg) - dg
     gamma = 0.5 * np.einsum("pks,psij->pkij", ginv, T)
     dginv = -np.einsum("pab,plbc,pcd->plad", ginv, dg, ginv)
@@ -233,8 +282,10 @@ def spd_jets(draw):
 def test_kernel_matches_five_index_reference(jets):
     g, dg, ddg = jets
     got = curvature_arrays(g, dg, ddg)
-    want = reference_curvature(g, dg, ddg)
-    assert np.array_equal(got.dgamma, want["dgamma"])
+    # the formula for dgamma is pinned bit for bit on the kernel's own inverse,
+    # the kernel's contractions to 1e-12 against LAPACK's
+    assert np.array_equal(got.dgamma, reference_curvature(g, dg, ddg, got.ginv)["dgamma"])
+    want = reference_curvature(g, dg, ddg, np.linalg.inv(g))
     # Relative to the larger of the result and the size of the terms it is summed
     # from, so that a curvature cancelling to near zero is not held to 1e-12 of itself.
     terms = np.abs(ddg).max() + np.abs(dg).max() ** 2
