@@ -5,18 +5,19 @@ growing schedule of surfaces in one pass, each surface evaluated once for all
 of them, and then divides the centers by the mass.  The start order is
 accepted once its half agrees with it, the rule the scalar-curvature shells
 use for their directions.  It fits each on the tail with the model
-``value(r) = limit + A * r^(-p)``.  A fitted rate is reported alongside the
-limit rather than assumed, since the decay hypotheses only guarantee
+``value(r) = limit + A * r^(-p)``: :func:`fit_power_law` scans a grid of
+rates with the linear parameters solved in closed form at each, and polishes
+the best with Levenberg-Marquardt steps.  A fitted rate is reported alongside
+the limit rather than assumed, since the decay hypotheses only guarantee
 convergence without a rate.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,10 +55,11 @@ def fit_power_law(radii, values) -> PowerLawFit:
 
     The rate enters nonlinearly, so the fit scans :data:`RATE_GRID` for the
     least profiled residual (the linear parameters solved exactly at each
-    trial rate), refines the rate by a golden-section search on the profiled
-    residual, then polishes all three parameters with damped Gauss-Newton
-    (Levenberg-Marquardt) steps.  Exact power-law data is recovered to machine
-    precision.  Non-finite samples raise :class:`NonFiniteError`.
+    trial rate, the variable projection of Golub and Pereyra), then polishes
+    all three parameters with damped Gauss-Newton (Levenberg-Marquardt) steps
+    from the best trial rate and its profiled ``(L, A)``.  Exact power-law
+    data is recovered to machine precision.  Non-finite samples raise
+    :class:`NonFiniteError`.
     """
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -72,10 +74,9 @@ def fit_power_law(radii, values) -> PowerLawFit:
     if float(np.max(v) - np.min(v)) <= 1e-11 * scale:
         return PowerLawFit(limit=float(np.mean(v)), amplitude=0.0, rate=1.0)
 
-    p0 = float(RATE_GRID[np.argmin(_profile(r, v, RATE_GRID)[0])])
-    p = _golden_minimum(lambda p: _profile(r, v, p)[0], max(0.01, p0 - 0.5), p0 + 0.5, xatol=1e-13)
-    L, A = _profile(r, v, p)[1]
-    L, A, p = _polish(r, v, np.array([L, A, p]))
+    residuals, coefs = _profile(r, v, RATE_GRID)
+    best = int(np.argmin(residuals))
+    L, A, p = _polish(r, v, np.array([*coefs[best], RATE_GRID[best]]))
     return PowerLawFit(limit=float(L), amplitude=float(A), rate=float(p))
 
 
@@ -83,42 +84,33 @@ def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarra
     """Least squares of ``v`` on the design ``[1, r^-p]`` at each of ``rates``.
 
     Returns the squared residuals (shape of ``rates``) and the coefficients
-    ``(L, A)`` (that shape plus 2).  All designs are factored in one stacked
-    SVD; singular values below ``np.linalg.lstsq``'s default cutoff (``eps``
-    times the sample count times the largest) are dropped as ``lstsq`` drops
-    them, which at large rates leaves a constant fit.
+    ``(L, A)`` (that shape plus 2), solved in closed form from centred sums.
+    ``np.linalg.lstsq`` drops a singular value at or below its default cutoff
+    (``eps`` times the sample count times the largest); the squared singular
+    values are the eigenvalues of the 2x2 Gram matrix, so the cut is made
+    from those, and a dropped ``r^-p`` column leaves ``lstsq``'s rank-1
+    minimum-norm solution, which at large rates is a constant fit.
     """
-    powers = r ** -np.asarray(rates, dtype=float)[..., None]
-    design = np.stack([np.ones_like(powers), powers], axis=-1)
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    kept = sv > np.finfo(float).eps * len(r) * sv[..., :1]
-    scaled = np.where(kept, np.einsum("...ik,i->...k", u, v) / np.where(kept, sv, 1.0), 0.0)
-    coef = np.einsum("...kj,...k->...j", vt, scaled)
-    res = np.einsum("...ij,...j->...i", design, coef) - v
-    return np.einsum("...i,...i->...", res, res), coef
-
-
-def _golden_minimum(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
-    """Golden-section search for a minimum of ``f`` on ``[lo, hi]``.
-
-    Stops once the bracket is within ``sqrt(eps) |x| + xatol / 3`` of its
-    midpoint, the tolerance of Brent's bounded method, and returns the better
-    of the two interior points.
-    """
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while 0.5 * (b - a) > math.sqrt(np.finfo(float).eps) * abs(c) + xatol / 3.0:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return c if fc <= fd else d
+    m = len(r)
+    x = r ** -np.asarray(rates, dtype=float)[..., None]
+    dv = v - v.mean()
+    sx = np.einsum("...i->...", x)
+    dx = x - (sx / m)[..., None]
+    sxx, dxx = np.einsum("...i,...i->...", x, x), np.einsum("...i,...i->...", dx, dx)
+    # the Gram matrix [[m, sx], [sx, sxx]] has the larger eigenvalue ``top`` and
+    # the determinant m * dxx; lstsq keeps r^-p while sigma_2 > eps m sigma_1
+    half = 0.5 * (m - sxx)
+    root = np.hypot(half, sx)
+    top = 0.5 * (m + sxx) + root
+    kept = m * dxx > (np.finfo(float).eps * m * top) ** 2
+    # rank 1: the projection on top's eigenvector, from the sum that does not cancel
+    w = np.where(half >= 0, [half + root, sx], [sx, root - half])
+    xv = np.einsum("...i,i->...", x, v)
+    along = (w[0] * v.sum() + w[1] * xv) / (top * (w[0] ** 2 + w[1] ** 2))
+    A = np.where(kept, np.einsum("...i,i->...", dx, dv) / np.where(kept, dxx, 1.0), w[1] * along)
+    L = np.where(kept, v.mean() - A * sx / m, w[0] * along)
+    res = L[..., None] + A[..., None] * x - v
+    return np.einsum("...i,...i->...", res, res), np.stack([L, A], axis=-1)
 
 
 def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -99,34 +99,39 @@ def _validate(spec: CatalogSpec) -> None:
 # conformal factors u = 1 + sum a_k |x - c|^(-k)
 
 
-def _powers_u(points: Array, coeffs, center: Array):
-    y = points - center
-    rho = np.linalg.norm(y, axis=1)
-    eye = np.eye(points.shape[1])
-    u = np.ones(len(points))
-    du = np.zeros_like(points)
-    ddu = np.zeros((len(points), points.shape[1], points.shape[1]))
-    for k, a in coeffs:
-        u += a * rho**(-k)
-        du += -a * k * rho[:, None] ** (-k - 2) * y
-        ddu += -a * k * (
-            rho[:, None, None] ** (-k - 2) * eye
-            - (k + 2) * rho[:, None, None] ** (-k - 4) * y[:, :, None] * y[:, None, :]
-        )
-    return u, du, ddu
+def _u_term(s: Array, k: int, a: float) -> Array:
+    """The term ``a |y|^-k`` of ``u`` from ``s = 1 / |y|^2``."""
+    return a * s ** (0.5 * k)
 
 
 def _conformal_jets(points: Array, coeffs, center: Array, n: int):
-    u, du, ddu = _powers_u(points, coeffs, center)
+    """Jets of ``u^p delta``, ``p = 4 / (n - 2)``, written only into their diagonal slots.
+
+    One loop over the coefficients forms ``u`` and the radial factors of
+    ``du = a1 y`` and ``ddu = a1 delta + a2 y y`` from the one reciprocal
+    ``s = 1 / |y|^2``; the ``i = j`` slots of zeroed arrays take the rest.
+    """
+    y = points - center
+    N = len(points)
+    s = 1.0 / np.einsum("pi,pi->p", y, y)
+    u, a1, a2 = np.ones(N), np.zeros(N), np.zeros(N)
+    for k, a in coeffs:
+        term = _u_term(s, k, a)
+        u += term
+        a1 -= k * term
+        a2 += k * (k + 2) * term
+    a1 *= s
+    a2 *= s * s
     p = 4.0 / (n - 2)
-    eye = np.eye(n)
-    g = u[:, None, None] ** p * eye
-    dg = p * u[:, None, None, None] ** (p - 1) * du[:, :, None, None] * eye
-    dd = (
-        p * (p - 1) * u[:, None, None] ** (p - 2) * du[:, :, None] * du[:, None, :]
-        + p * u[:, None, None] ** (p - 1) * ddu
-    )
-    ddg = dd[:, :, :, None, None] * eye
+    f1 = p * u ** (p - 1)  # d(u^p)/du
+    d1 = f1 * a1  # d_k u^p = d1 y_k
+    # d_k d_l u^p = d1 delta_kl + (f2 a1^2 + f1 a2) y_k y_l with f2 = d^2(u^p)/du^2
+    dd = ((p - 1) * f1 / u * a1 * a1 + f1 * a2)[:, None, None] * y[:, :, None] * y[:, None, :]
+    dd.reshape(N, n * n)[:, :: n + 1] += d1[:, None]
+    g, dg, ddg = np.zeros((N, n, n)), np.zeros((N, n, n, n)), np.zeros((N, n, n, n, n))
+    g.reshape(N, n * n)[:, :: n + 1] = (u**p)[:, None]
+    dg.reshape(N, n, n * n)[..., :: n + 1] = d1[:, None, None] * y[:, :, None]
+    ddg.reshape(N, n, n, n * n)[..., :: n + 1] = dd[..., None]
     return g, dg, ddg
 
 
@@ -194,20 +199,20 @@ def _rt_tail_jets(points: Array, A: float):
 
 
 def _plus_g11(base: MetricField, term, inner: float, metadata: dict) -> MetricField:
-    """``base`` with the jets ``term(points) = (v, dv, ddv)`` added to its ``g_11``."""
-    n = base.dim
-    pattern = np.zeros((n, n))
-    pattern[0, 0] = 1.0
+    """``base`` with the jets ``term(points) = (v, dv, ddv)`` added to its ``g_11``.
+
+    Every catalog field returns fresh jet arrays, so the term is added in place.
+    """
 
     def batch(points: Array):
         g, dg, ddg = base.jet_batch(points)
         v, dv, ddv = term(points)
-        g = g + v[:, None, None] * pattern
-        dg = dg + dv[:, :, None, None] * pattern
-        ddg = ddg + ddv[:, :, :, None, None] * pattern
+        g[:, 0, 0] += v
+        dg[:, :, 0, 0] += dv
+        ddg[:, :, :, 0, 0] += ddv
         return g, dg, ddg
 
-    return MetricField(n, batch, inner, metadata)
+    return MetricField(base.dim, batch, inner, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +283,12 @@ def build(spec: CatalogSpec) -> MetricField:
         bound = max(abs(a) ** (1.0 / k) for k, a in coeffs)
         inner = float(np.linalg.norm(center)) + max(1.0, 1.5 * bound)
     check_rule_size(n, 8)
-    # probe u alone, summed as _powers_u sums it, on the domain boundary
-    # |x| = inner_radius, the worst case for u > 0
+    # probe u alone, its terms summed from 1 as _conformal_jets sums them, on
+    # the domain boundary |x| = inner_radius, the worst case for u > 0
     dirs, _ = unit_sphere_rule(n, 8)
-    rho = np.linalg.norm(max(inner, 1e-6) * dirs - center, axis=1)
-    if np.any(sum((a * rho**(-k) for k, a in coeffs), np.ones(len(rho))) <= 1e-10):
+    y = max(inner, 1e-6) * dirs - center
+    s = 1.0 / np.einsum("pi,pi->p", y, y)
+    if np.any(sum((_u_term(s, k, a) for k, a in coeffs), np.ones(len(s))) <= 1e-10):
         raise ConfigError(
             "conformal factor is not positive down to the inner radius; "
             "raise inner_radius or adjust coefficients"

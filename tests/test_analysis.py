@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admflux import analysis, invariants
 from admflux.analysis import (
@@ -68,19 +70,70 @@ class TestFitPowerLaw:
         ],
     )
     def test_profile_grid_argmin_matches_per_rate_lstsq(self, radii, v):
-
-        def lstsq_residual(p):
-            design = np.column_stack([np.ones_like(radii), radii**-p])
-            coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-            res = design @ coef - v
-            return float(res @ res)
-
         residuals, coefs = _profile(radii, v, RATE_GRID)
         best = int(np.argmin(residuals))
-        assert RATE_GRID[best] == min(RATE_GRID, key=lstsq_residual)
-        # one rate at a time, as the golden-section search calls it
+        assert RATE_GRID[best] == min(RATE_GRID, key=lambda p: lstsq_profile(radii, v, p)[0])
+        # one rate at a time: a single rate takes the grid's path
         residual, coef = _profile(radii, v, RATE_GRID[best])
         assert residual == residuals[best] and np.array_equal(coef, coefs[best])
+
+
+@st.composite
+def profile_samples(draw):
+    """3-9 samples of ``L + A r^-p`` on a random increasing schedule, exact or noisy."""
+    m = draw(st.integers(3, 9))
+    start = draw(st.floats(1.0, 2000.0))
+    steps = draw(st.lists(st.floats(1.1, 4.0), min_size=m - 1, max_size=m - 1))
+    radii = start * np.cumprod([1.0, *steps])
+    # on a grid of 1e-3: no products that underflow
+    limit, amplitude = (draw(st.integers(-k, k)) / 1e3 for k in (2000, 3000))
+    values = limit + amplitude * radii ** -draw(st.floats(0.2, 4.0))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    values = values + noise * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    return radii, values
+
+
+def lstsq_profile(radii, v, p, rcond=None):
+    """Squared residual, ``(L, A)`` and singular values of ``np.linalg.lstsq`` at rate ``p``."""
+    design = np.column_stack([np.ones_like(radii), radii**-p])
+    coef, _, _, sv = np.linalg.lstsq(design, v, rcond=rcond)
+    res = design @ coef - v
+    return float(res @ res), coef, sv
+
+
+def matches_lstsq(residual, coef, radii, v, p, rcond):
+    """``(residual, coef)`` is lstsq's answer to 1e-12 relative or to its rounding floor.
+
+    The floor is the least-squares perturbation bound for ``m eps`` relative
+    errors: ``m eps (|v| + kappa |res|) / s`` for the smallest kept singular
+    value ``s`` and ``kappa = sigma_1 / s`` (Golub and Van Loan, 5.3).
+    """
+    want, want_coef, sv = lstsq_profile(radii, v, p, rcond)
+    eps = np.finfo(float).eps * len(radii)
+    s = sv[1] if sv[1] > rcond * sv[0] else sv[0]
+    norm = float(np.linalg.norm(v))
+    floor = eps * (norm + sv[0] / s * np.sqrt(want)) / s
+    return (
+        abs(residual - want) <= 1e-12 * want + eps * norm**2
+        and np.all(np.abs(coef - want_coef) <= 1e-12 * np.abs(want_coef) + floor)
+    )
+
+
+@settings(deadline=None)
+@given(profile_samples())
+@example((DEFAULT_TAIL, np.array([1.0, 1.0 + 1e-9, 1.0, 1.0 + 1e-9, 1.0])))
+def test_closed_form_profile_matches_per_rate_lstsq(samples):
+    radii, v = samples
+    rates = np.concatenate([RATE_GRID, [12.0, 20.0]])  # far schedules drop r^-p at these
+    residuals, coefs = _profile(radii, v, rates)
+    cut = np.finfo(float).eps * len(radii)
+    for p, residual, coef in zip(rates, residuals, coefs):
+        sv = lstsq_profile(radii, v, p)[2]
+        if cut / 2 < sv[1] / sv[0] < 2 * cut:
+            # at the rank cut two roundings of sigma_2 may decide either way
+            assert any(matches_lstsq(residual, coef, radii, v, p, c) for c in (cut / 2, 2 * cut))
+        else:
+            assert matches_lstsq(residual, coef, radii, v, p, cut)
 
 
 class TestSweep:

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import admflux.catalog as catalog_module
 from admflux.catalog import CatalogSpec, build
@@ -55,7 +60,7 @@ class TestBuild:
         def forbidden(*args):
             raise AssertionError("the u > 0 probe formed the jets of u")
 
-        monkeypatch.setattr(catalog_module, "_powers_u", forbidden)
+        monkeypatch.setattr(catalog_module, "_conformal_jets", forbidden)
         assert build(CatalogSpec(kind="schwarzschild", dim=6)).dim == 6
         with pytest.raises(ConfigError, match="not positive"):
             build(CatalogSpec(kind="conformal", u_coeffs=((1, -2.0),), inner_radius=1.0))
@@ -210,3 +215,115 @@ class TestValidation:
                     kind="perturbed", base=CatalogSpec(kind="flat"), bump_amplitude=1.5
                 )
             )
+
+
+def reference_conformal_jets(points, coeffs, center, n):
+    """Reference jets of ``u^(4/(n-2)) delta``, every entry broadcast against the identity.
+
+    ``u`` and its derivatives are summed term by term from ``|y|``, then each
+    jet is multiplied into ``np.eye(n)``: no slot is assumed zero.
+    """
+    y = points - center
+    rho = np.linalg.norm(y, axis=1)
+    eye = np.eye(n)
+    u = np.ones(len(points))
+    du = np.zeros_like(points)
+    ddu = np.zeros((len(points), n, n))
+    for k, a in coeffs:
+        u += a * rho**(-k)
+        du += -a * k * rho[:, None] ** (-k - 2) * y
+        ddu += -a * k * (
+            rho[:, None, None] ** (-k - 2) * eye
+            - (k + 2) * rho[:, None, None] ** (-k - 4) * y[:, :, None] * y[:, None, :]
+        )
+    p = 4.0 / (n - 2)
+    g = u[:, None, None] ** p * eye
+    dg = p * u[:, None, None, None] ** (p - 1) * du[:, :, None, None] * eye
+    dd = (
+        p * (p - 1) * u[:, None, None] ** (p - 2) * du[:, :, None] * du[:, None, :]
+        + p * u[:, None, None] ** (p - 1) * ddu
+    )
+    return g, dg, dd[:, :, :, None, None] * eye
+
+
+@st.composite
+def conformal_fields(draw):
+    """A conformal spec (repeated powers allowed), its field and points outside its inner radius."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    coeffs = tuple(draw(st.lists(
+        # coefficients on a grid of 1e-4 in [-0.5, 1]: no subnormal jets
+        st.tuples(st.integers(1, 4), st.integers(-5000, 10000).map(lambda i: i / 1e4)),
+        min_size=1, max_size=4,
+    )))
+    center = tuple(draw(arrays(float, n, elements=st.floats(-4.0, 4.0))))
+    spec = CatalogSpec(kind="conformal", dim=n, u_coeffs=coeffs, center=center)
+    try:
+        field = build(spec)
+    except ConfigError:  # u not positive down to the default inner radius
+        field = build(dataclasses.replace(spec, inner_radius=np.linalg.norm(center) + 10.0))
+    dirs = draw(arrays(float, (6, n), elements=st.floats(-1.0, 1.0)).filter(
+        lambda d: np.all(np.linalg.norm(d, axis=1) > 0.1)
+    ))
+    scale = draw(arrays(float, (6, 1), elements=st.floats(1.0, 50.0)))
+    points = field.inner_radius * scale * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return coeffs, np.array(center), field, points
+
+
+@settings(deadline=None)
+@given(conformal_fields())
+def test_conformal_jets_match_broadcast_reference(case):
+    coeffs, center, field, points = case
+    n = field.dim
+    jets = catalog_module._conformal_jets(points, coeffs, center, n)
+    # terms of mixed sign cancel in both: the bound is on the size of the terms
+    terms = reference_conformal_jets(points, [(k, abs(a)) for k, a in coeffs], center, n)
+    off = ~np.eye(n, dtype=bool)
+    for got, want, size in zip(jets, reference_conformal_jets(points, coeffs, center, n), terms):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), np.abs(size).max())
+        assert not got[..., off].any()  # off-diagonal slots exactly zero
+    for a, b in zip(jet2_batch(field, points), jet2_batch(field, points)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CatalogSpec(
+            kind="perturbed", base=base, bump_profile=profile, bump_parity=parity,
+            bump_location=(3.0, -1.0, 2.0), bump_width=1.5,
+        )
+        for base in (
+            CatalogSpec(
+                kind="conformal", u_coeffs=((1, 0.6), (2, 0.3), (3, -0.1)), center=(1.0, -0.5, 0.25)
+            ),
+            CatalogSpec(kind="rt_violator", amplitude=0.5),
+        )
+        for profile in ("gaussian", "rational")
+        for parity in ("none", "even", "odd")
+    ] + [CatalogSpec(kind="rt_violator", amplitude=0.5)],
+    ids=lambda spec: "-".join(
+        [spec.kind] + ([spec.base.kind, spec.bump_profile, spec.bump_parity] if spec.base else [])
+    ),
+)
+def test_g11_term_added_in_place_matches_out_of_place_sum(rng, spec):
+    field = build(spec)
+    points = sample_points(rng, 40, r_min=field.inner_radius + 1.0, r_max=60.0)
+    if spec.kind == "perturbed":
+        base = build(spec.base)
+        v, dv, ddv = catalog_module._bump_jets(points, spec)
+    else:
+        base = build(CatalogSpec(kind="flat"))
+        v, dv, ddv = catalog_module._rt_tail_jets(points, spec.amplitude)
+    pattern = np.zeros((3, 3))
+    pattern[0, 0] = 1.0
+    g, dg, ddg = base.jet_batch(points)
+    want = (
+        g + v[:, None, None] * pattern,
+        dg + dv[:, :, None, None] * pattern,
+        ddg + ddv[:, :, :, None, None] * pattern,
+    )
+    first, second = field.jet_batch(points), field.jet_batch(points)
+    for got, again, expected in zip(first, second, want):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, again)
