@@ -5,7 +5,9 @@ chosen so that every jet entry has a closed form.  The conformal factor is
 restricted to finite sums ``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its
 Laplacian analytic and the scalar-flatness oracle exact.  :func:`build` turns
 a :class:`CatalogSpec` into a field and decides each kind in one branch;
-``dataclasses.replace`` derives one spec from another.
+``dataclasses.replace`` derives one spec from another.  Every kind stores its
+jets with the point axis last and returns point-first views of that storage,
+which the curvature kernel reads without a copy or a stride.
 
 The ``rt_violator`` kind is the negative control: the flat metric plus the odd
 ``g_11`` tail ``h_11 = amplitude * x^1 |x|^(-n/2 - 1)``.  The deviation decays
@@ -104,16 +106,22 @@ def _u_term(s: Array, k: int, a: float) -> Array:
     return a * s ** (0.5 * k)
 
 
+def _point_first(*storage: Array) -> tuple[Array, ...]:
+    """Point-first views of jet arrays stored with the point axis last."""
+    return tuple(np.moveaxis(a, -1, 0) for a in storage)
+
+
 def _conformal_jets(points: Array, coeffs, center: Array, n: int):
     """Jets of ``u^p delta``, ``p = 4 / (n - 2)``, written only into their diagonal slots.
 
     One loop over the coefficients forms ``u`` and the radial factors of
     ``du = a1 y`` and ``ddu = a1 delta + a2 y y`` from the one reciprocal
-    ``s = 1 / |y|^2``; the ``i = j`` slots of zeroed arrays take the rest.
+    ``s = 1 / |y|^2``; the ``i = j`` slots of zeroed point-last arrays take
+    the rest, each slot one contiguous run of points.
     """
     y = points - center
     N = len(points)
-    s = 1.0 / np.einsum("pi,pi->p", y, y)
+    s = 1.0 / np.einsum("pi,pi->p", y, y)  # point-first: each sum independent of the batch
     u, a1, a2 = np.ones(N), np.zeros(N), np.zeros(N)
     for k, a in coeffs:
         term = _u_term(s, k, a)
@@ -126,13 +134,14 @@ def _conformal_jets(points: Array, coeffs, center: Array, n: int):
     f1 = p * u ** (p - 1)  # d(u^p)/du
     d1 = f1 * a1  # d_k u^p = d1 y_k
     # d_k d_l u^p = d1 delta_kl + (f2 a1^2 + f1 a2) y_k y_l with f2 = d^2(u^p)/du^2
-    dd = ((p - 1) * f1 / u * a1 * a1 + f1 * a2)[:, None, None] * y[:, :, None] * y[:, None, :]
-    dd.reshape(N, n * n)[:, :: n + 1] += d1[:, None]
-    g, dg, ddg = np.zeros((N, n, n)), np.zeros((N, n, n, n)), np.zeros((N, n, n, n, n))
-    g.reshape(N, n * n)[:, :: n + 1] = (u**p)[:, None]
-    dg.reshape(N, n, n * n)[..., :: n + 1] = d1[:, None, None] * y[:, :, None]
-    ddg.reshape(N, n, n, n * n)[..., :: n + 1] = dd[..., None]
-    return g, dg, ddg
+    y = np.ascontiguousarray(y.T)  # y[i] is a vector over the points
+    dd = ((p - 1) * f1 / u * a1 * a1 + f1 * a2) * y[:, None] * y[None, :]
+    dd.reshape(n * n, N)[:: n + 1] += d1
+    g, dg, ddg = np.zeros((n, n, N)), np.zeros((n, n, n, N)), np.zeros((n, n, n, n, N))
+    g.reshape(n * n, N)[:: n + 1] = u**p
+    dg.reshape(n, n * n, N)[:, :: n + 1] = (d1 * y)[:, None]
+    ddg.reshape(n, n, n * n, N)[:, :, :: n + 1] = dd[:, :, None]
+    return _point_first(g, dg, ddg)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +210,8 @@ def _rt_tail_jets(points: Array, A: float):
 def _plus_g11(base: MetricField, term, inner: float, metadata: dict) -> MetricField:
     """``base`` with the jets ``term(points) = (v, dv, ddv)`` added to its ``g_11``.
 
-    Every catalog field returns fresh jet arrays, so the term is added in place.
+    Every catalog field returns fresh jet arrays, so the term is added in place,
+    through the point-first views of their point-last storage.
     """
 
     def batch(points: Array):
@@ -235,15 +245,12 @@ def build(spec: CatalogSpec) -> MetricField:
     metadata = {"label": spec.label or spec.kind}
 
     if spec.kind == "flat":
-        eye = np.eye(n)
+        eye = np.eye(n)[:, :, None]
 
         def batch(points: Array):
             N = len(points)
-            return (
-                np.broadcast_to(eye, (N, n, n)).copy(),
-                np.zeros((N, n, n, n)),
-                np.zeros((N, n, n, n, n)),
-            )
+            g = np.broadcast_to(eye, (n, n, N)).copy()
+            return _point_first(g, np.zeros((n, n, n, N)), np.zeros((n, n, n, n, N)))
 
         metadata["expected_mass"] = 0.0
         return MetricField(n, batch, 0.0 if inner is None else inner, metadata)

@@ -16,9 +16,10 @@ forms them:
 
 Inside the kernel the point axis is the last one: each contraction is a
 plain ``einsum`` over a trailing ``...``, a sum of products of per-point
-vectors.  The second partials are read through a strided view, never
-copied.  The full partials ``d_l gamma^k_ij`` are formed only on request
-(:attr:`CurvatureBundle.dgamma`).
+vectors.  Jets stored point-last, as the catalog's are, are read in place,
+and a slice of them costs a copy of ``dg``; point-first storage costs that
+copy and strided reads of ``ddg``.  The full partials ``d_l gamma^k_ij`` are
+formed only on request (:attr:`CurvatureBundle.dgamma`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class CurvatureBundle:
     first.  ``einstein`` is ``ricci - scalar/2 * g`` and ``ginv`` the inverse
     metric.  ``dg`` and ``ddg`` are the metric partials the bundle was built
     from; the connection partials ``dgamma[p, l, k, i, j]`` (derivative index
-    first) are computed from them each time the property is read.
+    first) are computed from them each time the property is read.  ``det`` is
+    ``det g``, the product of the inverse's pivots.
     """
 
     gamma: Array
@@ -50,6 +52,7 @@ class CurvatureBundle:
     scalar: Array
     einstein: Array
     ginv: Array
+    det: Array
     dg: Array = field(repr=False)
     ddg: Array = field(repr=False)
 
@@ -67,16 +70,18 @@ class CurvatureBundle:
         )
 
 
-def metric_inverse(g: Array) -> Array:
-    """Inverse of a batch ``g[..., i, j]`` of positive definite metrics, with
-    finiteness, definiteness and condition-number guards.
+def metric_inverse(g: Array) -> tuple[Array, Array]:
+    """Inverse and determinant of a batch ``g[..., i, j]`` of positive definite
+    metrics, with finiteness, definiteness and condition-number guards.
 
     Gauss-Jordan elimination in place and without pivoting, one row operation
     at a time over every point: stable for symmetric positive definite
     matrices, and a non-positive pivot means ``g`` is not one.  The 2-norm
     condition number is bounded by ``|g|_F |g^-1|_F``; only where that bound
     exceeds :data:`CONDITION_LIMIT` are the eigenvalues taken for the exact
-    one.  The result is a point-first view of an array whose point axes are last.
+    one.  The pivots are the diagonal of the LU factors of ``g``, so their
+    product is ``det g``.  The inverse is a point-first view of an array whose
+    point axes are last.
     """
     if not np.isfinite(g).all():
         raise SingularMetricError("metric has non-finite entries")
@@ -84,10 +89,12 @@ def metric_inverse(g: Array) -> Array:
     a = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # a[i, j] is a vector over the points
     with np.errstate(all="ignore"):
         frobenius = np.einsum("ij...,ij...->...", a, a)
+        det = np.ones(g.shape[:-2])
         for k in range(n):
             pivot = a[k, k].copy()
             if not (pivot > 0).all():
                 raise SingularMetricError("metric is not positive definite")
+            det *= pivot
             a[k, k] = 1.0
             a[k] /= pivot
             for i in range(n):
@@ -105,7 +112,7 @@ def metric_inverse(g: Array) -> Array:
             raise SingularMetricError(
                 f"metric condition number {worst:.3e} exceeds limit {CONDITION_LIMIT:.0e}"
             )
-    return np.moveaxis(a, (0, 1), (-2, -1))
+    return np.moveaxis(a, (0, 1), (-2, -1)), det
 
 
 def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
@@ -116,9 +123,10 @@ def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     trace derivative are contracted as they are formed, so the 5-index
     ``dgamma`` array is never built here.
     """
-    ginv = metric_inverse(g)
+    ginv, det = metric_inverse(g)
     p, n = g.shape[:2]
-    # the point axis last: gi[k, s, p], dG[l, i, j, p] and the view ddG[l, k, i, j, p]
+    # the point axis last: gi[k, s, p], dG[l, i, j, p] and ddG[l, k, i, j, p], views
+    # of point-last jet storage; only point-first storage makes dG a copy
     gi = np.moveaxis(ginv, (-2, -1), (0, 1))
     dG = np.ascontiguousarray(np.moveaxis(dg, 0, -1))
     ddG = np.moveaxis(ddg, 0, -1)
@@ -145,4 +153,4 @@ def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     scalar = np.einsum("ij...,ij...->...", gi, ric)
     einstein_ = ric - 0.5 * scalar * np.moveaxis(g, 0, -1)
     gamma, ric, einstein_ = (np.moveaxis(a, -1, 0) for a in (gamma, ric, einstein_))
-    return CurvatureBundle(gamma, ric, scalar, einstein_, ginv, dg, ddg)
+    return CurvatureBundle(gamma, ric, scalar, einstein_, ginv, det, dg, ddg)

@@ -76,12 +76,18 @@ CURVATURE_FUNCTIONALS = ("intrinsic_mass", "intrinsic_center")
 CENTER_FUNCTIONALS = ("cs_center", "intrinsic_center")
 
 
-def _fsum(contrib: Array) -> float:
-    """``math.fsum`` of ``contrib``; an overflowed integrand raises :class:`NonFiniteError`."""
+def _fsum_rows(rows: Array) -> list[float]:
+    """``math.fsum`` of each row of ``rows``, in node order, from one ``tolist``;
+    an overflowed integrand raises :class:`NonFiniteError`."""
     try:
-        return math.fsum(contrib.tolist())
+        return [math.fsum(row) for row in rows.tolist()]
     except (OverflowError, ValueError) as exc:
         raise NonFiniteError(f"surface integrand overflows: {exc}") from None
+
+
+def _fsum(contrib: Array) -> float:
+    """``math.fsum`` of ``contrib``, as :func:`_fsum_rows` takes it."""
+    return _fsum_rows(contrib[None])[0]
 
 
 def _kernel_slices(total: int, block: int = 1) -> list[slice]:
@@ -129,13 +135,14 @@ class SurfaceEval:
         The kernel takes the nodes in slices of at most :data:`MAX_KERNEL_POINTS`.
         """
         if self._curvature is None:
-            einstein, ginv = [], []
+            einstein, ginv, det = [], [], []
             for part in _kernel_slices(len(self.surf)):
                 bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
                 einstein.append(bundle.einstein)
                 ginv.append(bundle.ginv)
+                det.append(bundle.det)
             nu_g, w_g = g_normals_and_areas(
-                self.g, self.surf.normals, self.surf.weights, np.concatenate(ginv)
+                self.surf.normals, self.surf.weights, np.concatenate(ginv), np.concatenate(det)
             )
             self._curvature = (np.concatenate(einstein), nu_g, w_g)
         return self._curvature
@@ -170,7 +177,7 @@ class SurfaceEval:
             t1 = surf.points * flux[:, None]
             t2 = np.einsum("pia,pi->pa", h, surf.normals) - np.einsum("pii->p", h)[:, None] * surf.normals
             contrib = (t1 - t2) * surf.weights[:, None]
-            return np.array([_fsum(contrib[:, a]) for a in range(n)])
+            return np.array(_fsum_rows(contrib.T))
         if name not in CURVATURE_FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
         einstein, nu_g, w_g = self._einstein_frame()
@@ -179,7 +186,7 @@ class SurfaceEval:
             return _fsum(contrib)
         Y = _conformal_generators(surf.points)
         contrib = np.einsum("pij,pai,pj->pa", einstein, Y, nu_g) * w_g[:, None]
-        return np.array([_fsum(contrib[:, a]) for a in range(n)])
+        return np.array(_fsum_rows(contrib.T))
 
     def value(self, name: str, mass: float | None = None) -> float | Array:
         """Functional ``name`` on the surface; center functionals need ``mass``,
@@ -322,7 +329,7 @@ def _scalar_densities(field: MetricField, points: Array) -> tuple[Array, Array]:
     jet evaluation and one kernel call."""
     g, dg, ddg = jet2_batch(field, points)
     bundle = curvature_arrays(g, dg, ddg)
-    volume = np.sqrt(np.linalg.det(g))
+    volume = np.sqrt(bundle.det)
     return bundle.scalar * volume, np.abs(bundle.ricci).max(axis=(1, 2)) * volume
 
 
@@ -384,7 +391,7 @@ def _radial_moment(field: MetricField, r0: float, r1: float, moment: int, order:
             dens, size = dens * pts[:, moment - 1], size * np.abs(pts[:, moment - 1])
         area = radii ** (n - 1)
         shells, sizes = (
-            (area * [_fsum(d * w_dir) for d in f.reshape(len(radii), -1)]).reshape(len(pieces), -1)
+            (area * _fsum_rows(f.reshape(len(radii), -1) * w_dir)).reshape(len(pieces), -1)
             for f in (dens, size)
         )
         still_open = []

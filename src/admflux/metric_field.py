@@ -9,7 +9,10 @@ leading point axis and the index conventions used throughout the package:
 * ``ddg[p, k, l, i, j]``  -- second partials ``d_k d_l g_ij``
 
 :func:`jet2_batch` is the one place jets are read: it checks the domain
-before a field is called and the finiteness of what it returns.
+before a field is called and the finiteness of what it returns.  The shapes
+are point-first and any strides are allowed; jets stored with the point axis
+last, whose point-first views a field returns, reach the curvature kernel
+without a copy.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ class MetricField:
     ``(g, dg, ddg)``; it must be deterministic and reentrant, and each point's
     jets must not depend on the other points of the batch.  ``g`` is
     symmetric positive definite, ``dg`` symmetric in its last two axes and
-    ``ddg`` in both its derivative and its component pairs.
+    ``ddg`` in both its derivative and its component pairs.  The arrays have
+    the point-first shapes ``(N, n, n)``, ``(N, n, n, n)`` and
+    ``(N, n, n, n, n)`` with any strides; point-last storage is the copy-free
+    path through the curvature kernel.
 
     ``inner_radius == 0`` means the whole space.  ``metadata`` carries optional
     catalog information such as ``expected_mass`` and a human-readable ``label``.

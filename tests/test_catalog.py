@@ -10,7 +10,7 @@ import admflux.catalog as catalog_module
 from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.errors import ConfigError
-from admflux.invariants import SurfaceEval
+from admflux.invariants import SurfaceEval, scalar_curvature_moment
 from admflux.metric_field import decay_report, jet2_batch
 from admflux.surfaces import sphere_quadrature
 
@@ -327,3 +327,57 @@ def test_g11_term_added_in_place_matches_out_of_place_sum(rng, spec):
     for got, again, expected in zip(first, second, want):
         assert np.array_equal(got, expected)
         assert np.array_equal(got, again)
+
+
+def layout_specs(n):
+    """One spec of every kind in R^n, with each bump profile and parity."""
+    conformal = CatalogSpec(
+        kind="conformal", dim=n, u_coeffs=((n - 2, 0.6), (n - 1, 0.2)), center=(0.5, -0.2, 0.3)
+    )
+    return [
+        CatalogSpec(kind="flat", dim=n),
+        CatalogSpec(kind="schwarzschild", dim=n, mass=1.3, center=(0.5, 0.2)),
+        conformal,
+        CatalogSpec(kind="rt_violator", dim=n, amplitude=0.5),
+    ] + [
+        CatalogSpec(
+            kind="perturbed", dim=n, base=conformal, bump_profile=profile, bump_parity=parity,
+            bump_location=(3.0, -1.0, 2.0), bump_width=1.5,
+        )
+        for profile in ("gaussian", "rational")
+        for parity in ("none", "even", "odd")
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_jets_are_point_first_views_of_point_last_storage(rng, n):
+    for spec in layout_specs(n):
+        field = build(spec)
+        points = sample_points(rng, 7, dim=n, r_min=field.inner_radius + 1.0)
+        g, dg, ddg = jet2_batch(field, points)
+        assert (g.shape, dg.shape, ddg.shape) == ((7, n, n), (7, n, n, n), (7, n, n, n, n))
+        for jet in (g, dg, ddg):
+            assert np.moveaxis(jet, 0, -1).flags.c_contiguous, spec
+
+
+def point_first_copy(field):
+    """``field`` with its jets copied into contiguous point-first arrays."""
+    return dataclasses.replace(
+        field,
+        jet_batch=lambda points: tuple(np.ascontiguousarray(a) for a in field.jet_batch(points)),
+    )
+
+
+@pytest.mark.parametrize("index", [2, 3, 5])  # conformal, rt_violator, even gaussian bump
+def test_point_first_storage_gives_the_same_totals(index):
+    field = build(layout_specs(3)[index])
+    copied = point_first_copy(field)
+    assert not np.moveaxis(copied.jet_batch(np.ones((2, 3)) * 9.0)[2], 0, -1).flags.c_contiguous
+    surf = sphere_quadrature(3, 40.0, 16)
+    for name in ("adm_mass", "cs_center", "intrinsic_mass", "intrinsic_center"):
+        got, want = SurfaceEval(copied, surf).total(name), SurfaceEval(field, surf).total(name)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
+    r0 = field.inner_radius + 1.0
+    got, want = (scalar_curvature_moment(f, r0, r0 + 5.0, 1) for f in (copied, field))
+    assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+    assert got.order == want.order and got.stalled == want.stalled

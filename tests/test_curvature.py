@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from admflux.curvature import curvature_arrays, metric_inverse
 from admflux.errors import SingularMetricError
+from admflux.invariants import SurfaceEval, scalar_curvature_moment
 from admflux.metric_field import MetricField, fd_jet2, jet2_batch
 from admflux.surfaces import sphere_quadrature
 
@@ -204,11 +205,20 @@ def spd_batches(draw):
 @settings(deadline=None)
 @given(spd_batches())
 def test_metric_inverse_matches_lapack(g):
-    ginv = metric_inverse(g)
+    ginv, _ = metric_inverse(g)
     want = np.linalg.inv(g)
     assert np.abs(ginv - want).max() <= 1e-13 * np.abs(want).max()
     n = g.shape[-1]
     assert np.allclose(g @ ginv, np.eye(n), rtol=0, atol=1e-13)
+
+
+@settings(deadline=None)
+@given(spd_batches())
+def test_pivot_determinant_matches_lapack(g):
+    _, det = metric_inverse(g)
+    want = np.linalg.det(g)
+    assert det.shape == want.shape
+    assert np.all(np.abs(det - want) <= 1e-13 * np.abs(want))
 
 
 def test_frobenius_bound_falls_back_to_the_exact_condition_number(monkeypatch):
@@ -218,7 +228,7 @@ def test_frobenius_bound_falls_back_to_the_exact_condition_number(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     g = np.diag([1.0, 1.0, 1.1e-12])[None].repeat(2, axis=0)
     g[0] = np.eye(3)
-    assert np.array_equal(metric_inverse(g)[1], np.diag([1.0, 1.0, 1 / 1.1e-12]))
+    assert np.array_equal(metric_inverse(g)[0][1], np.diag([1.0, 1.0, 1 / 1.1e-12]))
     assert calls == [(1, 3, 3)]  # only the suspect point
 
 
@@ -232,11 +242,18 @@ def test_kernel_needs_no_lapack(catalog, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called")
 
-    jets = jet2_batch(catalog["schwarzschild"], sphere_quadrature(3, 50.0, 24).points)
-    monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    surf = sphere_quadrature(3, 50.0, 24)
+    jets = jet2_batch(catalog["schwarzschild"], surf.points)
+    # the sphere rules of the shells are built first: their nodes come from eigvalsh
+    shell = scalar_curvature_moment(catalog["conformal"], 20.0, 40.0)
+    for name in ("inv", "det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     bundle = curvature_arrays(*jets)
     assert np.all(np.isfinite(bundle.einstein)) and bundle.scalar.shape == (len(jets[0]),)
+    evaluation = SurfaceEval(catalog["schwarzschild"], surf)
+    assert np.isfinite(evaluation.total("intrinsic_mass"))
+    assert np.all(np.isfinite(evaluation.total("intrinsic_center")))
+    assert scalar_curvature_moment(catalog["conformal"], 20.0, 40.0) == shell
 
 
 def reference_curvature(g, dg, ddg, ginv):
