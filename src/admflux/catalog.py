@@ -5,9 +5,9 @@ chosen so that every jet entry has a closed form.  The conformal factor is
 restricted to finite sums ``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its
 Laplacian analytic and the scalar-flatness oracle exact.  :func:`build` turns
 a :class:`CatalogSpec` into a field and decides each kind in one branch;
-``dataclasses.replace`` derives one spec from another.  Every kind stores its
-jets with the point axis last and returns point-first views of that storage,
-which the curvature kernel reads without a copy or a stride.
+``dataclasses.replace`` derives one spec from another.  Every jet and term
+comes from one radial chain rule and is stored with the point axis last;
+fields return point-first views, which the curvature kernel reads as they are.
 
 The ``rt_violator`` kind is the negative control: the flat metric plus the odd
 ``g_11`` tail ``h_11 = amplitude * x^1 |x|^(-n/2 - 1)``.  The deviation decays
@@ -93,12 +93,14 @@ def _validate(spec: CatalogSpec) -> None:
             raise ConfigError("bump width must be positive")
         if abs(spec.bump_amplitude) >= 1.0:
             raise ConfigError("bump amplitude must stay below 1 to keep the metric positive")
+        if spec.bump_tail_power < 1:
+            raise ConfigError(f"bump tail_power must be >= 1, got {spec.bump_tail_power}")
     if spec.inner_radius is not None and spec.inner_radius < 0:
         raise ConfigError("inner_radius must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
-# conformal factors u = 1 + sum a_k |x - c|^(-k)
+# radial jets and conformal factors u = 1 + sum a_k |x - c|^(-k)
 
 
 def _u_term(s: Array, k: int, a: float) -> Array:
@@ -111,13 +113,23 @@ def _point_first(*storage: Array) -> tuple[Array, ...]:
     return tuple(np.moveaxis(a, -1, 0) for a in storage)
 
 
+def _radial(y: Array, a1: Array, a2: Array):
+    """Gradient ``a1 y`` and Hessian ``a1 delta + a2 y y`` of ``f(|y|)``, ``a1 = f'(r) / r``,
+    ``a2 = a1'(r) / r``; ``y`` is ``(n, N)``, the point axis last in and out.
+    """
+    n, N = y.shape
+    dd = a2 * y[:, None] * y[None, :]
+    dd.reshape(n * n, N)[:: n + 1] += a1
+    return a1 * y, dd
+
+
 def _conformal_jets(points: Array, coeffs, center: Array, n: int):
     """Jets of ``u^p delta``, ``p = 4 / (n - 2)``, written only into their diagonal slots.
 
     One loop over the coefficients forms ``u`` and the radial factors of
     ``du = a1 y`` and ``ddu = a1 delta + a2 y y`` from the one reciprocal
-    ``s = 1 / |y|^2``; the ``i = j`` slots of zeroed point-last arrays take
-    the rest, each slot one contiguous run of points.
+    ``s = 1 / |y|^2``; the chain rule gives those of ``u^p``, and the ``i = j``
+    slots of zeroed point-last arrays take its jets.
     """
     y = points - center
     N = len(points)
@@ -131,43 +143,33 @@ def _conformal_jets(points: Array, coeffs, center: Array, n: int):
     a1 *= s
     a2 *= s * s
     p = 4.0 / (n - 2)
-    f1 = p * u ** (p - 1)  # d(u^p)/du
-    d1 = f1 * a1  # d_k u^p = d1 y_k
-    # d_k d_l u^p = d1 delta_kl + (f2 a1^2 + f1 a2) y_k y_l with f2 = d^2(u^p)/du^2
-    y = np.ascontiguousarray(y.T)  # y[i] is a vector over the points
-    dd = ((p - 1) * f1 / u * a1 * a1 + f1 * a2) * y[:, None] * y[None, :]
-    dd.reshape(n * n, N)[:: n + 1] += d1
+    f1 = p * u ** (p - 1)  # d(u^p)/du; (p - 1) f1 / u is its second derivative
+    d, dd = _radial(np.ascontiguousarray(y.T), f1 * a1, (p - 1) * f1 / u * a1 * a1 + f1 * a2)
     g, dg, ddg = np.zeros((n, n, N)), np.zeros((n, n, n, N)), np.zeros((n, n, n, n, N))
     g.reshape(n * n, N)[:: n + 1] = u**p
-    dg.reshape(n, n * n, N)[:, :: n + 1] = (d1 * y)[:, None]
+    dg.reshape(n, n * n, N)[:, :: n + 1] = d[:, None]
     ddg.reshape(n, n, n * n, N)[:, :, :: n + 1] = dd[:, :, None]
     return _point_first(g, dg, ddg)
 
 
 # ---------------------------------------------------------------------------
-# bump profiles
+# g_11 terms
 
 
 def _bump_jets_raw(points: Array, spec: CatalogSpec):
     y = points - _padded(spec.bump_location, points.shape[1])
     # numpy and float arithmetic: powers out of range give non-finite jets, not errors
     sigma2 = np.float64(spec.bump_width) ** 2
-    eye = np.eye(points.shape[1])
+    r2 = np.einsum("pi,pi->p", y, y)  # point-first, as in _conformal_jets
     if spec.bump_profile == "gaussian":
-        v = spec.bump_amplitude * np.exp(-np.einsum("pi,pi->p", y, y) / (2 * sigma2))
-        dv = -v[:, None] * y / sigma2
-        ddv = v[:, None, None] * (y[:, :, None] * y[:, None, :] / sigma2**2 - eye / sigma2)
-        return v, dv, ddv
-    k = float(spec.bump_tail_power)
-    q = 1.0 + np.einsum("pi,pi->p", y, y) / sigma2
-    s = k / 2.0
-    v = spec.bump_amplitude * q**(-s)
-    dv = -spec.bump_amplitude * k / sigma2 * q[:, None] ** (-s - 1) * y
-    ddv = spec.bump_amplitude * (
-        k * (k + 2) / sigma2**2 * q[:, None, None] ** (-s - 2) * y[:, :, None] * y[:, None, :]
-        - k / sigma2 * q[:, None, None] ** (-s - 1) * eye
-    )
-    return v, dv, ddv
+        v = spec.bump_amplitude * np.exp(-r2 / (2 * sigma2))
+        a1, a2 = -v / sigma2, v / sigma2**2
+    else:
+        k = float(spec.bump_tail_power)
+        w = 1.0 + r2 / sigma2
+        v = spec.bump_amplitude * w ** (-k / 2.0)
+        a1, a2 = -k * v / (sigma2 * w), k * (k + 2) * v / (sigma2**2 * w * w)
+    return _point_first(v, *_radial(np.ascontiguousarray(y.T), a1, a2))
 
 
 def _bump_jets(points: Array, spec: CatalogSpec):
@@ -178,40 +180,25 @@ def _bump_jets(points: Array, spec: CatalogSpec):
     return even if spec.bump_parity == "even" else odd
 
 
-# ---------------------------------------------------------------------------
-# g_11 terms
-
-
 def _rt_tail_jets(points: Array, A: float):
-    """Jets of the ``rt_violator`` tail ``A x^1 |x|^(-n/2 - 1)``."""
-    n = points.shape[1]
-    p = n / 2.0 + 1.0
-    r = np.linalg.norm(points, axis=1)
-    x1 = points[:, 0]
-    eye = np.eye(n)
-    f = A * x1 * r**(-p)
-    e1 = eye[0]
-    df = A * (
-        e1[None, :] * r[:, None] ** (-p) - p * x1[:, None] * points * r[:, None] ** (-p - 2)
-    )
-    ddf = A * (
-        -p * r[:, None, None] ** (-p - 2)
-        * (
-            e1[None, :, None] * points[:, None, :]
-            + e1[None, None, :] * points[:, :, None]
-            + x1[:, None, None] * eye
-        )
-        + p * (p + 2) * x1[:, None, None] * points[:, :, None] * points[:, None, :]
-        * r[:, None, None] ** (-p - 4)
-    )
-    return f, df, ddf
+    """Jets of the ``rt_violator`` tail ``x^1 psi`` with ``psi = A |x|^(-n/2 - 1)``."""
+    p = points.shape[1] / 2.0 + 1.0
+    r2 = np.einsum("pi,pi->p", points, points)
+    psi = A * r2 ** (-p / 2.0)
+    a1, a2 = -p * psi / r2, p * (p + 2) * psi / (r2 * r2)
+    x = np.ascontiguousarray(points.T)
+    dv, ddv = _radial(x, x[0] * a1, x[0] * a2)  # x^1 times the jets of psi
+    dv[0] += psi
+    ddv[0] += a1 * x  # plus e_1 dpsi + dpsi e_1
+    ddv[:, 0] += a1 * x
+    return _point_first(x[0] * psi, dv, ddv)
 
 
 def _plus_g11(base: MetricField, term, inner: float, metadata: dict) -> MetricField:
     """``base`` with the jets ``term(points) = (v, dv, ddv)`` added to its ``g_11``.
 
-    Every catalog field returns fresh jet arrays, so the term is added in place,
-    through the point-first views of their point-last storage.
+    Every catalog field and term returns fresh point-first views of point-last
+    storage, so the term is added in place, one contiguous run of points per slot.
     """
 
     def batch(points: Array):
@@ -257,7 +244,12 @@ def build(spec: CatalogSpec) -> MetricField:
 
     if spec.kind == "perturbed":
         base = build(spec.base)
-        metadata["expected_mass"] = base.metadata["expected_mass"]
+        mass, k = base.metadata["expected_mass"], spec.bump_tail_power
+        if spec.bump_profile == "rational" and mass is not None and k <= n - 2:
+            # the tail is A sigma^k |x|^-k; a numpy power overflows to inf, not to an error
+            tail = (n - 2) * spec.bump_amplitude * np.float64(spec.bump_width) ** k / (2 * n)
+            mass = None if k < n - 2 else mass if spec.bump_parity == "odd" else mass + tail
+        metadata["expected_mass"] = mass
         inner = base.inner_radius if inner is None else inner
         return _plus_g11(base, lambda x: _bump_jets(x, spec), inner, metadata)
 

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import admflux.catalog as catalog_module
+from admflux.analysis import sweep
 from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.errors import ConfigError
 from admflux.invariants import SurfaceEval, scalar_curvature_moment
-from admflux.metric_field import decay_report, jet2_batch
+from admflux.metric_field import decay_report, jet2_batch, parity_parts
 from admflux.surfaces import sphere_quadrature
 
 from conftest import sample_points
@@ -125,6 +126,52 @@ class TestBuild:
         assert np.all(g == np.diag([1.05, 1.0, 1.0]))
         assert not dg.any() and not ddg.any()
 
+    @pytest.mark.parametrize(
+        "n, amplitude, width, parity, tail_power, mass",
+        [
+            (3, 0.05, 2.0, "none", 1, 1.0 + 0.05 * 2.0 / 6),
+            (3, 0.08, 3.0, "even", 1, 1.04),
+            (3, 0.05, 2.0, "odd", 1, 1.0),
+            (3, 0.05, 2.0, "none", 2, 1.0),
+            (4, 0.05, 2.0, "none", 2, 1.05),
+            (4, 0.6, 0.7, "odd", 2, 1.0),
+            (5, -0.3, 1.5, "even", 3, 1.0 - 3 * 0.3 * 1.5**3 / 10),
+        ],
+    )
+    def test_rational_tail_of_power_n_minus_2_carries_mass(
+        self, n, amplitude, width, parity, tail_power, mass
+    ):
+        # A (1 + |x - c|^2 / sigma^2)^(-k/2) has the tail A sigma^k |x|^-k; at k = n - 2
+        # its even part adds (n - 2) A sigma^(n-2) / (2n) to the base's mass
+        spec = CatalogSpec(
+            kind="perturbed", dim=n, base=CatalogSpec(kind="schwarzschild", dim=n, mass=1.0),
+            bump_amplitude=amplitude, bump_width=width, bump_location=(1.0, -0.5, 0.5),
+            bump_profile="rational", bump_parity=parity, bump_tail_power=tail_power,
+        )
+        field = build(spec)
+        assert field.metadata["expected_mass"] == pytest.approx(mass, rel=1e-15)
+        radii = [100.0 * 2**k for k in range(9)]
+        report = sweep(field, ["adm_mass"], radii, order=8)["adm_mass"]
+        assert report.verdict
+        assert abs(report.fitted_limit - mass) <= report.tolerance
+
+    @pytest.mark.parametrize("parity, mass", [("none", np.inf), ("odd", 0.0)])
+    def test_tail_mass_of_a_width_out_of_float_range_is_not_an_error(self, parity, mass):
+        spec = CatalogSpec(
+            kind="perturbed", dim=4, base=CatalogSpec(kind="flat", dim=4), bump_width=1e200,
+            bump_profile="rational", bump_parity=parity, bump_tail_power=2,
+        )
+        with np.errstate(over="ignore"):  # sigma^2 overflows, as it does in the jets
+            assert build(spec).metadata["expected_mass"] == mass
+
+    def test_rational_tail_slower_than_n_minus_2_has_no_mass(self):
+        for parity in ("none", "odd"):
+            spec = CatalogSpec(
+                kind="perturbed", dim=4, base=CatalogSpec(kind="schwarzschild", dim=4),
+                bump_profile="rational", bump_parity=parity, bump_tail_power=1,
+            )
+            assert build(spec).metadata["expected_mass"] is None
+
 
 class TestRtViolator:
     def test_decay_verdicts(self):
@@ -216,6 +263,12 @@ class TestValidation:
                 )
             )
 
+    @pytest.mark.parametrize("power", [0, -2])
+    def test_bump_tail_power_below_one(self, power):
+        spec = CatalogSpec(kind="perturbed", base=CatalogSpec(kind="flat"), bump_tail_power=power)
+        with pytest.raises(ConfigError, match="bump tail_power"):
+            build(spec)
+
 
 def reference_conformal_jets(points, coeffs, center, n):
     """Reference jets of ``u^(4/(n-2)) delta``, every entry broadcast against the identity.
@@ -284,6 +337,93 @@ def test_conformal_jets_match_broadcast_reference(case):
         assert not got[..., off].any()  # off-diagonal slots exactly zero
     for a, b in zip(jet2_batch(field, points), jet2_batch(field, points)):
         assert np.array_equal(a, b)
+
+
+def reference_bump_jets_raw(points, spec):
+    """Reference jets of the bump, each Hessian written out against ``np.eye(n)``."""
+    y = points - catalog_module._padded(spec.bump_location, points.shape[1])
+    sigma2 = np.float64(spec.bump_width) ** 2
+    eye = np.eye(points.shape[1])
+    if spec.bump_profile == "gaussian":
+        v = spec.bump_amplitude * np.exp(-np.einsum("pi,pi->p", y, y) / (2 * sigma2))
+        dv = -v[:, None] * y / sigma2
+        ddv = v[:, None, None] * (y[:, :, None] * y[:, None, :] / sigma2**2 - eye / sigma2)
+        return v, dv, ddv
+    k = float(spec.bump_tail_power)
+    q = 1.0 + np.einsum("pi,pi->p", y, y) / sigma2
+    s = k / 2.0
+    v = spec.bump_amplitude * q**(-s)
+    dv = -spec.bump_amplitude * k / sigma2 * q[:, None] ** (-s - 1) * y
+    ddv = spec.bump_amplitude * (
+        k * (k + 2) / sigma2**2 * q[:, None, None] ** (-s - 2) * y[:, :, None] * y[:, None, :]
+        - k / sigma2 * q[:, None, None] ** (-s - 1) * eye
+    )
+    return v, dv, ddv
+
+
+def reference_rt_tail_jets(points, A):
+    """Reference jets of ``A x^1 |x|^(-n/2 - 1)``, by the product rule on ``x^1`` and ``|x|``."""
+    n = points.shape[1]
+    p = n / 2.0 + 1.0
+    r = np.linalg.norm(points, axis=1)
+    x1 = points[:, 0]
+    eye = np.eye(n)
+    f = A * x1 * r**(-p)
+    e1 = eye[0]
+    df = A * (
+        e1[None, :] * r[:, None] ** (-p) - p * x1[:, None] * points * r[:, None] ** (-p - 2)
+    )
+    ddf = A * (
+        -p * r[:, None, None] ** (-p - 2)
+        * (
+            e1[None, :, None] * points[:, None, :]
+            + e1[None, None, :] * points[:, :, None]
+            + x1[:, None, None] * eye
+        )
+        + p * (p + 2) * x1[:, None, None] * points[:, :, None] * points[:, None, :]
+        * r[:, None, None] ** (-p - 4)
+    )
+    return f, df, ddf
+
+
+@settings(deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 5]),
+    profile=st.sampled_from(["gaussian", "rational"]),
+    parity=st.sampled_from(["none", "even", "odd"]),
+    tail_power=st.integers(1, 4),
+    amplitude=st.floats(-0.9, 0.9),
+    width=st.floats(0.3, 4.0),
+    data=st.data(),
+)
+def test_g11_terms_match_hand_written_hessians(
+    n, profile, parity, tail_power, amplitude, width, data
+):
+    spec = CatalogSpec(
+        kind="perturbed", dim=n, bump_amplitude=amplitude, bump_width=width,
+        bump_location=tuple(data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))),
+        bump_profile=profile, bump_parity=parity, bump_tail_power=tail_power,
+    )
+    count = data.draw(st.integers(1, 50))
+    dirs = data.draw(arrays(float, (count, n), elements=st.floats(-1.0, 1.0)).filter(
+        lambda d: np.all(np.linalg.norm(d, axis=1) > 0.1)
+    ))
+    scale = data.draw(arrays(float, (count, 1), elements=st.floats(1.0, 50.0)))
+    points = scale * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def assert_close(got, want, scales):
+        for m, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape
+            size = max(np.abs(jets[m]).max() for jets in scales)
+            # below the normal range a float has no relative precision left
+            assert np.abs(a - b).max() <= max(1e-14 * size, np.finfo(float).tiny)
+
+    here, there = reference_bump_jets_raw(points, spec), reference_bump_jets_raw(-points, spec)
+    want = here if parity == "none" else parity_parts(here, there)[parity == "odd"]
+    # a parity part rounds on the scale of the bump at x and at -x
+    assert_close(catalog_module._bump_jets(points, spec), want, (want, here, there))
+    tail = reference_rt_tail_jets(points, amplitude)
+    assert_close(catalog_module._rt_tail_jets(points, amplitude), tail, (tail,))
 
 
 @pytest.mark.parametrize(
@@ -356,8 +496,28 @@ def test_jets_are_point_first_views_of_point_last_storage(rng, n):
         points = sample_points(rng, 7, dim=n, r_min=field.inner_radius + 1.0)
         g, dg, ddg = jet2_batch(field, points)
         assert (g.shape, dg.shape, ddg.shape) == ((7, n, n), (7, n, n, n), (7, n, n, n, n))
-        for jet in (g, dg, ddg):
+        terms = ()
+        if spec.kind == "perturbed":
+            terms = catalog_module._bump_jets(points, spec)
+        elif spec.kind == "rt_violator":
+            terms = catalog_module._rt_tail_jets(points, spec.amplitude)
+        for jet in (g, dg, ddg, *terms):
             assert np.moveaxis(jet, 0, -1).flags.c_contiguous, spec
+        if terms:
+            assert [t.shape for t in terms] == [(7,), (7, n), (7, n, n)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_kind_is_batch_invariant(rng, n):
+    # each point's jets must not depend on the other points of the batch
+    for spec in layout_specs(n):
+        field = build(spec)
+        for count in (7, 64, 400):
+            points = sample_points(rng, count, dim=n, r_min=field.inner_radius + 1.0)
+            batch = jet2_batch(field, points)
+            for p in range(count):
+                for many, one in zip(batch, jet2_batch(field, points[p:p + 1])):
+                    assert np.array_equal(many[p], one[0]), (spec, count, p)
 
 
 def point_first_copy(field):

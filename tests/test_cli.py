@@ -578,6 +578,8 @@ ELLIPSOIDS = {"kind": "ellipsoids", "radii": RADII}
         ("mass", {"schedule": {"radii": [10.0, 20.0, 40.0, 1e300]}}, "radius"),
         ("decay", {"schedule": {"radii": [10.0, 20.0, 40.0, 1e300]}}, "radius"),
         ("mass", {"metric": {"kind": "flat"}, "schedule": {"radii": [0, 20, 40, 80]}}, "radii"),
+        ("mass", {"metric": dict(PERTURBED, bump={"profile": "rational", "tail_power": 0})},
+         "bump tail_power"),
     ],
 )
 def test_well_formed_config_the_run_cannot_use_is_config_error(
