@@ -5,16 +5,19 @@ growing schedule of surfaces in one pass, each surface evaluated once for all
 of them, and then divides the centers by the mass.  The start order is
 accepted once its half agrees with it, the rule the scalar-curvature shells
 use for their directions.  It fits each on the tail with the model
-``value(r) = limit + A * r^(-p)``: :func:`fit_power_law` scans a grid of
-rates with the linear parameters solved in closed form at each, and polishes
-the best with Levenberg-Marquardt steps.  A fitted rate is reported alongside
-the limit rather than assumed, since the decay hypotheses only guarantee
-convergence without a rate.
+``value(r) = limit + A * r^(-p)``, one :func:`fit_power_law` call for all of
+a functional's components: a scan of a grid of rates with the linear
+parameters solved in closed form at each, then a Levenberg-Marquardt polish
+of each component from its best rate.  A fitted rate is reported
+alongside the limit rather than assumed, since the decay hypotheses only
+guarantee convergence without a rate.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,9 +42,9 @@ FUNCTIONALS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    limit: float
-    amplitude: float
-    rate: float
+    limit: float | np.ndarray
+    amplitude: float | np.ndarray
+    rate: float | np.ndarray
 
 
 #: Trial rates of the coarse scan that seeds the profile search.
@@ -51,39 +54,40 @@ MAX_POLISH_STEPS = 300
 
 
 def fit_power_law(radii, values) -> PowerLawFit:
-    """Least-squares fit of ``limit + A * r^(-p)`` to scalar samples.
+    """Least-squares fit of ``limit + A * r^(-p)`` to one row of samples, or to each of rows.
 
     The rate enters nonlinearly, so the fit scans :data:`RATE_GRID` for the
-    least profiled residual (the linear parameters solved exactly at each
-    trial rate, the variable projection of Golub and Pereyra), then polishes
-    all three parameters with damped Gauss-Newton (Levenberg-Marquardt) steps
-    from the best trial rate and its profiled ``(L, A)``.  Exact power-law
-    data is recovered to machine precision.  Non-finite samples raise
-    :class:`NonFiniteError`.
+    least profiled residual of every row at once (the linear parameters solved
+    exactly at each trial rate, the variable projection of Golub and Pereyra),
+    then polishes each row's three parameters by :func:`_polish` from its best
+    trial rate and profiled ``(L, A)``.  Exact power-law data is recovered to
+    machine precision; a row whose spread is at the refinement noise floor
+    fits its mean at rate 1.  Non-finite samples raise :class:`NonFiniteError`.
     """
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
-    if r.ndim != 1 or r.shape != v.shape or len(r) < 3:
-        raise ValueError("fit_power_law needs matching 1-d arrays of at least 3 samples")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-        raise NonFiniteError(
-            f"fit_power_law needs finite samples, got radii {r.tolist()}, values {v.tolist()}"
-        )
-    scale = max(1.0, float(np.max(np.abs(v))))
+    if r.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1] != len(r) or len(r) < 3:
+        raise ValueError("fit_power_law needs rows of samples matching radii of at least 3 samples")
+    if not (np.isfinite(r).all() and np.isfinite(v).all()):
+        raise NonFiniteError(f"fit_power_law needs finite samples, got radii {r.tolist()}, values {v.tolist()}")
+    rows = np.atleast_2d(v)
     # spread at the quadrature-refinement noise floor: already converged
-    if float(np.max(v) - np.min(v)) <= 1e-11 * scale:
-        return PowerLawFit(limit=float(np.mean(v)), amplitude=0.0, rate=1.0)
-
-    residuals, coefs = _profile(r, v, RATE_GRID)
-    best = int(np.argmin(residuals))
-    L, A, p = _polish(r, v, np.array([*coefs[best], RATE_GRID[best]]))
-    return PowerLawFit(limit=float(L), amplitude=float(A), rate=float(p))
+    flat = np.ptp(rows, axis=-1) <= 1e-11 * np.maximum(1.0, np.max(np.abs(rows), axis=-1))
+    residuals, coefs = _profile(r, rows[:, None], RATE_GRID)
+    best = np.argmin(residuals, axis=-1)
+    starts = np.column_stack([coefs[np.arange(len(rows)), best], RATE_GRID[best]]).tolist()
+    L, A, p = np.array([(row.mean(), 0.0, 1.0) if row_flat else _polish(r.tolist(), row.tolist(), start)
+                        for row, row_flat, start in zip(rows, flat, starts)]).T
+    if v.ndim == 1:
+        return PowerLawFit(limit=float(L[0]), amplitude=float(A[0]), rate=float(p[0]))
+    return PowerLawFit(limit=L, amplitude=A, rate=p)
 
 
 def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray]:
     """Least squares of ``v`` on the design ``[1, r^-p]`` at each of ``rates``.
 
-    Returns the squared residuals (shape of ``rates``) and the coefficients
+    ``v`` is one row of samples or rows that broadcast against ``rates``.
+    Returns the squared residuals (the broadcast shape) and the coefficients
     ``(L, A)`` (that shape plus 2), solved in closed form from centred sums.
     ``np.linalg.lstsq`` drops a singular value at or below its default cutoff
     (``eps`` times the sample count times the largest); the squared singular
@@ -93,7 +97,8 @@ def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarra
     """
     m = len(r)
     x = r ** -np.asarray(rates, dtype=float)[..., None]
-    dv = v - v.mean()
+    mean = v.mean(axis=-1)
+    dv = v - mean[..., None]
     sx = np.einsum("...i->...", x)
     dx = x - (sx / m)[..., None]
     sxx, dxx = np.einsum("...i,...i->...", x, x), np.einsum("...i,...i->...", dx, dx)
@@ -105,46 +110,54 @@ def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarra
     kept = m * dxx > (np.finfo(float).eps * m * top) ** 2
     # rank 1: the projection on top's eigenvector, from the sum that does not cancel
     w = np.where(half >= 0, [half + root, sx], [sx, root - half])
-    xv = np.einsum("...i,i->...", x, v)
-    along = (w[0] * v.sum() + w[1] * xv) / (top * (w[0] ** 2 + w[1] ** 2))
-    A = np.where(kept, np.einsum("...i,i->...", dx, dv) / np.where(kept, dxx, 1.0), w[1] * along)
-    L = np.where(kept, v.mean() - A * sx / m, w[0] * along)
+    xv = np.einsum("...i,...i->...", x, v)
+    along = (w[0] * v.sum(axis=-1) + w[1] * xv) / (top * (w[0] ** 2 + w[1] ** 2))
+    A = np.where(kept, np.einsum("...i,...i->...", dx, dv) / np.where(kept, dxx, 1.0), w[1] * along)
+    L = np.where(kept, mean - A * sx / m, w[0] * along)
     res = L[..., None] + A[..., None] * x - v
     return np.einsum("...i,...i->...", res, res), np.stack([L, A], axis=-1)
 
 
-def _polish(r: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Levenberg-Marquardt on ``L + A r^-p - v`` from ``x = (L, A, p)``.
+def _polish(r: list[float], v: list[float], x: list[float]) -> list[float]:
+    """Levenberg-Marquardt on ``L + A r^-p - v`` from ``x = (L, A, p)``; returns the parameters.
 
     Each step solves the 3x3 damped normal equations in Jacobian-column-scaled
-    variables; a step that does not lower the squared residual is retried with
-    ten times the damping.  Stops once the scaled step is at most ``1e-15`` of
-    the scaled parameters.  Returns the parameters.
+    variables by Cramer's rule; a step that does not lower the squared
+    residual, or overflows, is retried with ten times the damping.  Stops once
+    the scaled step is at most ``1e-15`` of the scaled parameters.  Python
+    floats: a few samples cost numpy more in calls than in arithmetic.
     """
-    log_r = np.log(r)
+    log_r = [math.log(ri) for ri in r]
 
     def residual(params):
-        rp = r ** -params[2]
-        return params[0] + params[1] * rp - v, rp
+        rp = [ri ** -params[2] for ri in r]
+        f = [params[0] + params[1] * e - vi for e, vi in zip(rp, v)]
+        return f, rp, math.fsum(fi * fi for fi in f)
 
-    f, rp = residual(x)
-    cost = float(f @ f)
+    f, rp, cost = residual(x)
     damping = 1e-3
     for _ in range(MAX_POLISH_STEPS):
-        jac = np.column_stack([np.ones_like(r), rp, -x[1] * log_r * rp])
-        d = np.linalg.norm(jac, axis=0)
-        d[d == 0.0] = 1.0
-        js = jac / d
-        y = np.linalg.solve(js.T @ js + damping * np.eye(3), -(js.T @ f))
-        trial = x + y / d
-        f_trial, rp_trial = residual(trial)
-        cost_trial = float(f_trial @ f_trial)
+        try:
+            jac = ([1.0] * len(r), rp, [-x[1] * lr * e for lr, e in zip(log_r, rp)])
+            d = [math.sqrt(math.fsum(c * c for c in col)) or 1.0 for col in jac]
+            js = [[c / dk for c in col] for col, dk in zip(jac, d)]
+            m = [[math.fsum(map(operator.mul, jk, jl)) + damping * (k == l) for l, jl in enumerate(js)]
+                 for k, jk in enumerate(js)]
+            (a, u, c), (_, b, e), (_, _, h) = m
+            adj = [[b * h - e * e, c * e - u * h, u * e - c * b], [c * e - u * h, a * h - c * c, u * c - a * e],
+                   [u * e - c * b, u * c - a * e, a * b - u * u]]
+            g = [-math.fsum(map(operator.mul, j, f)) for j in js]
+            det = a * adj[0][0] + u * adj[0][1] + c * adj[0][2]
+            y = [math.fsum(map(operator.mul, row, g)) / det for row in adj]
+            trial = [xk + yk / dk for xk, yk, dk in zip(x, y, d)]
+            f_trial, rp_trial, cost_trial = residual(trial)
+        except (ArithmeticError, ValueError):  # a singular system, an overflow or inf - inf
+            damping *= 10.0
+            continue
+        damping *= 0.1 if cost_trial < cost else 10.0
         if cost_trial < cost:
             x, f, rp, cost = trial, f_trial, rp_trial, cost_trial
-            damping *= 0.1
-        else:
-            damping *= 10.0
-        if np.linalg.norm(y) <= 1e-15 * np.linalg.norm(d * x):
+        if math.hypot(*y) <= 1e-15 * math.hypot(*(dk * xk for dk, xk in zip(d, x))):
             break
     return x
 
@@ -171,16 +184,10 @@ class ConvergenceReport:
 
 
 def _fit_samples(radii: np.ndarray, values: np.ndarray) -> tuple:
-    """Tail fit; returns (limit, rate) with vector support."""
+    """``(limit, rate)`` of the tail in one fit of every component; a vector takes its largest amplitude's rate."""
     tail = max(3, (len(radii) + 1) // 2)
-    r = radii[-tail:]
-    if values.ndim == 1:
-        fit = fit_power_law(r, values[-tail:])
-        return fit.limit, fit.rate
-    fits = [fit_power_law(r, values[-tail:, a]) for a in range(values.shape[1])]
-    limits = np.array([f.limit for f in fits])
-    lead = max(range(len(fits)), key=lambda a: abs(fits[a].amplitude))
-    return limits, fits[lead].rate
+    fit = fit_power_law(radii[-tail:], values[-tail:].T)
+    return fit.limit, float(np.atleast_1d(fit.rate)[np.argmax(np.abs(fit.amplitude))])
 
 
 def _verdict(values, limit, rate, tol) -> tuple[bool, float]:

@@ -110,7 +110,7 @@ def _u_term(s: Array, k: int, a: float) -> Array:
 
 def _point_first(*storage: Array) -> tuple[Array, ...]:
     """Point-first views of jet arrays stored with the point axis last."""
-    return tuple(np.moveaxis(a, -1, 0) for a in storage)
+    return tuple(a.transpose(-1, *range(a.ndim - 1)) for a in storage)
 
 
 def _radial(y: Array, a1: Array, a2: Array):

@@ -14,7 +14,9 @@ certifies, so no silent substitution of normals or measures is made anywhere.
 evaluated once per surface for all four, each route with its own normals and
 measure, and :meth:`SurfaceEval.value` reads any of them.
 The integration-by-parts identities (:func:`identity_residuals`) take their
-boundary terms from the same flux totals.  Every jet comes through
+boundary terms from the same flux totals.  The flux totals and the identities
+read the jets through views with the point axis last, as the curvature kernel
+does, and contract all ``n`` conformal generators at once.  Every jet comes through
 :func:`~admflux.metric_field.jet2_batch`, which checks that the points lie in
 the field's domain and that the jets are finite.  All reductions use
 ``math.fsum`` in node order for run-to-run determinism.
@@ -22,6 +24,7 @@ the field's domain and that the jets are finite.  All reductions use
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -100,16 +103,15 @@ def _kernel_slices(total: int, block: int = 1) -> list[slice]:
     return [slice(k, k + step) for k in range(0, total, step)]
 
 
-def _flux_bracket(dg: Array) -> Array:
-    # b[p, i] = sum_k (d_k g_ki - d_i g_kk)
-    return np.einsum("pkki->pi", dg) - np.einsum("pikk->pi", dg)
+def _point_last(a: Array) -> Array:
+    """The view of a point-first array with its point axis moved last."""
+    return a.transpose(*range(1, a.ndim), 0)
 
 
-def _conformal_generators(points: Array) -> Array:
-    # Y[p, alpha, i] = |x|^2 delta_(alpha i) - 2 x_alpha x_i
-    n = points.shape[1]
-    r2 = np.einsum("pi,pi->p", points, points)
-    return r2[:, None, None] * np.eye(n) - 2.0 * points[:, :, None] * points[:, None, :]
+def _generator_rows(x: Array, v: Array) -> Array:
+    """``Y_alpha . v`` for every conformal generator ``Y_alpha = |x|^2 e_alpha - 2 x_alpha x``,
+    as rows ``alpha`` over the points, from ``x[i, p]`` and ``v[i, p]``."""
+    return np.einsum("i...,i...->...", x, x) * v - 2.0 * x * np.einsum("i...,i...->...", x, v)
 
 
 class SurfaceEval:
@@ -128,6 +130,13 @@ class SurfaceEval:
         self.surf = surf
         self.g, self.dg, self.ddg = jet2_batch(field, surf.points)
         self._curvature: tuple[Array, Array, Array] | None = None
+
+    @functools.cached_property
+    def _flux(self) -> Array:
+        """``(d_k g_ki - d_i g_kk) nu_e^i``, the flux-mass integrand before its weight."""
+        dG = _point_last(self.dg)  # dG[k, i, j, p] = d_k g_ij
+        bracket = np.einsum("kki...->i...", dG) - np.einsum("ikk...->i...", dG)
+        return np.einsum("i...,i...->...", bracket, self.surf.normals.T)
 
     def _einstein_frame(self) -> tuple[Array, Array, Array]:
         """The Einstein tensor with the metric normals and area weights.
@@ -167,26 +176,21 @@ class SurfaceEval:
 
         :func:`normalized` divides by these normalizations.
         """
-        surf, n = self.surf, self.field.dim
+        # the nodes and normals with the point axis last, as the jets are read
+        w, x, nu = self.surf.weights, self.surf.points.T, self.surf.normals.T
         if name == "adm_mass":
-            contrib = np.einsum("pi,pi->p", _flux_bracket(self.dg), surf.normals) * surf.weights
-            return _fsum(contrib)
+            return _fsum(self._flux * w)
         if name == "cs_center":
-            h = self.g - np.eye(n)
-            flux = np.einsum("pj,pj->p", _flux_bracket(self.dg), surf.normals)
-            t1 = surf.points * flux[:, None]
-            t2 = np.einsum("pia,pi->pa", h, surf.normals) - np.einsum("pii->p", h)[:, None] * surf.normals
-            contrib = (t1 - t2) * surf.weights[:, None]
-            return np.array(_fsum_rows(contrib.T))
+            h = _point_last(self.g) - np.eye(self.field.dim)[:, :, None]
+            t2 = np.einsum("ia...,i...->a...", h, nu) - np.einsum("ii...->...", h) * nu
+            return np.array(_fsum_rows((x * self._flux - t2) * w))
         if name not in CURVATURE_FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
         einstein, nu_g, w_g = self._einstein_frame()
+        e_nu = np.einsum("ij...,j...->i...", _point_last(einstein), nu_g.T)
         if name == "intrinsic_mass":
-            contrib = np.einsum("pij,pi,pj->p", einstein, surf.points, nu_g) * w_g
-            return _fsum(contrib)
-        Y = _conformal_generators(surf.points)
-        contrib = np.einsum("pij,pai,pj->pa", einstein, Y, nu_g) * w_g[:, None]
-        return np.array(_fsum_rows(contrib.T))
+            return _fsum(np.einsum("i...,i...->...", x, e_nu) * w_g)
+        return np.array(_fsum_rows(_generator_rows(x, e_nu) * w_g))
 
     def value(self, name: str, mass: float | None = None) -> float | Array:
         """Functional ``name`` on the surface; center functionals need ``mass``,
@@ -236,42 +240,30 @@ def _require_enclosable(field: MetricField, surf: QuadSurface, inner: QuadSurfac
         )
 
 
-def _second_derivative_form(ddg: Array) -> tuple[Array, Array]:
-    # M[p,i,j] = sum_k (-dd_(kj) g_ki - dd_(ki) g_kj + dd_(kk) g_ij + dd_(ij) g_kk)
-    M = (
-        -np.einsum("pkjki->pij", ddg)
-        - np.einsum("pkikj->pij", ddg)
-        + np.einsum("pkkij->pij", ddg)
-        + np.einsum("pijkk->pij", ddg)
-    )
-    # s[p] = sum_(k,j) (-dd_(kj) g_kj + dd_(jj) g_kk)
-    s = -np.einsum("pkjkj->p", ddg) + np.einsum("pjjkk->p", ddg)
-    return M, s
-
-
 def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
     """Left minus right side of the dilation identity and of the ``n`` generator
     identities on one surface, from one jet evaluation.
 
-    The boundary terms are the flux integrands: ``(n-2)`` times the flux-mass
-    total and ``2(n-2)`` times each flux-center total of the surface.
+    The combination of :func:`identity_residuals` is ``M = T + D - A - A^T``
+    with ``s = tr D - tr A``, from ``T_ij = d_k d_k g_ij``, ``D_ij = d_i d_j g_kk``
+    and ``A_ij = d_k d_j g_ki`` of the point-last jets.  The boundary terms are
+    ``(n-2)`` times the flux-mass total and ``2(n-2)`` times each flux-center total.
     """
     evaluation = SurfaceEval(field, surf)
-    n = field.dim
-    M, s = _second_derivative_form(evaluation.ddg)
-    lhs = _fsum(np.einsum("pij,pi,pj->p", M, surf.points, surf.normals) * surf.weights)
-    radial = _fsum(s * np.einsum("pi,pi->p", surf.points, surf.normals) * surf.weights)
-    form_x = lhs - (n - 2) * evaluation.total("adm_mass") - radial
-
-    centers = evaluation.total("cs_center")
-    generators = _conformal_generators(surf.points)
-    forms_y = []
-    for a in range(n):
-        Y = generators[:, a, :]
-        lhs = _fsum(np.einsum("pij,pi,pj->p", -M, Y, surf.normals) * surf.weights)
-        rhs1 = _fsum(-s * np.einsum("pi,pi->p", Y, surf.normals) * surf.weights)
-        forms_y.append(lhs - rhs1 - 2.0 * (n - 2) * centers[a])
-    return form_x, np.array(forms_y)
+    n, x, nu, w = field.dim, surf.points.T, surf.normals.T, surf.weights
+    ddG = _point_last(evaluation.ddg)  # ddG[k, l, i, j, p] = d_k d_l g_ij
+    A = np.einsum("kjki...->ij...", ddG)
+    D_minus_A = np.einsum("ijkk...->ij...", ddG) - A
+    M = np.einsum("kkij...->ij...", ddG) + D_minus_A - A.swapaxes(0, 1)
+    s = np.einsum("ii...->...", D_minus_A)
+    m_nu = np.einsum("ij...,j...->i...", M, nu)
+    # rows: M(x, nu) and s x.nu for X, then -M(Y_alpha, nu) and -s Y_alpha.nu
+    x_rows = [np.einsum("i...,i...->...", x, m_nu), s * np.einsum("i...,i...->...", x, nu)]
+    rows = np.concatenate([x_rows, -_generator_rows(x, m_nu), -s * _generator_rows(x, nu)])
+    lhs_x, radial, *sums = _fsum_rows(rows * w)
+    form_x = lhs_x - (n - 2) * evaluation.total("adm_mass") - radial
+    forms_y = np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * evaluation.total("cs_center")
+    return form_x, forms_y
 
 
 def identity_residuals(

@@ -59,11 +59,10 @@ class MetricField:
 
 
 def _check_domain(field_: MetricField, points: Array) -> None:
-    radii = np.linalg.norm(points, axis=1)
-    low = float(np.min(radii))
-    if low < field_.inner_radius * (1 - 1e-12):
+    low = float(np.einsum("pi,pi->p", points, points).min())
+    if low < (field_.inner_radius * (1 - 1e-12)) ** 2:
         raise DomainError(
-            f"point at radius {low:.6g} lies inside inner_radius "
+            f"point at radius {low ** 0.5:.6g} lies inside inner_radius "
             f"{field_.inner_radius:.6g} of field {field_.label!r}"
         )
 
@@ -207,8 +206,8 @@ def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
     The order-m sample at radius r is the sup of ``r^(m + tau) |d^m h|`` over
     the order-8 unit-sphere quadrature grid, so reported sups are
     reproducible; for ``odd`` the derivatives are those of
-    ``h_odd(x) = (h(x) - h(-x)) / 2``, as :func:`parity_parts` gives them.
-    Each radius takes one jet evaluation on the grid and one on its reflection.
+    ``h_odd(x) = (h(x) - h(-x)) / 2`` as :func:`parity_parts` gives them, to the bit: one jet
+    evaluation of the grid and its reflection per radius, then half the largest difference (sum for ``dg``).
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -222,11 +221,13 @@ def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
     dirs, _ = unit_sphere_rule(n, 8)
     taus = {"all": (n - 2) / 2.0, "odd": n / 2.0}
     sups = {part: np.zeros((len(radii), 3)) for part in taus}
+    m = len(dirs)
     for a, r in enumerate(radii):
-        g, dg, ddg = jets = jet2_batch(field_, r * dirs)
-        _, odd = parity_parts(jets, jet2_batch(field_, -r * dirs))
-        for part, h in (("all", (g - np.eye(n), dg, ddg)), ("odd", odd)):
-            sups[part][a] = [r ** (m + taus[part]) * np.max(np.abs(d)) for m, d in enumerate(h)]
+        g, dg, ddg = jet2_batch(field_, np.concatenate([r * dirs, -r * dirs]))
+        h = (g[:m] - np.eye(n), dg[:m], ddg[:m])
+        odd = (g[:m] - g[m:], dg[:m] + dg[m:], ddg[:m] - ddg[m:])
+        sups["all"][a] = [r ** (k + taus["all"]) * np.max(np.abs(d)) for k, d in enumerate(h)]
+        sups["odd"][a] = [r ** (k + taus["odd"]) * (0.5 * np.max(np.abs(d))) for k, d in enumerate(odd)]
     half = len(radii) - (len(radii) + 1) // 2
     return tuple(
         DecayReport(

@@ -136,6 +136,59 @@ def test_closed_form_profile_matches_per_rate_lstsq(samples):
             assert matches_lstsq(residual, coef, radii, v, p, cut)
 
 
+@st.composite
+def component_blocks(draw):
+    """Three rows of ``L + A r^-p`` samples on one random schedule, exact, noisy or flat."""
+    m = draw(st.integers(3, 12))
+    start = draw(st.floats(1.0, 2000.0))
+    steps = draw(st.lists(st.floats(1.1, 4.0), min_size=m - 1, max_size=m - 1))
+    radii = start * np.cumprod([1.0, *steps])
+    rows = []
+    for _ in range(3):
+        limit, amplitude = (draw(st.integers(-k, k)) / 1e3 for k in (2000, 3000))
+        rate = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.2, 4.0))
+        noise = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-6]))
+        jitter = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        rows.append(limit + amplitude * radii**-rate + noise * jitter)
+    return radii, np.array(rows)
+
+
+@settings(deadline=None)
+@given(component_blocks())
+def test_a_component_block_fits_as_its_rows_do(block):
+    radii, rows = block
+    fit = fit_power_law(radii, rows)
+    for a, row in enumerate(rows):
+        alone = fit_power_law(radii, row)
+        assert (alone.limit, alone.amplitude, alone.rate) == (
+            fit.limit[a], fit.amplitude[a], fit.rate[a]
+        )
+
+
+@pytest.mark.parametrize("growth", [0.5, 1.0])
+def test_a_slowly_growing_sequence_fails_the_verdict(growth):
+    # the polish follows the growth below the scanned rates, and the limit runs away
+    radii = np.array([100.0 * 2**k for k in range(9)])
+    values = 1.0 + 1e-7 * radii**growth
+    limit, rate = analysis._fit_samples(radii, values)
+    assert rate < RATE_GRID[0]
+    assert not analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0]
+
+
+def test_default_sweep_needs_no_lapack(monkeypatch):
+    from admflux import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("solve", "lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = cli.RunConfig(metric=CatalogSpec(kind="schwarzschild", mass=1.0))
+    checks = cli.run_checks(cfg, tuple(analysis.FUNCTIONALS), with_compare=True)
+    assert [c.name for c in checks] == [*analysis.FUNCTIONALS, "mass_difference", "center_difference"]
+    assert all(c.verdict for c in checks)
+
+
 class TestSweep:
     RADII = [10.0 * 2**k for k in range(4)]
 

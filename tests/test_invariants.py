@@ -37,23 +37,33 @@ def schwarzschild_flux_closed_form(m, r, n=3):
     return m * u ** ((6 - n) / (n - 2))
 
 
+def generators(x):
+    """``Y[p, alpha, i]``, the conformal generators at the points ``x``, read
+    from :func:`invariants._generator_rows` one basis vector at a time."""
+    xt = x.T
+    rows = [invariants._generator_rows(xt, np.broadcast_to(e[:, None], xt.shape)) for e in np.eye(3)]
+    return np.stack(rows, axis=-1).transpose(1, 0, 2)
+
+
 class TestKillingFields:
     def test_field_X(self):
         # the dilation field X = x is the surface nodes themselves; each generator
         # contracts with it to x . Y_alpha = -|x|^2 X_alpha
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-        Y = invariants._conformal_generators(x)
+        Y = generators(x)
         r2 = np.sum(x * x, axis=1)
         assert np.array_equal(np.einsum("pi,pai->pa", x, Y), -r2[:, None] * x)
         assert np.array_equal(np.einsum("pa,pai->pi", x, Y), -r2[:, None] * x)
+        # the contraction the identities and the curvature center take
+        assert np.array_equal(invariants._generator_rows(x.T, x.T), -r2 * x.T)
 
     def test_field_Y_values(self):
-        Y = invariants._conformal_generators(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        Y = generators(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         assert np.allclose(Y[:, 0, :], [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_field_Y_even(self, rng):
         x = rng.normal(size=(20, 3))
-        Y = invariants._conformal_generators
+        Y = generators
         assert np.allclose(Y(x), Y(-x), atol=1e-15)
 
 
@@ -245,33 +255,72 @@ class TestIntegralIdentities:
         assert abs(identity_residuals(catalog["perturbed-tail"], surf)[0]) <= 1e-8
 
 
+def second_derivative_form(ddg):
+    """Point-first reference for the identities' ``M[p, i, j]`` and ``s[p]``, one term at a time."""
+    # M[p,i,j] = sum_k (-dd_(kj) g_ki - dd_(ki) g_kj + dd_(kk) g_ij + dd_(ij) g_kk)
+    M = (
+        -np.einsum("pkjki->pij", ddg)
+        - np.einsum("pkikj->pij", ddg)
+        + np.einsum("pkkij->pij", ddg)
+        + np.einsum("pijkk->pij", ddg)
+    )
+    # s[p] = sum_(k,j) (-dd_(kj) g_kj + dd_(jj) g_kk)
+    s = -np.einsum("pkjkj->p", ddg) + np.einsum("pjjkk->p", ddg)
+    return M, s
+
+
+def point_last_form(field, surf):
+    """``M nu_e``, ``s`` and the jets at ``surf``'s nodes, the point axis last,
+    from the field's own jet evaluation, as the identities contract them."""
+    g, dg, ddg = (np.moveaxis(a, 0, -1) for a in jet2_batch(field, surf.points))
+    A = np.einsum("kjki...->ij...", ddg)
+    D_minus_A = np.einsum("ijkk...->ij...", ddg) - A
+    M = np.einsum("kkij...->ij...", ddg) + D_minus_A - A.swapaxes(0, 1)
+    s = np.einsum("ii...->...", D_minus_A)
+    return np.einsum("ij...,j...->i...", M, surf.normals.T), s, g, dg
+
+
+def flux_density(dg, surf):
+    bracket = np.einsum("kki...->i...", dg) - np.einsum("ikk...->i...", dg)
+    return np.einsum("i...,i...->...", bracket, surf.normals.T)
+
+
 def form_x_oracle(field, surf):
     """The dilation identity on one surface, one formula at a time."""
-    g, dg, ddg = jet2_batch(field, surf.points)
-    M, s = invariants._second_derivative_form(ddg)
-    bracket = np.einsum("pkki->pi", dg) - np.einsum("pikk->pi", dg)
-    lhs = math.fsum(np.einsum("pij,pi,pj->p", M, surf.points, surf.normals) * surf.weights)
-    flux = math.fsum(np.einsum("pj,pj->p", bracket, surf.normals) * surf.weights)
-    radial = math.fsum(s * np.einsum("pi,pi->p", surf.points, surf.normals) * surf.weights)
+    m_nu, s, g, dg = point_last_form(field, surf)
+    x, nu, w = surf.points.T, surf.normals.T, surf.weights
+    lhs = math.fsum(np.einsum("i...,i...->...", x, m_nu) * w)
+    flux = math.fsum(flux_density(dg, surf) * w)
+    radial = math.fsum(s * np.einsum("i...,i...->...", x, nu) * w)
     return lhs - (3 - 2) * flux - radial
 
 
 def form_y_oracle(field, surf, alpha):
-    """The generator identity for one ``alpha`` on one surface, with its own jets."""
-    g, dg, ddg = jet2_batch(field, surf.points)
-    M, s = invariants._second_derivative_form(ddg)
-    Y = invariants._conformal_generators(surf.points)[:, alpha - 1, :]
-    lhs = math.fsum(np.einsum("pij,pi,pj->p", -M, Y, surf.normals) * surf.weights)
-    rhs1 = math.fsum(-s * np.einsum("pi,pi->p", Y, surf.normals) * surf.weights)
-    h = g - np.eye(3)
-    bracket = np.einsum("pkki->pi", dg) - np.einsum("pikk->pi", dg)
-    flux = np.einsum("pi,pi->p", bracket, surf.normals)
-    trace_part = (
-        np.einsum("pk,pk->p", h[:, :, alpha - 1], surf.normals)
-        - np.einsum("pkk->p", h) * surf.normals[:, alpha - 1]
-    )
-    rhs2 = 2.0 * (3 - 2) * math.fsum((surf.points[:, alpha - 1] * flux - trace_part) * surf.weights)
+    """The generator identity for one ``alpha`` on one surface, with its own jets:
+    ``Y_alpha . v = |x|^2 v_alpha - 2 x_alpha (x . v)``."""
+    m_nu, s, g, dg = point_last_form(field, surf)
+    x, nu, w = surf.points.T, surf.normals.T, surf.weights
+    a = alpha - 1
+    r2 = np.einsum("i...,i...->...", x, x)
+    y_m_nu = r2 * m_nu[a] - 2.0 * x[a] * np.einsum("i...,i...->...", x, m_nu)
+    y_nu = r2 * nu[a] - 2.0 * x[a] * np.einsum("i...,i...->...", x, nu)
+    lhs = math.fsum(-y_m_nu * w)
+    rhs1 = math.fsum(-s * y_nu * w)
+    h = g - np.eye(3)[:, :, None]
+    trace_part = np.einsum("i...,i...->...", h[:, a], nu) - np.einsum("ii...->...", h) * nu[a]
+    rhs2 = 2.0 * (3 - 2) * math.fsum((x[a] * flux_density(dg, surf) - trace_part) * w)
     return lhs - rhs1 - rhs2
+
+
+@pytest.mark.parametrize("name", ["perturbed-gaussian", "schwarzschild-translated", "rt-violator"])
+def test_point_last_form_matches_the_point_first_reference(catalog, name):
+    surf = sphere_quadrature(3, 100.0, order=16)
+    g, dg, ddg = jet2_batch(catalog[name], surf.points)
+    M, s = second_derivative_form(ddg)
+    m_nu, s_last, _, _ = point_last_form(catalog[name], surf)
+    scale = np.max(np.abs(ddg))
+    assert np.allclose(m_nu.T, np.einsum("pij,pj->pi", M, surf.normals), rtol=0, atol=1e-14 * scale)
+    assert np.allclose(s_last, s, rtol=0, atol=1e-14 * scale)
 
 
 def moment_oracle(field, r0, r1, moment, order):

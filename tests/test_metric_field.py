@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admflux import metric_field
 from admflux.catalog import CatalogSpec, build
@@ -14,6 +16,8 @@ from admflux.metric_field import (
     jet2_batch,
     parity_parts,
 )
+
+from admflux.surfaces import unit_sphere_rule
 
 from conftest import metric_values, sample_points
 
@@ -244,8 +248,23 @@ class TestDecayReport:
         monkeypatch.setattr(metric_field, "jet2_batch", counting)
         all_part, odd = decay_report(catalog["schwarzschild-translated"], self.RADII)
         assert (all_part.part, all_part.tau, odd.part, odd.tau) == ("all", 0.5, "odd", 1.5)
-        assert len(sizes) == 2 * len(self.RADII)  # the grid and its reflection at each radius
+        # the grid and its reflection together at each radius
+        assert sizes == [2 * len(unit_sphere_rule(3, 8)[0])] * len(self.RADII)
         assert all_part.ok and odd.ok
+
+    def test_one_field_evaluation_per_radius(self, catalog):
+        calls = []
+        base = catalog["perturbed-tail"]
+
+        def counting(points):
+            calls.append(points.copy())
+            return base.jet_batch(points)
+
+        decay_report(dataclasses.replace(base, jet_batch=counting), self.RADII)
+        dirs = unit_sphere_rule(3, 8)[0]
+        assert len(calls) == len(self.RADII)
+        for r, points in zip(self.RADII, calls):
+            assert np.array_equal(points, np.concatenate([r * dirs, -r * dirs]))
 
     def test_empty_radii(self, catalog):
         with pytest.raises(ValueError):
@@ -258,6 +277,114 @@ class TestDecayReport:
     def test_radius_below_inner(self, catalog):
         with pytest.raises(DomainError):
             decay_report(catalog["schwarzschild"], [0.5, 10.0])
+
+
+def reference_sups(field, radii):
+    """The decay sups one formula at a time: point-first jets of the grid and,
+    in a second evaluation, of its reflection, split by :func:`parity_parts`."""
+    n = field.dim
+    dirs, _ = unit_sphere_rule(n, 8)
+    taus = {"all": (n - 2) / 2.0, "odd": n / 2.0}
+    sups = {part: np.zeros((len(radii), 3)) for part in taus}
+    for a, r in enumerate(radii):
+        g, dg, ddg = jets = jet2_batch(field, r * dirs)
+        _, odd = parity_parts(jets, jet2_batch(field, -r * dirs))
+        for part, h in (("all", (g - np.eye(n), dg, ddg)), ("odd", odd)):
+            sups[part][a] = [r ** (m + taus[part]) * np.max(np.abs(d)) for m, d in enumerate(h)]
+    return sups
+
+
+def decay_specs(n):
+    """Every catalog kind in R^n, each bump profile and parity on a translated base."""
+    center = (1.0, -2.0, 0.5, 0.25)[:n]
+    base = CatalogSpec(kind="schwarzschild", dim=n, mass=1.3, center=center)
+    specs = [
+        CatalogSpec(kind="flat", dim=n),
+        base,
+        CatalogSpec(kind="conformal", dim=n, u_coeffs=((1, 0.6), (n - 2, 0.3), (n, -0.1)), center=center),
+        CatalogSpec(kind="rt_violator", dim=n, amplitude=0.5),
+    ]
+    for profile in ("gaussian", "rational"):
+        for parity in ("none", "even", "odd"):
+            specs.append(CatalogSpec(
+                kind="perturbed", dim=n, base=base, bump_profile=profile, bump_parity=parity,
+                bump_location=(3.0, -1.0, 2.0, 1.0)[:n], bump_tail_power=n,
+            ))
+    return specs
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_decay_sups_match_the_point_first_parity_parts(n):
+    radii = [20.0, 40.0, 80.0, 160.0]
+    for spec in decay_specs(n):
+        field = build(spec)
+        want = reference_sups(field, radii)
+        for report in decay_report(field, radii):
+            assert np.array_equal(report.sups, want[report.part]), (spec, report.part)
+
+
+def spoil(base, part, entry, bad):
+    """``base`` with one jet entry (flat index ``entry`` of array ``part``) replaced by ``bad``."""
+
+    def jets(points):
+        out = [np.ascontiguousarray(a) for a in base.jet_batch(points)]
+        out[part].reshape(-1)[entry % out[part].size] = bad
+        return tuple(out)
+
+    return dataclasses.replace(base, jet_batch=jets)
+
+
+POINTS = np.array([[10.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 30.0], [24.0, -32.0, 0.0]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2), st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_any_non_finite_entry_names_its_radius(catalog, part, entry, bad):
+    field = spoil(catalog["schwarzschild-translated"], part, entry, bad)
+    size = len(POINTS) * 3 ** (part + 2)
+    radius = np.linalg.norm(POINTS[entry % size // (size // len(POINTS))])
+    with pytest.raises(NonFiniteError, match=f"at radius {radius:.6g}$"):
+        jet2_batch(field, POINTS)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.sampled_from([1e308, -1e308, 1.0, 0.0]), min_size=3, max_size=3))
+def test_finite_jets_whose_sums_overflow_pass(catalog, signs):
+    def huge(points):
+        return tuple(np.full((len(points),) + (3,) * (k + 2), signs[k]) for k in range(3))
+
+    field = dataclasses.replace(catalog["flat"], jet_batch=huge)
+    g, dg, ddg = jet2_batch(field, POINTS)
+    assert g[0, 0, 0] == signs[0] and ddg[-1, 2, 2, 2, 2] == signs[2]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(0.5, 50.0),
+    st.floats(0.0, 1.0 - 1e-11),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda d: np.linalg.norm(d) > 0.1),
+)
+def test_a_point_inside_the_inner_radius_names_its_radius(inner, fraction, direction):
+    field = build(CatalogSpec(kind="schwarzschild", mass=0.1, inner_radius=inner))
+    point = np.asarray(direction) / np.linalg.norm(direction) * (fraction * inner)
+    radius = float(np.linalg.norm(point))
+    if radius >= inner * (1 - 1e-12):
+        return  # the unit vector's rounding put the point on the bound
+    points = np.array([[2.0 * inner, 0.0, 0.0], point, [0.0, 3.0 * inner, 0.0]])
+    with pytest.raises(DomainError, match=f"point at radius {radius:.6g} lies inside"):
+        jet2_batch(field, points)
+    jet2_batch(field, points[[0, 2]])
+
+
+@pytest.mark.parametrize("shift", [-1e-13, -1e-14, 1e-14, 1e-13])
+def test_the_domain_bound_is_inner_radius_less_its_margin(shift):
+    field = build(CatalogSpec(kind="schwarzschild", mass=0.1, inner_radius=3.0))
+    point = np.array([[1.2, -1.6, 2.0]]) * (1 - 1e-12 + shift) * 3.0 / np.sqrt(8.0)
+    if shift < 0:
+        with pytest.raises(DomainError):
+            jet2_batch(field, point)
+    else:
+        jet2_batch(field, point)
 
 
 def test_decreasing_to_zero_semantics():
