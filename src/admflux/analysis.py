@@ -2,7 +2,8 @@
 
 :func:`sweep` is the one entry point: it samples a list of functionals over a
 growing schedule of surfaces in one pass, each surface evaluated once for all
-of them, and then divides the centers by the mass.  The start order is
+of them, in blocks of surfaces of one order, and then divides the centers by
+the mass.  The start order is
 accepted once its half agrees with it, the rule the scalar-curvature shells
 use for their directions.  It fits each on the tail with the model
 ``value(r) = limit + A * r^(-p)``, one :func:`fit_power_law` call for all of
@@ -25,10 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdmfluxError, ConfigError, NonFiniteError
-from .invariants import CENTER_FUNCTIONALS, MAX_ORDER, REFINEMENT_TOL, SurfaceEval, normalized
-from .invariants import agrees, refinement_orders
+from .invariants import CENTER_FUNCTIONALS, CURVATURE_FUNCTIONALS, MAX_ORDER, REFINEMENT_TOL, SurfaceEval
+from .invariants import agrees, normalized, refinement_orders
 from .metric_field import MetricField
-from .surfaces import ellipsoid_quadrature, sphere_quadrature
+from .surfaces import ellipsoid_quadrature, rule_size, sphere_quadrature
 
 DEFAULT_TOL = 1e-4
 
@@ -247,11 +248,12 @@ def sweep(
 
     ``radii`` is the increasing family parameter: the radius of coordinate
     spheres or, given ``ratios``, the scale ``r`` of the ellipsoids with
-    semi-axes ``ratios * r``.  One pass walks the schedule: at each radius and
-    order one surface is evaluated once for every functional still refining
-    there.  Centers are then normalized by ``mass`` or, when it is None, by
-    the fitted limit of ``adm_mass``, which is swept for them.  Reports come
-    in the order of :data:`FUNCTIONALS`.
+    semi-axes ``ratios * r``.  One pass walks the schedule order by order: the
+    radii still refining the same functionals are evaluated together, in blocks
+    whose jets fit the bytes of one start-order surface's second-order jets,
+    each surface once for every functional still refining there.  Centers are
+    then normalized by ``mass`` or, when it is None, by the fitted limit of
+    ``adm_mass``, which is swept for them.  Reports come in the order of :data:`FUNCTIONALS`.
 
     At each radius a functional walks :func:`refinement_orders` from
     ``order`` (2 to :data:`MAX_ORDER`): it evaluates the companion
@@ -277,44 +279,56 @@ def sweep(
     if centers and mass is None and "adm_mass" not in names:
         names.insert(0, "adm_mass")
 
-    def evaluate(r: float, at: int, active: list[str]) -> tuple[dict, dict]:
-        """Totals and refinement values of ``active`` on the ``(r, at)`` surface.
+    def evaluate(block: list[float], at: int, active: list[str], derivatives: int) -> tuple[dict, dict]:
+        """Totals and refinement values of ``active``, one per surface, on the order-``at`` surfaces of ``block``.
 
-        One :class:`SurfaceEval`, made for the first, serves them all; it and
-        its jets are freed on return.  A failure names the functional.
+        One :class:`SurfaceEval`, made for the first, serves them all; it and its jets are freed on
+        return.  A failure names the functional and the block's first failing radius.
         """
         evaluation, got, values = None, {}, {}
-        for name in active:
-            with _naming(f"{name} at schedule radius {r:g}"):
-                if evaluation is None:
-                    surface = (
-                        sphere_quadrature(field.dim, r, at) if ratios is None
-                        else ellipsoid_quadrature([t * r for t in ratios], at)
-                    )
-                    evaluation = SurfaceEval(field, surface)
-                got[name] = evaluation.total(name)
-                values[name] = _finite(FUNCTIONALS[name]["fn"](got[name], field.dim, 1.0))
-        return got, values
+        try:
+            for name in active:
+                with _naming(f"{name} at schedule radius {block[0]:g}"):
+                    if evaluation is None:
+                        evaluation = SurfaceEval(field, [
+                            sphere_quadrature(field.dim, r, at) if ratios is None
+                            else ellipsoid_quadrature([t * r for t in ratios], at)
+                            for r in block
+                        ], derivatives)
+                    got[name] = evaluation.total(name)
+                    values[name] = [_finite(FUNCTIONALS[name]["fn"](t, field.dim, 1.0)) for t in got[name]]
+            return got, values
+        except Exception as exc:
+            if len(block) == 1:
+                raise
+            error = exc
+        for r in block:
+            evaluate([r], at, active, derivatives)
+        raise error
 
-    totals: dict[str, list] = {name: [] for name in names}
-    stalled: dict[str, list] = {name: [] for name in names}
+    totals: dict[str, list] = {name: [None] * len(radii) for name in names}
+    active, previous = [names] * len(radii), [{} for _ in radii]
     orders = refinement_orders(order)
-    for r in radii:
-        active, previous = names, {}
-        for at in orders:
-            got, values = evaluate(r, at, active)
-            done = [
-                f for f in active
-                if f in previous and agrees(values[f], previous[f], 1.0 + float(np.max(np.abs(values[f]))))
-            ]
-            # the last order takes every value still refining, and names its radius
-            for f in active if at == orders[-1] else done:
-                totals[f].append(got[f])
-                if f not in done:
-                    stalled[f].append(f"{f} unconverged at schedule radius {r:g} (order {at})")
-            active, previous = [f for f in active if f not in done], values
-            if not active:
-                break
+    per_node = [field.dim ** (k + 2) for k in range(3)]  # the floats of g, dg and ddg at a node
+    budget = rule_size(field.dim, order) * sum(per_node)  # one start-order surface's jets to second order
+    for at in orders:
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for a, still in enumerate(active):
+            if still:
+                groups.setdefault(tuple(still), []).append(a)
+        for still, where in groups.items():
+            derivatives = 2 if any(f in CURVATURE_FUNCTIONALS for f in still) else 1
+            size = max(1, budget // (rule_size(field.dim, at) * sum(per_node[: derivatives + 1])))
+            for block in (where[b: b + size] for b in range(0, len(where), size)):
+                got, values = evaluate([radii[a] for a in block], at, list(still), derivatives)
+                for j, a in enumerate(block):
+                    done = [f for f in still if f in previous[a] and agrees(
+                        values[f][j], previous[a][f], 1.0 + float(np.max(np.abs(values[f][j]))))]
+                    # the last order takes every value still refining; those left active stalled
+                    for f in still if at == orders[-1] else done:
+                        totals[f][a] = got[f][j]
+                    active[a] = [f for f in still if f not in done]
+                    previous[a] = {f: values[f][j] for f in still}
 
     reports = {}
     for name in names:  # the masses come first, so a center can take the fitted mass
@@ -327,7 +341,8 @@ def sweep(
         values = np.stack(samples)
         limit, rate = _fit_samples(np.asarray(radii), values)
         verdict, tol_eff = _verdict(values, limit, rate, tol)
-        failure = "; ".join(stalled[name]) or None
+        failure = "; ".join(f"{name} unconverged at schedule radius {r:g} (order {orders[-1]})"
+                            for r, still in zip(radii, active) if name in still) or None
         reports[name] = ConvergenceReport(
             radii=tuple(radii),
             values=values,

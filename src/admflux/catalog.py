@@ -6,7 +6,8 @@ restricted to finite sums ``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its
 Laplacian analytic and the scalar-flatness oracle exact.  :func:`build` turns
 a :class:`CatalogSpec` into a field and decides each kind in one branch;
 ``dataclasses.replace`` derives one spec from another.  Every jet and term
-comes from one radial chain rule and is stored with the point axis last;
+comes from one radial chain rule, to the derivative count asked for (no
+Hessian at count 1), and is stored with the point axis last;
 fields return point-first views, which the curvature kernel reads as they are.
 
 The ``rt_violator`` kind is the negative control: the flat metric plus the odd
@@ -113,17 +114,20 @@ def _point_first(*storage: Array) -> tuple[Array, ...]:
     return tuple(a.transpose(-1, *range(a.ndim - 1)) for a in storage)
 
 
-def _radial(y: Array, a1: Array, a2: Array):
-    """Gradient ``a1 y`` and Hessian ``a1 delta + a2 y y`` of ``f(|y|)``, ``a1 = f'(r) / r``,
-    ``a2 = a1'(r) / r``; ``y`` is ``(n, N)``, the point axis last in and out.
+def _radial(y: Array, a1: Array, a2: Array, derivatives: int):
+    """Gradient ``a1 y`` and, for ``derivatives == 2``, Hessian ``a1 delta + a2 y y`` of
+    ``f(|y|)``, ``a1 = f'(r) / r``, ``a2 = a1'(r) / r``; ``y`` is ``(n, N)``, the point
+    axis last in and out.
     """
+    if derivatives == 1:
+        return (a1 * y,)
     n, N = y.shape
     dd = a2 * y[:, None] * y[None, :]
     dd.reshape(n * n, N)[:: n + 1] += a1
     return a1 * y, dd
 
 
-def _conformal_jets(points: Array, coeffs, center: Array, n: int):
+def _conformal_jets(points: Array, coeffs, center: Array, n: int, derivatives: int = 2):
     """Jets of ``u^p delta``, ``p = 4 / (n - 2)``, written only into their diagonal slots.
 
     One loop over the coefficients forms ``u`` and the radial factors of
@@ -144,19 +148,19 @@ def _conformal_jets(points: Array, coeffs, center: Array, n: int):
     a2 *= s * s
     p = 4.0 / (n - 2)
     f1 = p * u ** (p - 1)  # d(u^p)/du; (p - 1) f1 / u is its second derivative
-    d, dd = _radial(np.ascontiguousarray(y.T), f1 * a1, (p - 1) * f1 / u * a1 * a1 + f1 * a2)
-    g, dg, ddg = np.zeros((n, n, N)), np.zeros((n, n, n, N)), np.zeros((n, n, n, n, N))
-    g.reshape(n * n, N)[:: n + 1] = u**p
-    dg.reshape(n, n * n, N)[:, :: n + 1] = d[:, None]
-    ddg.reshape(n, n, n * n, N)[:, :, :: n + 1] = dd[:, :, None]
-    return _point_first(g, dg, ddg)
+    d = _radial(np.ascontiguousarray(y.T), f1 * a1, (p - 1) * f1 / u * a1 * a1 + f1 * a2, derivatives)
+    jets = [np.zeros((n,) * (k + 2) + (N,)) for k in range(derivatives + 1)]
+    jets[0].reshape(n * n, N)[:: n + 1] = u**p
+    for k, dk in enumerate(d, 1):
+        jets[k].reshape(n**k, n * n, N)[:, :: n + 1] = dk.reshape(n**k, 1, N)
+    return _point_first(*jets)
 
 
 # ---------------------------------------------------------------------------
 # g_11 terms
 
 
-def _bump_jets_raw(points: Array, spec: CatalogSpec):
+def _bump_jets_raw(points: Array, spec: CatalogSpec, derivatives: int):
     y = points - _padded(spec.bump_location, points.shape[1])
     # numpy and float arithmetic: powers out of range give non-finite jets, not errors
     sigma2 = np.float64(spec.bump_width) ** 2
@@ -169,45 +173,44 @@ def _bump_jets_raw(points: Array, spec: CatalogSpec):
         w = 1.0 + r2 / sigma2
         v = spec.bump_amplitude * w ** (-k / 2.0)
         a1, a2 = -k * v / (sigma2 * w), k * (k + 2) * v / (sigma2**2 * w * w)
-    return _point_first(v, *_radial(np.ascontiguousarray(y.T), a1, a2))
+    return _point_first(v, *_radial(np.ascontiguousarray(y.T), a1, a2, derivatives))
 
 
-def _bump_jets(points: Array, spec: CatalogSpec):
-    jets = _bump_jets_raw(points, spec)
+def _bump_jets(points: Array, spec: CatalogSpec, derivatives: int = 2):
+    jets = _bump_jets_raw(points, spec, derivatives)
     if spec.bump_parity == "none":
         return jets
-    even, odd = parity_parts(jets, _bump_jets_raw(-points, spec))
+    even, odd = parity_parts(jets, _bump_jets_raw(-points, spec, derivatives))
     return even if spec.bump_parity == "even" else odd
 
 
-def _rt_tail_jets(points: Array, A: float):
+def _rt_tail_jets(points: Array, A: float, derivatives: int = 2):
     """Jets of the ``rt_violator`` tail ``x^1 psi`` with ``psi = A |x|^(-n/2 - 1)``."""
     p = points.shape[1] / 2.0 + 1.0
     r2 = np.einsum("pi,pi->p", points, points)
     psi = A * r2 ** (-p / 2.0)
     a1, a2 = -p * psi / r2, p * (p + 2) * psi / (r2 * r2)
     x = np.ascontiguousarray(points.T)
-    dv, ddv = _radial(x, x[0] * a1, x[0] * a2)  # x^1 times the jets of psi
-    dv[0] += psi
-    ddv[0] += a1 * x  # plus e_1 dpsi + dpsi e_1
-    ddv[:, 0] += a1 * x
-    return _point_first(x[0] * psi, dv, ddv)
+    d = _radial(x, x[0] * a1, x[0] * a2, derivatives)  # x^1 times the jets of psi
+    d[0][0] += psi
+    if derivatives == 2:
+        d[1][0] += a1 * x  # plus e_1 dpsi + dpsi e_1
+        d[1][:, 0] += a1 * x
+    return _point_first(x[0] * psi, *d)
 
 
 def _plus_g11(base: MetricField, term, inner: float, metadata: dict) -> MetricField:
-    """``base`` with the jets ``term(points) = (v, dv, ddv)`` added to its ``g_11``.
+    """``base`` with the jets ``term(points, derivatives) = (v, dv[, ddv])`` added to its ``g_11``.
 
     Every catalog field and term returns fresh point-first views of point-last
     storage, so the term is added in place, one contiguous run of points per slot.
     """
 
-    def batch(points: Array):
-        g, dg, ddg = base.jet_batch(points)
-        v, dv, ddv = term(points)
-        g[:, 0, 0] += v
-        dg[:, :, 0, 0] += dv
-        ddg[:, :, :, 0, 0] += ddv
-        return g, dg, ddg
+    def batch(points: Array, derivatives: int):
+        jets = base.jet_batch(points, derivatives)
+        for level, t in zip(jets, term(points, derivatives)):
+            level[..., 0, 0] += t
+        return jets
 
     return MetricField(base.dim, batch, inner, metadata)
 
@@ -234,10 +237,10 @@ def build(spec: CatalogSpec) -> MetricField:
     if spec.kind == "flat":
         eye = np.eye(n)[:, :, None]
 
-        def batch(points: Array):
+        def batch(points: Array, derivatives: int):
             N = len(points)
             g = np.broadcast_to(eye, (n, n, N)).copy()
-            return _point_first(g, np.zeros((n, n, n, N)), np.zeros((n, n, n, n, N)))
+            return _point_first(g, *(np.zeros((n,) * (k + 2) + (N,)) for k in range(1, derivatives + 1)))
 
         metadata["expected_mass"] = 0.0
         return MetricField(n, batch, 0.0 if inner is None else inner, metadata)
@@ -251,13 +254,13 @@ def build(spec: CatalogSpec) -> MetricField:
             mass = None if k < n - 2 else mass if spec.bump_parity == "odd" else mass + tail
         metadata["expected_mass"] = mass
         inner = base.inner_radius if inner is None else inner
-        return _plus_g11(base, lambda x: _bump_jets(x, spec), inner, metadata)
+        return _plus_g11(base, lambda x, k: _bump_jets(x, spec, k), inner, metadata)
 
     if spec.kind == "rt_violator":
         metadata["expected_mass"] = 0.0
         inner = max(1.0, (2.0 * abs(spec.amplitude)) ** (2.0 / n)) if inner is None else inner
         flat = build(CatalogSpec(kind="flat", dim=n))
-        return _plus_g11(flat, lambda x: _rt_tail_jets(x, spec.amplitude), inner, metadata)
+        return _plus_g11(flat, lambda x, k: _rt_tail_jets(x, spec.amplitude, k), inner, metadata)
 
     # schwarzschild and conformal: u^(4/(n-2)) delta about ``center``
     center = _padded(spec.center, n)
@@ -292,5 +295,5 @@ def build(spec: CatalogSpec) -> MetricField:
             "conformal factor is not positive down to the inner radius; "
             "raise inner_radius or adjust coefficients"
         )
-    return MetricField(n, lambda x: _conformal_jets(x, coeffs, center, n), inner, metadata)
+    return MetricField(n, lambda x, k: _conformal_jets(x, coeffs, center, n, k), inner, metadata)
 

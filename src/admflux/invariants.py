@@ -11,22 +11,22 @@ Two routes to the same invariants are kept deliberately separate:
 Their agreement in the large-radius limit is what the analysis layer
 certifies, so no silent substitution of normals or measures is made anywhere.
 :class:`SurfaceEval` is the one way to evaluate a functional: its jets are
-evaluated once per surface for all four, each route with its own normals and
-measure, and :meth:`SurfaceEval.value` reads any of them.
+evaluated once per surface, or per block of surfaces, for all four, each route
+with its own normals and measure, and :meth:`SurfaceEval.value` reads any of them.
 The integration-by-parts identities (:func:`identity_residuals`) take their
 boundary terms from the same flux totals.  The flux totals and the identities
 read the jets through views with the point axis last, as the curvature kernel
 does, and contract all ``n`` conformal generators at once.  Every jet comes through
 :func:`~admflux.metric_field.jet2_batch`, which checks that the points lie in
-the field's domain and that the jets are finite.  All reductions use
-``math.fsum`` in node order for run-to-run determinism.
+the field's domain and that the jets asked for are finite.  Every surface
+total is correctly rounded (``math.fsum`` to the bit) for run-to-run determinism.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,18 +79,37 @@ CURVATURE_FUNCTIONALS = ("intrinsic_mass", "intrinsic_center")
 CENTER_FUNCTIONALS = ("cs_center", "intrinsic_center")
 
 
-def _fsum_rows(rows: Array) -> list[float]:
-    """``math.fsum`` of each row of ``rows``, in node order, from one ``tolist``;
-    an overflowed integrand raises :class:`NonFiniteError`."""
+def _fsum(values: list[float]) -> float:
+    """``math.fsum`` of ``values``; an overflowed integrand raises :class:`NonFiniteError`."""
     try:
-        return [math.fsum(row) for row in rows.tolist()]
+        return math.fsum(values)
     except (OverflowError, ValueError) as exc:
         raise NonFiniteError(f"surface integrand overflows: {exc}") from None
 
 
-def _fsum(contrib: Array) -> float:
-    """``math.fsum`` of ``contrib``, as :func:`_fsum_rows` takes it."""
-    return _fsum_rows(contrib[None])[0]
+def _fsum_rows(rows: Array) -> list[float]:
+    """The correctly rounded sum of each row of ``rows``: its ``math.fsum``, to the bit.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008) with
+    ``sigma = 2^M 2^e >= 2^M max |row|`` and ``2^M >= N + 2`` makes the parts ``(sigma + x) - sigma``
+    and their sum exact; passes repeat on the residuals until none is left, and ``math.fsum`` of
+    the exact pass sums rounds once.  Rows with a non-finite entry, an entry near overflow or only
+    zeros take :func:`_fsum`, so NaN passes and ``inf - inf`` raises :class:`NonFiniteError`.
+    """
+    shift = (rows.shape[1] + 1).bit_length()
+    top = np.abs(rows).max(axis=1)
+    split = (top > 0) & (top < 2.0 ** (1022 - shift))
+    residual, top, parts = rows[split], top[split], []
+    q = np.empty_like(residual)
+    while top.any():
+        sigma = np.ldexp(1.0, shift + np.frexp(top)[1])[:, None]
+        np.add(sigma, residual, out=q)
+        q -= sigma
+        residual -= q
+        parts.append(q.sum(axis=1))
+        top = np.abs(residual, out=q).max(axis=1)
+    exact, plain = iter([math.fsum(p) for p in zip(*parts)]), iter(rows[~split].tolist())
+    return [next(exact) if s else _fsum(next(plain)) for s in split.tolist()]
 
 
 def _kernel_slices(total: int, block: int = 1) -> list[slice]:
@@ -115,20 +134,24 @@ def _generator_rows(x: Array, v: Array) -> Array:
 
 
 class SurfaceEval:
-    """One surface's metric jets, shared by every functional evaluated on it.
+    """The metric jets of one surface, or of a block of same-rule surfaces, shared by every functional.
 
-    :meth:`total` gives a functional's ``fsum`` total before normalization.
-    The flux totals use the jets with the Euclidean normals and weights.  The
-    first curvature total makes the curvature bundle and the metric normals
-    and weights, once; flux totals never make them.
+    :meth:`total` gives a functional's total before normalization, one per
+    surface of a block, each the same to the bit as alone.  Jets of order
+    ``derivatives = 1`` serve the flux totals, which use the Euclidean normals
+    and weights.  The first curvature total makes the curvature bundle and the
+    metric normals and weights, once; flux totals never make them.
     """
 
-    def __init__(self, field: MetricField, surf: QuadSurface):
-        if surf.dim != field.dim:
-            raise ValueError(f"surface dimension {surf.dim} != field dimension {field.dim}")
-        self.field = field
-        self.surf = surf
-        self.g, self.dg, self.ddg = jet2_batch(field, surf.points)
+    def __init__(self, field: MetricField, surfaces: QuadSurface | Sequence[QuadSurface], derivatives: int = 2):
+        self.single = isinstance(surfaces, QuadSurface)
+        block = [surfaces] if self.single else list(surfaces)
+        if any(surf.dim != field.dim or len(surf) != len(block[0]) for surf in block):
+            raise ValueError(f"surfaces must share one rule and the field's dimension {field.dim}")
+        self.field, self.count = field, len(block)
+        self.points, self.normals, self.weights = (np.concatenate([getattr(surf, a) for surf in block])
+                                                   for a in ("points", "normals", "weights"))
+        self.g, self.dg, self.ddg = (*jet2_batch(field, self.points, derivatives), None)[:3]
         self._curvature: tuple[Array, Array, Array] | None = None
 
     @functools.cached_property
@@ -136,28 +159,31 @@ class SurfaceEval:
         """``(d_k g_ki - d_i g_kk) nu_e^i``, the flux-mass integrand before its weight."""
         dG = _point_last(self.dg)  # dG[k, i, j, p] = d_k g_ij
         bracket = np.einsum("kki...->i...", dG) - np.einsum("ikk...->i...", dG)
-        return np.einsum("i...,i...->...", bracket, self.surf.normals.T)
+        return np.einsum("i...,i...->...", bracket, self.normals.T)
 
     def _einstein_frame(self) -> tuple[Array, Array, Array]:
         """The Einstein tensor with the metric normals and area weights.
 
         The kernel takes the nodes in slices of at most :data:`MAX_KERNEL_POINTS`.
         """
+        if self.ddg is None:
+            raise ValueError("the curvature functionals need second-order jets")
         if self._curvature is None:
             einstein, ginv, det = [], [], []
-            for part in _kernel_slices(len(self.surf)):
+            for part in _kernel_slices(len(self.weights)):
                 bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
                 einstein.append(bundle.einstein)
                 ginv.append(bundle.ginv)
                 det.append(bundle.det)
             nu_g, w_g = g_normals_and_areas(
-                self.surf.normals, self.surf.weights, np.concatenate(ginv), np.concatenate(det)
+                self.normals, self.weights, np.concatenate(ginv), np.concatenate(det)
             )
             self._curvature = (np.concatenate(einstein), nu_g, w_g)
         return self._curvature
 
-    def total(self, name: str) -> float | Array:
-        """The unnormalized total of functional ``name``: a float, or one per component.
+    def total(self, name: str) -> float | Array | list:
+        """The unnormalized total of functional ``name``: a float, or one per
+        component; a block gives a list of them, one per surface.
 
         * ``adm_mass``, the flux mass: ``(d_j g_ij - d_i g_jj) nu_e^i`` against
           the Euclidean weights, over ``2 (n-1) omega_(n-1)``.
@@ -177,25 +203,31 @@ class SurfaceEval:
         :func:`normalized` divides by these normalizations.
         """
         # the nodes and normals with the point axis last, as the jets are read
-        w, x, nu = self.surf.weights, self.surf.points.T, self.surf.normals.T
+        w, x, nu = self.weights, self.points.T, self.normals.T
         if name == "adm_mass":
-            return _fsum(self._flux * w)
-        if name == "cs_center":
+            rows = self._flux * w
+        elif name == "cs_center":
             h = _point_last(self.g) - np.eye(self.field.dim)[:, :, None]
             t2 = np.einsum("ia...,i...->a...", h, nu) - np.einsum("ii...->...", h) * nu
-            return np.array(_fsum_rows((x * self._flux - t2) * w))
-        if name not in CURVATURE_FUNCTIONALS:
+            del h  # before the row sums, which are the peak of a flux block
+            rows = (x * self._flux - t2) * w
+        elif name in CURVATURE_FUNCTIONALS:
+            einstein, nu_g, w_g = self._einstein_frame()
+            e_nu = np.einsum("ij...,j...->i...", _point_last(einstein), nu_g.T)
+            mass = name == "intrinsic_mass"
+            rows = (np.einsum("i...,i...->...", x, e_nu) if mass else _generator_rows(x, e_nu)) * w_g
+        else:
             raise ValueError(f"unknown functional {name!r}")
-        einstein, nu_g, w_g = self._einstein_frame()
-        e_nu = np.einsum("ij...,j...->i...", _point_last(einstein), nu_g.T)
-        if name == "intrinsic_mass":
-            return _fsum(np.einsum("i...,i...->...", x, e_nu) * w_g)
-        return np.array(_fsum_rows(_generator_rows(x, e_nu) * w_g))
+        sums = _fsum_rows(rows.reshape(-1, len(w) // self.count))  # one row per surface and component
+        totals = sums if rows.ndim == 1 else list(np.reshape(sums, (-1, self.count)).T)
+        return totals[0] if self.single else totals
 
-    def value(self, name: str, mass: float | None = None) -> float | Array:
-        """Functional ``name`` on the surface; center functionals need ``mass``,
-        with ``|mass| >= MASS_THRESHOLD``."""
-        return normalized(name, self.total(name), self.field.dim, mass)
+    def value(self, name: str, mass: float | None = None) -> float | Array | list:
+        """Functional ``name`` on the surface, or one per surface of a block; center
+        functionals need ``mass``, with ``|mass| >= MASS_THRESHOLD``."""
+        if self.single:
+            return normalized(name, self.total(name), self.field.dim, mass)
+        return [normalized(name, total, self.field.dim, mass) for total in self.total(name)]
 
 
 def normalized(name: str, total, n: int, mass: float | None = None) -> float | Array:
@@ -388,9 +420,9 @@ def _radial_moment(field: MetricField, r0: float, r1: float, moment: int, order:
         )
         still_open = []
         for (a, b), c, h, shell, shell_size in zip(pieces, mid, half, shells, sizes):
-            kronrod = h * _fsum(w_kronrod * shell)
-            error = abs(kronrod - h * _fsum(w_gauss * shell[1::2]))
-            scale = h * _fsum(w_kronrod * shell_size)
+            kronrod = h * _fsum((w_kronrod * shell).tolist())
+            error = abs(kronrod - h * _fsum((w_gauss * shell[1::2]).tolist()))
+            scale = h * _fsum((w_kronrod * shell_size).tolist())
             settled = bool(error <= REFINEMENT_TOL * scale)
             if settled or depth == MAX_RADIAL_BISECTIONS:
                 accepted.append((a, kronrod, error, scale))

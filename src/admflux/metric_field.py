@@ -1,18 +1,18 @@
-"""Evaluatable Riemannian metrics on the outside of a ball, with second-order jets.
+"""Evaluatable Riemannian metrics on the outside of a ball, with jets to a requested order.
 
 A metric field maps an ``(N, n)`` array of points on ``{|x| >= inner_radius}``
-in Cartesian coordinates to the batched jet arrays ``(g, dg, ddg)``, with one
-leading point axis and the index conventions used throughout the package:
+and a derivative count 1 or 2 to the batched jets ``(g, dg)`` or ``(g, dg, ddg)``,
+with one leading point axis and the index conventions used throughout the package:
 
 * ``g[p, i, j]``          -- metric components ``g_ij``
 * ``dg[p, k, i, j]``      -- first partials ``d_k g_ij``
 * ``ddg[p, k, l, i, j]``  -- second partials ``d_k d_l g_ij``
 
 :func:`jet2_batch` is the one place jets are read: it checks the domain
-before a field is called and the finiteness of what it returns.  The shapes
-are point-first and any strides are allowed; jets stored with the point axis
-last, whose point-first views a field returns, reach the curvature kernel
-without a copy.
+before a field is called and the finiteness of the levels asked for.  The
+shapes are point-first and any strides are allowed; jets stored with the
+point axis last, whose point-first views a field returns, reach the curvature
+kernel without a copy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NonFiniteError
 
 Array = np.ndarray
-Jets = tuple[Array, Array, Array]
+Jets = tuple[Array, ...]
 
 #: Relative finite-difference step; absolute floor keeps steps sane near the origin.
 FD_STEP_REL = 1e-4
@@ -35,9 +35,10 @@ FD_STEP_REL = 1e-4
 class MetricField:
     """A metric with evaluatable jets on ``{|x| >= inner_radius}``.
 
-    ``jet_batch`` maps an ``(N, dim)`` array of points to the batched jets
-    ``(g, dg, ddg)``; it must be deterministic and reentrant, and each point's
-    jets must not depend on the other points of the batch.  ``g`` is
+    ``jet_batch(points, derivatives)`` maps an ``(N, dim)`` array of points to the
+    batched jets ``(g, dg)`` for ``derivatives == 1`` or ``(g, dg, ddg)`` for ``2``
+    (or more levels, the same for either count); it must be deterministic and
+    reentrant, and each point's jets must not depend on the other points.  ``g`` is
     symmetric positive definite, ``dg`` symmetric in its last two axes and
     ``ddg`` in both its derivative and its component pairs.  The arrays have
     the point-first shapes ``(N, n, n)``, ``(N, n, n, n)`` and
@@ -49,7 +50,7 @@ class MetricField:
     """
 
     dim: int
-    jet_batch: Callable[[Array], Jets]
+    jet_batch: Callable[[Array, int], Jets]
     inner_radius: float = 1.0
     metadata: dict = field(default_factory=dict)
 
@@ -77,22 +78,25 @@ def _check_finite(field_: MetricField, points: Array, jets: Jets) -> None:
     raise NonFiniteError(f"non-finite jet of field {field_.label!r} at radius {radius:.6g}")
 
 
-def jet2_batch(field_: MetricField, points: Array) -> Jets:
-    """Jets of ``field_`` at ``points`` as stacked arrays ``(g, dg, ddg)``.
+def jet2_batch(field_: MetricField, points: Array, derivatives: int = 2) -> Jets:
+    """Jets of ``field_`` at ``points``: ``(g, dg)`` for ``derivatives == 1``, ``(g, dg, ddg)`` for ``2``.
 
     Raises :class:`DomainError` when a point lies inside the field's inner
-    radius and :class:`NonFiniteError` when a jet entry is NaN or infinite;
-    both name the field and the radius of the offending point.
+    radius and :class:`NonFiniteError` when an entry of a level asked for is
+    NaN or infinite; both name the field and the radius of the offending point.
     """
+    if derivatives not in (1, 2):
+        raise ValueError(f"derivatives must be 1 or 2, got {derivatives}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_domain(field_, points)
-    jets = field_.jet_batch(points)
+    jets = tuple(field_.jet_batch(points, derivatives)[: derivatives + 1])
     _check_finite(field_, points, jets)
     return jets
 
 
-def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = None) -> Jets:
-    """Second-order central-difference jets of a metric given only by its values.
+def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = None,
+            derivatives: int = 2) -> Jets:
+    """Central-difference jets of a metric given only by its values.
 
     Parameters
     ----------
@@ -104,6 +108,8 @@ def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = N
         ``(N, n)`` evaluation points.
     h : float, optional
         Step size; defaults to ``max(1e-4, 1e-4 * |x|)`` at each point.
+    derivatives : int, optional
+        ``1`` for ``(g, dg)`` from the ``2n + 1`` axis stencil points alone, ``2`` for ``(g, dg, ddg)``.
 
     ``values`` is called once, on every stencil point of every evaluation
     point.  The derivative error is ``O(h^2)`` for C^4 metrics, and the
@@ -118,7 +124,7 @@ def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = N
     else:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     e = steps[:, None] * np.eye(n)[:, None, :]  # e[k] = h e_k at every point
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)] if derivatives == 2 else []
     stencil = [points]
     for k in range(n):
         stencil += [points + e[k], points - e[k]]
@@ -137,7 +143,7 @@ def fd_jet2(values: Callable[[Array], Array], points: Array, h: float | None = N
     for m, (k, l) in enumerate(pairs):
         pp, pm, mp, mm = vals[1 + 2 * n + 4 * m: 5 + 2 * n + 4 * m]
         ddg[:, k, l] = ddg[:, l, k] = (pp - pm - mp + mm) / (4 * h**2)
-    return g0, dg, ddg
+    return (g0, dg) if derivatives == 1 else (g0, dg, ddg)
 
 
 def parity_parts(jets: Jets, reflected: Jets) -> tuple[Jets, Jets]:
@@ -147,12 +153,11 @@ def parity_parts(jets: Jets, reflected: Jets) -> tuple[Jets, Jets]:
     ``(f(x) - f(-x)) / 2``.  Each derivative of ``f(-x)`` carries one sign
     flip, so the odd part's first derivatives are ``(df(x) + df(-x)) / 2``
     and its second ``(ddf(x) - ddf(-x)) / 2``, the reverse for the even part;
-    ``even + odd`` reconstructs ``jets``.  For a metric the odd part is raw
-    ``(g, dg, ddg)`` arrays, not itself a metric.
+    for any number of levels, and ``even + odd`` reconstructs ``jets``.  For a
+    metric the odd part is raw jet arrays, not itself a metric.
     """
-    (f, df, ddf), (fm, dfm, ddfm) = jets, reflected
-    even = (0.5 * (f + fm), 0.5 * (df - dfm), 0.5 * (ddf + ddfm))
-    odd = (0.5 * (f - fm), 0.5 * (df + dfm), 0.5 * (ddf - ddfm))
+    even = tuple(0.5 * (f - fm) if k % 2 else 0.5 * (f + fm) for k, (f, fm) in enumerate(zip(jets, reflected)))
+    odd = tuple(0.5 * (f + fm) if k % 2 else 0.5 * (f - fm) for k, (f, fm) in enumerate(zip(jets, reflected)))
     return even, odd
 
 

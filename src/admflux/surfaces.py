@@ -30,10 +30,15 @@ DEFAULT_ORDER = 24
 MAX_RULE_NODES = 10**6
 
 
+def rule_size(n: int, order: int) -> int:
+    """The ``2 (order + 1)^(n - 1)`` nodes of the order-``order`` rule on the unit sphere in R^n."""
+    return 2 * (order + 1) ** (n - 1)
+
+
 def check_rule_size(n: int, order: int) -> None:
     """Raise :class:`ConfigError` unless the order-``order`` rule on the unit sphere
-    in R^n, with its ``2 (order + 1)^(n - 1)`` nodes, fits :data:`MAX_RULE_NODES`."""
-    if n >= 2 and 2 * (order + 1) ** (n - 1) > MAX_RULE_NODES:
+    in R^n fits :data:`MAX_RULE_NODES`."""
+    if n >= 2 and rule_size(n, order) > MAX_RULE_NODES:
         raise ConfigError(
             f"metric dim {n}: an order-{order} sphere rule has 2*{order + 1}^{n - 1} nodes, "
             f"more than the {MAX_RULE_NODES} a rule may have"

@@ -59,4 +59,4 @@ def linearized_scalar_arrays(ddg):
 
 def metric_values(field):
     """Batched metric-components callable for finite differencing against analytic jets."""
-    return lambda points: field.jet_batch(np.asarray(points, dtype=float))[0]
+    return lambda points: field.jet_batch(np.asarray(points, dtype=float), 1)[0]

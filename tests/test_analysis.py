@@ -17,7 +17,7 @@ from admflux.analysis import (
     sweep,
 )
 from admflux.catalog import CatalogSpec, build
-from admflux.errors import DomainError, SingularMetricError
+from admflux.errors import DomainError, NonFiniteError, SingularMetricError
 from admflux.invariants import SurfaceEval
 from admflux.surfaces import sphere_quadrature, unit_sphere_area
 
@@ -315,14 +315,14 @@ class TestSharedSurfaces:
         orders = []
 
         class FakeEval:
-            def __init__(self, field, order):
-                orders.append(order)
-                self.order = order
+            def __init__(self, field, block, derivatives):
+                orders.extend(block)
+                self.block = block
 
             def total(self, name):
                 if name == "adm_mass":
-                    return 0.5 * scale
-                return scale * np.array([0.8e-8 if self.order == 12 else 0.0, 0.0, 0.0])
+                    return [0.5 * scale for _ in self.block]
+                return [scale * np.array([0.8e-8 if order == 12 else 0.0, 0.0, 0.0]) for order in self.block]
 
         monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: order)
         monkeypatch.setattr(analysis, "SurfaceEval", FakeEval)
@@ -345,8 +345,38 @@ class TestSharedSurfaces:
         reports = sweep(catalog["schwarzschild-translated"], ["adm_mass", "cs_center"], self.RADII)
         assert np.allclose(reports["cs_center"].fitted_limit, [1.0, 2.0, 3.0], atol=1e-2)
 
+    def test_flux_only_run_never_asks_for_second_order_jets(self, catalog, monkeypatch):
+        base, asked = catalog["schwarzschild-translated"], []
+
+        def counting(points, derivatives):
+            asked.append(derivatives)
+            return base.jet_batch(points, derivatives)
+
+        field = dataclasses.replace(base, jet_batch=counting)
+        reports = sweep(field, ["adm_mass", "cs_center"], self.RADII)
+        assert asked and set(asked) == {1}
+        assert np.allclose(reports["cs_center"].fitted_limit, [1.0, 2.0, 3.0], atol=1e-2)
+        asked.clear()
+        sweep(field, ["adm_mass", "intrinsic_mass"], self.RADII)
+        assert asked and set(asked) == {2}
+
+    def test_failing_block_names_its_first_failing_surface(self, catalog):
+        base = catalog["schwarzschild"]
+
+        def spoiled(points, derivatives):
+            g, dg, *rest = base.jet_batch(points, derivatives)
+            dg = dg.copy()
+            dg[np.linalg.norm(points, axis=1) > 30.0, 0, 0, 0] = np.nan
+            return (g, dg, *rest)
+
+        field = dataclasses.replace(base, jet_batch=spoiled)
+        for names in (["adm_mass"], ["adm_mass", "intrinsic_mass"]):
+            with pytest.raises(NonFiniteError) as info:
+                sweep(field, names, self.RADII)
+            assert str(info.value).startswith("adm_mass at schedule radius 40: non-finite jet"), names
+
     def test_other_exception_types_reach_the_caller(self, catalog):
-        def raising(points):
+        def raising(points, derivatives):
             raise TwoArgumentError(7, "jet source unavailable")
 
         field = dataclasses.replace(catalog["schwarzschild"], jet_batch=raising)
@@ -361,11 +391,11 @@ class TestSharedSurfaces:
     def test_curvature_failure_names_the_curvature_functional(self, catalog):
         base = catalog["flat"]
 
-        def singular(points):
-            g, dg, ddg = base.jet_batch(points)
+        def singular(points, derivatives):
+            g, *rest = base.jet_batch(points, derivatives)
             g = g.copy()
             g[:, 2, 2] = 1e-14  # flux terms stay finite; the kernel's condition guard trips
-            return g, dg, ddg
+            return (g, *rest)
 
         field = dataclasses.replace(base, jet_batch=singular)
         with pytest.raises(SingularMetricError) as info:

@@ -457,13 +457,13 @@ def test_g11_term_added_in_place_matches_out_of_place_sum(rng, spec):
         v, dv, ddv = catalog_module._rt_tail_jets(points, spec.amplitude)
     pattern = np.zeros((3, 3))
     pattern[0, 0] = 1.0
-    g, dg, ddg = base.jet_batch(points)
+    g, dg, ddg = base.jet_batch(points, 2)
     want = (
         g + v[:, None, None] * pattern,
         dg + dv[:, :, None, None] * pattern,
         ddg + ddv[:, :, :, None, None] * pattern,
     )
-    first, second = field.jet_batch(points), field.jet_batch(points)
+    first, second = field.jet_batch(points, 2), field.jet_batch(points, 2)
     for got, again, expected in zip(first, second, want):
         assert np.array_equal(got, expected)
         assert np.array_equal(got, again)
@@ -524,7 +524,7 @@ def point_first_copy(field):
     """``field`` with its jets copied into contiguous point-first arrays."""
     return dataclasses.replace(
         field,
-        jet_batch=lambda points: tuple(np.ascontiguousarray(a) for a in field.jet_batch(points)),
+        jet_batch=lambda points, k: tuple(np.ascontiguousarray(a) for a in field.jet_batch(points, k)),
     )
 
 
@@ -532,7 +532,7 @@ def point_first_copy(field):
 def test_point_first_storage_gives_the_same_totals(index):
     field = build(layout_specs(3)[index])
     copied = point_first_copy(field)
-    assert not np.moveaxis(copied.jet_batch(np.ones((2, 3)) * 9.0)[2], 0, -1).flags.c_contiguous
+    assert not np.moveaxis(copied.jet_batch(np.ones((2, 3)) * 9.0, 2)[2], 0, -1).flags.c_contiguous
     surf = sphere_quadrature(3, 40.0, 16)
     for name in ("adm_mass", "cs_center", "intrinsic_mass", "intrinsic_center"):
         got, want = SurfaceEval(copied, surf).total(name), SurfaceEval(field, surf).total(name)

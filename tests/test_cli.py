@@ -209,7 +209,6 @@ class TestEvaluationCounts:
             sweep_one = functools.partial(analysis.sweep, fld, [name], self.RADII, mass=mass)
             visits[name] = set(self.surfaces_built(monkeypatch, sweep_one))
         swept = set().union(*visits.values())
-        curved = visits["intrinsic_mass"] | visits["intrinsic_center"]
 
         kernel, jets = [], []
         real_kernel, real_jets = invariants.curvature_arrays, invariants.jet2_batch
@@ -218,9 +217,9 @@ class TestEvaluationCounts:
             kernel.append(len(g))
             return real_kernel(g, dg, ddg)
 
-        def counting_jets(field, points):
+        def counting_jets(field, points, derivatives=2):
             jets.append(len(points))
-            return real_jets(field, points)
+            return real_jets(field, points, derivatives)
 
         monkeypatch.setattr(invariants, "curvature_arrays", counting_kernel)
         monkeypatch.setattr(invariants, "jet2_batch", counting_jets)
@@ -228,11 +227,14 @@ class TestEvaluationCounts:
 
         annuli = len(self.RADII) - 1
         assert sorted(built) == sorted(swept)  # each swept surface built once
-        assert len(kernel) == len(curved) + 2 * annuli
+        # second-order blocks take at most one order-24 surface's jet bytes:
+        # the four order-12 spheres in blocks of three and one, then each of
+        # the four order-24 spheres, and one kernel call per batch of shells
+        assert len(kernel) == 2 + 4 + 2 * annuli == 12
         assert max(kernel) <= invariants.MAX_KERNEL_POINTS == 4802
-        # one jet evaluation per swept surface, per identity surface (an
-        # annulus here) and per batch of shells
-        assert len(jets) == len(swept) + 2 + 2 * annuli
+        # one jet evaluation per block, per identity surface (an annulus
+        # here) and per batch of shells
+        assert len(jets) == 2 + 4 + 2 + 2 * annuli == 14
 
 
 class TestScalarMomentCheck:
@@ -301,11 +303,11 @@ class TestUnconvergedSweep:
         scale = 2.0 * (3 - 1) * 4.0 * math.pi
 
         class NeverAgrees:
-            def __init__(self, field, surface):
-                self.r, self.order = surface
+            def __init__(self, field, surfaces, derivatives):
+                self.surfaces = surfaces
 
             def total(self, name):
-                return scale * (1.0 + (1e-8 * self.order if self.r == 800.0 else 0.0))
+                return [scale * (1.0 + (1e-8 * order if r == 800.0 else 0.0)) for r, order in self.surfaces]
 
         monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: (r, order))
         monkeypatch.setattr(analysis, "SurfaceEval", NeverAgrees)
@@ -430,8 +432,8 @@ class TestExitCodes:
         def spoiled_build(spec):
             field = build(spec)
 
-            def jet_batch(points):
-                g, dg, ddg = field.jet_batch(points)
+            def jet_batch(points, derivatives):
+                g, dg, ddg = field.jet_batch(points, 2)
                 ddg = ddg.copy()
                 ddg[:, 0, 0, 0, 0] = np.nan
                 return g, dg, ddg
@@ -662,7 +664,7 @@ def test_shorter_center_and_location_are_zero_padded(tmp_path):
     base = CatalogSpec(kind="schwarzschild", center=(1.0, 0.0, 0.0))
     padded = build(CatalogSpec(kind="perturbed", base=base, bump_location=(5.0, 0.0, 0.0)))
     points = np.array([[20.0, 3.0, -4.0], [-7.0, 15.0, 2.0]])
-    for got, want in zip(fld.jet_batch(points), padded.jet_batch(points)):
+    for got, want in zip(fld.jet_batch(points, 2), padded.jet_batch(points, 2)):
         assert np.array_equal(got, want)
 
 

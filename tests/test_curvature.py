@@ -159,9 +159,9 @@ class TestAgainstFiniteDifferences:
 def reflected(field: MetricField) -> MetricField:
     """Pullback of the field under x -> -x; first derivatives flip sign."""
 
-    def jet_batch(points):
-        g, dg, ddg = field.jet_batch(-points)
-        return g, -dg, ddg
+    def jet_batch(points, derivatives):
+        g, dg, *ddg = field.jet_batch(-points, derivatives)
+        return (g, -dg, *ddg)
 
     return MetricField(dim=field.dim, jet_batch=jet_batch, inner_radius=field.inner_radius)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from admflux import invariants
 from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
-from admflux.errors import DomainError, UndefinedCenterError
+from admflux.errors import DomainError, NonFiniteError, UndefinedCenterError
 from admflux.invariants import (
     SurfaceEval,
     identity_residuals,
@@ -234,9 +234,9 @@ class TestIntegralIdentities:
         inner = None if field.inner_radius == 0 else sphere_quadrature(3, 10.0, order=16)
         calls = []
 
-        def counting(field_, points):
+        def counting(field_, points, derivatives=2):
             calls.append(len(points))
-            return jet2_batch(field_, points)
+            return jet2_batch(field_, points, derivatives)
 
         monkeypatch.setattr(invariants, "jet2_batch", counting)
         res_x, res_y = identity_residuals(field, outer, inner=inner)
@@ -605,3 +605,65 @@ class TestGeneralSurfaces:
             assert intrinsic == pytest.approx(1.0, abs=1e-9)
             diffs.append(abs(evaluation.value("adm_mass") - intrinsic))
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+SWEPT = ("adm_mass", "cs_center", "intrinsic_mass", "intrinsic_center")
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_block_totals_equal_one_surface_totals(catalog, count):
+    field = catalog["perturbed-gaussian"]
+    spheres = [sphere_quadrature(3, 10.0 * 1.5**k, order=12) for k in range(count)]
+    ellipsoids = [ellipsoid_quadrature((40.0 * r, 10.0 * r, 10.0 * r), order=8) for r in range(1, count + 1)]
+    for surfaces in (spheres, ellipsoids):
+        alone = [SurfaceEval(field, surf) for surf in surfaces]
+        block, flux = SurfaceEval(field, surfaces), SurfaceEval(field, surfaces, derivatives=1)
+        for name in SWEPT:
+            totals = block.total(name)
+            assert len(totals) == count
+            for got, one in zip(totals, alone):
+                assert np.array_equal(got, one.total(name)), (name, count)
+        for name in SWEPT[:2]:  # the flux totals from first-order jets are the same
+            assert all(np.array_equal(a, b) for a, b in zip(flux.total(name), block.total(name)))
+    with pytest.raises(ValueError, match="second-order"):
+        flux.total("intrinsic_mass")
+
+
+def adversarial_row(rng, kind, nodes):
+    """One row of ``nodes`` entries of ``kind``, built to stress a correctly rounded sum."""
+    signs = rng.choice([-1.0, 1.0], nodes)
+    if kind == "wide":
+        return signs * 10.0 ** rng.uniform(-300, 300, nodes)
+    if kind == "cancel":  # exact pairs x, -x, plus at most one leftover entry
+        half = signs[: nodes // 2] * 10.0 ** rng.uniform(-300, 300, nodes // 2)
+        row = np.concatenate([half, -half, signs[: nodes % 2] * rng.random(nodes % 2)])
+        return rng.permutation(row)
+    if kind == "subnormal":
+        return signs * 5e-324 * rng.integers(0, 2**52, nodes) + signs * (rng.random(nodes) < 0.1) * 1e-300
+    if kind == "zero":
+        return signs * 0.0
+    return signs * rng.choice([0.0, 5e-324, 1e-300, 1.0, 3.0, 2.0**53, 1e300], nodes)  # ties and gaps
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.sampled_from(["wide", "cancel", "subnormal", "zero", "mixed"]), min_size=1, max_size=8),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_sums_are_math_fsum_to_the_bit(kinds, nodes, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.stack([adversarial_row(rng, kind, nodes) for kind in kinds])
+    got = np.array(invariants._fsum_rows(rows))
+    want = np.array([math.fsum(row) for row in rows.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # the sign of zero too
+
+
+def test_row_sums_keep_the_non_finite_behaviour():
+    rows = np.array([[1.0, np.inf, -np.inf], [1.0, 2.0, 3.0]])
+    with pytest.raises(NonFiniteError, match="surface integrand overflows"):
+        invariants._fsum_rows(rows)
+    with pytest.raises(NonFiniteError, match="surface integrand overflows"):
+        invariants._fsum_rows(np.array([[1e308, 1e308, 1.0]]))
+    got = invariants._fsum_rows(np.array([[1.0, np.nan, 2.0], [0.5, 0.25, 0.125], [np.inf, 1.0, 1e308]]))
+    assert math.isnan(got[0]) and got[1:] == [0.875, math.inf]

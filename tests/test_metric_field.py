@@ -50,8 +50,8 @@ class TestJet2:
     def test_non_finite_jets_name_field_and_radius(self, catalog, part, bad):
         base = catalog["schwarzschild"]
 
-        def spoiled(points):
-            jets = [a.copy() for a in base.jet_batch(points)]
+        def spoiled(points, derivatives):
+            jets = [a.copy() for a in base.jet_batch(points, 2)]
             jets[part][1:][..., 0, 0] = bad
             return tuple(jets)
 
@@ -140,6 +140,21 @@ class TestFdJet2:
         _, _, ddg = fd_jet2(values, np.zeros((1, 3)), h=0.1)
         assert ddg[0, 0, 0, 0, 0] == pytest.approx(2.0, abs=1e-12)
 
+    def test_first_order_takes_the_axis_stencil_only(self, catalog, rng):
+        pts = sample_points(rng, 10)
+        for name, field in catalog.items():
+            values, asked = metric_values(field), []
+
+            def recording(points):
+                asked.append(len(points))
+                return values(points)
+
+            for h in (None, 1e-2):
+                first, full = fd_jet2(recording, pts, h=h, derivatives=1), fd_jet2(values, pts, h=h)
+                assert len(first) == 2 and asked[-1] == 7 * len(pts), name
+                for got, want in zip(first, full):
+                    assert np.array_equal(got, want), (name, h)
+
     def test_nonpositive_step(self, catalog):
         with pytest.raises(ValueError):
             fd_jet2(metric_values(catalog["flat"]), np.zeros((1, 3)), h=0.0)
@@ -150,7 +165,7 @@ class TestFdJet2:
         from admflux.surfaces import sphere_quadrature
 
         values = metric_values(catalog["schwarzschild"])
-        fd_field = MetricField(3, lambda points: fd_jet2(values, points), inner_radius=1.0)
+        fd_field = MetricField(3, lambda points, k: fd_jet2(values, points, derivatives=k), inner_radius=1.0)
         surf = sphere_quadrature(3, 100.0, order=8)
         exact = SurfaceEval(catalog["schwarzschild"], surf).value("adm_mass")
         assert SurfaceEval(fd_field, surf).value("adm_mass") == pytest.approx(exact, abs=1e-7)
@@ -241,9 +256,9 @@ class TestDecayReport:
         sizes = []
         real = metric_field.jet2_batch
 
-        def counting(field, points):
+        def counting(field, points, derivatives=2):
             sizes.append(len(points))
-            return real(field, points)
+            return real(field, points, derivatives)
 
         monkeypatch.setattr(metric_field, "jet2_batch", counting)
         all_part, odd = decay_report(catalog["schwarzschild-translated"], self.RADII)
@@ -256,9 +271,9 @@ class TestDecayReport:
         calls = []
         base = catalog["perturbed-tail"]
 
-        def counting(points):
+        def counting(points, derivatives):
             calls.append(points.copy())
-            return base.jet_batch(points)
+            return base.jet_batch(points, derivatives)
 
         decay_report(dataclasses.replace(base, jet_batch=counting), self.RADII)
         dirs = unit_sphere_rule(3, 8)[0]
@@ -326,8 +341,8 @@ def test_decay_sups_match_the_point_first_parity_parts(n):
 def spoil(base, part, entry, bad):
     """``base`` with one jet entry (flat index ``entry`` of array ``part``) replaced by ``bad``."""
 
-    def jets(points):
-        out = [np.ascontiguousarray(a) for a in base.jet_batch(points)]
+    def jets(points, derivatives):
+        out = [np.ascontiguousarray(a) for a in base.jet_batch(points, 2)]
         out[part].reshape(-1)[entry % out[part].size] = bad
         return tuple(out)
 
@@ -350,7 +365,7 @@ def test_any_non_finite_entry_names_its_radius(catalog, part, entry, bad):
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.sampled_from([1e308, -1e308, 1.0, 0.0]), min_size=3, max_size=3))
 def test_finite_jets_whose_sums_overflow_pass(catalog, signs):
-    def huge(points):
+    def huge(points, derivatives):
         return tuple(np.full((len(points),) + (3,) * (k + 2), signs[k]) for k in range(3))
 
     field = dataclasses.replace(catalog["flat"], jet_batch=huge)

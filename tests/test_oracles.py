@@ -34,7 +34,7 @@ MASS = 1.0
 CENTER = np.array([1.0, -2.0, 0.5])
 
 
-def kerr_schild_jets(points, m=MASS, c=CENTER):
+def kerr_schild_jets(points, derivatives, m=MASS, c=CENTER):
     """Closed-form jets of ``g_ij = delta_ij + f y_i y_j`` with ``f = 2m |y|^-3``."""
     y = points - c
     n = y.shape[1]
@@ -71,7 +71,7 @@ BL_MASS = sum(BL_MASSES)
 BL_CENTER = sum(m * c for m, c in zip(BL_MASSES, BL_CENTERS)) / BL_MASS
 
 
-def brill_lindquist_jets(points):
+def brill_lindquist_jets(points, derivatives):
     """Closed-form jets of ``g = u^4 delta`` with ``u = 1 + sum_i m_i / (2 |x - c_i|)``."""
     n = points.shape[1]
     eye = np.eye(n)
@@ -138,10 +138,10 @@ SCHWARZSCHILD = build(CatalogSpec(kind="schwarzschild", mass=1.0))
 TAIL = build(CatalogSpec(kind="rt_violator", amplitude=0.5))
 
 
-def violated_jets(points):
+def violated_jets(points, derivatives):
     """Jets of Schwarzschild (m = 1) plus the ``rt_violator`` tail of amplitude 0.5."""
-    g, dg, ddg = (a + b for a, b in zip(SCHWARZSCHILD.jet_batch(points), TAIL.jet_batch(points)))
-    return g - np.eye(points.shape[1]), dg, ddg
+    g, *rest = (a + b for a, b in zip(SCHWARZSCHILD.jet_batch(points, derivatives), TAIL.jet_batch(points, derivatives)))
+    return (g - np.eye(points.shape[1]), *rest)
 
 
 VIOLATED = MetricField(3, violated_jets, inner_radius=1.0, metadata={"label": "violated"})
@@ -217,3 +217,33 @@ class TestParityViolation:
     )
     def test_center_difference_fails(self, violated_sweep):
         assert not compare(violated_sweep["cs_center"], violated_sweep["intrinsic_center"]).verdict
+
+
+def contract_specs():
+    """Every catalog kind: flat, Schwarzschild and conformal in R^3 to R^5, the
+    gaussian and rational bumps of every parity, and the ``rt_violator``."""
+    specs = [CatalogSpec(kind="flat")]
+    for n in (3, 4, 5):
+        specs += [
+            CatalogSpec(kind="schwarzschild", dim=n, mass=1.0, center=(0.5, -0.3)),
+            CatalogSpec(kind="conformal", dim=n, u_coeffs=((n - 2, 0.6), (n, 0.2)), center=(0.2,)),
+        ]
+    specs += [
+        CatalogSpec(kind="perturbed", base=CatalogSpec(kind="schwarzschild"), bump_profile=profile,
+                    bump_parity=parity, bump_location=(3.0, -1.0, 2.0), bump_width=1.5)
+        for profile in ("gaussian", "rational") for parity in ("none", "even", "odd")
+    ]
+    return specs + [CatalogSpec(kind="rt_violator", amplitude=0.5)]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [build(spec) for spec in contract_specs()] + [KERR_SCHILD, BRILL_LINDQUIST, VIOLATED],
+    ids=lambda field: f"{field.label}-{field.dim}",
+)
+def test_first_order_jets_are_the_first_levels_of_the_second_order_ones(field, rng):
+    pts = sample_points(rng, 30, dim=field.dim, r_min=field.inner_radius + 1.0, r_max=80.0)
+    first, second = jet2_batch(field, pts, 1), jet2_batch(field, pts, 2)
+    assert (len(first), len(second)) == (2, 3)
+    for got, want in zip(first, second):
+        assert np.array_equal(got, want)

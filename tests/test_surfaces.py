@@ -154,7 +154,7 @@ class TestMetricNormalsAndAreas:
         weighted = []
         for r in (10.0, 100.0, 1000.0):
             surf = sphere_quadrature(3, r, order=8)
-            g, _, _ = (field.jet_batch(surf.points))
+            g, _, _ = (field.jet_batch(surf.points, 2))
             nu_g, _ = g_normals_and_areas(surf.normals, surf.weights, *metric_inverse(g))
             sup = float(np.max(np.linalg.norm(nu_g - surf.normals, axis=1)))
             h_sup = float(np.max(np.abs(g - np.eye(3))))
