@@ -3,22 +3,20 @@
 :func:`sweep` is the one entry point: it samples a list of functionals over a
 growing schedule of surfaces in one pass, each surface evaluated once for all
 of them, in blocks of surfaces of one order, and then divides the centers by
-the mass.  The start order is
-accepted once its half agrees with it, the rule the scalar-curvature shells
-use for their directions.  It fits each on the tail with the model
-``value(r) = limit + A * r^(-p)``, one :func:`fit_power_law` call for all of
-a functional's components: a scan of a grid of rates with the linear
-parameters solved in closed form at each, then a Levenberg-Marquardt polish
-of each component from its best rate.  A fitted rate is reported
-alongside the limit rather than assumed, since the decay hypotheses only
-guarantee convergence without a rate.
+the mass.  The start order is accepted once its half agrees with it, the rule
+the scalar-curvature shells use for their directions.  It fits each on the
+tail with the model ``value(r) = limit + A * r^(-p)``, one
+:func:`fit_power_law` call for all of a functional's components: a scan of a
+grid of rates, then a bracketed Newton search of each component's rate.  A
+fitted rate is reported alongside the limit rather than assumed, since the
+decay hypotheses only guarantee convergence without a rate; samples that
+grow fit a rate of at most 0, and no verdict passes them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,8 +48,6 @@ class PowerLawFit:
 
 #: Trial rates of the coarse scan that seeds the profile search.
 RATE_GRID = np.linspace(0.05, 8.0, 160)
-#: Cap on damped Gauss-Newton iterations in the final polish.
-MAX_POLISH_STEPS = 300
 
 
 def fit_power_law(radii, values) -> PowerLawFit:
@@ -60,25 +56,33 @@ def fit_power_law(radii, values) -> PowerLawFit:
     The rate enters nonlinearly, so the fit scans :data:`RATE_GRID` for the
     least profiled residual of every row at once (the linear parameters solved
     exactly at each trial rate, the variable projection of Golub and Pereyra),
-    then polishes each row's three parameters by :func:`_polish` from its best
-    trial rate and profiled ``(L, A)``.  Exact power-law data is recovered to
-    machine precision; a row whose spread is at the refinement noise floor
-    fits its mean at rate 1.  Non-finite samples raise :class:`NonFiniteError`.
+    then refines each row's rate by :func:`_rate` between the best trial
+    rate's neighbours, or from ``-RATE_GRID[-1]`` below the grid: samples that
+    grow fit a rate of at most 0.  Exact power-law data is recovered to machine
+    precision.  A row that spreads at the rounding floor, or does not decay and
+    spreads less than :data:`REFINEMENT_TOL` of ``1 + max|v|``, fits its mean
+    at rate 1.  Radii must be positive and samples finite (:class:`NonFiniteError`).
     """
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
-    if r.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1] != len(r) or len(r) < 3:
-        raise ValueError("fit_power_law needs rows of samples matching radii of at least 3 samples")
     if not (np.isfinite(r).all() and np.isfinite(v).all()):
         raise NonFiniteError(f"fit_power_law needs finite samples, got radii {r.tolist()}, values {v.tolist()}")
+    if r.ndim != 1 or v.ndim not in (1, 2) or v.shape[-1] != len(r) or len(r) < 3 or not np.all(r > 0):
+        raise ValueError("fit_power_law needs rows of samples matching positive radii, at least 3 of them")
     rows = np.atleast_2d(v)
     # spread at the quadrature-refinement noise floor: already converged
     flat = np.ptp(rows, axis=-1) <= 1e-11 * np.maximum(1.0, np.max(np.abs(rows), axis=-1))
-    residuals, coefs = _profile(r, rows[:, None], RATE_GRID)
-    best = np.argmin(residuals, axis=-1)
-    starts = np.column_stack([coefs[np.arange(len(rows)), best], RATE_GRID[best]]).tolist()
-    L, A, p = np.array([(row.mean(), 0.0, 1.0) if row_flat else _polish(r.tolist(), row.tolist(), start)
-                        for row, row_flat, start in zip(rows, flat, starts)]).T
+    residuals, _ = _profile(r, rows[:, None], RATE_GRID)
+    fits = []
+    for row, row_flat, best in zip(rows, flat, np.argmin(residuals, axis=-1).tolist()):
+        # the scan's neighbours of its best rate bracket the search; below the grid, growth
+        low, high = RATE_GRID[best - 1] if best else -RATE_GRID[-1], RATE_GRID[min(best + 1, len(RATE_GRID) - 1)]
+        fits.append((row.mean(), 0.0, 1.0) if row_flat else
+                    _rate(r.tolist(), row.tolist(), float(low), float(high), float(RATE_GRID[best])))
+    L, A, p = np.array(fits).T
+    # a row that does not decay but spreads within the refinement tolerance has converged too
+    noise = (p <= 0) & (np.ptp(rows, axis=-1) <= REFINEMENT_TOL * (1.0 + np.max(np.abs(rows), axis=-1)))
+    L, A, p = np.where(noise, rows.mean(axis=-1), L), np.where(noise, 0.0, A), np.where(noise, 1.0, p)
     if v.ndim == 1:
         return PowerLawFit(limit=float(L[0]), amplitude=float(A[0]), rate=float(p[0]))
     return PowerLawFit(limit=L, amplitude=A, rate=p)
@@ -119,48 +123,47 @@ def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarra
     return np.einsum("...i,...i->...", res, res), np.stack([L, A], axis=-1)
 
 
-def _polish(r: list[float], v: list[float], x: list[float]) -> list[float]:
-    """Levenberg-Marquardt on ``L + A r^-p - v`` from ``x = (L, A, p)``; returns the parameters.
+def _rate(r: list[float], v: list[float], low: float, high: float, p: float) -> tuple[float, float, float]:
+    """``(L, A, p)`` at the least profiled residual of ``L + A r^-p - v`` for a rate in ``[low, high]``.
 
-    Each step solves the 3x3 damped normal equations in Jacobian-column-scaled
-    variables by Cramer's rule; a step that does not lower the squared
-    residual, or overflows, is retried with ten times the damping.  Stops once
-    the scaled step is at most ``1e-15`` of the scaled parameters.  Python
-    floats: a few samples cost numpy more in calls than in arithmetic.
+    From ``p``, each step solves ``(L, A)`` from centred sums and takes a Newton
+    step on the residual's slope with its Gauss-Newton curvature, the rate
+    derivative of ``r^-p`` projected off ``span{1, r^-p}`` (Kaufman 1975); a step
+    that would leave the bracket, or follows one that did not halve it, bisects.
+    Stops at a zero slope, or at a step or bracket below ``1e-14 max(1, |p|)``.
+    The column ``(r/r0)^-p - 1``, ``r0`` an end radius, lies in ``(-1, 0]``: it
+    cannot overflow and keeps its precision near ``p = 0``.  Python floats.
     """
-    log_r = [math.log(ri) for ri in r]
-
-    def residual(params):
-        rp = [ri ** -params[2] for ri in r]
-        f = [params[0] + params[1] * e - vi for e, vi in zip(rp, v)]
-        return f, rp, math.fsum(fi * fi for fi in f)
-
-    f, rp, cost = residual(x)
-    damping = 1e-3
-    for _ in range(MAX_POLISH_STEPS):
-        try:
-            jac = ([1.0] * len(r), rp, [-x[1] * lr * e for lr, e in zip(log_r, rp)])
-            d = [math.sqrt(math.fsum(c * c for c in col)) or 1.0 for col in jac]
-            js = [[c / dk for c in col] for col, dk in zip(jac, d)]
-            m = [[math.fsum(map(operator.mul, jk, jl)) + damping * (k == l) for l, jl in enumerate(js)]
-                 for k, jk in enumerate(js)]
-            (a, u, c), (_, b, e), (_, _, h) = m
-            adj = [[b * h - e * e, c * e - u * h, u * e - c * b], [c * e - u * h, a * h - c * c, u * c - a * e],
-                   [u * e - c * b, u * c - a * e, a * b - u * u]]
-            g = [-math.fsum(map(operator.mul, j, f)) for j in js]
-            det = a * adj[0][0] + u * adj[0][1] + c * adj[0][2]
-            y = [math.fsum(map(operator.mul, row, g)) / det for row in adj]
-            trial = [xk + yk / dk for xk, yk, dk in zip(x, y, d)]
-            f_trial, rp_trial, cost_trial = residual(trial)
-        except (ArithmeticError, ValueError):  # a singular system, an overflow or inf - inf
-            damping *= 10.0
-            continue
-        damping *= 0.1 if cost_trial < cost else 10.0
-        if cost_trial < cost:
-            x, f, rp, cost = trial, f_trial, rp_trial, cost_trial
-        if math.hypot(*y) <= 1e-15 * math.hypot(*(dk * xk for dk, xk in zip(d, x))):
+    mean_v, log_r = math.fsum(v) / len(v), [math.log(ri) for ri in r]
+    dv = [vi - mean_v for vi in v]
+    width, best = math.inf, (p, math.inf)  # (rate, Newton step) nearest convergence
+    for _ in range(103):  # from under 2^4 to 1e-14 > 2^-47, halving every other step after the first
+        t = [lr - log_r[0 if p >= 0 else -1] for lr in log_r]
+        u = [math.expm1(-p * ti) for ti in t]
+        mean_u = math.fsum(u) / len(u)
+        du = [ui - mean_u for ui in u]
+        uu = math.fsum(d * d for d in du)
+        if not uu:  # p = 0: r^-p is the constant
+            return mean_v, 0.0, p
+        a = math.fsum(d * e for d, e in zip(du, dv)) / uu
+        w = [-ti * (1.0 + ui) for ti, ui in zip(t, u)]  # du/dp, projected off span{1, u} as z
+        mean_w = math.fsum(w) / len(w)
+        along = math.fsum((wi - mean_w) * d for wi, d in zip(w, du)) / uu
+        z = [wi - mean_w - along * d for wi, d in zip(w, du)]
+        ez, zz = math.fsum((e - a * d) * zi for e, d, zi in zip(dv, du, z)), math.fsum(zi * zi for zi in z)
+        low, high = (low, p) if a * ez < 0 else (p, high)  # the residual falls toward the kept end
+        step, done = ez / (a * zz) if a * zz else math.inf, 1e-14 * max(1.0, abs(p))
+        if not a * ez or abs(step) <= done or high - low <= done:
             break
-    return x
+        best = min(best, (p, step), key=lambda b: abs(b[1]))
+        trial = best[0] + best[1]
+        if not low < trial < high or high - low > 0.5 * width:
+            trial = 0.5 * (low + high)
+        width, p = high - low, trial
+    else:
+        raise AssertionError(f"the rate search outran its bound in [{low!r}, {high!r}]")
+    r0 = r[0 if p >= 0 else -1]  # A = a r0^p, infinite past the float range
+    return mean_v - a * (mean_u + 1.0), a * r0**p if p * math.log(r0) < 709.0 else math.copysign(math.inf, a), p
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,8 @@ class ConvergenceReport:
 
     ``values`` has shape ``(len(radii),)`` for scalar functionals or
     ``(len(radii), dim)`` for vector ones, in which case ``fitted_limit`` is a
-    vector and ``fitted_rate`` is taken from the component with the largest
-    fitted amplitude (the component that actually carries the decay signal).
+    vector and ``fitted_rate`` is the lowest if a component grows (a rate of at
+    most 0 fails), else that of the largest fitted amplitude (the decay signal).
     The CLI renders a check's table from ``radii`` and ``values``; ``failure``
     names the radii whose refinement stalled at :data:`MAX_ORDER`.
     """
@@ -185,10 +188,11 @@ class ConvergenceReport:
 
 
 def _fit_samples(radii: np.ndarray, values: np.ndarray) -> tuple:
-    """``(limit, rate)`` of the tail in one fit of every component; a vector takes its largest amplitude's rate."""
+    """``(limit, rate)`` of the tail in one fit: a vector's lowest rate if it grows, else its largest amplitude's."""
     tail = max(3, (len(radii) + 1) // 2)
     fit = fit_power_law(radii[-tail:], values[-tail:].T)
-    return fit.limit, float(np.atleast_1d(fit.rate)[np.argmax(np.abs(fit.amplitude))])
+    rates = np.atleast_1d(fit.rate)
+    return fit.limit, float(rates.min() if rates.min() <= 0 else rates[np.argmax(np.abs(fit.amplitude))])
 
 
 def _verdict(values, limit, rate, tol) -> tuple[bool, float]:
@@ -359,7 +363,7 @@ def compare(a: ConvergenceReport, b: ConvergenceReport, tol: float = DEFAULT_TOL
     """Per-radius differences ``a - b`` with a fitted difference limit.
 
     The verdict is true when the fitted limit of the difference lies within
-    ``tol`` of zero.  Schedules must match exactly.
+    ``tol`` of zero and its rate is positive.  Schedules must match exactly.
     """
     if a.radii != b.radii:
         raise ValueError(f"schedule mismatch: {a.radii} vs {b.radii}")
@@ -367,12 +371,6 @@ def compare(a: ConvergenceReport, b: ConvergenceReport, tol: float = DEFAULT_TOL
         raise ValueError("cannot compare scalar and vector reports")
     diff = a.values - b.values
     limit, rate = _fit_samples(np.asarray(a.radii), diff)
-    verdict = bool(np.max(np.abs(np.atleast_1d(limit))) <= tol)
-    return ConvergenceReport(
-        radii=a.radii,
-        values=diff,
-        fitted_limit=limit,
-        fitted_rate=rate,
-        verdict=verdict,
-        tolerance=tol,
-    )
+    verdict = bool(np.max(np.abs(np.atleast_1d(limit))) <= tol and rate > 0)
+    return ConvergenceReport(radii=a.radii, values=diff, fitted_limit=limit, fitted_rate=rate,
+                             verdict=verdict, tolerance=tol)

@@ -98,9 +98,9 @@ class RunConfig:
 def _finite(value, what: str) -> float:
     """``float(value)``, or :class:`ConfigError` naming ``what`` unless it is a finite number.
 
-    JSON admits ``NaN``, ``Infinity`` and integers too large for a float;
-    every numeric config value passes through here so that none reaches the
-    certification.
+    JSON admits ``NaN``, ``Infinity`` and integers too large for a float, and
+    Python reads ``true`` as a number; every numeric config value passes
+    through here so that none reaches the certification.
     """
     try:
         out = float(value)
@@ -108,8 +108,8 @@ def _finite(value, what: str) -> float:
         out = math.inf
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if not math.isfinite(out):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+    if isinstance(value, bool) or not math.isfinite(out):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return out
 
 
@@ -158,7 +158,7 @@ def _parse_metric(obj: dict) -> CatalogSpec:
     if "dim" in obj:
         kwargs["dim"] = _integer(obj["dim"], "metric dim")
     if "label" in obj:
-        kwargs["label"] = str(obj["label"])
+        kwargs["label"] = _typed(obj["label"], str, "metric 'label'")
     for key in ("inner_radius", "mass", "amplitude"):
         if key in obj:
             kwargs[key] = _finite(obj[key], key)

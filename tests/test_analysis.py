@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -165,14 +166,141 @@ def test_a_component_block_fits_as_its_rows_do(block):
         )
 
 
-@pytest.mark.parametrize("growth", [0.5, 1.0])
+@pytest.mark.parametrize("growth", [0.1, 0.2, 0.5, 1.0])
 def test_a_slowly_growing_sequence_fails_the_verdict(growth):
-    # the polish follows the growth below the scanned rates, and the limit runs away
+    # the search follows the growth below the scanned rates, to a rate of at most 0
     radii = np.array([100.0 * 2**k for k in range(9)])
     values = 1.0 + 1e-7 * radii**growth
     limit, rate = analysis._fit_samples(radii, values)
     assert rate < RATE_GRID[0]
     assert not analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0]
+
+
+def test_a_logarithmic_growth_fails_the_verdict():
+    # the profiled residual falls to 0 as the rate goes to 0
+    radii = np.array([100.0 * 2**k for k in range(9)])
+    values = 1.0 + 1e-7 * np.log(radii)
+    limit, rate = analysis._fit_samples(radii, values)
+    assert rate < RATE_GRID[0]
+    assert not analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0]
+
+
+@pytest.mark.parametrize("spread, converged", [(1e-10, True), (1e-6, False)])
+def test_growth_within_the_refinement_tolerance_has_converged(spread, converged):
+    radii = np.array([100.0 * 2**k for k in range(9)])
+    values = 2.0 + spread * radii / radii[-1]
+    limit, rate = analysis._fit_samples(radii, values)
+    if converged:
+        assert (limit, rate) == (values[-5:].mean(), 1.0)
+    else:
+        assert rate <= 0
+    assert analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0] == converged
+
+
+def test_a_block_fails_on_its_smallest_growing_component():
+    # its intercept sits 1.6e-5 from the last sample, inside the tolerance: only
+    # the growing component's rate, reported for the block, fails it
+    radii = np.array([100.0 * 2**k for k in range(9)])
+    values = np.column_stack([1.0 + 0.5 / radii, 2.0 + 0.3 * radii**-2.0, 3.0 + 1e-7 * radii**0.5])
+    limit, rate = analysis._fit_samples(radii, values)
+    assert np.max(np.abs(limit - [1.0, 2.0, 3.0])) <= 1e-9
+    assert rate == pytest.approx(-0.5, abs=1e-6)
+    assert not analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0]
+
+
+def test_compare_fails_a_growing_difference():
+    radii = tuple(100.0 * 2**k for k in range(9))
+    base = 1.0 + 0.5 / np.array(radii)
+
+    def report(values):
+        return analysis.ConvergenceReport(radii=radii, values=values, fitted_limit=1.0, fitted_rate=1.0,
+                                          verdict=True, tolerance=analysis.DEFAULT_TOL)
+
+    diff = compare(report(base + 1e-7 * np.array(radii) ** 0.5), report(base))
+    # the difference's intercept is 0, well inside the tolerance
+    assert abs(diff.fitted_limit) <= 1e-9
+    assert diff.fitted_rate == pytest.approx(-0.5, abs=1e-6)
+    assert not diff.verdict
+
+
+@st.composite
+def rate_rows(draw):
+    """Three rows on one random schedule, as :func:`component_blocks` draws them:
+    exact, noisy, flat or growing."""
+    m = draw(st.integers(3, 12))
+    start = draw(st.floats(1.0, 2000.0))
+    steps = draw(st.lists(st.floats(1.1, 4.0), min_size=m - 1, max_size=m - 1))
+    radii = start * np.cumprod([1.0, *steps])
+    rows = []
+    for _ in range(3):
+        limit, amplitude = (draw(st.integers(-k, k)) / 1e3 for k in (2000, 3000))
+        kind = draw(st.sampled_from(["exact", "noisy", "flat", "growing"]))
+        if kind == "flat":
+            rows.append(np.full(m, limit))
+            continue
+        if kind == "growing":
+            growth = draw(st.sampled_from(["log"]) | st.floats(0.01, 3.0))
+            term = np.log(radii) if growth == "log" else radii**growth
+        else:
+            term = radii ** -draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.2, 4.0))
+        noise = draw(st.floats(1e-13, 1e-6)) if kind == "noisy" else 0.0
+        jitter = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        rows.append(limit + amplitude * term + noise * jitter)
+    return radii, np.array(rows)
+
+
+@settings(deadline=None)
+@given(rate_rows())
+def test_the_rate_search_ends_finite_and_fits_rows_alone_as_in_a_block(block):
+    # the search raises if it outruns its bound, so every fit here ended within it
+    radii, rows = block
+    fit = fit_power_law(radii, rows)
+    assert all(np.isfinite(part).all() for part in (fit.limit, fit.amplitude, fit.rate))
+    for a, row in enumerate(rows):
+        alone = fit_power_law(radii, row)
+        assert (alone.limit, alone.amplitude, alone.rate) == (
+            fit.limit[a], fit.amplitude[a], fit.rate[a]
+        )
+
+
+def test_a_zero_slope_at_a_grid_rate_returns_at_once(monkeypatch):
+    # samples made of the search's own column at the grid rate 1: the residual,
+    # and so the slope, is exactly 0 there
+    radii = [10.0, 20.0, 40.0, 80.0, 160.0]
+    p = float(RATE_GRID[19])
+    values = [math.expm1(-p * (math.log(r) - math.log(radii[0]))) for r in radii]
+    evaluated = []
+    expm1 = math.expm1
+    monkeypatch.setattr(math, "expm1", lambda x: evaluated.append(x) or expm1(x))
+    limit, amplitude, rate = analysis._rate(radii, values, float(RATE_GRID[18]), float(RATE_GRID[20]), p)
+    assert rate == p == 1.0 and len(evaluated) == len(radii)
+    assert (limit, amplitude) == pytest.approx((-1.0, 10.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 1.3, 2.0])
+def test_exact_samples_take_a_few_newton_steps(monkeypatch, rate):
+    values = 2.5 + 3.0 * SEVEN**-rate
+    evaluated = []
+    expm1 = math.expm1
+    monkeypatch.setattr(math, "expm1", lambda x: evaluated.append(x) or expm1(x))
+    fit = fit_power_law(SEVEN, values)
+    assert fit.rate == pytest.approx(rate, rel=1e-12)
+    assert len(evaluated) <= 8 * len(SEVEN)
+
+
+@pytest.mark.parametrize("growth", [0.5, 2.0, 20.0])
+def test_growth_on_a_schedule_reaching_1e60_does_not_overflow(growth):
+    # Python's float ** float raises where numpy would return inf
+    radii = np.geomspace(1e50, 1e60, 6)
+    fit = fit_power_law(radii, 1.0 + (radii / 1e60) ** growth)
+    assert np.isfinite([fit.limit, fit.amplitude, fit.rate]).all()
+    assert fit.rate <= 0
+
+
+@pytest.mark.parametrize("bad", [0.0, -10.0])
+def test_non_positive_radii_are_refused(bad):
+    with pytest.raises(ValueError, match="positive radii"):
+        fit_power_law([bad, 20.0, 40.0, 80.0], [1.0, 1.1, 1.15, 1.2])
 
 
 def test_default_sweep_needs_no_lapack(monkeypatch):

@@ -550,6 +550,28 @@ def test_non_integer_config_value_is_config_error(tmp_path, capsys, overrides, f
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # Python reads a JSON boolean as the number 1 or 0
+        ({"metric": dict(SCHWARZSCHILD, mass=True)}, "mass"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[1, True]]}}, "u coefficient"),
+        ({"metric": {"kind": "conformal", "dim": 3, "u": [[True, 0.5]]}}, "u power"),
+        ({"metric": dict(SCHWARZSCHILD, dim=True)}, "metric dim"),
+        ({"tolerances": {"limit": True}}, "limit tolerance"),
+        ({"tolerances": {"limit": 5e-3, "identity": False}}, "identity tolerance"),
+        ({"schedule": {"kind": "spheres", "radii": RADII[:-1] + [True]}}, "schedule radius"),
+        ({"metric": dict(SCHWARZSCHILD, label=[1, 2])}, "metric 'label'"),
+    ],
+)
+def test_boolean_number_or_non_string_label_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "must be" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_whole_number_floats_are_integers(tmp_path):
     cfg = load_config(write_config(tmp_path, order=16.0, metric=dict(SCHWARZSCHILD, dim=3.0)))
     assert cfg.order == 16 and cfg.metric.dim == 3

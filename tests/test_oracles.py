@@ -177,6 +177,13 @@ class TestKerrSchild:
         for name in ("cs_center", "intrinsic_center"):
             assert np.max(np.abs(reports[name].fitted_limit - CENTER)) <= 1e-6, name
 
+    def test_center_fits_its_mean_at_rate_one(self, kerr_schild_sweep):
+        # the tail is exact to about 4e-10 but creeps upward: growth within the
+        # refinement tolerance has converged, and fits its mean
+        report = kerr_schild_sweep["cs_center"]
+        assert report.fitted_rate == 1.0
+        assert np.max(np.abs(report.fitted_limit - CENTER)) <= 1e-9
+
     def test_routes_agree(self, kerr_schild_sweep):
         reports = kerr_schild_sweep
         assert compare(reports["adm_mass"], reports["intrinsic_mass"]).verdict
