@@ -6,11 +6,12 @@ of them, in blocks of surfaces of one order, and then divides the centers by
 the mass.  The start order is accepted once its half agrees with it, the rule
 the scalar-curvature shells use for their directions.  It fits each on the
 tail with the model ``value(r) = limit + A * r^(-p)``, one
-:func:`fit_power_law` call for all of a functional's components: a scan of a
-grid of rates, then a bracketed Newton search of each component's rate.  A
-fitted rate is reported alongside the limit rather than assumed, since the
-decay hypotheses only guarantee convergence without a rate; samples that
-grow fit a rate of at most 0, and no verdict passes them.
+:func:`fit_power_law` call for all of a functional's components: a bracketed
+Newton search of each component's rate over ``[-8, 8]``, started from the rate
+of its first and last differences.  A fitted rate is reported alongside the
+limit rather than assumed, since the decay hypotheses only guarantee
+convergence without a rate; samples that grow fit a rate of at most 0, and
+no verdict passes them.
 """
 
 from __future__ import annotations
@@ -46,20 +47,19 @@ class PowerLawFit:
     rate: float | np.ndarray
 
 
-#: Trial rates of the coarse scan that seeds the profile search.
-RATE_GRID = np.linspace(0.05, 8.0, 160)
+#: The rate search's bracket is ``[-MAX_RATE, MAX_RATE]``: samples that grow fit a rate of at most 0.
+MAX_RATE = 8.0
 
 
 def fit_power_law(radii, values) -> PowerLawFit:
     """Least-squares fit of ``limit + A * r^(-p)`` to one row of samples, or to each of rows.
 
-    The rate enters nonlinearly, so the fit scans :data:`RATE_GRID` for the
-    least profiled residual of every row at once (the linear parameters solved
-    exactly at each trial rate, the variable projection of Golub and Pereyra),
-    then refines each row's rate by :func:`_rate` between the best trial
-    rate's neighbours, or from ``-RATE_GRID[-1]`` below the grid: samples that
-    grow fit a rate of at most 0.  Exact power-law data is recovered to machine
-    precision.  A row that spreads at the rounding floor, or does not decay and
+    The rate enters nonlinearly, so :func:`_rate` searches each row's rate on
+    the profiled residual (the linear parameters solved exactly at each trial
+    rate, the variable projection of Golub and Pereyra) over ``[-MAX_RATE,
+    MAX_RATE]``, from :func:`_start`: samples that grow fit a rate of at most
+    0, and exact power-law data is recovered to machine precision in a few
+    steps.  A row that spreads at the rounding floor, or does not decay and
     spreads less than :data:`REFINEMENT_TOL` of ``1 + max|v|``, fits its mean
     at rate 1.  Radii must be positive and samples finite (:class:`NonFiniteError`).
     """
@@ -72,13 +72,9 @@ def fit_power_law(radii, values) -> PowerLawFit:
     rows = np.atleast_2d(v)
     # spread at the quadrature-refinement noise floor: already converged
     flat = np.ptp(rows, axis=-1) <= 1e-11 * np.maximum(1.0, np.max(np.abs(rows), axis=-1))
-    residuals, _ = _profile(r, rows[:, None], RATE_GRID)
-    fits = []
-    for row, row_flat, best in zip(rows, flat, np.argmin(residuals, axis=-1).tolist()):
-        # the scan's neighbours of its best rate bracket the search; below the grid, growth
-        low, high = RATE_GRID[best - 1] if best else -RATE_GRID[-1], RATE_GRID[min(best + 1, len(RATE_GRID) - 1)]
-        fits.append((row.mean(), 0.0, 1.0) if row_flat else
-                    _rate(r.tolist(), row.tolist(), float(low), float(high), float(RATE_GRID[best])))
+    fits = [(row.mean(), 0.0, 1.0) if row_flat else
+            _rate(r.tolist(), row.tolist(), -MAX_RATE, MAX_RATE, _start(r, row))
+            for row, row_flat in zip(rows, flat)]
     L, A, p = np.array(fits).T
     # a row that does not decay but spreads within the refinement tolerance has converged too
     noise = (p <= 0) & (np.ptp(rows, axis=-1) <= REFINEMENT_TOL * (1.0 + np.max(np.abs(rows), axis=-1)))
@@ -88,39 +84,13 @@ def fit_power_law(radii, values) -> PowerLawFit:
     return PowerLawFit(limit=L, amplitude=A, rate=p)
 
 
-def _profile(r: np.ndarray, v: np.ndarray, rates) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of ``v`` on the design ``[1, r^-p]`` at each of ``rates``.
-
-    ``v`` is one row of samples or rows that broadcast against ``rates``.
-    Returns the squared residuals (the broadcast shape) and the coefficients
-    ``(L, A)`` (that shape plus 2), solved in closed form from centred sums.
-    ``np.linalg.lstsq`` drops a singular value at or below its default cutoff
-    (``eps`` times the sample count times the largest); the squared singular
-    values are the eigenvalues of the 2x2 Gram matrix, so the cut is made
-    from those, and a dropped ``r^-p`` column leaves ``lstsq``'s rank-1
-    minimum-norm solution, which at large rates is a constant fit.
-    """
-    m = len(r)
-    x = r ** -np.asarray(rates, dtype=float)[..., None]
-    mean = v.mean(axis=-1)
-    dv = v - mean[..., None]
-    sx = np.einsum("...i->...", x)
-    dx = x - (sx / m)[..., None]
-    sxx, dxx = np.einsum("...i,...i->...", x, x), np.einsum("...i,...i->...", dx, dx)
-    # the Gram matrix [[m, sx], [sx, sxx]] has the larger eigenvalue ``top`` and
-    # the determinant m * dxx; lstsq keeps r^-p while sigma_2 > eps m sigma_1
-    half = 0.5 * (m - sxx)
-    root = np.hypot(half, sx)
-    top = 0.5 * (m + sxx) + root
-    kept = m * dxx > (np.finfo(float).eps * m * top) ** 2
-    # rank 1: the projection on top's eigenvector, from the sum that does not cancel
-    w = np.where(half >= 0, [half + root, sx], [sx, root - half])
-    xv = np.einsum("...i,...i->...", x, v)
-    along = (w[0] * v.sum(axis=-1) + w[1] * xv) / (top * (w[0] ** 2 + w[1] ** 2))
-    A = np.where(kept, np.einsum("...i,...i->...", dx, dv) / np.where(kept, dxx, 1.0), w[1] * along)
-    L = np.where(kept, mean - A * sx / m, w[0] * along)
-    res = L[..., None] + A[..., None] * x - v
-    return np.einsum("...i,...i->...", res, res), np.stack([L, A], axis=-1)
+def _start(r: np.ndarray, v: np.ndarray) -> float:
+    """The rate ``log(d_0 / d_last) / log(r_(m-2) / r_0)`` of the first and last differences, clipped to the
+    bracket and exact for ``r^-p`` on a geometric schedule; 1 where they differ in sign, one is 0, or it is 0."""
+    d0, dl, span = float(v[1] - v[0]), float(v[-1] - v[-2]), math.log(r[-2] / r[0])
+    if not (d0 * dl > 0 and span):
+        return 1.0
+    return min(max((math.log(abs(d0)) - math.log(abs(dl))) / span, -MAX_RATE), MAX_RATE) or 1.0
 
 
 def _rate(r: list[float], v: list[float], low: float, high: float, p: float) -> tuple[float, float, float]:
@@ -129,7 +99,7 @@ def _rate(r: list[float], v: list[float], low: float, high: float, p: float) -> 
     From ``p``, each step solves ``(L, A)`` from centred sums and takes a Newton
     step on the residual's slope with its Gauss-Newton curvature, the rate
     derivative of ``r^-p`` projected off ``span{1, r^-p}`` (Kaufman 1975); a step
-    that would leave the bracket, or follows one that did not halve it, bisects.
+    that would leave the bracket, or follows a Newton step that did not halve it, bisects.
     Stops at a zero slope, or at a step or bracket below ``1e-14 max(1, |p|)``.
     The column ``(r/r0)^-p - 1``, ``r0`` an end radius, lies in ``(-1, 0]``: it
     cannot overflow and keeps its precision near ``p = 0``.  Python floats.
@@ -137,7 +107,7 @@ def _rate(r: list[float], v: list[float], low: float, high: float, p: float) -> 
     mean_v, log_r = math.fsum(v) / len(v), [math.log(ri) for ri in r]
     dv = [vi - mean_v for vi in v]
     width, best = math.inf, (p, math.inf)  # (rate, Newton step) nearest convergence
-    for _ in range(103):  # from under 2^4 to 1e-14 > 2^-47, halving every other step after the first
+    for _ in range(103):  # the bracket 2^4 takes 51 halvings to 2^-47 < 1e-14, one every other step after the first
         t = [lr - log_r[0 if p >= 0 else -1] for lr in log_r]
         u = [math.expm1(-p * ti) for ti in t]
         mean_u = math.fsum(u) / len(u)
@@ -157,9 +127,8 @@ def _rate(r: list[float], v: list[float], low: float, high: float, p: float) -> 
             break
         best = min(best, (p, step), key=lambda b: abs(b[1]))
         trial = best[0] + best[1]
-        if not low < trial < high or high - low > 0.5 * width:
-            trial = 0.5 * (low + high)
-        width, p = high - low, trial
+        bisect = not low < trial < high or high - low > 0.5 * width  # a bisection halves it: then Newton may step
+        width, p = (math.inf, 0.5 * (low + high)) if bisect else (high - low, trial)
     else:
         raise AssertionError(f"the rate search outran its bound in [{low!r}, {high!r}]")
     r0 = r[0 if p >= 0 else -1]  # A = a r0^p, infinite past the float range

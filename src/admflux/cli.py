@@ -124,11 +124,20 @@ def _integer(value, what: str) -> int:
 
 def _typed(value, kind: type, what: str):
     """``value`` if it has the JSON type ``kind`` (``dict``, ``list`` or ``str``),
-    else :class:`ConfigError` naming ``what``.  Every config section and list
-    is read through here."""
+    else :class:`ConfigError` naming ``what``.  Every config section, list and
+    string is read through here."""
     if not isinstance(value, kind):
         json_kind = {dict: "an object", list: "an array", str: "a string"}[kind]
         raise ConfigError(f"{what} must be {json_kind}, got {value!r}")
+    return value
+
+
+def _section(value, known, what: str) -> dict:
+    """The JSON object ``value``, named ``what``, or :class:`ConfigError` naming its first key not in
+    ``known``.  Every config section is read through here: a misspelled key leaves no default in force."""
+    unknown = [key for key in _typed(value, dict, what) if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {what}; choose from {', '.join(known)}")
     return value
 
 
@@ -142,19 +151,20 @@ _BUMP_KEYS = {
     "amplitude": ("bump_amplitude", lambda v: _finite(v, "bump amplitude")),
     "width": ("bump_width", lambda v: _finite(v, "bump width")),
     "location": ("bump_location", lambda v: _floats(v, "bump 'location'", "bump location entry")),
-    "parity": ("bump_parity", str),
-    "profile": ("bump_profile", str),
+    "parity": ("bump_parity", lambda v: _typed(v, str, "bump 'parity'")),
+    "profile": ("bump_profile", lambda v: _typed(v, str, "bump 'profile'")),
     "tail_power": ("bump_tail_power", lambda v: _integer(v, "bump tail_power")),
 }
 
 
-def _parse_metric(obj: dict) -> CatalogSpec:
-    """The :class:`CatalogSpec` of a metric object: every key present, read as
-    its JSON type; the spec's defaults fill the rest, and :func:`build`
-    decides what the kind needs."""
+def _parse_metric(obj: dict, what: str = "'metric'") -> CatalogSpec:
+    """The :class:`CatalogSpec` of a metric object, named ``what``: every key
+    present, read as its JSON type; the spec's defaults fill the rest, and
+    :func:`build` decides what the kind needs."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("'metric' must be an object with a 'kind' entry")
-    kwargs: dict = {"kind": obj["kind"]}
+        raise ConfigError(f"{what} must be an object with a 'kind' entry")
+    _section(obj, ("kind", "dim", "label", "inner_radius", "mass", "amplitude", "center", "u", "base", "bump"), what)
+    kwargs: dict = {"kind": _typed(obj["kind"], str, "metric 'kind'")}
     if "dim" in obj:
         kwargs["dim"] = _integer(obj["dim"], "metric dim")
     if "label" in obj:
@@ -173,8 +183,8 @@ def _parse_metric(obj: dict) -> CatalogSpec:
             (_integer(k, "u power"), _finite(a, "u coefficient")) for k, a in pairs
         )
     if "base" in obj:
-        kwargs["base"] = _parse_metric(obj["base"])
-    bump = _typed(obj.get("bump", {}), dict, "'bump'")
+        kwargs["base"] = _parse_metric(obj["base"], "metric 'base'")
+    bump = _section(obj.get("bump", {}), tuple(_BUMP_KEYS), "'bump'")
     for key, (name, read) in _BUMP_KEYS.items():
         if key in bump:
             kwargs[name] = read(bump[key])
@@ -190,33 +200,34 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _section(obj, ("metric", "functionals", "schedule", "order", "tolerances", "output"), "the top level")
     if "metric" not in obj:
         raise ConfigError(f"{path}: missing 'metric'")
     cfg = RunConfig(metric=_parse_metric(obj["metric"]))
     if "functionals" in obj:
-        fns = tuple(str(t) for t in _typed(obj["functionals"], list, "'functionals'"))
+        fns = tuple(_typed(t, str, "'functionals' entry") for t in _typed(obj["functionals"], list, "'functionals'"))
         unknown = [t for t in fns if t not in ALL_FUNCTIONALS]
         if unknown:
             raise ConfigError(f"{path}: unknown functionals {unknown}; choose from {ALL_FUNCTIONALS}")
         if not fns:
             raise ConfigError(f"{path}: 'functionals' must not be empty")
         cfg.functionals = fns
-    sched = _typed(obj.get("schedule", {}), dict, "'schedule'")
+    sched = _section(obj.get("schedule", {}), ("kind", "radii", "ratios"), "'schedule'")
     if "radii" in sched:
         cfg.radii = _floats(sched["radii"], "schedule 'radii'", "schedule radius")
-    kind = str(sched.get("kind", "spheres"))
+    kind = _typed(sched.get("kind", "spheres"), str, "schedule 'kind'")
     if kind not in ("spheres", "ellipsoids"):
         raise ConfigError(f"{path}: schedule kind must be 'spheres' or 'ellipsoids'")
     ratios = _floats(sched.get("ratios", [2.0, 1.0, 1.0]), "schedule 'ratios'", "ellipsoid ratio")
     cfg.ratios = ratios if kind == "ellipsoids" else None
     if "order" in obj:
         cfg.order = _integer(obj["order"], "order")
-    tols = _typed(obj.get("tolerances", {}), dict, "'tolerances'")
+    tols = _section(obj.get("tolerances", {}), ("limit", "identity"), "'tolerances'")
     cfg.tol = _finite(tols.get("limit", cfg.tol), "limit tolerance")
     cfg.identity_tol = _finite(tols.get("identity", cfg.identity_tol), "identity tolerance")
-    out = _typed(obj.get("output", {}), dict, "'output'")
+    out = _section(obj.get("output", {}), ("dir", "format"), "'output'")
     cfg.out_dir = Path(_typed(out.get("dir", str(cfg.out_dir)), str, "output 'dir'"))
-    cfg.fmt = str(out.get("format", cfg.fmt))
+    cfg.fmt = _typed(out.get("format", cfg.fmt), str, "output 'format'")
     return cfg
 
 

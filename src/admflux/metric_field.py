@@ -210,9 +210,8 @@ def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
     hypothesis), ``odd`` the odd part with ``tau = n / 2`` (the center's).
     The order-m sample at radius r is the sup of ``r^(m + tau) |d^m h|`` over
     the order-8 unit-sphere quadrature grid, so reported sups are
-    reproducible; for ``odd`` the derivatives are those of
-    ``h_odd(x) = (h(x) - h(-x)) / 2`` as :func:`parity_parts` gives them, to the bit: one jet
-    evaluation of the grid and its reflection per radius, then half the largest difference (sum for ``dg``).
+    reproducible; for ``odd`` they are the jets of ``h_odd(x) = (h(x) - h(-x)) / 2`` that
+    :func:`parity_parts` gives from one jet evaluation of the grid and its reflection per radius.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -230,9 +229,9 @@ def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
     for a, r in enumerate(radii):
         g, dg, ddg = jet2_batch(field_, np.concatenate([r * dirs, -r * dirs]))
         h = (g[:m] - np.eye(n), dg[:m], ddg[:m])
-        odd = (g[:m] - g[m:], dg[:m] + dg[m:], ddg[:m] - ddg[m:])
+        _, odd = parity_parts((g[:m], dg[:m], ddg[:m]), (g[m:], dg[m:], ddg[m:]))
         sups["all"][a] = [r ** (k + taus["all"]) * np.max(np.abs(d)) for k, d in enumerate(h)]
-        sups["odd"][a] = [r ** (k + taus["odd"]) * (0.5 * np.max(np.abs(d))) for k, d in enumerate(odd)]
+        sups["odd"][a] = [r ** (k + taus["odd"]) * np.max(np.abs(d)) for k, d in enumerate(odd)]
     half = len(radii) - (len(radii) + 1) // 2
     return tuple(
         DecayReport(

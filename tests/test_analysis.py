@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from admflux import analysis, invariants
 from admflux.analysis import (
     MAX_ORDER,
-    RATE_GRID,
     REFINEMENT_TOL,
-    _profile,
     compare,
     fit_power_law,
     sweep,
@@ -60,82 +58,6 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="finite"):
             fit_power_law(radii[:3] + [bad], [1.0, 1.1, 1.15, 1.2])
 
-    @pytest.mark.parametrize(
-        "radii, v",
-        [(SEVEN, 2.5 + 3.0 * SEVEN**-rate) for rate in (0.5, 1.0, 2.0)]
-        + [
-            (SEVEN[:6], 1e-3 - 0.2 * SEVEN[:6] ** -1.3),
-            # noise on the default schedule's tail: lstsq drops the r^-p column
-            # below its rank cutoff from p = 4.5 on, and the profile must agree
-            (DEFAULT_TAIL, np.array([1.0, 1.0 + 1e-9, 1.0, 1.0 + 1e-9, 1.0])),
-        ],
-    )
-    def test_profile_grid_argmin_matches_per_rate_lstsq(self, radii, v):
-        residuals, coefs = _profile(radii, v, RATE_GRID)
-        best = int(np.argmin(residuals))
-        assert RATE_GRID[best] == min(RATE_GRID, key=lambda p: lstsq_profile(radii, v, p)[0])
-        # one rate at a time: a single rate takes the grid's path
-        residual, coef = _profile(radii, v, RATE_GRID[best])
-        assert residual == residuals[best] and np.array_equal(coef, coefs[best])
-
-
-@st.composite
-def profile_samples(draw):
-    """3-9 samples of ``L + A r^-p`` on a random increasing schedule, exact or noisy."""
-    m = draw(st.integers(3, 9))
-    start = draw(st.floats(1.0, 2000.0))
-    steps = draw(st.lists(st.floats(1.1, 4.0), min_size=m - 1, max_size=m - 1))
-    radii = start * np.cumprod([1.0, *steps])
-    # on a grid of 1e-3: no products that underflow
-    limit, amplitude = (draw(st.integers(-k, k)) / 1e3 for k in (2000, 3000))
-    values = limit + amplitude * radii ** -draw(st.floats(0.2, 4.0))
-    noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
-    values = values + noise * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
-    return radii, values
-
-
-def lstsq_profile(radii, v, p, rcond=None):
-    """Squared residual, ``(L, A)`` and singular values of ``np.linalg.lstsq`` at rate ``p``."""
-    design = np.column_stack([np.ones_like(radii), radii**-p])
-    coef, _, _, sv = np.linalg.lstsq(design, v, rcond=rcond)
-    res = design @ coef - v
-    return float(res @ res), coef, sv
-
-
-def matches_lstsq(residual, coef, radii, v, p, rcond):
-    """``(residual, coef)`` is lstsq's answer to 1e-12 relative or to its rounding floor.
-
-    The floor is the least-squares perturbation bound for ``m eps`` relative
-    errors: ``m eps (|v| + kappa |res|) / s`` for the smallest kept singular
-    value ``s`` and ``kappa = sigma_1 / s`` (Golub and Van Loan, 5.3).
-    """
-    want, want_coef, sv = lstsq_profile(radii, v, p, rcond)
-    eps = np.finfo(float).eps * len(radii)
-    s = sv[1] if sv[1] > rcond * sv[0] else sv[0]
-    norm = float(np.linalg.norm(v))
-    floor = eps * (norm + sv[0] / s * np.sqrt(want)) / s
-    return (
-        abs(residual - want) <= 1e-12 * want + eps * norm**2
-        and np.all(np.abs(coef - want_coef) <= 1e-12 * np.abs(want_coef) + floor)
-    )
-
-
-@settings(deadline=None)
-@given(profile_samples())
-@example((DEFAULT_TAIL, np.array([1.0, 1.0 + 1e-9, 1.0, 1.0 + 1e-9, 1.0])))
-def test_closed_form_profile_matches_per_rate_lstsq(samples):
-    radii, v = samples
-    rates = np.concatenate([RATE_GRID, [12.0, 20.0]])  # far schedules drop r^-p at these
-    residuals, coefs = _profile(radii, v, rates)
-    cut = np.finfo(float).eps * len(radii)
-    for p, residual, coef in zip(rates, residuals, coefs):
-        sv = lstsq_profile(radii, v, p)[2]
-        if cut / 2 < sv[1] / sv[0] < 2 * cut:
-            # at the rank cut two roundings of sigma_2 may decide either way
-            assert any(matches_lstsq(residual, coef, radii, v, p, c) for c in (cut / 2, 2 * cut))
-        else:
-            assert matches_lstsq(residual, coef, radii, v, p, cut)
-
 
 @st.composite
 def component_blocks(draw):
@@ -168,11 +90,11 @@ def test_a_component_block_fits_as_its_rows_do(block):
 
 @pytest.mark.parametrize("growth", [0.1, 0.2, 0.5, 1.0])
 def test_a_slowly_growing_sequence_fails_the_verdict(growth):
-    # the search follows the growth below the scanned rates, to a rate of at most 0
+    # the search follows the growth to a rate of at most 0
     radii = np.array([100.0 * 2**k for k in range(9)])
     values = 1.0 + 1e-7 * radii**growth
     limit, rate = analysis._fit_samples(radii, values)
-    assert rate < RATE_GRID[0]
+    assert rate <= 0
     assert not analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0]
 
 
@@ -181,7 +103,7 @@ def test_a_logarithmic_growth_fails_the_verdict():
     radii = np.array([100.0 * 2**k for k in range(9)])
     values = 1.0 + 1e-7 * np.log(radii)
     limit, rate = analysis._fit_samples(radii, values)
-    assert rate < RATE_GRID[0]
+    assert rate <= 0
     assert not analysis._verdict(values, limit, rate, analysis.DEFAULT_TOL)[0]
 
 
@@ -263,29 +185,59 @@ def test_the_rate_search_ends_finite_and_fits_rows_alone_as_in_a_block(block):
         )
 
 
-def test_a_zero_slope_at_a_grid_rate_returns_at_once(monkeypatch):
-    # samples made of the search's own column at the grid rate 1: the residual,
-    # and so the slope, is exactly 0 there
-    radii = [10.0, 20.0, 40.0, 80.0, 160.0]
-    p = float(RATE_GRID[19])
-    values = [math.expm1(-p * (math.log(r) - math.log(radii[0]))) for r in radii]
-    evaluated = []
-    expm1 = math.expm1
+def counting_expm1(monkeypatch) -> list:
+    """The arguments of every ``math.expm1`` call from here on: one per radius for each trial rate."""
+    evaluated, expm1 = [], math.expm1
     monkeypatch.setattr(math, "expm1", lambda x: evaluated.append(x) or expm1(x))
-    limit, amplitude, rate = analysis._rate(radii, values, float(RATE_GRID[18]), float(RATE_GRID[20]), p)
-    assert rate == p == 1.0 and len(evaluated) == len(radii)
-    assert (limit, amplitude) == pytest.approx((-1.0, 10.0), rel=1e-14)
+    return evaluated
+
+
+def test_samples_at_their_start_rate_take_one_evaluation(monkeypatch):
+    # the differences of 10/r on a doubling schedule fall by exactly 8 = r_3 / r_0, so the
+    # search starts at rate 1, where the fit leaves only rounding and the Newton step is below 1e-14
+    radii = [10.0, 20.0, 40.0, 80.0, 160.0]
+    evaluated = counting_expm1(monkeypatch)
+    fit = fit_power_law(radii, [10.0 / r for r in radii])
+    assert fit.rate == 1.0 and len(evaluated) == len(radii)
+    assert fit.limit == pytest.approx(0.0, abs=1e-15) and fit.amplitude == pytest.approx(10.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 1.3, 2.0])
 def test_exact_samples_take_a_few_newton_steps(monkeypatch, rate):
     values = 2.5 + 3.0 * SEVEN**-rate
-    evaluated = []
-    expm1 = math.expm1
-    monkeypatch.setattr(math, "expm1", lambda x: evaluated.append(x) or expm1(x))
+    evaluated = counting_expm1(monkeypatch)
     fit = fit_power_law(SEVEN, values)
     assert fit.rate == pytest.approx(rate, rel=1e-12)
     assert len(evaluated) <= 8 * len(SEVEN)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 1.3, 2.0])
+def test_exact_samples_on_an_uneven_schedule_take_a_few_newton_steps(monkeypatch, rate):
+    # off a geometric schedule the differences' rate is only a start (1.195 for rate 1 here),
+    # and the search ends within the same bound
+    radii = np.array([100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1200.0])
+    values = 2.5 + 3.0 * radii**-rate
+    evaluated = counting_expm1(monkeypatch)
+    fit = fit_power_law(radii, values)
+    assert fit.rate == pytest.approx(rate, rel=1e-10)
+    assert fit.limit == pytest.approx(2.5, rel=1e-12)
+    assert len(evaluated) <= 8 * len(radii)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, 0.5, 0.4, 0.45, 0.5],  # the first difference falls, the last rises
+        [1.0, 0.5, 0.4, 0.45, 0.45],  # the last difference is 0
+        [0.0, 1.0, 2.0, 3.0, 4.0],  # equal differences would start at the constant column's rate 0
+    ],
+)
+def test_the_search_starts_at_1_without_a_difference_rate(monkeypatch, values):
+    starts, search = [], analysis._rate
+    monkeypatch.setattr(analysis, "_rate", lambda r, v, low, high, p: starts.append(p) or search(r, v, low, high, p))
+    fit = fit_power_law([10.0, 20.0, 40.0, 80.0, 160.0], values)
+    assert starts == [1.0]
+    assert np.isfinite([fit.limit, fit.amplitude, fit.rate]).all()
 
 
 @pytest.mark.parametrize("growth", [0.5, 2.0, 20.0])

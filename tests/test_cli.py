@@ -31,6 +31,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def in_tmp_out(tmp_path, overrides):
+    """``overrides`` with an ``output`` object writing under ``tmp_path / "out"``."""
+    if "output" not in overrides:
+        return overrides
+    return dict(overrides, output=dict(overrides["output"], dir=str(tmp_path / "out")))
+
+
 SCHWARZSCHILD_TRANSLATED = {"kind": "schwarzschild", "dim": 3, "mass": 1.0, "center": [1, 2, 3]}
 #: A Gaussian bump at the origin: the radial rule must bisect the annulus 1 < |x| < 10.
 NEAR_ORIGIN_BUMP = {
@@ -562,13 +569,42 @@ def test_non_integer_config_value_is_config_error(tmp_path, capsys, overrides, f
         ({"tolerances": {"limit": 5e-3, "identity": False}}, "identity tolerance"),
         ({"schedule": {"kind": "spheres", "radii": RADII[:-1] + [True]}}, "schedule radius"),
         ({"metric": dict(SCHWARZSCHILD, label=[1, 2])}, "metric 'label'"),
+        # a label is reported as the JSON value it is, not as Python's str() of it
+        ({"output": {"format": True}}, "output 'format', got True"),
+        ({"schedule": {"kind": True, "radii": RADII}}, "schedule 'kind', got True"),
+        ({"metric": dict(PERTURBED, bump={"parity": 1})}, "bump 'parity', got 1"),
+        ({"metric": dict(PERTURBED, bump={"profile": False})}, "bump 'profile', got False"),
+        ({"functionals": ["adm_mass", 1]}, "'functionals' entry, got 1"),
+        ({"metric": dict(SCHWARZSCHILD, kind=True)}, "metric 'kind', got True"),
     ],
 )
 def test_boolean_number_or_non_string_label_is_config_error(tmp_path, capsys, overrides, field):
-    cfg = write_config(tmp_path, **overrides)
+    cfg = write_config(tmp_path, **in_tmp_out(tmp_path, overrides))
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and field in err and "must be" in err
+    name, _, got = field.partition(", ")
+    assert err.startswith("config error:") and name in err and "must be" in err and got in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key, section",
+    [
+        ({"tolerance": {"limit": 1e-3}}, "tolerance", "the top level"),
+        ({"metric": dict(SCHWARZSCHILD, unknown_key=1)}, "unknown_key", "'metric'"),
+        ({"metric": dict(PERTURBED, base=dict(SCHWARZSCHILD, masss=2.0))}, "masss", "metric 'base'"),
+        ({"metric": dict(PERTURBED, bump={"amplitude": 0.05, "shape": "gaussian"})}, "shape", "'bump'"),
+        ({"schedule": {"kind": "spheres", "radii": RADII, "ratio": [2, 1, 1]}}, "ratio", "'schedule'"),
+        ({"tolerances": {"limt": 1.0}}, "limt", "'tolerances'"),
+        ({"output": {"fmt": "json"}}, "fmt", "'output'"),
+    ],
+)
+def test_unknown_key_is_config_error(tmp_path, capsys, overrides, key, section):
+    # a misspelled key would otherwise leave its default in force: "limt" ran at the default 1e-4
+    cfg = write_config(tmp_path, **in_tmp_out(tmp_path, overrides))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown key {key!r} in {section};")
     assert not (tmp_path / "out").exists()
 
 
