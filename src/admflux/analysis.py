@@ -255,28 +255,26 @@ def sweep(
     def evaluate(block: list[float], at: int, active: list[str], derivatives: int) -> tuple[dict, dict]:
         """Totals and refinement values of ``active``, one per surface, on the order-``at`` surfaces of ``block``.
 
-        One :class:`SurfaceEval`, made for the first, serves them all; it and its jets are freed on
-        return.  A failure names the functional and the block's first failing radius.
+        One :class:`SurfaceEval` serves them all, with one row sum; it and its jets are freed on return.
+        A failure is named after the first surface and functional that fail alone, in that order.
         """
-        evaluation, got, values = None, {}, {}
         try:
-            for name in active:
-                with _naming(f"{name} at schedule radius {block[0]:g}"):
-                    if evaluation is None:
-                        evaluation = SurfaceEval(field, [
-                            sphere_quadrature(field.dim, r, at) if ratios is None
-                            else ellipsoid_quadrature([t * r for t in ratios], at)
-                            for r in block
-                        ], derivatives)
-                    got[name] = evaluation.total(name)
-                    values[name] = [_finite(FUNCTIONALS[name]["fn"](t, field.dim, 1.0)) for t in got[name]]
-            return got, values
+            evaluation = SurfaceEval(field, [
+                sphere_quadrature(field.dim, r, at) if ratios is None
+                else ellipsoid_quadrature([t * r for t in ratios], at)
+                for r in block
+            ], derivatives)
+            got = evaluation.totals(active)
+            return got, {name: [_finite(FUNCTIONALS[name]["fn"](t, field.dim, 1.0)) for t in got[name]]
+                         for name in active}
         except Exception as exc:
-            if len(block) == 1:
-                raise
+            if len(block) == len(active) == 1:
+                with _naming(f"{active[0]} at schedule radius {block[0]:g}"):
+                    raise
             error = exc
         for r in block:
-            evaluate([r], at, active, derivatives)
+            for name in active:
+                evaluate([r], at, [name], derivatives)
         raise error
 
     totals: dict[str, list] = {name: [None] * len(radii) for name in names}

@@ -373,11 +373,19 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
     or angular rule did not converge fails the check and is named in the
     failure with that rule.
     """
+    def moments(radii: list[float]) -> list:
+        """The shells of ``radii``'s annuli in one pass; a failure names the first annulus that fails alone."""
+        try:
+            return invariants.scalar_curvature_moment(fld, radii, moment=0)
+        except Exception:
+            if len(radii) > 2:
+                for pair in zip(radii, radii[1:]):
+                    moments(list(pair))
+            with analysis._naming(f"scalar_moment_shells on {radii[0]:g} < |x| < {radii[-1]:g}"):
+                raise
+
     annuli = list(zip(cfg.radii, cfg.radii[1:]))
-    shells = []
-    for r0, r1 in annuli:
-        with analysis._naming(f"scalar_moment_shells on {r0:g} < |x| < {r1:g}"):
-            shells.append(invariants.scalar_curvature_moment(fld, r0, r1, moment=0))
+    shells = moments(list(cfg.radii))
     tail = shells[len(shells) // 2 :]
     decays = decreasing_to_zero(
         [abs(s.value) for s in tail], floor=[SHELL_NOISE * s.scale for s in tail]
@@ -439,8 +447,9 @@ def _write_tables(checks: list[Check], cfg: RunConfig) -> None:
         try:
             tmp.write_text(text, encoding="utf-8", newline="")
             os.replace(tmp, cfg.out_dir / name)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
+            raise
 
 
 def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare: bool = True) -> int:

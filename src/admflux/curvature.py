@@ -16,10 +16,12 @@ forms them:
 
 Inside the kernel the point axis is the last one: each contraction is a
 plain ``einsum`` over a trailing ``...``, a sum of products of per-point
-vectors.  Jets stored point-last, as the catalog's are, are read in place,
-and a slice of them costs a copy of ``dg``; point-first storage costs that
-copy and strided reads of ``ddg``.  The full partials ``d_l gamma^k_ij`` are
-formed only on request (:attr:`CurvatureBundle.dgamma`).
+vectors.  Jets stored point-last, as the catalog's are, are read in place
+through transposed views, slices of them included, and so is the inverse
+metric, which :func:`metric_inverse` stores point-last; point-first storage
+costs a copy of ``dg`` and strided reads of ``ddg``.  The bundle's arrays
+are point-first views of point-last storage.  The full partials
+``d_l gamma^k_ij`` are formed only on request (:attr:`CurvatureBundle.dgamma`).
 """
 
 from __future__ import annotations
@@ -71,25 +73,25 @@ class CurvatureBundle:
 
 
 def metric_inverse(g: Array) -> tuple[Array, Array]:
-    """Inverse and determinant of a batch ``g[..., i, j]`` of positive definite
+    """Inverse and determinant of a batch ``g[p, i, j]`` of positive definite
     metrics, with finiteness, definiteness and condition-number guards.
 
     Gauss-Jordan elimination in place and without pivoting, one row operation
-    at a time over every point: stable for symmetric positive definite
-    matrices, and a non-positive pivot means ``g`` is not one.  The 2-norm
-    condition number is bounded by ``|g|_F |g^-1|_F``; only where that bound
-    exceeds :data:`CONDITION_LIMIT` are the eigenvalues taken for the exact
-    one.  The pivots are the diagonal of the LU factors of ``g``, so their
-    product is ``det g``.  The inverse is a point-first view of an array whose
-    point axes are last.
+    at a time over every point, each row product into one reused work row:
+    stable for symmetric positive definite matrices, and a non-positive pivot
+    means ``g`` is not one.  The 2-norm condition number is bounded by
+    ``|g|_F |g^-1|_F``; only where that bound exceeds :data:`CONDITION_LIMIT`
+    are the eigenvalues taken for the exact one.  The pivots are the diagonal
+    of the LU factors of ``g``, so their product is ``det g``.  The inverse is
+    a point-first view of an array ``ginv[i, j, p]`` whose point axis is last.
     """
     if not np.isfinite(g).all():
         raise SingularMetricError("metric has non-finite entries")
     n = g.shape[-1]
-    a = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # a[i, j] is a vector over the points
+    a = g.transpose(1, 2, 0).copy()  # a[i, j] is a vector over the points
     with np.errstate(all="ignore"):
         frobenius = np.einsum("ij...,ij...->...", a, a)
-        det = np.ones(g.shape[:-2])
+        det, factor, row = np.ones(len(g)), np.empty(len(g)), np.empty(a.shape[1:])
         for k in range(n):
             pivot = a[k, k].copy()
             if not (pivot > 0).all():
@@ -99,9 +101,9 @@ def metric_inverse(g: Array) -> tuple[Array, Array]:
             a[k] /= pivot
             for i in range(n):
                 if i != k:
-                    factor = a[i, k].copy()
+                    factor[:] = a[i, k]
                     a[i, k] = 0.0
-                    a[i] -= factor * a[k]
+                    a[i] -= np.multiply(factor, a[k], out=row)
         suspect = ~(np.sqrt(frobenius * np.einsum("ij...,ij...->...", a, a)) <= CONDITION_LIMIT)
     if suspect.any():
         # for symmetric g the 2-norm condition number is max|lambda| / min|lambda|
@@ -112,7 +114,7 @@ def metric_inverse(g: Array) -> tuple[Array, Array]:
             raise SingularMetricError(
                 f"metric condition number {worst:.3e} exceeds limit {CONDITION_LIMIT:.0e}"
             )
-    return np.moveaxis(a, (0, 1), (-2, -1)), det
+    return a.transpose(2, 0, 1), det
 
 
 def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
@@ -125,11 +127,11 @@ def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     """
     ginv, det = metric_inverse(g)
     p, n = g.shape[:2]
-    # the point axis last: gi[k, s, p], dG[l, i, j, p] and ddG[l, k, i, j, p], views
-    # of point-last jet storage; only point-first storage makes dG a copy
-    gi = np.moveaxis(ginv, (-2, -1), (0, 1))
-    dG = np.ascontiguousarray(np.moveaxis(dg, 0, -1))
-    ddG = np.moveaxis(ddg, 0, -1)
+    # the point axis last: gi[k, s, p], dG[l, i, j, p] and ddG[l, k, i, j, p], views of
+    # the inverse's storage and of point-last jet storage, slices of it included
+    gi, dG, ddG = ginv.transpose(1, 2, 0), dg.transpose(1, 2, 3, 0), ddg.transpose(1, 2, 3, 4, 0)
+    if dG.strides[-1] != dG.itemsize:  # point-first storage: dG is copied point-last
+        dG = np.ascontiguousarray(dG)
     P = np.einsum("as...,lsb...->lab...", gi, dG)
     gamma = P.transpose(1, 2, 0, 3) + P.transpose(1, 0, 2, 3)
     gamma -= np.einsum("ks...,sij...->kij...", gi, dG)
@@ -151,6 +153,6 @@ def curvature_arrays(g: Array, dg: Array, ddg: Array) -> CurvatureBundle:
     ric += 0.5 * rest.reshape(n, n, p)
     ric = 0.5 * (ric + ric.transpose(1, 0, 2))
     scalar = np.einsum("ij...,ij...->...", gi, ric)
-    einstein_ = ric - 0.5 * scalar * np.moveaxis(g, 0, -1)
-    gamma, ric, einstein_ = (np.moveaxis(a, -1, 0) for a in (gamma, ric, einstein_))
+    einstein_ = ric - 0.5 * scalar * g.transpose(1, 2, 0)
+    gamma, ric, einstein_ = gamma.transpose(3, 0, 1, 2), ric.transpose(2, 0, 1), einstein_.transpose(2, 0, 1)
     return CurvatureBundle(gamma, ric, scalar, einstein_, ginv, det, dg, ddg)

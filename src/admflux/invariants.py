@@ -14,12 +14,15 @@ certifies, so no silent substitution of normals or measures is made anywhere.
 evaluated once per surface, or per block of surfaces, for all four, each route
 with its own normals and measure, and :meth:`SurfaceEval.value` reads any of them.
 The integration-by-parts identities (:func:`identity_residuals`) take their
-boundary terms from the same flux totals.  The flux totals and the identities
-read the jets through views with the point axis last, as the curvature kernel
-does, and contract all ``n`` conformal generators at once.  Every jet comes through
+boundary terms from the same flux totals.  Both routes and the identities
+work with the point axis last, as the curvature kernel does, and contract all
+``n`` conformal generators at once; every kernel call is bounded in bytes
+(:data:`KERNEL_BYTES`), and :func:`scalar_curvature_moment` takes every
+annulus of a schedule through the kernel together.  Every jet comes through
 :func:`~admflux.metric_field.jet2_batch`, which checks that the points lie in
 the field's domain and that the jets asked for are finite.  Every surface
-total is correctly rounded (``math.fsum`` to the bit) for run-to-run determinism.
+total is correctly rounded (``math.fsum`` to the bit) for run-to-run
+determinism, every row of a call in one vectorized sum.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from .surfaces import (
 
 #: Center functionals are undefined for |mass| below this threshold.
 MASS_THRESHOLD = 1e-8
-#: Most points any call of the curvature kernel takes: the node count of the
-#: order-48 sphere in R^3, so larger surfaces and the volume shells add no
-#: memory peak.
-MAX_KERNEL_POINTS = 4802
+#: Bytes of temporaries any one call of the curvature kernel may make: those of
+#: 400 nodes in R^3.  Temporaries this small are served again from the
+#: allocator's free memory on the next call instead of being mapped afresh.
+KERNEL_BYTES = 345_600
 #: Relative disagreement that still counts as converged: between consecutive
 #: quadrature orders of a swept surface or of an annulus's directions, and
 #: between the Kronrod and Gauss estimates of a radial piece of an annulus.
@@ -112,13 +115,16 @@ def _fsum_rows(rows: Array) -> list[float]:
     return [next(exact) if s else _fsum(next(plain)) for s in split.tolist()]
 
 
-def _kernel_slices(total: int, block: int = 1) -> list[slice]:
-    """Slices of ``total`` points for one curvature-kernel call each.
+def _kernel_slices(total: int, n: int, block: int = 1) -> list[slice]:
+    """Slices of ``total`` points in R^n for one curvature-kernel call each.
 
-    Each slice holds as many whole ``block``s of points as fit in
-    :data:`MAX_KERNEL_POINTS`, or the cap itself when one block is larger.
+    A call takes at most :data:`KERNEL_BYTES` over the ``3 n^2 (n + 1)`` floats
+    of temporaries a node costs, which bound the kernel's peak; each slice
+    holds as many whole ``block``s of points as fit, or that many points when
+    one block is larger.
     """
-    step = MAX_KERNEL_POINTS // block * block or MAX_KERNEL_POINTS
+    cap = KERNEL_BYTES // (24 * n * n * (n + 1))
+    step = cap // block * block or cap
     return [slice(k, k + step) for k in range(0, total, step)]
 
 
@@ -136,11 +142,11 @@ def _generator_rows(x: Array, v: Array) -> Array:
 class SurfaceEval:
     """The metric jets of one surface, or of a block of same-rule surfaces, shared by every functional.
 
-    :meth:`total` gives a functional's total before normalization, one per
-    surface of a block, each the same to the bit as alone.  Jets of order
-    ``derivatives = 1`` serve the flux totals, which use the Euclidean normals
-    and weights.  The first curvature total makes the curvature bundle and the
-    metric normals and weights, once; flux totals never make them.
+    :meth:`totals` gives functionals' totals before normalization, one per
+    surface of a block, each the same to the bit as alone, from one correctly
+    rounded row sum.  Jets of order ``derivatives = 1`` serve the flux totals,
+    which use the Euclidean normals and weights.  The first curvature total
+    makes the point-last curvature frame once; flux totals never make it.
     """
 
     def __init__(self, field: MetricField, surfaces: QuadSurface | Sequence[QuadSurface], derivatives: int = 2):
@@ -152,7 +158,6 @@ class SurfaceEval:
         self.points, self.normals, self.weights = (np.concatenate([getattr(surf, a) for surf in block])
                                                    for a in ("points", "normals", "weights"))
         self.g, self.dg, self.ddg = (*jet2_batch(field, self.points, derivatives), None)[:3]
-        self._curvature: tuple[Array, Array, Array] | None = None
 
     @functools.cached_property
     def _flux(self) -> Array:
@@ -161,29 +166,45 @@ class SurfaceEval:
         bracket = np.einsum("kki...->i...", dG) - np.einsum("ikk...->i...", dG)
         return np.einsum("i...,i...->...", bracket, self.normals.T)
 
-    def _einstein_frame(self) -> tuple[Array, Array, Array]:
-        """The Einstein tensor with the metric normals and area weights.
+    @functools.cached_property
+    def _curvature_frame(self) -> tuple[Array, Array]:
+        """``G(., nu_g)`` and the metric area weights, point-last.
 
-        The kernel takes the nodes in slices of at most :data:`MAX_KERNEL_POINTS`.
+        The kernel takes the nodes in slices of :data:`KERNEL_BYTES`; their
+        Einstein tensors, inverse metrics and determinants are joined along
+        the point axis.
         """
         if self.ddg is None:
             raise ValueError("the curvature functionals need second-order jets")
-        if self._curvature is None:
-            einstein, ginv, det = [], [], []
-            for part in _kernel_slices(len(self.weights)):
-                bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
-                einstein.append(bundle.einstein)
-                ginv.append(bundle.ginv)
-                det.append(bundle.det)
-            nu_g, w_g = g_normals_and_areas(
-                self.normals, self.weights, np.concatenate(ginv), np.concatenate(det)
-            )
-            self._curvature = (np.concatenate(einstein), nu_g, w_g)
-        return self._curvature
+        parts = []
+        for part in _kernel_slices(len(self.weights), self.field.dim):
+            bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
+            parts.append((_point_last(bundle.einstein), _point_last(bundle.ginv), bundle.det))
+        einstein, ginv, det = (np.concatenate(column, axis=-1) for column in zip(*parts))
+        nu_g, w_g = g_normals_and_areas(self.normals.T, self.weights, ginv, det)
+        return np.einsum("ij...,j...->i...", einstein, nu_g), w_g
 
-    def total(self, name: str) -> float | Array | list:
-        """The unnormalized total of functional ``name``: a float, or one per
-        component; a block gives a list of them, one per surface.
+    def _rows(self, name: str) -> Array:
+        """The weighted integrand of functional ``name``: a row over the nodes, or one per component."""
+        # the nodes and normals with the point axis last, as the jets are read
+        w, x, nu = self.weights, self.points.T, self.normals.T
+        if name == "adm_mass":
+            return self._flux * w
+        if name == "cs_center":
+            h = _point_last(self.g) - np.eye(self.field.dim)[:, :, None]
+            t2 = np.einsum("ia...,i...->a...", h, nu) - np.einsum("ii...->...", h) * nu
+            del h  # before the rows, which are the peak of a flux block
+            return (x * self._flux - t2) * w
+        if name in CURVATURE_FUNCTIONALS:
+            e_nu, w_g = self._curvature_frame
+            mass = name == "intrinsic_mass"
+            return (np.einsum("i...,i...->...", x, e_nu) if mass else _generator_rows(x, e_nu)) * w_g
+        raise ValueError(f"unknown functional {name!r}")
+
+    def totals(self, names: Sequence[str]) -> dict[str, float | Array | list]:
+        """The unnormalized total of each functional of ``names``: a float, or one
+        per component; a block gives a list of them, one per surface.  Every
+        row of every functional goes through one correctly rounded row sum.
 
         * ``adm_mass``, the flux mass: ``(d_j g_ij - d_i g_jj) nu_e^i`` against
           the Euclidean weights, over ``2 (n-1) omega_(n-1)``.
@@ -202,32 +223,21 @@ class SurfaceEval:
 
         :func:`normalized` divides by these normalizations.
         """
-        # the nodes and normals with the point axis last, as the jets are read
-        w, x, nu = self.weights, self.points.T, self.normals.T
-        if name == "adm_mass":
-            rows = self._flux * w
-        elif name == "cs_center":
-            h = _point_last(self.g) - np.eye(self.field.dim)[:, :, None]
-            t2 = np.einsum("ia...,i...->a...", h, nu) - np.einsum("ii...->...", h) * nu
-            del h  # before the row sums, which are the peak of a flux block
-            rows = (x * self._flux - t2) * w
-        elif name in CURVATURE_FUNCTIONALS:
-            einstein, nu_g, w_g = self._einstein_frame()
-            e_nu = np.einsum("ij...,j...->i...", _point_last(einstein), nu_g.T)
-            mass = name == "intrinsic_mass"
-            rows = (np.einsum("i...,i...->...", x, e_nu) if mass else _generator_rows(x, e_nu)) * w_g
-        else:
-            raise ValueError(f"unknown functional {name!r}")
-        sums = _fsum_rows(rows.reshape(-1, len(w) // self.count))  # one row per surface and component
-        totals = sums if rows.ndim == 1 else list(np.reshape(sums, (-1, self.count)).T)
-        return totals[0] if self.single else totals
+        rows = [self._rows(name).reshape(-1, len(self.weights) // self.count) for name in names]
+        sums, out = _fsum_rows(np.concatenate(rows)), {}  # a row per component and surface
+        for name, r in zip(names, rows):
+            got, sums = sums[: len(r)], sums[len(r):]
+            got = got if len(r) == self.count else list(np.reshape(got, (-1, self.count)).T)
+            out[name] = got[0] if self.single else got
+        return out
 
     def value(self, name: str, mass: float | None = None) -> float | Array | list:
         """Functional ``name`` on the surface, or one per surface of a block; center
         functionals need ``mass``, with ``|mass| >= MASS_THRESHOLD``."""
+        total = self.totals([name])[name]
         if self.single:
-            return normalized(name, self.total(name), self.field.dim, mass)
-        return [normalized(name, total, self.field.dim, mass) for total in self.total(name)]
+            return normalized(name, total, self.field.dim, mass)
+        return [normalized(name, t, self.field.dim, mass) for t in total]
 
 
 def normalized(name: str, total, n: int, mass: float | None = None) -> float | Array:
@@ -293,8 +303,9 @@ def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
     x_rows = [np.einsum("i...,i...->...", x, m_nu), s * np.einsum("i...,i...->...", x, nu)]
     rows = np.concatenate([x_rows, -_generator_rows(x, m_nu), -s * _generator_rows(x, nu)])
     lhs_x, radial, *sums = _fsum_rows(rows * w)
-    form_x = lhs_x - (n - 2) * evaluation.total("adm_mass") - radial
-    forms_y = np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * evaluation.total("cs_center")
+    flux = evaluation.totals(["adm_mass", "cs_center"])
+    form_x = lhs_x - (n - 2) * flux["adm_mass"] - radial
+    forms_y = np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * flux["cs_center"]
     return form_x, forms_y
 
 
@@ -351,87 +362,91 @@ class ShellIntegral(NamedTuple):
 def _scalar_densities(field: MetricField, points: Array) -> tuple[Array, Array]:
     """``R sqrt(det g)`` and ``max |R_ij| sqrt(det g)`` at ``points``, from one
     jet evaluation and one kernel call."""
-    g, dg, ddg = jet2_batch(field, points)
-    bundle = curvature_arrays(g, dg, ddg)
+    bundle = curvature_arrays(*jet2_batch(field, points))
     volume = np.sqrt(bundle.det)
-    return bundle.scalar * volume, np.abs(bundle.ricci).max(axis=(1, 2)) * volume
+    return bundle.scalar * volume, np.abs(_point_last(bundle.ricci)).max(axis=(0, 1)) * volume
 
 
-def scalar_curvature_moment(field: MetricField, r0: float, r1: float, moment: int = 0) -> ShellIntegral:
-    """Volume integral of ``R`` (or ``x^i R``) over the annulus ``r0 < |x| < r1``.
+def scalar_curvature_moment(field: MetricField, radii: Sequence[float], moment: int = 0) -> list[ShellIntegral]:
+    """Volume integrals of ``R`` (or ``x^i R``) over the annuli ``r_k < |x| < r_(k+1)`` of ``radii``.
 
     Uses a unit-sphere rule in the directions and the embedded 7/15-point
     Gauss-Kronrod pair in the radius, with the metric volume element
     ``sqrt(det g)``.  ``moment=0`` integrates the scalar curvature itself;
-    ``moment=i`` (1-based) weights it by the coordinate ``x^i``.  Shell-by-shell
-    calls expose the convergence of the tail.
+    ``moment=i`` (1-based) weights it by the coordinate ``x^i``.  One
+    :class:`ShellIntegral` per annulus exposes the convergence of the tail.
 
-    The angular order follows :func:`refinement_orders` from 4: the annulus is
-    integrated at order 2, then 4, doubling until two consecutive orders agree
-    to :data:`REFINEMENT_TOL` times the finer one's scale, up to
-    :data:`MAX_ORDER`.  Returns the :class:`ShellIntegral` of the accepted
-    order; at the cap it is marked ``"angular"`` unless its radial rule stalled.
+    Each annulus's angular order follows :func:`refinement_orders` from 4: it
+    is integrated at order 2, then 4, doubling until two consecutive orders
+    agree to :data:`REFINEMENT_TOL` times the finer one's scale, up to
+    :data:`MAX_ORDER`.  Every annulus still refining at an order is evaluated
+    in one pass.  Each gets the :class:`ShellIntegral` of its accepted order;
+    at the cap it is marked ``"angular"`` unless its radial rule stalled.
     """
-    if not (r1 > r0 >= field.inner_radius):
-        raise ValueError(
-            f"need r1 > r0 >= inner_radius, got r0={r0}, r1={r1}, "
-            f"inner_radius={field.inner_radius}"
-        )
+    radii = [float(r) for r in radii]
+    if len(radii) < 2 or not radii[0] >= field.inner_radius or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"need increasing radii from inner_radius={field.inner_radius} on, got {radii}")
     if not 0 <= moment <= field.dim:
         raise ValueError(f"moment must be 0 or a 1-based index <= {field.dim}, got {moment}")
-    previous = None
+    annuli, previous, accepted = list(zip(radii, radii[1:])), {}, {}
     for order in refinement_orders(4):
-        shell = _radial_moment(field, r0, r1, moment, order)
-        if previous is not None and agrees(shell.value, previous.value, shell.scale):
-            return shell
-        previous = shell
-    return shell if shell.stalled else shell._replace(stalled="angular")
+        refining = [k for k in range(len(annuli)) if k not in accepted]
+        for k, shell in zip(refining, _radial_moment(field, [annuli[k] for k in refining], moment, order)):
+            if k in previous and agrees(shell.value, previous[k].value, shell.scale):
+                accepted[k] = shell
+            previous[k] = shell
+        if len(accepted) == len(annuli):
+            break
+    return [accepted[k] if k in accepted else shell if shell.stalled else shell._replace(stalled="angular")
+            for k, shell in previous.items()]
 
 
-def _radial_moment(field: MetricField, r0: float, r1: float, moment: int, order: int) -> ShellIntegral:
-    """The annulus integral on the order-``order`` unit-sphere rule.
+def _radial_moment(field: MetricField, annuli: Sequence[tuple[float, float]], moment: int,
+                   order: int) -> list[ShellIntegral]:
+    """The integral over each annulus ``(r0, r1)`` of ``annuli`` on the order-``order`` unit-sphere rule.
 
-    The radial interval starts as one piece.  A piece is accepted when its
+    Each radial interval starts as one piece.  A piece is accepted when its
     Kronrod and Gauss estimates agree to :data:`REFINEMENT_TOL` times its
     scale, the Kronrod integral of ``max |R_ij| sqrt(det g)`` (times ``|x^i|``
     for a moment); otherwise it is bisected, up to
-    :data:`MAX_RADIAL_BISECTIONS` times.  The 15 shells of every open piece go
-    through the curvature kernel together, in batches of whole shells of at
-    most :data:`MAX_KERNEL_POINTS` nodes; each shell is reduced in node order
-    and the pieces are summed in radial order.
+    :data:`MAX_RADIAL_BISECTIONS` times.  The 15 shells of every open piece of
+    every annulus go through the curvature kernel together, in slices of whole
+    shells within :data:`KERNEL_BYTES`; each shell is reduced in node order,
+    both densities of a depth in one row sum, and each annulus's pieces are
+    summed in radial order.
     """
     n = field.dim
     dirs, w_dir = unit_sphere_rule(n, order)
     t, w_kronrod, w_gauss = gauss_kronrod15()
-    pieces, accepted, stalled = [(r0, r1)], [], None
+    pieces = [(k, r0, r1) for k, (r0, r1) in enumerate(annuli)]
+    accepted, stalled = [[] for _ in annuli], [None] * len(annuli)
     for depth in range(MAX_RADIAL_BISECTIONS + 1):
-        ends = np.array(pieces)
+        ends = np.array([(a, b) for _, a, b in pieces])
         mid, half = ends.mean(axis=1), 0.5 * (ends[:, 1] - ends[:, 0])
         radii = (mid[:, None] + half[:, None] * t).reshape(-1)
         pts = (radii[:, None, None] * dirs).reshape(-1, n)
-        parts = [_scalar_densities(field, pts[part]) for part in _kernel_slices(len(pts), len(dirs))]
+        parts = [_scalar_densities(field, pts[part]) for part in _kernel_slices(len(pts), n, len(dirs))]
         dens, size = (np.concatenate(column) for column in zip(*parts))
         if moment:
             dens, size = dens * pts[:, moment - 1], size * np.abs(pts[:, moment - 1])
-        area = radii ** (n - 1)
-        shells, sizes = (
-            (area * _fsum_rows(f.reshape(len(radii), -1) * w_dir)).reshape(len(pieces), -1)
-            for f in (dens, size)
-        )
+        rows = np.concatenate([dens, size]).reshape(-1, len(dirs)) * w_dir
+        shells, sizes = (radii ** (n - 1) * np.reshape(_fsum_rows(rows), (2, -1))).reshape(2, len(pieces), -1)
         still_open = []
-        for (a, b), c, h, shell, shell_size in zip(pieces, mid, half, shells, sizes):
+        for (k, a, b), c, h, shell, shell_size in zip(pieces, mid, half, shells, sizes):
             kronrod = h * _fsum((w_kronrod * shell).tolist())
             error = abs(kronrod - h * _fsum((w_gauss * shell[1::2]).tolist()))
             scale = h * _fsum((w_kronrod * shell_size).tolist())
             settled = bool(error <= REFINEMENT_TOL * scale)
             if settled or depth == MAX_RADIAL_BISECTIONS:
-                accepted.append((a, kronrod, error, scale))
-                stalled = stalled if settled else "radial"
+                accepted[k].append((a, kronrod, error, scale))
+                stalled[k] = stalled[k] if settled else "radial"
             else:
-                still_open += [(a, c), (c, b)]
+                still_open += [(k, a, c), (k, c, b)]
         pieces = still_open
         if not pieces:
             break
-    accepted.sort()
-    _, values, errors, scales = zip(*accepted)
-    return ShellIntegral(math.fsum(values), math.fsum(errors), math.fsum(scales), order, stalled)
+    out = []
+    for pieces_of, why in zip(accepted, stalled):
+        _, values, errors, scales = zip(*sorted(pieces_of))
+        out.append(ShellIntegral(math.fsum(values), math.fsum(errors), math.fsum(scales), order, why))
+    return out

@@ -236,15 +236,14 @@ def ellipsoid_quadrature(semi_axes, order: int = DEFAULT_ORDER) -> QuadSurface:
 
 
 def g_normals_and_areas(nu_e: Array, w_e: Array, ginv: Array, det: Array) -> tuple[Array, Array]:
-    """Batched metric normals and area weights from Euclidean ones.
+    """Batched metric normals and area weights from Euclidean ones, with the point axis last.
 
-    Given the Euclidean unit conormal ``nu_e`` of a surface, the inverse
-    metric ``ginv`` and ``det = det g``, both from
-    :func:`~admflux.curvature.metric_inverse`, the unit outward normal vector
-    with respect to ``g`` is ``ginv nu_e / sqrt(nu_e ginv nu_e)`` and the
-    induced area element is ``w_g = w_e * sqrt(det g) * sqrt(nu_e ginv nu_e)``.
+    Given the Euclidean unit conormal ``nu_e[i, p]`` of a surface, the inverse
+    metric ``ginv[i, j, p]`` and ``det = det g``, the inverse and the product
+    of the pivots of :func:`~admflux.curvature.metric_inverse`, the unit
+    outward normal vector with respect to ``g`` is ``ginv nu_e / sqrt(nu_e
+    ginv nu_e)`` and the induced area element is ``w_g = w_e * sqrt(det g) *
+    sqrt(nu_e ginv nu_e)``.  Returns ``nu_g[i, p]`` and ``w_g[p]``.
     """
-    q = np.einsum("pkl,pk,pl->p", ginv, nu_e, nu_e)
-    nu_g = np.einsum("pij,pj->pi", ginv, nu_e) / np.sqrt(q)[:, None]
-    w_g = np.asarray(w_e) * np.sqrt(det) * np.sqrt(q)
-    return nu_g, w_g
+    q = np.sqrt(np.einsum("kl...,k...,l...->...", ginv, nu_e, nu_e))
+    return np.einsum("ij...,j...->i...", ginv, nu_e) / q, w_e * np.sqrt(det) * q

@@ -399,10 +399,10 @@ class TestSharedSurfaces:
                 orders.extend(block)
                 self.block = block
 
-            def total(self, name):
-                if name == "adm_mass":
-                    return [0.5 * scale for _ in self.block]
-                return [scale * np.array([0.8e-8 if order == 12 else 0.0, 0.0, 0.0]) for order in self.block]
+            def totals(self, names):
+                center = [scale * np.array([0.8e-8 if order == 12 else 0.0, 0.0, 0.0]) for order in self.block]
+                return {name: [0.5 * scale for _ in self.block] if name == "adm_mass" else center
+                        for name in names}
 
         monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: order)
         monkeypatch.setattr(analysis, "SurfaceEval", FakeEval)

@@ -185,6 +185,15 @@ def test_tables_are_replaced_atomically(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_a_successful_write_unlinks_nothing(tmp_path, monkeypatch):
+    # each table is renamed into place; only a write that failed leaves a temporary to remove
+    unlinked, unlink = [], Path.unlink
+    monkeypatch.setattr(Path, "unlink", lambda self, *args, **kwargs: unlinked.append(self.name) or unlink(self, *args, **kwargs))
+    assert main(["mass", "--config", str(write_config(tmp_path))]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["adm_mass.csv", "intrinsic_mass.csv", "summary.json"]
+    assert unlinked == []
+
+
 class TestEvaluationCounts:
     RADII = [100.0, 200.0, 400.0, 800.0]
 
@@ -232,16 +241,20 @@ class TestEvaluationCounts:
         monkeypatch.setattr(invariants, "jet2_batch", counting_jets)
         built = self.surfaces_built(monkeypatch, lambda: run_checks(cfg, ALL_FUNCTIONALS, True))
 
-        annuli = len(self.RADII) - 1
         assert sorted(built) == sorted(swept)  # each swept surface built once
         # second-order blocks take at most one order-24 surface's jet bytes:
-        # the four order-12 spheres in blocks of three and one, then each of
-        # the four order-24 spheres, and one kernel call per batch of shells
-        assert len(kernel) == 2 + 4 + 2 * annuli == 12
-        assert max(kernel) <= invariants.MAX_KERNEL_POINTS == 4802
+        # the four order-12 spheres (338 nodes) in blocks of three and one,
+        # then each of the four order-24 spheres (1,250 nodes), each block in
+        # kernel calls of at most 400 nodes
+        assert invariants.KERNEL_BYTES // 864 == 400 and max(kernel) <= 400  # 864 bytes a node in R^3
+        assert kernel[:20] == [400, 400, 214, 338] + [400, 400, 400, 50] * 4
+        # the 15 shells of every one of the three annuli go through the kernel
+        # together at orders 2 and 4, in whole shells of 18 and 50 nodes
+        annuli = len(self.RADII) - 1
+        assert kernel[20:] == [396, 396, 18] + [400] * 5 + [250] and 15 * annuli * (18 + 50) == 3060
         # one jet evaluation per block, per identity surface (an annulus
-        # here) and per batch of shells
-        assert len(jets) == 2 + 4 + 2 + 2 * annuli == 14
+        # here) and per kernel call of shells
+        assert len(jets) == 2 + 4 + 2 + 9 == 17
 
 
 class TestScalarMomentCheck:
@@ -269,7 +282,7 @@ class TestScalarMomentCheck:
         real = invariants.scalar_curvature_moment
 
         def stalled(*args, **kwargs):
-            return real(*args, **kwargs)._replace(value=1e-13)
+            return [shell._replace(value=1e-13) for shell in real(*args, **kwargs)]
 
         monkeypatch.setattr(invariants, "scalar_curvature_moment", stalled)
         code, rows, summary = self.run_moments(tmp_path, SCHWARZSCHILD_TRANSLATED, RADII)
@@ -277,6 +290,26 @@ class TestScalarMomentCheck:
         assert "[FAIL] scalar_moment_shells" in capsys.readouterr().out
         # the absolute floor of 1e-12 took these for decayed
         assert decreasing_to_zero([abs(row[1]) for row in rows[len(rows) // 2 :]])
+
+    def test_a_failure_names_the_annulus_that_fails_alone(self, tmp_path, monkeypatch, capsys):
+        # jets are NaN beyond |x| = 30: the pass over every annulus fails, and of the
+        # annuli evaluated alone 10 < |x| < 20 passes and 20 < |x| < 40 fails first
+        def spoiled_build(spec):
+            field = build(spec)
+
+            def jet_batch(points, derivatives):
+                g, dg, ddg = field.jet_batch(points, 2)
+                ddg = ddg.copy()
+                ddg[np.linalg.norm(points, axis=1) > 30.0] = np.nan
+                return g, dg, ddg
+
+            return dataclasses.replace(field, jet_batch=jet_batch)
+
+        monkeypatch.setattr(cli, "build", spoiled_build)
+        cfg = write_config(tmp_path, functionals=["scalar_moments"])
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: scalar_moment_shells on 20 < |x| < 40: non-finite jet"), err
 
     def test_unconverged_annulus_fails_and_is_named(self, tmp_path, monkeypatch, capsys):
         radii = [1.0, 10.0, 100.0, 1000.0, 10000.0]
@@ -313,8 +346,9 @@ class TestUnconvergedSweep:
             def __init__(self, field, surfaces, derivatives):
                 self.surfaces = surfaces
 
-            def total(self, name):
-                return [scale * (1.0 + (1e-8 * order if r == 800.0 else 0.0)) for r, order in self.surfaces]
+            def totals(self, names):
+                return {name: [scale * (1.0 + (1e-8 * order if r == 800.0 else 0.0)) for r, order in self.surfaces]
+                        for name in names}
 
         monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: (r, order))
         monkeypatch.setattr(analysis, "SurfaceEval", NeverAgrees)

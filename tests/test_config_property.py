@@ -132,7 +132,6 @@ def test_validation_gives_a_config_error_or_a_usable_field(tmp_path_factory, con
     try:
         with np.errstate(all="ignore"):
             evaluation = SurfaceEval(fld, surface)
-            for name in analysis.FUNCTIONALS:
-                evaluation.total(name)
+            evaluation.totals(list(analysis.FUNCTIONALS))
     except (DomainError, NonFiniteError, SingularMetricError):
         pass

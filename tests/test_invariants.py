@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -392,17 +393,17 @@ def moment_cases(draw):
         r0 * draw(st.floats(1.1, 3.0)),
         draw(st.integers(0, n)),
         draw(st.integers(2, 8)),
-        draw(st.sampled_from([invariants.MAX_KERNEL_POINTS, 50, 333, 1000])),
+        draw(st.sampled_from([invariants.KERNEL_BYTES, 50 * 864, 333 * 864, 1000 * 864])),
     )
 
 
 @settings(max_examples=30, deadline=None)
 @given(moment_cases())
 def test_batched_moment_matches_shell_by_shell(case):
-    field, r0, r1, moment, order, cap = case
+    field, r0, r1, moment, order, budget = case
     expected, scale = moment_oracle(field, r0, r1, moment, order)
-    with mock.patch.object(invariants, "MAX_KERNEL_POINTS", cap):
-        got = invariants._radial_moment(field, r0, r1, moment, order)
+    with mock.patch.object(invariants, "KERNEL_BYTES", budget):
+        got = invariants._radial_moment(field, [(r0, r1)], moment, order)[0]
     assert abs(got.value - expected) <= 1e-15 * scale
 
 
@@ -410,9 +411,82 @@ def test_batched_moment_matches_shell_by_shell(case):
 @given(moment_cases())
 def test_kronrod_moment_matches_the_32_node_rule(case):
     field, r0, r1, moment, order, _ = case
-    got = invariants._radial_moment(field, r0, r1, moment, order)
+    got = invariants._radial_moment(field, [(r0, r1)], moment, order)[0]
     assert got.converged
     assert abs(got.value - gauss_legendre_moment(field, r0, r1, moment, order)) <= 1e-13 * got.scale
+
+
+@st.composite
+def schedule_cases(draw):
+    n = draw(st.sampled_from([3, 4]))
+    center = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    if draw(st.booleans()):
+        spec = CatalogSpec(kind="schwarzschild", dim=n, mass=draw(st.floats(0.2, 2.0)), center=center)
+    else:
+        coeffs = ((1, draw(st.floats(0.1, 1.0))), (2, draw(st.floats(-0.5, 1.0))))
+        spec = CatalogSpec(kind="conformal", dim=n, u_coeffs=coeffs, center=center)
+    radii = [draw(st.floats(5.0, 100.0))]
+    for _ in range(draw(st.integers(1, 4))):
+        radii.append(radii[-1] * draw(st.floats(1.1, 8.0)))
+    return (
+        build(spec),
+        radii,
+        draw(st.integers(0, n)),
+        draw(st.sampled_from([invariants.KERNEL_BYTES, 50 * 864, 333 * 864, 1000 * 864])),
+        draw(st.sampled_from([4, 8, 96] if n == 3 else [4, 8])),  # MAX_ORDER: the low caps stall
+        draw(st.sampled_from([0, 1, invariants.MAX_RADIAL_BISECTIONS])),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedule_cases())
+def test_batched_annuli_match_each_annulus_alone(case):
+    field, radii, moment, budget, max_order, bisections = case
+    with mock.patch.multiple(invariants, KERNEL_BYTES=budget, MAX_ORDER=max_order,
+                             MAX_RADIAL_BISECTIONS=bisections):
+        together = scalar_curvature_moment(field, radii, moment)
+        alone = [scalar_curvature_moment(field, pair, moment) for pair in zip(radii, radii[1:])]
+    assert len(together) == len(alone) == len(radii) - 1
+    for got, (want,) in zip(together, alone):
+        # value, error, scale, order and stalled, to the bit (repr tells -0.0 from 0.0)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n, order", [(3, 24), (4, 8), (5, 4)])
+def test_no_kernel_call_exceeds_the_byte_budget(monkeypatch, n, order):
+    sizes = []
+
+    def counting(g, dg, ddg):
+        sizes.append(len(g))
+        return curvature_arrays(g, dg, ddg)
+
+    monkeypatch.setattr(invariants, "curvature_arrays", counting)
+    field = build(CatalogSpec(kind="conformal", dim=n, u_coeffs=((n - 2, 0.7), (n - 1, 0.2))))
+    surfaces = [sphere_quadrature(n, r, order) for r in (10.0, 20.0, 40.0)]
+    SurfaceEval(field, surfaces).totals(invariants.CURVATURE_FUNCTIONALS)
+    scalar_curvature_moment(field, [10.0, 20.0, 40.0])
+    node = 8 * 3 * n * n * (n + 1)  # the bytes of temporaries a node costs
+    assert sum(sizes) > 3 * len(surfaces[0]) and max(sizes) * node <= invariants.KERNEL_BYTES
+    assert max(sizes) == invariants.KERNEL_BYTES // node
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_temporaries_fit_the_bytes_per_node(rng, n):
+    # the kernel's peak above its jets grows by at most 3 n^2 (n + 1) floats per node
+    field = build(CatalogSpec(kind="conformal", dim=n, u_coeffs=((n - 2, 0.7),), center=(0.5,) * n))
+    points = rng.normal(size=(2000, n))
+    jets = jet2_batch(field, 20.0 * points / np.linalg.norm(points, axis=1)[:, None])
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            curvature_arrays(*(jet[:count] for jet in jets))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(500) <= 1500 * 24 * n * n * (n + 1)
 
 
 NEAR_ORIGIN_BUMP = CatalogSpec(
@@ -430,7 +504,7 @@ def test_bisection_converges_a_near_origin_bump(monkeypatch):
         return curvature_arrays(g, dg, ddg)
 
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
-    got = invariants._radial_moment(field, 1.0, 10.0, 0, 16)
+    got = invariants._radial_moment(field, [(1.0, 10.0)], 0, 16)[0]
     assert got.converged and got.error <= invariants.REFINEMENT_TOL * got.scale
     assert sum(sizes) > 15 * 578  # the whole annulus was bisected
     expected, scale = moment_oracle(field, 1.0, 10.0, 0, 16)
@@ -444,7 +518,7 @@ def test_bisection_converges_a_near_origin_bump(monkeypatch):
 
 def test_unbisected_bump_is_unconverged(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_RADIAL_BISECTIONS", 0)
-    got = scalar_curvature_moment(build(NEAR_ORIGIN_BUMP), 1.0, 10.0)
+    got = scalar_curvature_moment(build(NEAR_ORIGIN_BUMP), [1.0, 10.0])[0]
     assert not got.converged
     assert got.error > invariants.REFINEMENT_TOL * got.scale
 
@@ -469,12 +543,13 @@ def test_angular_rule_refines_a_near_origin_annulus(monkeypatch):
     shells = {}
     real = invariants._radial_moment
 
-    def recording(field, r0, r1, moment, order):
-        shells[order] = real(field, r0, r1, moment, order)
-        return shells[order]
+    def recording(field, annuli, moment, order):
+        got = real(field, annuli, moment, order)
+        shells[order] = got[0]
+        return got
 
     monkeypatch.setattr(invariants, "_radial_moment", recording)
-    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), 5.0, 10.0)
+    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), [5.0, 10.0])[0]
     assert got.converged and got.order == 64 and list(shells) == [2, 4, 8, 16, 32, 64]
     reference = shells[64]
     assert abs(shells[32].value - reference.value) <= 1e-12 * reference.scale
@@ -490,14 +565,16 @@ def test_far_annulus_accepts_order_4(monkeypatch):
         return curvature_arrays(g, dg, ddg)
 
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
-    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), 100.0, 200.0)
+    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), [100.0, 200.0])[0]
     assert got.converged and got.order == 4
-    assert sizes == [15 * 18, 15 * 50]  # one kernel call each at orders 2 and 4
+    # whole shells of 18 and 50 nodes, as many as fit 400 nodes to a kernel call, at orders 2 and 4
+    assert invariants.KERNEL_BYTES // 864 == 400  # 864 bytes a node in R^3
+    assert sizes == [15 * 18, 8 * 50, 7 * 50]
 
 
 def test_angular_rule_at_its_cap_is_unconverged(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_ORDER", 16)
-    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), 5.0, 10.0)
+    got = scalar_curvature_moment(build(OFF_CENTER_RATIONAL_BUMP), [5.0, 10.0])[0]
     assert got.order == 16 and got.stalled == "angular" and not got.converged
 
 
@@ -509,13 +586,16 @@ def test_moment_kernel_batches_hold_the_cap(catalog, monkeypatch):
         return curvature_arrays(g, dg, ddg)
 
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
-    invariants._radial_moment(catalog["conformal"], 10.0, 20.0, 0, 16)
-    assert sizes == [8 * 578, 7 * 578]  # 15 whole shells of 578 nodes, 8 to a batch
+    invariants._radial_moment(catalog["conformal"], [(10.0, 20.0)], 0, 8)
+    assert sizes == [2 * 162] * 7 + [162]  # 15 whole shells of 162 nodes, 2 to a batch of at most 400
+    sizes.clear()
+    invariants._radial_moment(catalog["conformal"], [(10.0, 20.0)], 0, 16)
+    assert sizes == [400] * 21 + [15 * 578 - 21 * 400]  # shells above the budget are cut
     sizes.clear()
     field = build(CatalogSpec(kind="conformal", dim=4, u_coeffs=((1, 0.5),)))
-    invariants._radial_moment(field, 10.0, 20.0, 0, 16)
-    assert sizes == [4802] * 30 + [15 * 9826 - 30 * 4802]  # shells above the cap are cut
-    assert max(sizes) <= 4802
+    invariants._radial_moment(field, [(10.0, 20.0)], 0, 2)
+    cap = invariants.KERNEL_BYTES // 1920  # 1,920 bytes a node in R^4
+    assert cap == 180 and sizes == [3 * 54] * 5  # 15 whole shells of 54 nodes in R^4
 
 
 def test_surface_kernel_calls_hold_the_cap(catalog, monkeypatch):
@@ -529,7 +609,7 @@ def test_surface_kernel_calls_hold_the_cap(catalog, monkeypatch):
     surf = ellipsoid_quadrature((40.0, 10.0, 10.0), order=96)
     mass = SurfaceEval(catalog["schwarzschild"], surf).value("intrinsic_mass")
     assert len(surf) == 18818
-    assert sizes == [4802, 4802, 4802, 18818 - 3 * 4802]
+    assert sizes == [400] * 47 + [18818 - 47 * 400]
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -538,25 +618,26 @@ def test_sliced_surface_matches_one_kernel_call(catalog, cap):
     # 162 nodes: slices with a remainder, one short of the surface, and the whole surface
     field, surf = catalog["schwarzschild-translated"], sphere_quadrature(3, 20.0, order=8)
     whole = SurfaceEval(field, surf)
-    expected = {name: whole.total(name) for name in ("intrinsic_mass", "intrinsic_center")}
-    with mock.patch.object(invariants, "MAX_KERNEL_POINTS", cap):
-        sliced = SurfaceEval(field, surf)
+    expected = whole.totals(invariants.CURVATURE_FUNCTIONALS)
+    with mock.patch.object(invariants, "KERNEL_BYTES", cap * 864):  # 864 bytes a node in R^3
+        assert invariants.KERNEL_BYTES // 864 == cap
+        sliced = SurfaceEval(field, surf).totals(invariants.CURVATURE_FUNCTIONALS)
         for name, want in expected.items():
-            assert sliced.total(name) == pytest.approx(want, rel=1e-14, abs=1e-14)
+            assert sliced[name] == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 class TestScalarCurvatureMoments:
     def test_flat_zero(self, catalog):
-        assert scalar_curvature_moment(catalog["flat"], 5.0, 10.0).value == 0.0
+        assert scalar_curvature_moment(catalog["flat"], [5.0, 10.0])[0].value == 0.0
 
     def test_schwarzschild_scalar_flat(self, catalog):
-        got = scalar_curvature_moment(catalog["schwarzschild"], 10.0, 20.0).value
+        got = scalar_curvature_moment(catalog["schwarzschild"], [10.0, 20.0])[0].value
         assert abs(got) <= 1e-9
 
     def test_conformal_shells_converge(self, catalog):
         # R ~ -16 u^-5 / r^4 gives shell integrals ~ 1/r, halving per doubled shell
         field = catalog["conformal"]
-        shells = [scalar_curvature_moment(field, r, 2 * r).value for r in (10.0, 20.0, 40.0, 80.0)]
+        shells = [s.value for s in scalar_curvature_moment(field, [10.0, 20.0, 40.0, 80.0, 160.0])]
         assert all(s < 0 for s in shells)
         mags = [abs(s) for s in shells]
         assert mags[0] > mags[1] > mags[2] > mags[3]
@@ -564,16 +645,16 @@ class TestScalarCurvatureMoments:
             assert b / a == pytest.approx(0.5, abs=0.1)
 
     def test_first_moment_vanishes_by_symmetry(self, catalog):
-        got = scalar_curvature_moment(catalog["conformal"], 10.0, 20.0, moment=1).value
+        got = scalar_curvature_moment(catalog["conformal"], [10.0, 20.0], moment=1)[0].value
         assert abs(got) <= 1e-12
 
     def test_bad_radii(self, catalog):
         with pytest.raises(ValueError):
-            scalar_curvature_moment(catalog["schwarzschild"], 20.0, 10.0)
+            scalar_curvature_moment(catalog["schwarzschild"], [20.0, 10.0])
         with pytest.raises(ValueError):
-            scalar_curvature_moment(catalog["schwarzschild"], 0.1, 10.0)
+            scalar_curvature_moment(catalog["schwarzschild"], [0.1, 10.0])
         with pytest.raises(ValueError):
-            scalar_curvature_moment(catalog["flat"], 5.0, 10.0, moment=7)
+            scalar_curvature_moment(catalog["flat"], [5.0, 10.0], moment=7)
 
 
 class TestHigherDimensions:
@@ -618,15 +699,17 @@ def test_block_totals_equal_one_surface_totals(catalog, count):
     for surfaces in (spheres, ellipsoids):
         alone = [SurfaceEval(field, surf) for surf in surfaces]
         block, flux = SurfaceEval(field, surfaces), SurfaceEval(field, surfaces, derivatives=1)
+        together = block.totals(SWEPT)  # every functional's rows in one sum
         for name in SWEPT:
-            totals = block.total(name)
+            totals = block.totals([name])[name]
             assert len(totals) == count
+            assert all(np.array_equal(a, b) for a, b in zip(together[name], totals)), (name, count)
             for got, one in zip(totals, alone):
-                assert np.array_equal(got, one.total(name)), (name, count)
+                assert np.array_equal(got, one.totals([name])[name]), (name, count)
         for name in SWEPT[:2]:  # the flux totals from first-order jets are the same
-            assert all(np.array_equal(a, b) for a, b in zip(flux.total(name), block.total(name)))
+            assert all(np.array_equal(a, b) for a, b in zip(flux.totals([name])[name], together[name]))
     with pytest.raises(ValueError, match="second-order"):
-        flux.total("intrinsic_mass")
+        flux.totals(["intrinsic_mass"])
 
 
 def adversarial_row(rng, kind, nodes):

@@ -211,10 +211,7 @@ class TestParityViolation:
         assert first[-1] / first[0] == pytest.approx((RADII[-1] / RADII[0]) ** 0.5, rel=0.05)
 
     def test_first_moments_of_the_scalar_curvature_grow(self):
-        shells = [
-            scalar_curvature_moment(VIOLATED, r0, r1, moment=1).value
-            for r0, r1 in zip(RADII[:4], RADII[1:5])
-        ]
+        shells = [shell.value for shell in scalar_curvature_moment(VIOLATED, RADII[:5], moment=1)]
         assert shells == pytest.approx([9.17, 12.6, 17.6, 24.7], rel=0.01)
         assert np.all(np.diff(shells) > 0)
 

@@ -121,11 +121,18 @@ class TestEllipsoidQuadrature:
             ellipsoid_quadrature((1.0, 0.0, 1.0), order=8)
 
 
+def metric_frame(nu, w, g):
+    """:func:`g_normals_and_areas` of point-first normals and metrics, as ``nu_g[p, i]`` and ``w_g``."""
+    ginv, det = metric_inverse(g)
+    nu_g, w_g = g_normals_and_areas(nu.T, w, ginv.transpose(1, 2, 0), det)
+    return nu_g.T, w_g
+
+
 class TestMetricNormalsAndAreas:
     def test_flat_identity(self):
         nu = np.array([[0.0, 0.0, 1.0]])
         g = np.eye(3)[None]
-        nu_g, w_g = g_normals_and_areas(nu, np.array([0.7]), *metric_inverse(g))
+        nu_g, w_g = metric_frame(nu, np.array([0.7]), g)
         assert np.allclose(nu_g, nu, atol=1e-15)
         assert w_g == pytest.approx([0.7], rel=1e-15)
 
@@ -136,7 +143,7 @@ class TestMetricNormalsAndAreas:
         u = 1 + 0.5 / rho
         nu = pts / rho[:, None]
         g, _, _ = jet2_batch(catalog["schwarzschild"], pts)
-        nu_g, w_g = g_normals_and_areas(nu, np.full(len(pts), 1.3), *metric_inverse(g))
+        nu_g, w_g = metric_frame(nu, np.full(len(pts), 1.3), g)
         assert np.allclose(nu_g, nu / u[:, None] ** 2, atol=1e-13)
         assert w_g == pytest.approx(1.3 * u**4, rel=1e-13)
 
@@ -145,7 +152,7 @@ class TestMetricNormalsAndAreas:
         g = a @ a.swapaxes(1, 2) + 3 * np.eye(3)
         nu = rng.normal(size=(25, 3))
         nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-        nu_g, _ = g_normals_and_areas(nu, np.ones(25), *metric_inverse(g))
+        nu_g, _ = metric_frame(nu, np.ones(25), g)
         assert np.einsum("pij,pi,pj->p", g, nu_g, nu_g) == pytest.approx(1.0, abs=1e-12)
 
     def test_normal_difference_decays(self, catalog):
@@ -155,7 +162,7 @@ class TestMetricNormalsAndAreas:
         for r in (10.0, 100.0, 1000.0):
             surf = sphere_quadrature(3, r, order=8)
             g, _, _ = (field.jet_batch(surf.points, 2))
-            nu_g, _ = g_normals_and_areas(surf.normals, surf.weights, *metric_inverse(g))
+            nu_g, _ = metric_frame(surf.normals, surf.weights, g)
             sup = float(np.max(np.linalg.norm(nu_g - surf.normals, axis=1)))
             h_sup = float(np.max(np.abs(g - np.eye(3))))
             assert sup <= 3.0 * h_sup
@@ -165,7 +172,7 @@ class TestMetricNormalsAndAreas:
     def test_singular_metric(self):
         g = np.diag([1.0, 1.0, 1e-16])[None]
         with pytest.raises(SingularMetricError):
-            g_normals_and_areas(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), *metric_inverse(g))
+            metric_frame(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), g)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_metric(self, bad):
@@ -173,7 +180,7 @@ class TestMetricNormalsAndAreas:
         g[0, 0, 1] = g[0, 1, 0] = bad
         nu = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SingularMetricError, match="non-finite"):
-            g_normals_and_areas(nu, np.ones(2), *metric_inverse(g))
+            metric_frame(nu, np.ones(2), g)
 
 
 def test_unit_rule_node_count_default_order():
