@@ -35,7 +35,7 @@ DEFAULT_TOL = 1e-4
 #: The swept functionals, in the order their checks are reported.  ``fn(total,
 #: dim, mass)`` turns a surface total into the functional's value.
 FUNCTIONALS: dict[str, dict] = {
-    name: {"fn": functools.partial(normalized, name), "needs_mass": name in CENTER_FUNCTIONALS}
+    name: {"fn": functools.partial(normalized, name)}
     for name in ("adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center")
 }
 
@@ -248,7 +248,7 @@ def sweep(
     radii = [float(r) for r in radii]
     check_schedule(radii, order)
     names = [f for f in FUNCTIONALS if f in functionals]
-    centers = [f for f in names if FUNCTIONALS[f]["needs_mass"]]
+    centers = [f for f in names if f in CENTER_FUNCTIONALS]
     if centers and mass is None and "adm_mass" not in names:
         names.insert(0, "adm_mass")
 

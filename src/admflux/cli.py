@@ -342,13 +342,9 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
     # The identities hold on any enclosing surface; small radii keep the
     # cancelled integrals O(1) so the residual reflects quadrature error
     # rather than rounding of large terms.
-    if fld.inner_radius == 0:
-        outer = sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
-        inner = None
-    else:
-        outer = sphere_quadrature(fld.dim, cfg.radii[1], cfg.order)
-        inner = sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
-    r_used = outer.nominal_radius
+    r_used = cfg.radii[0] if fld.inner_radius == 0 else cfg.radii[1]
+    outer = sphere_quadrature(fld.dim, r_used, cfg.order)
+    inner = None if fld.inner_radius == 0 else sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
     with analysis._naming(f"identity_residuals at schedule radius {r_used:g}"):
         res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
     return [

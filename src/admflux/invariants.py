@@ -11,8 +11,8 @@ Two routes to the same invariants are kept deliberately separate:
 Their agreement in the large-radius limit is what the analysis layer
 certifies, so no silent substitution of normals or measures is made anywhere.
 :class:`SurfaceEval` is the one way to evaluate a functional: its jets are
-evaluated once per surface, or per block of surfaces, for all four, each route
-with its own normals and measure, and :meth:`SurfaceEval.value` reads any of them.
+evaluated once per block of surfaces for all four, each route with its own
+normals and measure, and :meth:`SurfaceEval.totals` gives one total per surface.
 The integration-by-parts identities (:func:`identity_residuals`) take their
 boundary terms from the same flux totals.  Both routes and the identities
 work with the point axis last, as the curvature kernel does, and contract all
@@ -82,14 +82,6 @@ CURVATURE_FUNCTIONALS = ("intrinsic_mass", "intrinsic_center")
 CENTER_FUNCTIONALS = ("cs_center", "intrinsic_center")
 
 
-def _fsum(values: list[float]) -> float:
-    """``math.fsum`` of ``values``; an overflowed integrand raises :class:`NonFiniteError`."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError) as exc:
-        raise NonFiniteError(f"surface integrand overflows: {exc}") from None
-
-
 def _fsum_rows(rows: Array) -> list[float]:
     """The correctly rounded sum of each row of ``rows``: its ``math.fsum``, to the bit.
 
@@ -97,7 +89,7 @@ def _fsum_rows(rows: Array) -> list[float]:
     ``sigma = 2^M 2^e >= 2^M max |row|`` and ``2^M >= N + 2`` makes the parts ``(sigma + x) - sigma``
     and their sum exact; passes repeat on the residuals until none is left, and ``math.fsum`` of
     the exact pass sums rounds once.  Rows with a non-finite entry, an entry near overflow or only
-    zeros take :func:`_fsum`, so NaN passes and ``inf - inf`` raises :class:`NonFiniteError`.
+    zeros take ``math.fsum`` itself, so NaN passes and ``inf - inf`` raises :class:`NonFiniteError`.
     """
     shift = (rows.shape[1] + 1).bit_length()
     top = np.abs(rows).max(axis=1)
@@ -112,7 +104,10 @@ def _fsum_rows(rows: Array) -> list[float]:
         parts.append(q.sum(axis=1))
         top = np.abs(residual, out=q).max(axis=1)
     exact, plain = iter([math.fsum(p) for p in zip(*parts)]), iter(rows[~split].tolist())
-    return [next(exact) if s else _fsum(next(plain)) for s in split.tolist()]
+    try:
+        return [next(exact) if s else math.fsum(next(plain)) for s in split.tolist()]
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteError(f"surface integrand overflows: {exc}") from None
 
 
 def _kernel_slices(total: int, n: int, block: int = 1) -> list[slice]:
@@ -140,7 +135,7 @@ def _generator_rows(x: Array, v: Array) -> Array:
 
 
 class SurfaceEval:
-    """The metric jets of one surface, or of a block of same-rule surfaces, shared by every functional.
+    """The metric jets of a block of same-rule surfaces, shared by every functional.
 
     :meth:`totals` gives functionals' totals before normalization, one per
     surface of a block, each the same to the bit as alone, from one correctly
@@ -149,13 +144,11 @@ class SurfaceEval:
     makes the point-last curvature frame once; flux totals never make it.
     """
 
-    def __init__(self, field: MetricField, surfaces: QuadSurface | Sequence[QuadSurface], derivatives: int = 2):
-        self.single = isinstance(surfaces, QuadSurface)
-        block = [surfaces] if self.single else list(surfaces)
-        if any(surf.dim != field.dim or len(surf) != len(block[0]) for surf in block):
+    def __init__(self, field: MetricField, surfaces: Sequence[QuadSurface], derivatives: int = 2):
+        if any(surf.dim != field.dim or len(surf) != len(surfaces[0]) for surf in surfaces):
             raise ValueError(f"surfaces must share one rule and the field's dimension {field.dim}")
-        self.field, self.count = field, len(block)
-        self.points, self.normals, self.weights = (np.concatenate([getattr(surf, a) for surf in block])
+        self.field, self.count = field, len(surfaces)
+        self.points, self.normals, self.weights = (np.concatenate([getattr(surf, a) for surf in surfaces])
                                                    for a in ("points", "normals", "weights"))
         self.g, self.dg, self.ddg = (*jet2_batch(field, self.points, derivatives), None)[:3]
 
@@ -201,10 +194,10 @@ class SurfaceEval:
             return (np.einsum("i...,i...->...", x, e_nu) if mass else _generator_rows(x, e_nu)) * w_g
         raise ValueError(f"unknown functional {name!r}")
 
-    def totals(self, names: Sequence[str]) -> dict[str, float | Array | list]:
-        """The unnormalized total of each functional of ``names``: a float, or one
-        per component; a block gives a list of them, one per surface.  Every
-        row of every functional goes through one correctly rounded row sum.
+    def totals(self, names: Sequence[str]) -> dict[str, list]:
+        """The unnormalized totals of each functional of ``names``, one per surface:
+        a float, or one per component.  Every row of every functional goes
+        through one correctly rounded row sum.
 
         * ``adm_mass``, the flux mass: ``(d_j g_ij - d_i g_jj) nu_e^i`` against
           the Euclidean weights, over ``2 (n-1) omega_(n-1)``.
@@ -227,17 +220,8 @@ class SurfaceEval:
         sums, out = _fsum_rows(np.concatenate(rows)), {}  # a row per component and surface
         for name, r in zip(names, rows):
             got, sums = sums[: len(r)], sums[len(r):]
-            got = got if len(r) == self.count else list(np.reshape(got, (-1, self.count)).T)
-            out[name] = got[0] if self.single else got
+            out[name] = got if len(r) == self.count else list(np.reshape(got, (-1, self.count)).T)
         return out
-
-    def value(self, name: str, mass: float | None = None) -> float | Array | list:
-        """Functional ``name`` on the surface, or one per surface of a block; center
-        functionals need ``mass``, with ``|mass| >= MASS_THRESHOLD``."""
-        total = self.totals([name])[name]
-        if self.single:
-            return normalized(name, total, self.field.dim, mass)
-        return [normalized(name, t, self.field.dim, mass) for t in total]
 
 
 def normalized(name: str, total, n: int, mass: float | None = None) -> float | Array:
@@ -291,7 +275,7 @@ def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
     and ``A_ij = d_k d_j g_ki`` of the point-last jets.  The boundary terms are
     ``(n-2)`` times the flux-mass total and ``2(n-2)`` times each flux-center total.
     """
-    evaluation = SurfaceEval(field, surf)
+    evaluation = SurfaceEval(field, [surf])
     n, x, nu, w = field.dim, surf.points.T, surf.normals.T, surf.weights
     ddG = _point_last(evaluation.ddg)  # ddG[k, l, i, j, p] = d_k d_l g_ij
     A = np.einsum("kjki...->ij...", ddG)
@@ -304,8 +288,8 @@ def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
     rows = np.concatenate([x_rows, -_generator_rows(x, m_nu), -s * _generator_rows(x, nu)])
     lhs_x, radial, *sums = _fsum_rows(rows * w)
     flux = evaluation.totals(["adm_mass", "cs_center"])
-    form_x = lhs_x - (n - 2) * flux["adm_mass"] - radial
-    forms_y = np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * flux["cs_center"]
+    form_x = lhs_x - (n - 2) * flux["adm_mass"][0] - radial
+    forms_y = np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * flux["cs_center"][0]
     return form_x, forms_y
 
 
@@ -353,10 +337,6 @@ class ShellIntegral(NamedTuple):
     scale: float
     order: int
     stalled: str | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.stalled is None
 
 
 def _scalar_densities(field: MetricField, points: Array) -> tuple[Array, Array]:
@@ -412,8 +392,9 @@ def _radial_moment(field: MetricField, annuli: Sequence[tuple[float, float]], mo
     :data:`MAX_RADIAL_BISECTIONS` times.  The 15 shells of every open piece of
     every annulus go through the curvature kernel together, in slices of whole
     shells within :data:`KERNEL_BYTES`; each shell is reduced in node order,
-    both densities of a depth in one row sum, and each annulus's pieces are
-    summed in radial order.
+    both densities of a depth in one row sum, the Kronrod, Gauss and scale sums
+    of all its pieces in another, and each annulus's pieces are summed in
+    radial order.
     """
     n = field.dim
     dirs, w_dir = unit_sphere_rule(n, order)
@@ -431,11 +412,13 @@ def _radial_moment(field: MetricField, annuli: Sequence[tuple[float, float]], mo
             dens, size = dens * pts[:, moment - 1], size * np.abs(pts[:, moment - 1])
         rows = np.concatenate([dens, size]).reshape(-1, len(dirs)) * w_dir
         shells, sizes = (radii ** (n - 1) * np.reshape(_fsum_rows(rows), (2, -1))).reshape(2, len(pieces), -1)
+        terms = np.zeros((len(pieces), 3, len(t)))  # each piece's Kronrod, Gauss and scale terms
+        terms[:, 0], terms[:, 2] = w_kronrod * shells, w_kronrod * sizes
+        terms[:, 1, 1::2] = w_gauss * shells[:, 1::2]
+        sums = half[:, None] * np.reshape(_fsum_rows(terms.reshape(-1, len(t))), (-1, 3))
         still_open = []
-        for (k, a, b), c, h, shell, shell_size in zip(pieces, mid, half, shells, sizes):
-            kronrod = h * _fsum((w_kronrod * shell).tolist())
-            error = abs(kronrod - h * _fsum((w_gauss * shell[1::2]).tolist()))
-            scale = h * _fsum((w_kronrod * shell_size).tolist())
+        for (k, a, b), c, (kronrod, gauss, scale) in zip(pieces, mid, sums):
+            error = abs(kronrod - gauss)
             settled = bool(error <= REFINEMENT_TOL * scale)
             if settled or depth == MAX_RADIAL_BISECTIONS:
                 accepted[k].append((a, kronrod, error, scale))

@@ -167,9 +167,10 @@ class DecayReport:
 
     ``sups[a, m]`` is the maximum of ``|x|^(m + tau) * |d^m h|`` over the
     angular sample set at radius ``radii[a]``, for derivative order
-    ``m in {0, 1, 2}``.  ``verdicts[m]`` is true when that order's sequence is
-    non-increasing over the last half of the schedule, the computable
-    surrogate for ``o(|x|^-tau)`` decay.
+    ``m in {0, 1, 2}``.  ``verdicts[m]`` is true when that order's sequence
+    decreases over the last half of the schedule (:func:`decreasing_to_zero`:
+    each entry at least ``1e-9`` relative below the one before, unless both sit
+    at the rounding floor), the computable surrogate for ``o(|x|^-tau)`` decay.
     """
 
     tau: float

@@ -37,8 +37,8 @@ def rule_size(n: int, order: int) -> int:
 
 def check_rule_size(n: int, order: int) -> None:
     """Raise :class:`ConfigError` unless the order-``order`` rule on the unit sphere
-    in R^n fits :data:`MAX_RULE_NODES`."""
-    if n >= 2 and rule_size(n, order) > MAX_RULE_NODES:
+    in R^n fits :data:`MAX_RULE_NODES`, comparing logarithms so that no huge ``n`` forms the power."""
+    if n >= 2 and (n - 1) * math.log(order + 1) > math.log(MAX_RULE_NODES / 2):
         raise ConfigError(
             f"metric dim {n}: an order-{order} sphere rule has 2*{order + 1}^{n - 1} nodes, "
             f"more than the {MAX_RULE_NODES} a rule may have"
@@ -56,21 +56,16 @@ class QuadSurface:
 
     ``points[p]`` are node coordinates, ``normals[p]`` the Euclidean unit
     outward normals and ``weights[p]`` the Euclidean area weights, so that
-    ``sum(weights)`` approximates the surface area.  ``nominal_radius`` is the
-    distance from the origin to the closest surface point.
+    ``sum(weights)`` approximates the surface area.
     """
 
     dim: int
     points: Array
     normals: Array
     weights: Array
-    nominal_radius: float
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def area(self) -> float:
-        return math.fsum(self.weights.tolist())
 
 
 def _orthonormal_recurrence(t: Array, off: Array, p0: float) -> tuple[Array, Array, Array]:
@@ -205,7 +200,6 @@ def sphere_quadrature(n: int, r: float, order: int = DEFAULT_ORDER) -> QuadSurfa
         points=r * pts,
         normals=pts,
         weights=w * r ** (n - 1),
-        nominal_radius=float(r),
     )
 
 
@@ -231,7 +225,6 @@ def ellipsoid_quadrature(semi_axes, order: int = DEFAULT_ORDER) -> QuadSurface:
         points=u * a,
         normals=covec / stretch[:, None],
         weights=wu * float(np.prod(a)) * stretch,
-        nominal_radius=float(np.min(a)),
     )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from admflux.catalog import CatalogSpec, build
+from admflux.invariants import SurfaceEval, normalized
 
 SEED = 20240817
 
@@ -55,6 +56,11 @@ def linearized_scalar_arrays(ddg):
     deviation.
     """
     return np.einsum("pikik->p", ddg) - np.einsum("piikk->p", ddg)
+
+
+def surface_value(field, surf, name, mass=None):
+    """Functional ``name`` on the one surface ``surf``, through a one-surface block of the batched API."""
+    return normalized(name, SurfaceEval(field, [surf]).totals([name])[name][0], field.dim, mass)
 
 
 def metric_values(field):

@@ -17,8 +17,8 @@ from admflux.analysis import (
 )
 from admflux.catalog import CatalogSpec, build
 from admflux.errors import DomainError, NonFiniteError, SingularMetricError
-from admflux.invariants import SurfaceEval
 from admflux.surfaces import sphere_quadrature, unit_sphere_area
+from conftest import surface_value
 
 SEVEN = np.array([10.0 * 2**k for k in range(7)])
 DEFAULT_TAIL = np.array([100.0 * 2**k for k in range(4, 9)])
@@ -314,7 +314,7 @@ class TestSweep:
     def test_adaptive_consistent_with_fixed(self, catalog):
         field = catalog["schwarzschild"]
         fixed = [
-            SurfaceEval(field, sphere_quadrature(3, r, 24)).value("adm_mass") for r in self.RADII
+            surface_value(field, sphere_quadrature(3, r, 24), "adm_mass") for r in self.RADII
         ]
         refined = sweep(field, ["adm_mass"], self.RADII)["adm_mass"]
         assert np.allclose(fixed, refined.values, atol=1e-8)
@@ -364,7 +364,7 @@ class TestSharedSurfaces:
         for name in self.ALL:
 
             def fn(surf, m):
-                return SurfaceEval(field, surf).value(name, m)
+                return surface_value(field, surf, name, m)
 
             for r, value in zip(self.RADII, reports[name].values):
                 assert np.array_equal(value, refined_standalone(fn, r, mass)), (name, r)

@@ -506,6 +506,13 @@ class TestExitCodes:
         assert "2*17^4999 nodes" in err
         assert not (tmp_path / "out").exists()
 
+    def test_huge_dimension_is_refused_without_forming_the_node_count(self, tmp_path, capsys):
+        # 2*17^(10^12 - 1) has about 10^12 digits: the check compares logarithms instead
+        metric = {"kind": "flat", "dim": 1e12}
+        assert main(["mass", "--config", str(write_config(tmp_path, metric=metric))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: metric dim 1000000000000: ") and err.count("\n") == 1
+
 
 NAN, INF = math.nan, math.inf
 SCHWARZSCHILD = {"kind": "schwarzschild", "dim": 3, "mass": 1.0}

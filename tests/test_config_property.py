@@ -131,7 +131,6 @@ def test_validation_gives_a_config_error_or_a_usable_field(tmp_path_factory, con
         surface = ellipsoid_quadrature([t * r for t in cfg.ratios], 2)
     try:
         with np.errstate(all="ignore"):
-            evaluation = SurfaceEval(fld, surface)
-            evaluation.totals(list(analysis.FUNCTIONALS))
+            SurfaceEval(fld, [surface]).totals(list(analysis.FUNCTIONALS))
     except (DomainError, NonFiniteError, SingularMetricError):
         pass

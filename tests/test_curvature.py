@@ -250,10 +250,9 @@ def test_kernel_needs_no_lapack(catalog, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     bundle = curvature_arrays(*jets)
     assert np.all(np.isfinite(bundle.einstein)) and bundle.scalar.shape == (len(jets[0]),)
-    evaluation = SurfaceEval(catalog["schwarzschild"], surf)
-    totals = evaluation.totals(["intrinsic_mass", "intrinsic_center"])
-    assert np.isfinite(totals["intrinsic_mass"])
-    assert np.all(np.isfinite(totals["intrinsic_center"]))
+    totals = SurfaceEval(catalog["schwarzschild"], [surf]).totals(["intrinsic_mass", "intrinsic_center"])
+    assert np.isfinite(totals["intrinsic_mass"][0])
+    assert np.all(np.isfinite(totals["intrinsic_center"][0]))
     assert scalar_curvature_moment(catalog["conformal"], [20.0, 40.0])[0] == shell
 
 

@@ -19,7 +19,7 @@ from admflux.metric_field import (
 
 from admflux.surfaces import unit_sphere_rule
 
-from conftest import metric_values, sample_points
+from conftest import metric_values, sample_points, surface_value
 
 
 def max_asymmetry(a, *axes):
@@ -161,14 +161,13 @@ class TestFdJet2:
 
     def test_values_only_field_supports_functionals(self, catalog):
         # a metric handed over without analytic jets still feeds the integrals
-        from admflux.invariants import SurfaceEval
         from admflux.surfaces import sphere_quadrature
 
         values = metric_values(catalog["schwarzschild"])
         fd_field = MetricField(3, lambda points, k: fd_jet2(values, points, derivatives=k), inner_radius=1.0)
         surf = sphere_quadrature(3, 100.0, order=8)
-        exact = SurfaceEval(catalog["schwarzschild"], surf).value("adm_mass")
-        assert SurfaceEval(fd_field, surf).value("adm_mass") == pytest.approx(exact, abs=1e-7)
+        exact = surface_value(catalog["schwarzschild"], surf, "adm_mass")
+        assert surface_value(fd_field, surf, "adm_mass") == pytest.approx(exact, abs=1e-7)
 
     def test_halving_reduces_error(self, catalog, rng):
         pts = sample_points(rng, 100)

@@ -2,6 +2,8 @@ import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import admflux
 from admflux.metric_field import MetricField
 
@@ -55,9 +57,11 @@ def test_single_point_api_is_gone():
 
 
 def test_record_fields_nobody_read_are_gone():
-    from admflux.analysis import ConvergenceReport, PowerLawFit
+    from admflux.analysis import FUNCTIONALS, ConvergenceReport, PowerLawFit
+    from admflux.catalog import CatalogSpec, build
     from admflux.cli import Check
-    from admflux.surfaces import QuadSurface
+    from admflux.invariants import ShellIntegral, SurfaceEval
+    from admflux.surfaces import QuadSurface, sphere_quadrature
 
     def names(record):
         return {f.name for f in dataclasses.fields(record)}
@@ -65,9 +69,17 @@ def test_record_fields_nobody_read_are_gone():
     assert not {"quantity", "residual", "is_vector"} & names(ConvergenceReport)
     assert not hasattr(ConvergenceReport, "is_vector")
     assert "residual" not in names(PowerLawFit)
-    assert "label" not in names(QuadSurface)
+    assert not {"label", "nominal_radius"} & names(QuadSurface)
+    assert not hasattr(QuadSurface, "area")
+    assert not hasattr(ShellIntegral, "converged")
+    assert not hasattr(SurfaceEval, "value")
+    assert all(set(spec) == {"fn"} for spec in FUNCTIONALS.values())
     assert not {"table_columns", "table_rows"} & names(Check)
     assert {"radii", "values", "columns"} <= names(Check)
+    # SurfaceEval takes a block of surfaces only: a bare surface is not one
+    surf = sphere_quadrature(3, 10.0, order=4)
+    with pytest.raises(TypeError):
+        SurfaceEval(build(CatalogSpec(kind="flat")), surf)
 
 
 def test_readme_tour_runs():
