@@ -137,23 +137,26 @@ def _rate(r: list[float], v: list[float], low: float, high: float, p: float) -> 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Functional samples over a schedule plus the fitted limit, rate and verdict.
+    """Functional samples over a schedule plus the fitted limit, rate and verdict: the record of every check.
 
     ``values`` has shape ``(len(radii),)`` for scalar functionals or
     ``(len(radii), dim)`` for vector ones, in which case ``fitted_limit`` is a
     vector and ``fitted_rate`` is the lowest if a component grows (a rate of at
-    most 0 fails), else that of the largest fitted amplitude (the decay signal).
-    The CLI renders a check's table from ``radii`` and ``values``; ``failure``
-    names the radii whose refinement stalled at :data:`MAX_ORDER`.
+    most 0 fails), else that of the largest fitted amplitude (the decay signal);
+    checks that fit no rate leave it None.  The CLI renders a check's table from
+    ``radii`` and ``values``, its columns named by ``columns`` when given;
+    ``failure`` names what failed where when the table alone does not show it,
+    for a sweep the radii whose refinement stalled at :data:`MAX_ORDER`.
     """
 
     radii: tuple[float, ...]
     values: np.ndarray
     fitted_limit: float | np.ndarray
-    fitted_rate: float
+    fitted_rate: float | None
     verdict: bool
     tolerance: float
     failure: str | None = None
+    columns: tuple[str, ...] | None = None
 
 
 def _fit_samples(radii: np.ndarray, values: np.ndarray) -> tuple:

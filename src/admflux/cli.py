@@ -4,9 +4,9 @@ Subcommands select which checks run; a JSON config file describes the metric,
 the surface schedule and tolerances.  Flags override the config, and the final
 run is validated once, in :func:`run_checks`, which builds the one metric
 field every check uses.  Each check's CSV (or JSON) table is rendered from its
-per-radius values by :meth:`Check.table`, next to its entry in ``summary.json``;
-every file is written to a temporary sibling and renamed into place.  All
-quantities are dimensionless (geometrized units).
+report's per-radius values by :func:`_table`, next to its entry in
+``summary.json``; every file is written to a temporary sibling and renamed into
+place.  All quantities are dimensionless (geometrized units).
 
 Exit codes: 0 every requested check passes, 1 a certification failed, 2 a
 usage or configuration error, 3 a numerical error (singular metric,
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, invariants
+from .analysis import ConvergenceReport
 from .catalog import CatalogSpec, build
 from .errors import (
     ConfigError,
@@ -231,9 +232,9 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _validate_config(cfg: RunConfig) -> MetricField:
-    """The field of the run ``cfg`` describes, or :class:`ConfigError` naming
-    what makes the run invalid."""
+def _validate_config(cfg: RunConfig, functionals: tuple[str, ...] = ALL_FUNCTIONALS) -> MetricField:
+    """The field of the run ``cfg`` describes, checking ``functionals``, or
+    :class:`ConfigError` naming what makes the run invalid."""
     analysis.check_schedule(cfg.radii, cfg.order)
     check_rule_size(cfg.metric.dim, cfg.order)
     if cfg.fmt not in ("csv", "json"):
@@ -251,6 +252,8 @@ def _validate_config(cfg: RunConfig) -> MetricField:
             f"schedule ratios must be {fld.dim} positive numbers, got {list(cfg.ratios)}"
         )
     ratios = cfg.ratios or (1.0,)
+    if {"identity_residuals", "scalar_moments", "decay_checks"} & set(functionals):
+        ratios = (*ratios, 1.0)  # these checks use spheres of the schedule radii themselves
     if cfg.radii[0] * min(ratios) < fld.inner_radius:
         raise ConfigError(
             f"smallest schedule radius {cfg.radii[0]:g} (scale {min(ratios):g}) lies inside "
@@ -269,49 +272,11 @@ def _validate_config(cfg: RunConfig) -> MetricField:
 # check execution
 
 
-@dataclass
-class Check:
-    """A check's verdict and fitted limit, and its ``values`` at ``radii``: numbers,
-    or vectors whose entries are ``value_1..value_k`` unless ``columns`` names them."""
-
-    name: str
-    verdict: bool
-    fitted_limit: object
-    fitted_rate: float | None
-    tolerance: float
-    radii: tuple[float, ...]
-    values: object
-    columns: tuple[str, ...] | None = None
-    #: What failed where, when the table alone does not show it.
-    failure: str | None = None
-
-    def table(self) -> tuple[list[str], list[list[float]]]:
-        """The header ``["r", *columns]`` and the rows ``[r, *values[i]]``."""
-        values = np.asarray(self.values, dtype=float)
-        columns = self.columns or (
-            ("value",) if values.ndim == 1 else tuple(f"value_{a + 1}" for a in range(values.shape[1]))
-        )
-        rows = [[float(r), *np.atleast_1d(v).tolist()] for r, v in zip(self.radii, values)]
-        return ["r", *columns], rows
-
-    def summary(self) -> dict:
-        out = {
-            "functional": self.name,
-            "fitted_limit": np.asarray(self.fitted_limit).tolist(),
-            "fitted_rate": self.fitted_rate,
-            "verdict": bool(self.verdict),
-            "tolerance": self.tolerance,
-        }
-        if self.failure is not None:
-            out["failure"] = self.failure
-        return out
-
-
-def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool) -> list[Check]:
-    """Validate the run and build its field once, then run the requested checks."""
-    fld = _validate_config(cfg)
+def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool) -> dict[str, ConvergenceReport]:
+    """Validate the run and build its field once, then run the requested checks: their reports by check name."""
+    fld = _validate_config(cfg, functionals)
     swept = [name for name in analysis.FUNCTIONALS if name in functionals]
-    sweeps: dict[str, analysis.ConvergenceReport] = {}
+    sweeps: dict[str, ConvergenceReport] = {}
     if swept:
         sweeps = analysis.sweep(
             fld, swept, cfg.radii, ratios=cfg.ratios, order=cfg.order, tol=cfg.tol
@@ -323,22 +288,16 @@ def run_checks(cfg: RunConfig, functionals: tuple[str, ...], with_compare: bool)
     ):
         if with_compare and a in sweeps and b in sweeps:
             reports[name] = analysis.compare(sweeps[a], sweeps[b], tol=cfg.tol)
-    checks = [
-        Check(name, rep.verdict, rep.fitted_limit, rep.fitted_rate, rep.tolerance, rep.radii,
-              rep.values, failure=rep.failure)
-        for name, rep in reports.items()
-    ]
-
     if "identity_residuals" in functionals:
-        checks.extend(_identity_checks(fld, cfg))
+        reports.update(_identity_checks(fld, cfg))
     if "scalar_moments" in functionals:
-        checks.append(_scalar_moment_check(fld, cfg))
+        reports["scalar_moment_shells"] = _scalar_moment_check(fld, cfg)
     if "decay_checks" in functionals:
-        checks.extend(_decay_checks(fld, cfg))
-    return checks
+        reports.update(_decay_checks(fld, cfg))
+    return reports
 
 
-def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
+def _identity_checks(fld: MetricField, cfg: RunConfig) -> dict[str, ConvergenceReport]:
     # The identities hold on any enclosing surface; small radii keep the
     # cancelled integrals O(1) so the residual reflects quadrature error
     # rather than rounding of large terms.
@@ -347,21 +306,16 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
     inner = None if fld.inner_radius == 0 else sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
     with analysis._naming(f"identity_residuals at schedule radius {r_used:g}"):
         res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
-    return [
-        Check(
-            name=f"identity_residual_{which}",
-            verdict=bool(np.all(np.abs(res) <= cfg.identity_tol)),
-            fitted_limit=res,
-            fitted_rate=None,
-            tolerance=cfg.identity_tol,
-            radii=(r_used,),
-            values=[res],
+    return {
+        f"identity_residual_{which}": ConvergenceReport(
+            radii=(r_used,), values=[res], fitted_limit=res, fitted_rate=None,
+            verdict=bool(np.all(np.abs(res) <= cfg.identity_tol)), tolerance=cfg.identity_tol,
         )
         for which, res in (("X", res_x), ("Y", res_y))
-    ]
+    }
 
 
-def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
+def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> ConvergenceReport:
     """Shell integrals of the scalar curvature over the schedule's annuli.
 
     The outer half of the shells must decrease to zero, where a shell within
@@ -390,52 +344,66 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> Check:
         f"{s.stalled} rule unconverged on {r0:g} < |x| < {r1:g}"
         for (r0, r1), s in zip(annuli, shells) if s.stalled
     ]
-    return Check(
-        name="scalar_moment_shells",
-        verdict=decays and not stalled,
-        fitted_limit=shells[-1].value,
-        fitted_rate=None,
-        tolerance=cfg.tol,
-        radii=cfg.radii[1:],
-        values=[(s.value, s.error, s.scale) for s in shells],
+    return ConvergenceReport(
+        radii=cfg.radii[1:], values=[(s.value, s.error, s.scale) for s in shells], fitted_limit=shells[-1].value,
+        fitted_rate=None, verdict=decays and not stalled, tolerance=cfg.tol, failure="; ".join(stalled) or None,
         columns=("value", "error", "scale"),
-        failure="; ".join(stalled) or None,
     )
 
 
-def _decay_checks(fld: MetricField, cfg: RunConfig) -> list[Check]:
+def _decay_checks(fld: MetricField, cfg: RunConfig) -> dict[str, ConvergenceReport]:
     with analysis._naming("decay_checks"):
         reports = decay_report(fld, cfg.radii)
-    return [
-        Check(
-            name=f"decay_{rep.part}",
-            verdict=rep.ok,
-            fitted_limit=rep.sups[-1],
-            fitted_rate=None,
+    return {
+        f"decay_{rep.part}": ConvergenceReport(
+            radii=rep.radii, values=rep.sups, fitted_limit=rep.sups[-1], fitted_rate=None, verdict=rep.ok,
             tolerance=cfg.tol,
-            radii=rep.radii,
-            values=rep.sups,
         )
         for rep in reports
-    ]
+    }
 
 
 # ---------------------------------------------------------------------------
 # output
 
 
-def _write_tables(checks: list[Check], cfg: RunConfig) -> None:
+def _table(report: ConvergenceReport) -> tuple[list[str], list[list[float]]]:
+    """The header ``["r", *columns]`` and the rows ``[r, *values[i]]`` of a check's table; vector
+    values have the columns ``value_1..value_k`` unless the report names them."""
+    values = np.asarray(report.values, dtype=float)
+    columns = report.columns or (
+        ("value",) if values.ndim == 1 else tuple(f"value_{a + 1}" for a in range(values.shape[1]))
+    )
+    rows = [[float(r), *np.atleast_1d(v).tolist()] for r, v in zip(report.radii, values)]
+    return ["r", *columns], rows
+
+
+def _summary(name: str, report: ConvergenceReport) -> dict:
+    """The entry of check ``name`` in ``summary.json``."""
+    out = {
+        "functional": name,
+        "fitted_limit": np.asarray(report.fitted_limit).tolist(),
+        "fitted_rate": report.fitted_rate,
+        "verdict": bool(report.verdict),
+        "tolerance": report.tolerance,
+    }
+    if report.failure is not None:
+        out["failure"] = report.failure
+    return out
+
+
+def _write_tables(reports: dict[str, ConvergenceReport], cfg: RunConfig) -> None:
     files = {}
-    for check in checks:
-        columns, rows = check.table()
+    for name, report in reports.items():
+        columns, rows = _table(report)
         if cfg.fmt == "csv":
             buf = io.StringIO()
             csv.writer(buf).writerows([columns, *([repr(float(v)) for v in row] for row in rows)])
-            files[f"{check.name}.csv"] = buf.getvalue()
+            files[f"{name}.csv"] = buf.getvalue()
         else:
             records = [dict(zip(columns, row)) for row in rows]
-            files[f"{check.name}.json"] = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    summary = {"checks": [c.summary() for c in checks]}
+            files[f"{name}.json"] = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    summary = {"checks": [_summary(name, report) for name, report in reports.items()]}
     files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():  # renamed into place: a failed write keeps the old file
@@ -453,20 +421,20 @@ def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare
     wanted = functionals if functionals is not None else cfg.functionals
     try:
         with np.errstate(all="ignore"):  # a failure is reported in one line below
-            checks = run_checks(cfg, wanted, with_compare)
+            reports = run_checks(cfg, wanted, with_compare)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (DomainError, NonFiniteError, SingularMetricError, UndefinedCenterError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    _write_tables(checks, cfg)
-    for check in checks:
-        status = "PASS" if check.verdict else "FAIL"
-        failure = f" ({check.failure})" if check.failure else ""
-        print(f"[{status}] {check.name}: limit={_fmt(check.fitted_limit)} "
-              f"rate={_fmt(check.fitted_rate)} tol={check.tolerance:g}{failure}")
-    if all(c.verdict for c in checks):
+    _write_tables(reports, cfg)
+    for name, report in reports.items():
+        status = "PASS" if report.verdict else "FAIL"
+        failure = f" ({report.failure})" if report.failure else ""
+        print(f"[{status}] {name}: limit={_fmt(report.fitted_limit)} "
+              f"rate={_fmt(report.fitted_rate)} tol={report.tolerance:g}{failure}")
+    if all(r.verdict for r in reports.values()):
         return EXIT_PASS
     return EXIT_CERTIFICATION_FAILURE
 

@@ -13,8 +13,8 @@ certifies, so no silent substitution of normals or measures is made anywhere.
 :class:`SurfaceEval` is the one way to evaluate a functional: its jets are
 evaluated once per block of surfaces for all four, each route with its own
 normals and measure, and :meth:`SurfaceEval.totals` gives one total per surface.
-The integration-by-parts identities (:func:`identity_residuals`) take their
-boundary terms from the same flux totals.  Both routes and the identities
+The integration-by-parts identities (:func:`identity_residuals`) are rows of
+the same totals as their boundary terms.  Both routes and the identities
 work with the point axis last, as the curvature kernel does, and contract all
 ``n`` conformal generators at once; every kernel call is bounded in bytes
 (:data:`KERNEL_BYTES`), and :func:`scalar_curvature_moment` takes every
@@ -141,7 +141,8 @@ class SurfaceEval:
     surface of a block, each the same to the bit as alone, from one correctly
     rounded row sum.  Jets of order ``derivatives = 1`` serve the flux totals,
     which use the Euclidean normals and weights.  The first curvature total
-    makes the point-last curvature frame once; flux totals never make it.
+    makes the point-last curvature frame once, and the first identity total
+    the identities' second-derivative form; flux totals make neither.
     """
 
     def __init__(self, field: MetricField, surfaces: Sequence[QuadSurface], derivatives: int = 2):
@@ -167,8 +168,6 @@ class SurfaceEval:
         Einstein tensors, inverse metrics and determinants are joined along
         the point axis.
         """
-        if self.ddg is None:
-            raise ValueError("the curvature functionals need second-order jets")
         parts = []
         for part in _kernel_slices(len(self.weights), self.field.dim):
             bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
@@ -176,6 +175,19 @@ class SurfaceEval:
         einstein, ginv, det = (np.concatenate(column, axis=-1) for column in zip(*parts))
         nu_g, w_g = g_normals_and_areas(self.normals.T, self.weights, ginv, det)
         return np.einsum("ij...,j...->i...", einstein, nu_g), w_g
+
+    @functools.cached_property
+    def _identity(self) -> tuple[Array, Array]:
+        """``M(., nu_e)`` and ``s`` of the integration-by-parts identities, point-last.
+
+        ``M = T + D - A - A^T`` and ``s = tr D - tr A``, from ``T_ij = d_k d_k g_ij``,
+        ``D_ij = d_i d_j g_kk`` and ``A_ij = d_k d_j g_ki``.
+        """
+        ddG = _point_last(self.ddg)  # ddG[k, l, i, j, p] = d_k d_l g_ij
+        A = np.einsum("kjki...->ij...", ddG)
+        D_minus_A = np.einsum("ijkk...->ij...", ddG) - A
+        M = np.einsum("kkij...->ij...", ddG) + D_minus_A - A.swapaxes(0, 1)
+        return np.einsum("ij...,j...->i...", M, self.normals.T), np.einsum("ii...->...", D_minus_A)
 
     def _rows(self, name: str) -> Array:
         """The weighted integrand of functional ``name``: a row over the nodes, or one per component."""
@@ -188,6 +200,13 @@ class SurfaceEval:
             t2 = np.einsum("ia...,i...->a...", h, nu) - np.einsum("ii...->...", h) * nu
             del h  # before the rows, which are the peak of a flux block
             return (x * self._flux - t2) * w
+        if name in (*CURVATURE_FUNCTIONALS, "identity_X", "identity_Y") and self.ddg is None:
+            raise ValueError(f"{name} needs second-order jets")
+        if name in ("identity_X", "identity_Y"):
+            m_nu, s = self._identity
+            if name == "identity_X":  # M(x, nu_e) and s x.nu_e
+                return np.stack([np.einsum("i...,i...->...", x, m_nu), s * np.einsum("i...,i...->...", x, nu)]) * w
+            return np.concatenate([-_generator_rows(x, m_nu), -s * _generator_rows(x, nu)]) * w
         if name in CURVATURE_FUNCTIONALS:
             e_nu, w_g = self._curvature_frame
             mass = name == "intrinsic_mass"
@@ -214,7 +233,11 @@ class SurfaceEval:
           ``(Ric - R/2 g)(Y_alpha, nu_g)`` with the metric normal and weights,
           over ``2 (n-1)(n-2) omega_(n-1) * mass``.
 
-        :func:`normalized` divides by these normalizations.
+        :func:`normalized` divides by these normalizations.  The rows of the
+        identities of :func:`identity_residuals` stay unnormalized: ``identity_X``
+        integrates ``M(x, nu_e)`` and ``s x.nu_e``, ``identity_Y`` each
+        ``-M(Y_alpha, nu_e)`` and then each ``-s Y_alpha.nu_e``, all against the
+        Euclidean weights.
         """
         rows = [self._rows(name).reshape(-1, len(self.weights) // self.count) for name in names]
         sums, out = _fsum_rows(np.concatenate(rows)), {}  # a row per component and surface
@@ -266,33 +289,6 @@ def _require_enclosable(field: MetricField, surf: QuadSurface, inner: QuadSurfac
         )
 
 
-def _ibp_forms(field: MetricField, surf: QuadSurface) -> tuple[float, Array]:
-    """Left minus right side of the dilation identity and of the ``n`` generator
-    identities on one surface, from one jet evaluation.
-
-    The combination of :func:`identity_residuals` is ``M = T + D - A - A^T``
-    with ``s = tr D - tr A``, from ``T_ij = d_k d_k g_ij``, ``D_ij = d_i d_j g_kk``
-    and ``A_ij = d_k d_j g_ki`` of the point-last jets.  The boundary terms are
-    ``(n-2)`` times the flux-mass total and ``2(n-2)`` times each flux-center total.
-    """
-    evaluation = SurfaceEval(field, [surf])
-    n, x, nu, w = field.dim, surf.points.T, surf.normals.T, surf.weights
-    ddG = _point_last(evaluation.ddg)  # ddG[k, l, i, j, p] = d_k d_l g_ij
-    A = np.einsum("kjki...->ij...", ddG)
-    D_minus_A = np.einsum("ijkk...->ij...", ddG) - A
-    M = np.einsum("kkij...->ij...", ddG) + D_minus_A - A.swapaxes(0, 1)
-    s = np.einsum("ii...->...", D_minus_A)
-    m_nu = np.einsum("ij...,j...->i...", M, nu)
-    # rows: M(x, nu) and s x.nu for X, then -M(Y_alpha, nu) and -s Y_alpha.nu
-    x_rows = [np.einsum("i...,i...->...", x, m_nu), s * np.einsum("i...,i...->...", x, nu)]
-    rows = np.concatenate([x_rows, -_generator_rows(x, m_nu), -s * _generator_rows(x, nu)])
-    lhs_x, radial, *sums = _fsum_rows(rows * w)
-    flux = evaluation.totals(["adm_mass", "cs_center"])
-    form_x = lhs_x - (n - 2) * flux["adm_mass"][0] - radial
-    forms_y = np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * flux["cs_center"][0]
-    return form_x, forms_y
-
-
 def identity_residuals(
     field: MetricField, surf: QuadSurface, inner: QuadSurface | None = None
 ) -> tuple[float, Array]:
@@ -306,17 +302,28 @@ def identity_residuals(
     enclosed region.  The identity for each conformal generator ``Y_alpha``
     has the same structure, with the center-of-mass flux integrand as its
     boundary term.  Returns left side minus right side for ``X`` and, as an
-    array, for ``Y_alpha`` with ``alpha = 1..n``, from one jet evaluation per
-    surface; only quadrature error remains for smooth fields.
+    array, for ``Y_alpha`` with ``alpha = 1..n``, from one jet evaluation and
+    one :meth:`SurfaceEval.totals` call per surface; only quadrature error
+    remains for smooth fields.
 
     When ``inner`` is given the identities are applied on the annulus between
     the two surfaces instead, which makes fields with an excluded ball
     testable.
     """
     _require_enclosable(field, surf, inner)
-    res_x, res_y = _ibp_forms(field, surf)
+    n = field.dim
+
+    def forms(one: QuadSurface) -> tuple[float, Array]:
+        """Both sides' difference on ``one``; the boundary terms are ``(n-2)`` times the flux mass
+        and ``2(n-2)`` times each flux-center total."""
+        got = SurfaceEval(field, [one]).totals(["identity_X", "identity_Y", "adm_mass", "cs_center"])
+        (lhs_x, radial), sums = got["identity_X"][0], got["identity_Y"][0]
+        return (lhs_x - (n - 2) * got["adm_mass"][0] - radial,
+                np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * got["cs_center"][0])
+
+    res_x, res_y = forms(surf)
     if inner is not None:
-        inner_x, inner_y = _ibp_forms(field, inner)
+        inner_x, inner_y = forms(inner)
         res_x, res_y = res_x - inner_x, res_y - inner_y
     return res_x, res_y
 

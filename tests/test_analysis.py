@@ -265,8 +265,8 @@ def test_default_sweep_needs_no_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     cfg = cli.RunConfig(metric=CatalogSpec(kind="schwarzschild", mass=1.0))
     checks = cli.run_checks(cfg, tuple(analysis.FUNCTIONALS), with_compare=True)
-    assert [c.name for c in checks] == [*analysis.FUNCTIONALS, "mass_difference", "center_difference"]
-    assert all(c.verdict for c in checks)
+    assert list(checks) == [*analysis.FUNCTIONALS, "mass_difference", "center_difference"]
+    assert all(c.verdict for c in checks.values())
 
 
 class TestSweep:

@@ -693,6 +693,35 @@ def test_well_formed_config_the_run_cannot_use_is_config_error(
     assert not (tmp_path / "out").exists()
 
 
+#: Ellipsoid schedules whose scaled surfaces pass the bounds that the schedule
+#: radii themselves, the spheres of the identity, shell and decay checks, miss.
+SPHERES_INSIDE = {"kind": "ellipsoids", "ratios": [2, 2, 2], "radii": [0.6, 1.2, 2.4, 4.8]}
+SPHERES_OVERFLOW = {"kind": "ellipsoids", "ratios": [1e-10] * 3, "radii": [1e67, 2e67, 4e67, 8e67]}
+
+
+@pytest.mark.parametrize("functional", ["identity_residuals", "scalar_moments", "decay_checks"])
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        (SPHERES_INSIDE, "smallest schedule radius 0.6 "),
+        (SPHERES_OVERFLOW, "largest schedule radius 8e+67 (scale 1) is too large: its power 5 overflows a float"),
+    ],
+    ids=["inside", "overflow"],
+)
+def test_sphere_checks_bound_the_schedule_radii_themselves(tmp_path, capsys, functional, schedule, message):
+    cfg = write_config(tmp_path, metric={"kind": "schwarzschild"}, schedule=schedule, functionals=[functional])
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_alone_keeps_its_ellipsoid_bounds(tmp_path):
+    # its surfaces are ellipsoids of scale 1.2 and more, outside the inner radius 1: it runs, and fails
+    cfg = write_config(tmp_path, metric={"kind": "schwarzschild"}, schedule=SPHERES_INSIDE)
+    assert cli.run(load_config(cfg), functionals=("adm_mass",)) == cli.EXIT_CERTIFICATION_FAILURE
+
+
 @pytest.mark.parametrize(
     "metric, radii",
     [

@@ -2,8 +2,9 @@
 
 Configs are drawn as JSON from well-typed and ill-typed values alike.  Parsing
 and validating one either raises :class:`ConfigError` or returns the field the
-run would use; on that field the run's first surface evaluates, or fails with
-a numerical error that names itself, never with any other exception.
+run would use; on that field the run's first surface and its first sphere
+evaluate, or fail with a numerical error that names itself, never with any
+other exception.
 """
 
 import json
@@ -116,21 +117,23 @@ ELLIPSOIDS = {"kind": "ellipsoids", "radii": RADII}
 @example(config={"metric": SCHWARZSCHILD, "schedule": {"radii": [10.0, 20.0, 40.0, 1e300]}})
 @example(config={"metric": dict(SCHWARZSCHILD, center=[1, 2, 3, 4])})
 @example(config={"metric": SCHWARZSCHILD, "schedule": dict(ELLIPSOIDS, ratios=[])})
+@example(config={"metric": SCHWARZSCHILD, "schedule": dict(ELLIPSOIDS, ratios=[2, 2, 2], radii=[0.6, 1.2, 2.4, 4.8])})
 def test_validation_gives_a_config_error_or_a_usable_field(tmp_path_factory, config):
     path = tmp_path_factory.mktemp("config") / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     try:
         cfg = cli.load_config(path)
-        fld = cli._validate_config(cfg)
+        fld = cli._validate_config(cfg, cfg.functionals)
     except ConfigError:
         return
     r = cfg.radii[0]
-    if cfg.ratios is None:
-        surface = sphere_quadrature(fld.dim, r, 2)
-    else:
-        surface = ellipsoid_quadrature([t * r for t in cfg.ratios], 2)
-    try:
-        with np.errstate(all="ignore"):
-            SurfaceEval(fld, [surface]).totals(list(analysis.FUNCTIONALS))
-    except (DomainError, NonFiniteError, SingularMetricError):
-        pass
+    # the first sphere of the identity, shell and decay checks, and the sweep's first ellipsoid
+    surfaces = [sphere_quadrature(fld.dim, r, 2)]
+    if cfg.ratios is not None:
+        surfaces.append(ellipsoid_quadrature([t * r for t in cfg.ratios], 2))
+    for surface in surfaces:
+        try:
+            with np.errstate(all="ignore"):
+                SurfaceEval(fld, [surface]).totals([*analysis.FUNCTIONALS, "identity_X", "identity_Y"])
+        except (DomainError, NonFiniteError, SingularMetricError):
+            pass

@@ -230,15 +230,22 @@ class TestIntegralIdentities:
         field = catalog[name]
         outer = sphere_quadrature(3, 100.0, order=16)
         inner = None if field.inner_radius == 0 else sphere_quadrature(3, 10.0, order=16)
-        calls = []
+        calls, sums, fsum_rows = [], [], invariants._fsum_rows
 
         def counting(field_, points, derivatives=2):
             calls.append(len(points))
             return jet2_batch(field_, points, derivatives)
 
+        def counting_sums(rows):
+            sums.append(len(rows))
+            return fsum_rows(rows)
+
         monkeypatch.setattr(invariants, "jet2_batch", counting)
+        monkeypatch.setattr(invariants, "_fsum_rows", counting_sums)
         res_x, res_y = identity_residuals(field, outer, inner=inner)
         assert len(calls) == (1 if inner is None else 2)
+        # and one row sum per surface: 2 rows of X, 2 * 3 of Y, 1 of the flux mass and 3 of the flux center
+        assert sums == [2 + 6 + 1 + 3] * len(calls)
         monkeypatch.undo()
         assert res_x == form_x_oracle(field, outer) - (0.0 if inner is None else form_x_oracle(field, inner))
         for alpha in (1, 2, 3):
@@ -687,14 +694,14 @@ SWEPT = ("adm_mass", "cs_center", "intrinsic_mass", "intrinsic_center")
 
 @pytest.mark.parametrize("count", range(1, 10))
 def test_block_totals_equal_one_surface_totals(catalog, count):
-    field = catalog["perturbed-gaussian"]
+    field, names = catalog["perturbed-gaussian"], (*SWEPT, "identity_X", "identity_Y")
     spheres = [sphere_quadrature(3, 10.0 * 1.5**k, order=12) for k in range(count)]
     ellipsoids = [ellipsoid_quadrature((40.0 * r, 10.0 * r, 10.0 * r), order=8) for r in range(1, count + 1)]
     for surfaces in (spheres, ellipsoids):
         alone = [SurfaceEval(field, [surf]) for surf in surfaces]
         block, flux = SurfaceEval(field, surfaces), SurfaceEval(field, surfaces, derivatives=1)
-        together = block.totals(SWEPT)  # every functional's rows in one sum
-        for name in SWEPT:
+        together = block.totals(names)  # every functional's rows in one sum
+        for name in names:
             totals = block.totals([name])[name]
             assert len(totals) == count
             assert all(np.array_equal(a, b) for a, b in zip(together[name], totals)), (name, count)
@@ -702,8 +709,9 @@ def test_block_totals_equal_one_surface_totals(catalog, count):
                 assert np.array_equal(got, one.totals([name])[name][0]), (name, count)
         for name in SWEPT[:2]:  # the flux totals from first-order jets are the same
             assert all(np.array_equal(a, b) for a, b in zip(flux.totals([name])[name], together[name]))
-    with pytest.raises(ValueError, match="second-order"):
-        flux.totals(["intrinsic_mass"])
+    for name in ("intrinsic_mass", "identity_X"):
+        with pytest.raises(ValueError, match="second-order"):
+            flux.totals([name])
 
 
 def adversarial_row(rng, kind, nodes):

@@ -59,7 +59,7 @@ def test_single_point_api_is_gone():
 def test_record_fields_nobody_read_are_gone():
     from admflux.analysis import FUNCTIONALS, ConvergenceReport, PowerLawFit
     from admflux.catalog import CatalogSpec, build
-    from admflux.cli import Check
+    from admflux import cli
     from admflux.invariants import ShellIntegral, SurfaceEval
     from admflux.surfaces import QuadSurface, sphere_quadrature
 
@@ -74,8 +74,9 @@ def test_record_fields_nobody_read_are_gone():
     assert not hasattr(ShellIntegral, "converged")
     assert not hasattr(SurfaceEval, "value")
     assert all(set(spec) == {"fn"} for spec in FUNCTIONALS.values())
-    assert not {"table_columns", "table_rows"} & names(Check)
-    assert {"radii", "values", "columns"} <= names(Check)
+    # every check's record is a ConvergenceReport, which names its table's columns
+    assert not hasattr(cli, "Check")
+    assert {"radii", "values", "columns"} <= names(ConvergenceReport)
     # SurfaceEval takes a block of surfaces only: a bare surface is not one
     surf = sphere_quadrature(3, 10.0, order=4)
     with pytest.raises(TypeError):
