@@ -27,7 +27,6 @@ from .invariants import (
     scalar_curvature_moment,
 )
 from .metric_field import (
-    DecayReport,
     MetricField,
     decay_report,
     fd_jet2,
@@ -49,7 +48,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceReport",
     "CurvatureBundle",
-    "DecayReport",
     "DomainError",
     "MetricField",
     "NonFiniteError",

@@ -3,10 +3,13 @@
 Subcommands select which checks run; a JSON config file describes the metric,
 the surface schedule and tolerances.  Flags override the config, and the final
 run is validated once, in :func:`run_checks`, which builds the one metric
-field every check uses.  Each check's CSV (or JSON) table is rendered from its
-report's per-radius values by :func:`_table`, next to its entry in
-``summary.json``; every file is written to a temporary sibling and renamed into
-place.  All quantities are dimensionless (geometrized units).
+field every check uses.  :mod:`analysis` judges the swept functionals and
+their differences; the identity, scalar-shell and decay checks are judged
+here, from what :mod:`invariants` and :func:`decay_report` measure.  Each
+check's CSV (or JSON) table is rendered from its report's per-radius values by
+:func:`_table`, next to its entry in ``summary.json``; every file is written to
+a temporary sibling and renamed into place.  All quantities are dimensionless
+(geometrized units).
 
 Exit codes: 0 every requested check passes, 1 a certification failed, 2 a
 usage or configuration error, 3 a numerical error (singular metric,
@@ -34,14 +37,8 @@ import numpy as np
 from . import analysis, invariants
 from .analysis import ConvergenceReport
 from .catalog import CatalogSpec, build
-from .errors import (
-    ConfigError,
-    DomainError,
-    NonFiniteError,
-    SingularMetricError,
-    UndefinedCenterError,
-)
-from .metric_field import MetricField, decay_report, decreasing_to_zero
+from .errors import AdmfluxError, ConfigError
+from .metric_field import MetricField, decay_report
 from .surfaces import check_rule_size, sphere_quadrature
 
 ALL_FUNCTIONALS = (
@@ -74,6 +71,26 @@ EXIT_INTERNAL_ERROR = 4
 #: ``max |R_ij|``.  Schwarzschild shells, where ``R`` vanishes, measure up to
 #: about ``1.4 eps`` of their scale.
 SHELL_NOISE = 16 * sys.float_info.epsilon
+
+
+def decreasing_to_zero(seq, floor=None) -> bool:
+    """The "tends to zero" rule of the decay and shell checks: each entry ``1e-9`` relative below
+    the one before, unless both sit at their rounding floors.
+
+    ``floor`` is a number or one per entry; by default ``1e-12 * max(1, max(seq))``.  A constant
+    positive sequence fails; trailing zeros after a decrease, or an all-zero sequence, pass.
+    """
+    seq = np.asarray(seq, dtype=float)
+    if floor is None:
+        floor = 1e-12 * max(1.0, float(np.max(seq, initial=0.0)))
+    floors = np.broadcast_to(np.asarray(floor, dtype=float), seq.shape)
+    ok = True
+    for a, b, fa, fb in zip(seq, seq[1:], floors, floors[1:]):
+        if a <= fa and b <= fb:
+            continue
+        ok = ok and (b <= a * (1.0 - 1e-9))
+    return bool(ok)
+
 
 #: Reaches far enough out that the canonical examples' final samples sit
 #: within the default limit tolerance of their fitted limits.
@@ -352,15 +369,21 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> ConvergenceReport:
 
 
 def _decay_checks(fld: MetricField, cfg: RunConfig) -> dict[str, ConvergenceReport]:
+    """The decay hypotheses ``decay_all`` and ``decay_odd`` from :func:`decay_report`'s weighted sups.
+
+    Each derivative order's sups must decrease to zero over the outer half of
+    the schedule, by the shells' rule; a failure names the orders that do not.
+    """
     with analysis._naming("decay_checks"):
-        reports = decay_report(fld, cfg.radii)
-    return {
-        f"decay_{rep.part}": ConvergenceReport(
-            radii=rep.radii, values=rep.sups, fitted_limit=rep.sups[-1], fitted_rate=None, verdict=rep.ok,
-            tolerance=cfg.tol,
+        sups = decay_report(fld, cfg.radii)
+    reports = {}
+    for part, s in sups.items():
+        orders = [str(m) for m in range(3) if not decreasing_to_zero(s[len(s) // 2 :, m])]
+        reports[f"decay_{part}"] = ConvergenceReport(
+            radii=cfg.radii, values=s, fitted_limit=s[-1], fitted_rate=None, verdict=not orders, tolerance=cfg.tol,
+            failure=f"derivative orders {', '.join(orders)} do not decrease to zero" if orders else None,
         )
-        for rep in reports
-    }
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +448,7 @@ def run(cfg: RunConfig, functionals: tuple[str, ...] | None = None, with_compare
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DomainError, NonFiniteError, SingularMetricError, UndefinedCenterError) as exc:
+    except AdmfluxError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     _write_tables(reports, cfg)

@@ -161,58 +161,17 @@ def parity_parts(jets: Jets, reflected: Jets) -> tuple[Jets, Jets]:
     return even, odd
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    """Weighted sup norms of ``h = g - identity`` over a radius schedule.
+def decay_report(field_: MetricField, radii) -> dict[str, Array]:
+    """Weighted sup norms of ``h = g - identity`` and of its odd part over a radius schedule.
 
-    ``sups[a, m]`` is the maximum of ``|x|^(m + tau) * |d^m h|`` over the
-    angular sample set at radius ``radii[a]``, for derivative order
-    ``m in {0, 1, 2}``.  ``verdicts[m]`` is true when that order's sequence
-    decreases over the last half of the schedule (:func:`decreasing_to_zero`:
-    each entry at least ``1e-9`` relative below the one before, unless both sit
-    at the rounding floor), the computable surrogate for ``o(|x|^-tau)`` decay.
-    """
-
-    tau: float
-    part: str
-    radii: tuple[float, ...]
-    sups: Array  # shape (len(radii), 3)
-    verdicts: tuple[bool, bool, bool]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts)
-
-
-def decreasing_to_zero(seq, floor=None) -> bool:
-    """Strict decrease, with entries at the rounding floor counting as decayed.
-
-    ``floor`` gives each entry's rounding floor (a number or one per entry);
-    by default it is ``1e-12 * max(1, max(seq))`` for all of them.  A constant
-    positive sequence fails (no decay); trailing zeros after a decrease, or an
-    all-zero sequence, pass.
-    """
-    seq = np.asarray(seq, dtype=float)
-    if floor is None:
-        floor = 1e-12 * max(1.0, float(np.max(seq, initial=0.0)))
-    floors = np.broadcast_to(np.asarray(floor, dtype=float), seq.shape)
-    ok = True
-    for a, b, fa, fb in zip(seq, seq[1:], floors, floors[1:]):
-        if a <= fa and b <= fb:
-            continue
-        ok = ok and (b <= a * (1.0 - 1e-9))
-    return bool(ok)
-
-
-def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
-    """Empirically check the decay of ``h`` and of its odd part, as ``(all, odd)`` reports.
-
-    ``all`` tests ``h = o(|x|^-tau)`` with ``tau = (n - 2) / 2`` (the mass
-    hypothesis), ``odd`` the odd part with ``tau = n / 2`` (the center's).
-    The order-m sample at radius r is the sup of ``r^(m + tau) |d^m h|`` over
-    the order-8 unit-sphere quadrature grid, so reported sups are
-    reproducible; for ``odd`` they are the jets of ``h_odd(x) = (h(x) - h(-x)) / 2`` that
-    :func:`parity_parts` gives from one jet evaluation of the grid and its reflection per radius.
+    ``"all"`` weighs ``h`` by ``tau = (n - 2) / 2`` (the mass hypothesis
+    ``h = o(|x|^-tau)``), ``"odd"`` its odd part by ``tau = n / 2`` (the
+    center's).  Each is a ``(len(radii), 3)`` array whose entry ``[a, m]`` is
+    the sup of ``r^(m + tau) |d^m h|`` over the order-8 unit-sphere quadrature
+    grid at ``r = radii[a]``, so the sups are reproducible; the odd part's are
+    the jets of ``h_odd(x) = (h(x) - h(-x)) / 2`` that :func:`parity_parts`
+    gives from one jet evaluation of the grid and its reflection per radius.
+    The CLI judges whether they tend to zero.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -233,14 +192,4 @@ def decay_report(field_: MetricField, radii) -> tuple[DecayReport, DecayReport]:
         _, odd = parity_parts((g[:m], dg[:m], ddg[:m]), (g[m:], dg[m:], ddg[m:]))
         sups["all"][a] = [r ** (k + taus["all"]) * np.max(np.abs(d)) for k, d in enumerate(h)]
         sups["odd"][a] = [r ** (k + taus["odd"]) * np.max(np.abs(d)) for k, d in enumerate(odd)]
-    half = len(radii) - (len(radii) + 1) // 2
-    return tuple(
-        DecayReport(
-            tau=taus[part],
-            part=part,
-            radii=tuple(radii),
-            sups=sups[part],
-            verdicts=tuple(decreasing_to_zero(sups[part][half:, m]) for m in range(3)),
-        )
-        for part in taus
-    )
+    return sups

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admflux import cli
 from admflux.catalog import CatalogSpec, build
 from admflux.invariants import SurfaceEval, normalized
 
@@ -61,6 +62,11 @@ def linearized_scalar_arrays(ddg):
 def surface_value(field, surf, name, mass=None):
     """Functional ``name`` on the one surface ``surf``, through a one-surface block of the batched API."""
     return normalized(name, SurfaceEval(field, [surf]).totals([name])[name][0], field.dim, mass)
+
+
+def decay_verdicts(field, radii):
+    """The ``decay_all`` and ``decay_odd`` reports of ``field`` over ``radii``, judged as the CLI judges them."""
+    return cli._decay_checks(field, cli.RunConfig(metric=CatalogSpec(kind="flat"), radii=tuple(radii)))
 
 
 def metric_values(field):

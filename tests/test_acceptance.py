@@ -14,10 +14,11 @@ from admflux.analysis import compare, sweep
 from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.invariants import identity_residuals
-from admflux.metric_field import decay_report, decreasing_to_zero, fd_jet2, jet2_batch
+from admflux.cli import decreasing_to_zero
+from admflux.metric_field import fd_jet2, jet2_batch
 from admflux.surfaces import sphere_quadrature, unit_sphere_rule
 
-from conftest import linearized_scalar_arrays, metric_values, sample_points, surface_value
+from conftest import decay_verdicts, linearized_scalar_arrays, metric_values, sample_points, surface_value
 from test_surfaces import sphere_monomial_moment
 
 DOUBLING = [10.0 * 2**k for k in range(7)]
@@ -207,7 +208,7 @@ def test_criterion_9_quadrature_exactness():
 
 def test_criterion_10_negative_control():
     field = build(CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"))
-    all_part, odd = decay_report(field, DECADES)
+    decay = decay_verdicts(field, DECADES)
     reports = sweep(field, ["adm_mass", "intrinsic_mass"], DOUBLING)
     adm, intrinsic = reports["adm_mass"], reports["intrinsic_mass"]
     diffs = np.abs(adm.values - intrinsic.values)
@@ -217,11 +218,11 @@ def test_criterion_10_negative_control():
         and abs(diff.fitted_limit) <= 1e-4
         and diff.fitted_rate >= 0.8
     )
-    ok = (not odd.ok) and all_part.ok and mass_ok
+    ok = (not decay["decay_odd"].verdict) and decay["decay_all"].verdict and mass_ok
     conclude(
         10,
         "parity violator fails the center condition but keeps mass equivalence",
         ok,
-        f"odd verdicts {odd.verdicts}, mass limit {diff.fitted_limit:.2e}, "
+        f"decay_odd: {decay['decay_odd'].failure}, mass limit {diff.fitted_limit:.2e}, "
         f"rate {diff.fitted_rate:.2f}",
     )

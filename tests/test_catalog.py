@@ -16,7 +16,7 @@ from admflux.invariants import SurfaceEval, scalar_curvature_moment
 from admflux.metric_field import decay_report, jet2_batch, parity_parts
 from admflux.surfaces import sphere_quadrature
 
-from conftest import sample_points, surface_value
+from conftest import decay_verdicts, sample_points, surface_value
 from test_oracles import KERR_SCHILD
 
 
@@ -179,11 +179,11 @@ class TestRtViolator:
     def test_decay_verdicts(self):
         field = build(CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"))
         radii = [10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0]
-        odd = decay_report(field, radii)[1]
-        assert not odd.ok
+        reports = decay_verdicts(field, radii)
+        assert not reports["decay_odd"].verdict
         # the weighted sup is constant by scale invariance of the deviation
-        assert np.allclose(odd.sups[:, 0], 0.5, rtol=1e-12)
-        assert decay_report(field, radii)[0].ok
+        assert np.allclose(decay_report(field, radii)["odd"][:, 0], 0.5, rtol=1e-12)
+        assert reports["decay_all"].verdict
 
     def test_flux_mass_vanishes_by_parity(self):
         field = build(CatalogSpec(kind="rt_violator", amplitude=0.5, label="rt-violator"))
@@ -214,8 +214,7 @@ class TestCatalogWideProperties:
     def test_all_fields_satisfy_mass_hypothesis_decay(self, catalog):
         radii = [10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0]
         for name, field in catalog.items():
-            rep = decay_report(field, radii)[0]
-            assert rep.ok, name
+            assert decay_verdicts(field, radii)["decay_all"].verdict, name
 
     def test_jets_vectorize_consistently(self, catalog, rng):
         pts = sample_points(rng, 7)

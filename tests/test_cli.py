@@ -13,8 +13,9 @@ import pytest
 
 from admflux import analysis, cli, invariants
 from admflux.catalog import CatalogSpec, build
-from admflux.cli import ALL_FUNCTIONALS, load_config, main, run_checks
-from admflux.metric_field import decreasing_to_zero
+from admflux.cli import ALL_FUNCTIONALS, decreasing_to_zero, load_config, main, run_checks
+
+from conftest import decay_verdicts
 
 
 def write_config(tmp_path, **overrides):
@@ -335,6 +336,24 @@ class TestScalarMomentCheck:
         assert "[FAIL] scalar_moment_shells" in capsys.readouterr().out
 
 
+def test_decreasing_to_zero_semantics():
+    assert decreasing_to_zero([1.0, 0.5, 0.25])
+    assert decreasing_to_zero([0.0, 0.0, 0.0])
+    assert decreasing_to_zero([1.0, 1e-30, 0.0, 0.0])
+    assert not decreasing_to_zero([0.5, 0.5, 0.5])
+    assert not decreasing_to_zero([1.0, 0.5, 0.75])
+
+
+def test_decreasing_to_zero_per_entry_floor():
+    stalled = [1e-13, 1e-13, 1e-13]
+    assert decreasing_to_zero(stalled)  # under the default floor of 1e-12
+    assert not decreasing_to_zero(stalled, floor=1e-14)
+    assert decreasing_to_zero(stalled, floor=[1e-12, 1e-12, 1e-12])
+    # an entry above its own floor must decrease from the one before
+    assert not decreasing_to_zero([1e-13, 2e-13], floor=[1e-12, 1e-14])
+    assert decreasing_to_zero([1.0, 0.5, 2e-13], floor=[1e-12, 1e-12, 1e-12])
+
+
 class TestUnconvergedSweep:
     def test_radius_whose_orders_never_agree_fails_and_is_named(self, tmp_path, monkeypatch, capsys):
         # at radius 800 the flux mass moves by 1e-8 per unit of order, so
@@ -437,6 +456,23 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "[PASS] decay_all" in out
         assert "[FAIL] decay_odd" in out
+
+    def test_a_failing_decay_check_names_its_derivative_orders(self, tmp_path, capsys):
+        # the rt_violator's odd part is scale invariant, so no order's weighted sup
+        # decreases; on a rational bump over it, the order-2 sups do
+        cfg = write_config(tmp_path, metric={"kind": "rt_violator", "dim": 3, "amplitude": 0.5})
+        assert main(["decay", "--config", str(cfg)]) == 1
+        failure = "derivative orders 0, 1, 2 do not decrease to zero"
+        assert f"({failure})" in capsys.readouterr().out
+        checks = {c["functional"]: c for c in read_summary(tmp_path)["checks"]}
+        assert checks["decay_odd"]["failure"] == failure and "failure" not in checks["decay_all"]
+        bump = build(CatalogSpec(
+            kind="perturbed", base=CatalogSpec(kind="rt_violator", amplitude=0.5), bump_amplitude=0.05,
+            bump_width=2.0, bump_location=(3.0, -1.0, 2.0), bump_profile="rational",
+        ))
+        reports = decay_verdicts(bump, cli.DEFAULT_RADII)
+        assert reports["decay_odd"].failure == "derivative orders 0, 1 do not decrease to zero"
+        assert reports["decay_all"].verdict and reports["decay_all"].failure is None
 
     def test_schedule_below_inner_radius(self, tmp_path, capsys):
         cfg = write_config(

@@ -11,7 +11,6 @@ from admflux.errors import DomainError, NonFiniteError
 from admflux.metric_field import (
     MetricField,
     decay_report,
-    decreasing_to_zero,
     fd_jet2,
     jet2_batch,
     parity_parts,
@@ -19,7 +18,7 @@ from admflux.metric_field import (
 
 from admflux.surfaces import unit_sphere_rule
 
-from conftest import metric_values, sample_points, surface_value
+from conftest import decay_verdicts, metric_values, sample_points, surface_value
 
 
 def max_asymmetry(a, *axes):
@@ -236,20 +235,18 @@ class TestDecayReport:
     RADII = [10.0, 10.0**1.5, 100.0, 10.0**2.5, 1000.0]
 
     def test_flat_all_zero(self, catalog):
-        rep = decay_report(catalog["flat"], self.RADII)[0]
-        assert not rep.sups.any()
-        assert rep.ok
+        assert not decay_report(catalog["flat"], self.RADII)["all"].any()
+        assert decay_verdicts(catalog["flat"], self.RADII)["decay_all"].verdict
 
     def test_schwarzschild_leading_order(self, catalog):
         # h ~ (2m/r) delta to leading order, so sup0 ~ 2 r^(-1/2) at tau = 1/2
-        rep = decay_report(catalog["schwarzschild"], self.RADII)[0]
-        assert rep.ok
-        assert rep.sups[-1, 0] == pytest.approx(2.0 / np.sqrt(1000.0), rel=1e-2)
+        assert decay_verdicts(catalog["schwarzschild"], self.RADII)["decay_all"].verdict
+        sups = decay_report(catalog["schwarzschild"], self.RADII)["all"]
+        assert sups[-1, 0] == pytest.approx(2.0 / np.sqrt(1000.0), rel=1e-2)
 
     def test_translated_parity_decay(self, catalog):
         # odd part is the dipole term, O(r^-2) = o(r^-3/2)
-        rep = decay_report(catalog["schwarzschild-translated"], self.RADII)[1]
-        assert rep.ok
+        assert decay_verdicts(catalog["schwarzschild-translated"], self.RADII)["decay_odd"].verdict
 
     def test_both_hypotheses_from_one_walk(self, catalog, monkeypatch):
         sizes = []
@@ -260,11 +257,11 @@ class TestDecayReport:
             return real(field, points, derivatives)
 
         monkeypatch.setattr(metric_field, "jet2_batch", counting)
-        all_part, odd = decay_report(catalog["schwarzschild-translated"], self.RADII)
-        assert (all_part.part, all_part.tau, odd.part, odd.tau) == ("all", 0.5, "odd", 1.5)
+        sups = decay_report(catalog["schwarzschild-translated"], self.RADII)
+        assert list(sups) == ["all", "odd"]
+        assert all(s.shape == (len(self.RADII), 3) for s in sups.values())
         # the grid and its reflection together at each radius
         assert sizes == [2 * len(unit_sphere_rule(3, 8)[0])] * len(self.RADII)
-        assert all_part.ok and odd.ok
 
     def test_one_field_evaluation_per_radius(self, catalog):
         calls = []
@@ -333,8 +330,8 @@ def test_decay_sups_match_the_point_first_parity_parts(n):
     for spec in decay_specs(n):
         field = build(spec)
         want = reference_sups(field, radii)
-        for report in decay_report(field, radii):
-            assert np.array_equal(report.sups, want[report.part]), (spec, report.part)
+        for part, sups in decay_report(field, radii).items():
+            assert np.array_equal(sups, want[part]), (spec, part)
 
 
 def spoil(base, part, entry, bad):
@@ -399,22 +396,4 @@ def test_the_domain_bound_is_inner_radius_less_its_margin(shift):
             jet2_batch(field, point)
     else:
         jet2_batch(field, point)
-
-
-def test_decreasing_to_zero_semantics():
-    assert decreasing_to_zero([1.0, 0.5, 0.25])
-    assert decreasing_to_zero([0.0, 0.0, 0.0])
-    assert decreasing_to_zero([1.0, 1e-30, 0.0, 0.0])
-    assert not decreasing_to_zero([0.5, 0.5, 0.5])
-    assert not decreasing_to_zero([1.0, 0.5, 0.75])
-
-
-def test_decreasing_to_zero_per_entry_floor():
-    stalled = [1e-13, 1e-13, 1e-13]
-    assert decreasing_to_zero(stalled)  # under the default floor of 1e-12
-    assert not decreasing_to_zero(stalled, floor=1e-14)
-    assert decreasing_to_zero(stalled, floor=[1e-12, 1e-12, 1e-12])
-    # an entry above its own floor must decrease from the one before
-    assert not decreasing_to_zero([1e-13, 2e-13], floor=[1e-12, 1e-14])
-    assert decreasing_to_zero([1.0, 0.5, 2e-13], floor=[1e-12, 1e-12, 1e-12])
 

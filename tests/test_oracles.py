@@ -11,11 +11,20 @@ Brill-Lindquist data (Brill and Lindquist 1963) is ``g = u^4 delta`` with
 ``u = 1 + sum_i m_i / (2 |x - c_i|)``: two punctures, whose mass is
 ``M = sum_i m_i`` and whose center is ``sum_i m_i c_i / M``.
 
+Schwarzschild in bent coordinates pulls Schwarzschild back by the radial map
+``y -> s(rho) y / rho`` with ``y = x - c``, ``rho = |y|`` and
+``s = rho + k rho^(1 - q)``, so ``h = O(|x|^-q)``.  Miao and Tam assume
+``q > (n - 2) / 2``, and the bound is sharp: at ``m = 0`` and ``q = 1/2`` the
+field is flat space whose flux mass is ``k^2 / 8`` (Denisov and Solov'ev
+1983), while its Einstein tensor, and so its curvature mass, vanishes.
+
 The negative control adds the ``rt_violator`` tail to Schwarzschild.  Its odd
 part decays exactly like ``|x|^(-n/2)``, so the Regge-Teitelboim parity
 condition fails: both masses still converge, but both centers grow like
 ``r^(1/2)``, and so do the ``x^1 R`` moments of the scalar curvature.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -26,7 +35,7 @@ from admflux.invariants import identity_residuals, scalar_curvature_moment
 from admflux.metric_field import MetricField, fd_jet2, jet2_batch
 from admflux.surfaces import sphere_quadrature
 
-from conftest import metric_values, sample_points
+from conftest import decay_verdicts, metric_values, sample_points
 
 FUNCTIONALS = ["adm_mass", "intrinsic_mass", "cs_center", "intrinsic_center"]
 RADII = [100.0 * 2**k for k in range(9)]
@@ -132,6 +141,102 @@ class TestBrillLindquist:
         res_x, res_y = identity_residuals(BRILL_LINDQUIST, outer, inner=inner)
         assert abs(res_x) <= 1e-9
         assert np.max(np.abs(res_y)) <= 1e-9
+
+
+def bent_jets(points, derivatives, m, q, k=1.0, c=CENTER):
+    """Closed-form jets of ``g = A delta + C y y^T`` with ``y = x - c``, ``rho = |y|``,
+    ``s = rho + k rho^(1 - q)``, ``A = u(s)^4 (s / rho)^2``, ``C = (u(s)^4 s'^2 - A) / rho^2``
+    and ``u = 1 + m / 2s``."""
+    y = points - c
+    eye = np.eye(y.shape[1])
+    rho = np.linalg.norm(y, axis=1)
+    # s and its first three derivatives in rho
+    s = rho + k * rho ** (1 - q)
+    s1 = 1 + k * (1 - q) * rho**-q
+    s2 = -k * q * (1 - q) * rho ** (-q - 1)
+    s3 = k * q * (1 - q) * (q + 1) * rho ** (-q - 2)
+    # U = u(s)^4 and its first two derivatives in s
+    u, us, uss = 1 + 0.5 * m / s, -0.5 * m / s**2, m / s**3
+    U, Us, Uss = u**4, 4 * u**3 * us, 12 * u**2 * us**2 + 4 * u**3 * uss
+    # A = U t^2 with t = s / rho, and C = D / rho^2 with D = U s'^2 - A, each with two rho derivatives
+    t = s / rho
+    t1 = s1 / rho - s / rho**2
+    t2 = s2 / rho - 2 * s1 / rho**2 + 2 * s / rho**3
+    P, P1, P2 = t**2, 2 * t * t1, 2 * t1**2 + 2 * t * t2
+    A = U * P
+    A1 = Us * s1 * P + U * P1
+    A2 = Uss * s1**2 * P + Us * s2 * P + 2 * Us * s1 * P1 + U * P2
+    D = U * s1**2 - A
+    D1 = Us * s1**3 + 2 * U * s1 * s2 - A1
+    D2 = Uss * s1**4 + 5 * Us * s1**2 * s2 + 2 * U * s2**2 + 2 * U * s1 * s3 - A2
+    C = D / rho**2
+    C1 = D1 / rho**2 - 2 * D / rho**3
+    C2 = D2 / rho**2 - 4 * D1 / rho**3 + 6 * D / rho**4
+    yy = y[:, :, None] * y[:, None, :]
+
+    def gradient_hessian(f1, f2):
+        """Gradient and Hessian of a radial function from its two rho derivatives."""
+        hess = ((f2 - f1 / rho) / rho**2)[:, None, None] * yy + (f1 / rho)[:, None, None] * eye
+        return (f1 / rho)[:, None] * y, hess
+
+    dA, ddA = gradient_hessian(A1, A2)
+    dC, ddC = gradient_hessian(C1, C2)
+    # the y y^T terms as in kerr_schild_jets
+    dyy = np.einsum("ki,pj->pkij", eye, y) + np.einsum("pi,kj->pkij", y, eye)
+    ddyy = np.einsum("ki,lj->lkij", eye, eye) + np.einsum("li,kj->lkij", eye, eye)
+    g = A[:, None, None] * eye + C[:, None, None] * yy
+    dg = dA[:, :, None, None] * eye + dC[:, :, None, None] * yy[:, None] + C[:, None, None, None] * dyy
+    ddg = (
+        ddA[:, :, :, None, None] * eye
+        + ddC[:, :, :, None, None] * yy[:, None, None]
+        + dC[:, :, None, None, None] * dyy[:, None]
+        + dC[:, None, :, None, None] * dyy[:, :, None]
+        + C[:, None, None, None, None] * ddyy
+    )
+    return g, dg, ddg
+
+
+#: Flat space bent at the threshold rate, and Schwarzschild bent at rate 1.
+BENT_FLAT = MetricField(
+    3, functools.partial(bent_jets, m=0.0, q=0.5), inner_radius=1.0, metadata={"label": "bent-flat"}
+)
+BENT = MetricField(
+    3, functools.partial(bent_jets, m=MASS, q=1.0), inner_radius=1.0, metadata={"label": "bent-schwarzschild"}
+)
+
+
+class TestBentCoordinates:
+    @pytest.mark.parametrize("m, q", [(0.0, 0.5), (MASS, 1.0), (MASS, 0.75)])
+    def test_jets_match_finite_differences(self, m, q, rng):
+        # only q strictly between 0 and 1 with m != 0 leaves every term of the jets nonzero
+        field = MetricField(3, functools.partial(bent_jets, m=m, q=q), inner_radius=1.0)
+        pts = sample_points(rng, 50, r_min=10.0, r_max=100.0)
+        g, dg, ddg = jet2_batch(field, pts)
+        assert np.any(g[:, 0, 1] != 0.0)  # off-diagonal
+        fd_g, fd_dg, fd_ddg = fd_jet2(metric_values(field), pts, h=1e-3)
+        assert np.array_equal(fd_g, g)
+        assert np.max(np.abs(fd_dg - dg)) <= 1e-9
+        assert np.max(np.abs(fd_ddg - ddg)) <= 1e-8
+
+    def test_threshold_flux_mass_is_the_denisov_solovev_mass(self):
+        reports = sweep(BENT_FLAT, ["adm_mass", "intrinsic_mass"], RADII)
+        assert abs(reports["adm_mass"].fitted_limit - 1.0 / 8.0) <= 1e-10
+        assert abs(reports["intrinsic_mass"].fitted_limit) <= 1e-10
+
+    def test_rate_one_certifies_mass_and_center(self):
+        reports = sweep(BENT, FUNCTIONALS, RADII)
+        assert all(report.verdict for report in reports.values())
+        for name in ("adm_mass", "intrinsic_mass"):
+            assert abs(reports[name].fitted_limit - MASS) <= 1e-6, name
+        for name in ("cs_center", "intrinsic_center"):
+            assert np.max(np.abs(reports[name].fitted_limit - CENTER)) <= 1e-6, name
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the decay rule takes sups that decrease toward a positive limit for decay to zero",
+    )
+    def test_threshold_fails_the_mass_hypothesis(self):
+        assert not decay_verdicts(BENT_FLAT, RADII)["decay_all"].verdict
 
 
 SCHWARZSCHILD = build(CatalogSpec(kind="schwarzschild", mass=1.0))
@@ -242,7 +347,7 @@ def contract_specs():
 
 @pytest.mark.parametrize(
     "field",
-    [build(spec) for spec in contract_specs()] + [KERR_SCHILD, BRILL_LINDQUIST, VIOLATED],
+    [build(spec) for spec in contract_specs()] + [KERR_SCHILD, BRILL_LINDQUIST, VIOLATED, BENT_FLAT, BENT],
     ids=lambda field: f"{field.label}-{field.dim}",
 )
 def test_first_order_jets_are_the_first_levels_of_the_second_order_ones(field, rng):
