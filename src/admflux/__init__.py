@@ -22,9 +22,9 @@ from .errors import (
     UndefinedCenterError,
 )
 from .invariants import (
-    SurfaceEval,
     identity_residuals,
     scalar_curvature_moment,
+    surface_totals,
 )
 from .metric_field import (
     MetricField,
@@ -53,7 +53,6 @@ __all__ = [
     "NonFiniteError",
     "QuadSurface",
     "SingularMetricError",
-    "SurfaceEval",
     "UndefinedCenterError",
     "build",
     "compare",
@@ -66,6 +65,7 @@ __all__ = [
     "parity_parts",
     "scalar_curvature_moment",
     "sphere_quadrature",
+    "surface_totals",
     "sweep",
     "unit_sphere_area",
     "unit_sphere_rule",

@@ -2,9 +2,10 @@
 
 :func:`sweep` is the one entry point: it samples a list of functionals over a
 growing schedule of surfaces in one pass, each surface evaluated once for all
-of them, in blocks of surfaces of one order, and then divides the centers by
-the mass.  The start order is accepted once its half agrees with it, the rule
-the scalar-curvature shells use for their directions.  It fits each on the
+of them by :func:`~admflux.invariants.surface_totals`, in blocks of surfaces of
+one order, and then divides the centers by the mass.  The start order is
+accepted once its half agrees with it, the rule the scalar-curvature shells
+use for their directions.  It fits each on the
 tail with the model ``value(r) = limit + A * r^(-p)``, one
 :func:`fit_power_law` call for all of a functional's components: a bracketed
 Newton search of each component's rate over ``[-8, 8]``, started from the rate
@@ -25,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdmfluxError, ConfigError, NonFiniteError
-from .invariants import CENTER_FUNCTIONALS, CURVATURE_FUNCTIONALS, MAX_ORDER, REFINEMENT_TOL, SurfaceEval
-from .invariants import agrees, normalized, refinement_orders
+from .invariants import CENTER_FUNCTIONALS, MAX_ORDER, REFINEMENT_TOL, SECOND_ORDER
+from .invariants import agrees, normalized, refinement_orders, surface_totals
 from .metric_field import MetricField
 from .surfaces import ellipsoid_quadrature, rule_size, sphere_quadrature
 
@@ -255,19 +256,19 @@ def sweep(
     if centers and mass is None and "adm_mass" not in names:
         names.insert(0, "adm_mass")
 
-    def evaluate(block: list[float], at: int, active: list[str], derivatives: int) -> tuple[dict, dict]:
+    def evaluate(block: list[float], at: int, active: list[str]) -> tuple[dict, dict]:
         """Totals and refinement values of ``active``, one per surface, on the order-``at`` surfaces of ``block``.
 
-        One :class:`SurfaceEval` serves them all, with one row sum; it and its jets are freed on return.
-        A failure is named after the first surface and functional that fail alone, in that order.
+        One :func:`surface_totals` call serves them all, with one row sum; its jets are freed on return.
+        A failure is named after the first surface and functional that fail alone, in that order,
+        each evaluated alone at the jet order it needs.
         """
         try:
-            evaluation = SurfaceEval(field, [
+            got = surface_totals(field, [
                 sphere_quadrature(field.dim, r, at) if ratios is None
                 else ellipsoid_quadrature([t * r for t in ratios], at)
                 for r in block
-            ], derivatives)
-            got = evaluation.totals(active)
+            ], active)
             return got, {name: [_finite(FUNCTIONALS[name]["fn"](t, field.dim, 1.0)) for t in got[name]]
                          for name in active}
         except Exception as exc:
@@ -277,7 +278,7 @@ def sweep(
             error = exc
         for r in block:
             for name in active:
-                evaluate([r], at, [name], derivatives)
+                evaluate([r], at, [name])
         raise error
 
     totals: dict[str, list] = {name: [None] * len(radii) for name in names}
@@ -291,10 +292,10 @@ def sweep(
             if still:
                 groups.setdefault(tuple(still), []).append(a)
         for still, where in groups.items():
-            derivatives = 2 if any(f in CURVATURE_FUNCTIONALS for f in still) else 1
-            size = max(1, budget // (rule_size(field.dim, at) * sum(per_node[: derivatives + 1])))
+            levels = 3 if any(f in SECOND_ORDER for f in still) else 2  # the jets the block reads
+            size = max(1, budget // (rule_size(field.dim, at) * sum(per_node[:levels])))
             for block in (where[b: b + size] for b in range(0, len(where), size)):
-                got, values = evaluate([radii[a] for a in block], at, list(still), derivatives)
+                got, values = evaluate([radii[a] for a in block], at, list(still))
                 for j, a in enumerate(block):
                     done = [f for f in still if f in previous[a] and agrees(
                         values[f][j], previous[a][f], 1.0 + float(np.max(np.abs(values[f][j]))))]

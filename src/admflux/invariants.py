@@ -10,9 +10,10 @@ Two routes to the same invariants are kept deliberately separate:
 
 Their agreement in the large-radius limit is what the analysis layer
 certifies, so no silent substitution of normals or measures is made anywhere.
-:class:`SurfaceEval` is the one way to evaluate a functional: its jets are
-evaluated once per block of surfaces for all four, each route with its own
-normals and measure, and :meth:`SurfaceEval.totals` gives one total per surface.
+:func:`surface_totals` is the one way to evaluate a functional: it evaluates
+a block of surfaces' jets once for every functional asked for, to second order
+only when a name of :data:`SECOND_ORDER` reads them, each route with its own
+normals and measure, and gives one total per surface.
 The integration-by-parts identities (:func:`identity_residuals`) are rows of
 the same totals as their boundary terms.  Both routes and the identities
 work with the point axis last, as the curvature kernel does, and contract all
@@ -27,7 +28,6 @@ determinism, every row of a call in one vectorized sum.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -134,117 +134,109 @@ def _generator_rows(x: Array, v: Array) -> Array:
     return np.einsum("i...,i...->...", x, x) * v - 2.0 * x * np.einsum("i...,i...->...", x, v)
 
 
-class SurfaceEval:
-    """The metric jets of a block of same-rule surfaces, shared by every functional.
+#: The names whose rows read second-order jets; the others need only first-order jets.
+SECOND_ORDER = (*CURVATURE_FUNCTIONALS, "identity_X", "identity_Y")
 
-    :meth:`totals` gives functionals' totals before normalization, one per
-    surface of a block, each the same to the bit as alone, from one correctly
-    rounded row sum.  Jets of order ``derivatives = 1`` serve the flux totals,
-    which use the Euclidean normals and weights.  The first curvature total
-    makes the point-last curvature frame once, and the first identity total
-    the identities' second-derivative form; flux totals make neither.
+
+def _flux(dg: Array, nu: Array) -> Array:
+    """``(d_k g_ki - d_i g_kk) nu_e^i``, the flux-mass integrand before its weight."""
+    dG = _point_last(dg)  # dG[k, i, j, p] = d_k g_ij
+    bracket = np.einsum("kki...->i...", dG) - np.einsum("ikk...->i...", dG)
+    return np.einsum("i...,i...->...", bracket, nu)
+
+
+def _curvature_frame(g: Array, dg: Array, ddg: Array, nu: Array, w: Array) -> tuple[Array, Array]:
+    """``G(., nu_g)`` and the metric area weights, point-last.
+
+    The kernel takes the nodes in slices of :data:`KERNEL_BYTES`; their
+    Einstein tensors, inverse metrics and determinants are joined along
+    the point axis.
     """
+    parts = []
+    for part in _kernel_slices(len(g), g.shape[-1]):
+        bundle = curvature_arrays(g[part], dg[part], ddg[part])
+        parts.append((_point_last(bundle.einstein), _point_last(bundle.ginv), bundle.det))
+    einstein, ginv, det = (np.concatenate(column, axis=-1) for column in zip(*parts))
+    nu_g, w_g = g_normals_and_areas(nu, w, ginv, det)
+    return np.einsum("ij...,j...->i...", einstein, nu_g), w_g
 
-    def __init__(self, field: MetricField, surfaces: Sequence[QuadSurface], derivatives: int = 2):
-        if any(surf.dim != field.dim or len(surf) != len(surfaces[0]) for surf in surfaces):
-            raise ValueError(f"surfaces must share one rule and the field's dimension {field.dim}")
-        self.field, self.count = field, len(surfaces)
-        self.points, self.normals, self.weights = (np.concatenate([getattr(surf, a) for surf in surfaces])
-                                                   for a in ("points", "normals", "weights"))
-        self.g, self.dg, self.ddg = (*jet2_batch(field, self.points, derivatives), None)[:3]
 
-    @functools.cached_property
-    def _flux(self) -> Array:
-        """``(d_k g_ki - d_i g_kk) nu_e^i``, the flux-mass integrand before its weight."""
-        dG = _point_last(self.dg)  # dG[k, i, j, p] = d_k g_ij
-        bracket = np.einsum("kki...->i...", dG) - np.einsum("ikk...->i...", dG)
-        return np.einsum("i...,i...->...", bracket, self.normals.T)
+def _identity(ddg: Array, nu: Array) -> tuple[Array, Array]:
+    """``M(., nu_e)`` and ``s`` of the integration-by-parts identities, point-last.
 
-    @functools.cached_property
-    def _curvature_frame(self) -> tuple[Array, Array]:
-        """``G(., nu_g)`` and the metric area weights, point-last.
+    ``M = T + D - A - A^T`` and ``s = tr D - tr A``, from ``T_ij = d_k d_k g_ij``,
+    ``D_ij = d_i d_j g_kk`` and ``A_ij = d_k d_j g_ki``.
+    """
+    ddG = _point_last(ddg)  # ddG[k, l, i, j, p] = d_k d_l g_ij
+    A = np.einsum("kjki...->ij...", ddG)
+    D_minus_A = np.einsum("ijkk...->ij...", ddG) - A
+    M = np.einsum("kkij...->ij...", ddG) + D_minus_A - A.swapaxes(0, 1)
+    return np.einsum("ij...,j...->i...", M, nu), np.einsum("ii...->...", D_minus_A)
 
-        The kernel takes the nodes in slices of :data:`KERNEL_BYTES`; their
-        Einstein tensors, inverse metrics and determinants are joined along
-        the point axis.
-        """
-        parts = []
-        for part in _kernel_slices(len(self.weights), self.field.dim):
-            bundle = curvature_arrays(self.g[part], self.dg[part], self.ddg[part])
-            parts.append((_point_last(bundle.einstein), _point_last(bundle.ginv), bundle.det))
-        einstein, ginv, det = (np.concatenate(column, axis=-1) for column in zip(*parts))
-        nu_g, w_g = g_normals_and_areas(self.normals.T, self.weights, ginv, det)
-        return np.einsum("ij...,j...->i...", einstein, nu_g), w_g
 
-    @functools.cached_property
-    def _identity(self) -> tuple[Array, Array]:
-        """``M(., nu_e)`` and ``s`` of the integration-by-parts identities, point-last.
+def surface_totals(field: MetricField, surfaces: Sequence[QuadSurface], names: Sequence[str]) -> dict[str, list]:
+    """The unnormalized totals of each functional of ``names`` on same-rule ``surfaces``, one per
+    surface: a float, or one per component, the same to the bit as alone.  One jet call, to second
+    order only for a name of :data:`SECOND_ORDER`, and one correctly rounded row sum serve them all,
+    as do the flux integrand, the curvature frame and the identities' form, each built if a name reads it.
 
-        ``M = T + D - A - A^T`` and ``s = tr D - tr A``, from ``T_ij = d_k d_k g_ij``,
-        ``D_ij = d_i d_j g_kk`` and ``A_ij = d_k d_j g_ki``.
-        """
-        ddG = _point_last(self.ddg)  # ddG[k, l, i, j, p] = d_k d_l g_ij
-        A = np.einsum("kjki...->ij...", ddG)
-        D_minus_A = np.einsum("ijkk...->ij...", ddG) - A
-        M = np.einsum("kkij...->ij...", ddG) + D_minus_A - A.swapaxes(0, 1)
-        return np.einsum("ij...,j...->i...", M, self.normals.T), np.einsum("ii...->...", D_minus_A)
+    * ``adm_mass``, the flux mass: ``(d_j g_ij - d_i g_jj) nu_e^i`` against
+      the Euclidean weights, over ``2 (n-1) omega_(n-1)``.
+    * ``cs_center``, the flux center (Hamiltonian form): component alpha
+      integrates ``x^alpha (d_i g_ij - d_j g_ii) nu_e^j - (h_(i alpha) nu_e^i
+      - h_ii nu_e^alpha)`` against the Euclidean weights, over
+      ``2 (n-1) omega_(n-1) * mass``.  The deviation ``h = g - identity``
+      drops a pure-trace term whose integral vanishes only by closed-surface
+      symmetry, which reduces quadrature error.
+    * ``intrinsic_mass``, the curvature mass: ``(Ric - R/2 g)(X, nu_g)`` with
+      the metric normal and weights, over ``(n-1)(2-n) omega_(n-1)``; the
+      negative ``2 - n`` makes it positive for positive-mass metrics.
+    * ``intrinsic_center``, the curvature center: component alpha integrates
+      ``(Ric - R/2 g)(Y_alpha, nu_g)`` with the metric normal and weights,
+      over ``2 (n-1)(n-2) omega_(n-1) * mass``.
 
-    def _rows(self, name: str) -> Array:
+    :func:`normalized` divides by these normalizations.  The rows of the
+    identities of :func:`identity_residuals` stay unnormalized: ``identity_X``
+    integrates ``M(x, nu_e)`` and ``s x.nu_e``, ``identity_Y`` each
+    ``-M(Y_alpha, nu_e)`` and then each ``-s Y_alpha.nu_e``, all against the
+    Euclidean weights.
+    """
+    if any(surf.dim != field.dim or len(surf) != len(surfaces[0]) for surf in surfaces):
+        raise ValueError(f"surfaces must share one rule and the field's dimension {field.dim}")
+    points, normals, w = (np.concatenate([getattr(surf, a) for surf in surfaces])
+                          for a in ("points", "normals", "weights"))
+    g, dg, ddg = (*jet2_batch(field, points, 2 if any(f in SECOND_ORDER for f in names) else 1), None)[:3]
+    # the nodes and normals with the point axis last, as the jets are read
+    x, nu, asked = points.T, normals.T, set(names)
+    flux = _flux(dg, nu) if asked & {"adm_mass", "cs_center"} else None
+    m_nu, s = _identity(ddg, nu) if asked & {"identity_X", "identity_Y"} else (None, None)
+    e_nu, w_g = _curvature_frame(g, dg, ddg, nu, w) if asked & set(CURVATURE_FUNCTIONALS) else (None, None)
+
+    def rows(name: str) -> Array:
         """The weighted integrand of functional ``name``: a row over the nodes, or one per component."""
-        # the nodes and normals with the point axis last, as the jets are read
-        w, x, nu = self.weights, self.points.T, self.normals.T
         if name == "adm_mass":
-            return self._flux * w
+            return flux * w
         if name == "cs_center":
-            h = _point_last(self.g) - np.eye(self.field.dim)[:, :, None]
+            h = _point_last(g) - np.eye(field.dim)[:, :, None]
             t2 = np.einsum("ia...,i...->a...", h, nu) - np.einsum("ii...->...", h) * nu
             del h  # before the rows, which are the peak of a flux block
-            return (x * self._flux - t2) * w
-        if name in (*CURVATURE_FUNCTIONALS, "identity_X", "identity_Y") and self.ddg is None:
-            raise ValueError(f"{name} needs second-order jets")
-        if name in ("identity_X", "identity_Y"):
-            m_nu, s = self._identity
-            if name == "identity_X":  # M(x, nu_e) and s x.nu_e
-                return np.stack([np.einsum("i...,i...->...", x, m_nu), s * np.einsum("i...,i...->...", x, nu)]) * w
+            return (x * flux - t2) * w
+        if name == "identity_X":  # M(x, nu_e) and s x.nu_e
+            return np.stack([np.einsum("i...,i...->...", x, m_nu), s * np.einsum("i...,i...->...", x, nu)]) * w
+        if name == "identity_Y":
             return np.concatenate([-_generator_rows(x, m_nu), -s * _generator_rows(x, nu)]) * w
         if name in CURVATURE_FUNCTIONALS:
-            e_nu, w_g = self._curvature_frame
             mass = name == "intrinsic_mass"
             return (np.einsum("i...,i...->...", x, e_nu) if mass else _generator_rows(x, e_nu)) * w_g
         raise ValueError(f"unknown functional {name!r}")
 
-    def totals(self, names: Sequence[str]) -> dict[str, list]:
-        """The unnormalized totals of each functional of ``names``, one per surface:
-        a float, or one per component.  Every row of every functional goes
-        through one correctly rounded row sum.
-
-        * ``adm_mass``, the flux mass: ``(d_j g_ij - d_i g_jj) nu_e^i`` against
-          the Euclidean weights, over ``2 (n-1) omega_(n-1)``.
-        * ``cs_center``, the flux center (Hamiltonian form): component alpha
-          integrates ``x^alpha (d_i g_ij - d_j g_ii) nu_e^j - (h_(i alpha) nu_e^i
-          - h_ii nu_e^alpha)`` against the Euclidean weights, over
-          ``2 (n-1) omega_(n-1) * mass``.  The deviation ``h = g - identity``
-          drops a pure-trace term whose integral vanishes only by closed-surface
-          symmetry, which reduces quadrature error.
-        * ``intrinsic_mass``, the curvature mass: ``(Ric - R/2 g)(X, nu_g)`` with
-          the metric normal and weights, over ``(n-1)(2-n) omega_(n-1)``; the
-          negative ``2 - n`` makes it positive for positive-mass metrics.
-        * ``intrinsic_center``, the curvature center: component alpha integrates
-          ``(Ric - R/2 g)(Y_alpha, nu_g)`` with the metric normal and weights,
-          over ``2 (n-1)(n-2) omega_(n-1) * mass``.
-
-        :func:`normalized` divides by these normalizations.  The rows of the
-        identities of :func:`identity_residuals` stay unnormalized: ``identity_X``
-        integrates ``M(x, nu_e)`` and ``s x.nu_e``, ``identity_Y`` each
-        ``-M(Y_alpha, nu_e)`` and then each ``-s Y_alpha.nu_e``, all against the
-        Euclidean weights.
-        """
-        rows = [self._rows(name).reshape(-1, len(self.weights) // self.count) for name in names]
-        sums, out = _fsum_rows(np.concatenate(rows)), {}  # a row per component and surface
-        for name, r in zip(names, rows):
-            got, sums = sums[: len(r)], sums[len(r):]
-            out[name] = got if len(r) == self.count else list(np.reshape(got, (-1, self.count)).T)
-        return out
+    count = len(surfaces)
+    parts = [rows(name).reshape(-1, len(w) // count) for name in names]
+    sums, out = _fsum_rows(np.concatenate(parts)), {}  # a row per component and surface
+    for name, r in zip(names, parts):
+        got, sums = sums[: len(r)], sums[len(r):]
+        out[name] = got if len(r) == count else list(np.reshape(got, (-1, count)).T)
+    return out
 
 
 def normalized(name: str, total, n: int, mass: float | None = None) -> float | Array:
@@ -302,8 +294,8 @@ def identity_residuals(
     enclosed region.  The identity for each conformal generator ``Y_alpha``
     has the same structure, with the center-of-mass flux integrand as its
     boundary term.  Returns left side minus right side for ``X`` and, as an
-    array, for ``Y_alpha`` with ``alpha = 1..n``, from one jet evaluation and
-    one :meth:`SurfaceEval.totals` call per surface; only quadrature error
+    array, for ``Y_alpha`` with ``alpha = 1..n``, from one
+    :func:`surface_totals` call per surface; only quadrature error
     remains for smooth fields.
 
     When ``inner`` is given the identities are applied on the annulus between
@@ -316,7 +308,7 @@ def identity_residuals(
     def forms(one: QuadSurface) -> tuple[float, Array]:
         """Both sides' difference on ``one``; the boundary terms are ``(n-2)`` times the flux mass
         and ``2(n-2)`` times each flux-center total."""
-        got = SurfaceEval(field, [one]).totals(["identity_X", "identity_Y", "adm_mass", "cs_center"])
+        got = surface_totals(field, [one], ["identity_X", "identity_Y", "adm_mass", "cs_center"])
         (lhs_x, radial), sums = got["identity_X"][0], got["identity_Y"][0]
         return (lhs_x - (n - 2) * got["adm_mass"][0] - radial,
                 np.subtract(sums[:n], sums[n:]) - 2.0 * (n - 2) * got["cs_center"][0])

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonFiniteError
+from .surfaces import unit_sphere_rule
 
 Array = np.ndarray
 Jets = tuple[Array, ...]
@@ -178,8 +179,6 @@ def decay_report(field_: MetricField, radii) -> dict[str, Array]:
         raise ValueError("decay_report needs at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-
-    from .surfaces import unit_sphere_rule  # deferred: surfaces imports this module
 
     n = field_.dim
     dirs, _ = unit_sphere_rule(n, 8)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .metric_field import Array
+
+Array = np.ndarray
 
 DEFAULT_ORDER = 24
 

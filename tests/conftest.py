@@ -3,7 +3,7 @@ import pytest
 
 from admflux import cli
 from admflux.catalog import CatalogSpec, build
-from admflux.invariants import SurfaceEval, normalized
+from admflux.invariants import normalized, surface_totals
 
 SEED = 20240817
 
@@ -61,7 +61,7 @@ def linearized_scalar_arrays(ddg):
 
 def surface_value(field, surf, name, mass=None):
     """Functional ``name`` on the one surface ``surf``, through a one-surface block of the batched API."""
-    return normalized(name, SurfaceEval(field, [surf]).totals([name])[name][0], field.dim, mass)
+    return normalized(name, surface_totals(field, [surf], [name])[name][0], field.dim, mass)
 
 
 def decay_verdicts(field, radii):

@@ -394,18 +394,13 @@ class TestSharedSurfaces:
         scale = 2.0 * (3 - 1) * unit_sphere_area(3)
         orders = []
 
-        class FakeEval:
-            def __init__(self, field, block, derivatives):
-                orders.extend(block)
-                self.block = block
-
-            def totals(self, names):
-                center = [scale * np.array([0.8e-8 if order == 12 else 0.0, 0.0, 0.0]) for order in self.block]
-                return {name: [0.5 * scale for _ in self.block] if name == "adm_mass" else center
-                        for name in names}
+        def fake_totals(field, block, names):
+            orders.extend(block)
+            center = [scale * np.array([0.8e-8 if order == 12 else 0.0, 0.0, 0.0]) for order in block]
+            return {name: [0.5 * scale for _ in block] if name == "adm_mass" else center for name in names}
 
         monkeypatch.setattr(analysis, "sphere_quadrature", lambda n, r, order: order)
-        monkeypatch.setattr(analysis, "SurfaceEval", FakeEval)
+        monkeypatch.setattr(analysis, "surface_totals", fake_totals)
         reports = sweep(catalog["flat"], ["cs_center"], self.RADII)
         assert max(orders) == 24
         assert reports["adm_mass"].fitted_limit == 0.5
@@ -454,6 +449,22 @@ class TestSharedSurfaces:
             with pytest.raises(NonFiniteError) as info:
                 sweep(field, names, self.RADII)
             assert str(info.value).startswith("adm_mass at schedule radius 40: non-finite jet"), names
+
+    def test_non_finite_second_derivatives_name_the_curvature_functional(self, catalog):
+        base = catalog["schwarzschild"]
+
+        def spoiled(points, derivatives):
+            jets = base.jet_batch(points, derivatives)
+            if derivatives == 2:  # the first-order jets stay finite
+                ddg = jets[2].copy()
+                ddg[np.linalg.norm(points, axis=1) > 30.0, 0, 0, 0, 0] = np.nan
+                jets = (*jets[:2], ddg)
+            return jets
+
+        field = dataclasses.replace(base, jet_batch=spoiled)
+        with pytest.raises(NonFiniteError) as info:
+            sweep(field, ["adm_mass", "intrinsic_mass"], self.RADII)
+        assert str(info.value).startswith("intrinsic_mass at schedule radius 40: non-finite jet")
 
     def test_other_exception_types_reach_the_caller(self, catalog):
         def raising(points, derivatives):

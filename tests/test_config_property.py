@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from admflux import analysis, cli
 from admflux.errors import ConfigError, DomainError, NonFiniteError, SingularMetricError
-from admflux.invariants import SurfaceEval
+from admflux.invariants import surface_totals
 from admflux.surfaces import ellipsoid_quadrature, sphere_quadrature
 
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2))
@@ -134,6 +134,6 @@ def test_validation_gives_a_config_error_or_a_usable_field(tmp_path_factory, con
     for surface in surfaces:
         try:
             with np.errstate(all="ignore"):
-                SurfaceEval(fld, [surface]).totals([*analysis.FUNCTIONALS, "identity_X", "identity_Y"])
+                surface_totals(fld, [surface], [*analysis.FUNCTIONALS, "identity_X", "identity_Y"])
         except (DomainError, NonFiniteError, SingularMetricError):
             pass

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from admflux.curvature import curvature_arrays, metric_inverse
 from admflux.errors import SingularMetricError
-from admflux.invariants import SurfaceEval, scalar_curvature_moment
+from admflux.invariants import scalar_curvature_moment, surface_totals
 from admflux.metric_field import MetricField, fd_jet2, jet2_batch
 from admflux.surfaces import sphere_quadrature
 
@@ -250,7 +250,7 @@ def test_kernel_needs_no_lapack(catalog, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     bundle = curvature_arrays(*jets)
     assert np.all(np.isfinite(bundle.einstein)) and bundle.scalar.shape == (len(jets[0]),)
-    totals = SurfaceEval(catalog["schwarzschild"], [surf]).totals(["intrinsic_mass", "intrinsic_center"])
+    totals = surface_totals(catalog["schwarzschild"], [surf], ["intrinsic_mass", "intrinsic_center"])
     assert np.isfinite(totals["intrinsic_mass"][0])
     assert np.all(np.isfinite(totals["intrinsic_center"][0]))
     assert scalar_curvature_moment(catalog["conformal"], [20.0, 40.0])[0] == shell

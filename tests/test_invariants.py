@@ -12,9 +12,9 @@ from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
 from admflux.errors import DomainError, NonFiniteError, UndefinedCenterError
 from admflux.invariants import (
-    SurfaceEval,
     identity_residuals,
     scalar_curvature_moment,
+    surface_totals,
 )
 from admflux.metric_field import jet2_batch
 from admflux.surfaces import (
@@ -467,7 +467,7 @@ def test_no_kernel_call_exceeds_the_byte_budget(monkeypatch, n, order):
     monkeypatch.setattr(invariants, "curvature_arrays", counting)
     field = build(CatalogSpec(kind="conformal", dim=n, u_coeffs=((n - 2, 0.7), (n - 1, 0.2))))
     surfaces = [sphere_quadrature(n, r, order) for r in (10.0, 20.0, 40.0)]
-    SurfaceEval(field, surfaces).totals(invariants.CURVATURE_FUNCTIONALS)
+    surface_totals(field, surfaces, invariants.CURVATURE_FUNCTIONALS)
     scalar_curvature_moment(field, [10.0, 20.0, 40.0])
     node = 8 * 3 * n * n * (n + 1)  # the bytes of temporaries a node costs
     assert sum(sizes) > 3 * len(surfaces[0]) and max(sizes) * node <= invariants.KERNEL_BYTES
@@ -621,10 +621,10 @@ def test_surface_kernel_calls_hold_the_cap(catalog, monkeypatch):
 def test_sliced_surface_matches_one_kernel_call(catalog, cap):
     # 162 nodes: slices with a remainder, one short of the surface, and the whole surface
     field, surf = catalog["schwarzschild-translated"], sphere_quadrature(3, 20.0, order=8)
-    expected = SurfaceEval(field, [surf]).totals(invariants.CURVATURE_FUNCTIONALS)
+    expected = surface_totals(field, [surf], invariants.CURVATURE_FUNCTIONALS)
     with mock.patch.object(invariants, "KERNEL_BYTES", cap * 864):  # 864 bytes a node in R^3
         assert invariants.KERNEL_BYTES // 864 == cap
-        sliced = SurfaceEval(field, [surf]).totals(invariants.CURVATURE_FUNCTIONALS)
+        sliced = surface_totals(field, [surf], invariants.CURVATURE_FUNCTIONALS)
         for name, want in expected.items():
             assert sliced[name][0] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
 
@@ -698,20 +698,29 @@ def test_block_totals_equal_one_surface_totals(catalog, count):
     spheres = [sphere_quadrature(3, 10.0 * 1.5**k, order=12) for k in range(count)]
     ellipsoids = [ellipsoid_quadrature((40.0 * r, 10.0 * r, 10.0 * r), order=8) for r in range(1, count + 1)]
     for surfaces in (spheres, ellipsoids):
-        alone = [SurfaceEval(field, [surf]) for surf in surfaces]
-        block, flux = SurfaceEval(field, surfaces), SurfaceEval(field, surfaces, derivatives=1)
-        together = block.totals(names)  # every functional's rows in one sum
+        together = surface_totals(field, surfaces, names)  # every functional's rows in one sum
         for name in names:
-            totals = block.totals([name])[name]
+            # alone, a flux name reads first-order jets: its totals are the same
+            totals = surface_totals(field, surfaces, [name])[name]
             assert len(totals) == count
             assert all(np.array_equal(a, b) for a, b in zip(together[name], totals)), (name, count)
-            for got, one in zip(totals, alone):
-                assert np.array_equal(got, one.totals([name])[name][0]), (name, count)
-        for name in SWEPT[:2]:  # the flux totals from first-order jets are the same
-            assert all(np.array_equal(a, b) for a, b in zip(flux.totals([name])[name], together[name]))
-    for name in ("intrinsic_mass", "identity_X"):
-        with pytest.raises(ValueError, match="second-order"):
-            flux.totals([name])
+            for got, surf in zip(totals, surfaces):
+                assert np.array_equal(got, surface_totals(field, [surf], [name])[name][0]), (name, count)
+
+
+@pytest.mark.parametrize("names", [[name] for name in (*SWEPT, "identity_X", "identity_Y")]
+                         + [["adm_mass", "cs_center"], ["cs_center", "identity_Y", "adm_mass"]])
+def test_jet_order_follows_the_names(catalog, monkeypatch, names):
+    asked = []
+
+    def counting(field_, points, derivatives=2):
+        asked.append(derivatives)
+        return jet2_batch(field_, points, derivatives)
+
+    monkeypatch.setattr(invariants, "jet2_batch", counting)
+    surfaces = [sphere_quadrature(3, r, order=8) for r in (10.0, 20.0)]
+    surface_totals(catalog["perturbed-gaussian"], surfaces, names)
+    assert asked == [2 if set(names) & set(invariants.SECOND_ORDER) else 1]
 
 
 def adversarial_row(rng, kind, nodes):

@@ -16,7 +16,10 @@ Schwarzschild in bent coordinates pulls Schwarzschild back by the radial map
 ``s = rho + k rho^(1 - q)``, so ``h = O(|x|^-q)``.  Miao and Tam assume
 ``q > (n - 2) / 2``, and the bound is sharp: at ``m = 0`` and ``q = 1/2`` the
 field is flat space whose flux mass is ``k^2 / 8`` (Denisov and Solov'ev
-1983), while its Einstein tensor, and so its curvature mass, vanishes.
+1983), while its Einstein tensor, and so its curvature mass, vanishes.  In
+R^n the conformal factor is ``u^(4 / (n - 2))`` with ``u = 1 + m / (2 s^(n - 2))``;
+in R^4 the threshold is ``q = 1``, where the bent flat space's flux mass fits
+``k^2 / 2``, added to ``m`` when ``m != 0``.
 
 The negative control adds the ``rt_violator`` tail to Schwarzschild.  Its odd
 part decays exactly like ``|x|^(-n/2)``, so the Regge-Teitelboim parity
@@ -144,20 +147,22 @@ class TestBrillLindquist:
 
 
 def bent_jets(points, derivatives, m, q, k=1.0, c=CENTER):
-    """Closed-form jets of ``g = A delta + C y y^T`` with ``y = x - c``, ``rho = |y|``,
-    ``s = rho + k rho^(1 - q)``, ``A = u(s)^4 (s / rho)^2``, ``C = (u(s)^4 s'^2 - A) / rho^2``
-    and ``u = 1 + m / 2s``."""
+    """Closed-form jets in R^n of ``g = A delta + C y y^T`` with ``y = x - c``, ``rho = |y|``,
+    ``s = rho + k rho^(1 - q)``, ``A = U(s) (s / rho)^2``, ``C = (U(s) s'^2 - A) / rho^2``,
+    ``U = u^(4 / (n - 2))`` and ``u = 1 + m / (2 s^(n - 2))``."""
     y = points - c
-    eye = np.eye(y.shape[1])
+    n = y.shape[1]
+    eye = np.eye(n)
     rho = np.linalg.norm(y, axis=1)
     # s and its first three derivatives in rho
     s = rho + k * rho ** (1 - q)
     s1 = 1 + k * (1 - q) * rho**-q
     s2 = -k * q * (1 - q) * rho ** (-q - 1)
     s3 = k * q * (1 - q) * (q + 1) * rho ** (-q - 2)
-    # U = u(s)^4 and its first two derivatives in s
-    u, us, uss = 1 + 0.5 * m / s, -0.5 * m / s**2, m / s**3
-    U, Us, Uss = u**4, 4 * u**3 * us, 12 * u**2 * us**2 + 4 * u**3 * uss
+    # u(s), U = u^a and their first two derivatives in s
+    a = 4 / (n - 2)
+    u, us, uss = 1 + 0.5 * m / s ** (n - 2), -0.5 * (n - 2) * m / s ** (n - 1), 0.5 * (n - 2) * (n - 1) * m / s**n
+    U, Us, Uss = u**a, a * u ** (a - 1) * us, a * (a - 1) * u ** (a - 2) * us**2 + a * u ** (a - 1) * uss
     # A = U t^2 with t = s / rho, and C = D / rho^2 with D = U s'^2 - A, each with two rho derivatives
     t = s / rho
     t1 = s1 / rho - s / rho**2
@@ -237,6 +242,63 @@ class TestBentCoordinates:
     )
     def test_threshold_fails_the_mass_hypothesis(self):
         assert not decay_verdicts(BENT_FLAT, RADII)["decay_all"].verdict
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a slow tail leaves the last sample outside the tolerance of a nearly correct limit, "
+        "which a limit with an error bar would cover",
+    )
+    @pytest.mark.parametrize("name", FUNCTIONALS)
+    @pytest.mark.parametrize("q", [0.75, 0.6])
+    def test_slow_decay_above_the_threshold_certifies(self, q, name):
+        # q > 1/2: the theorem gives mass 1 and center c; the limits are near them, but no verdict passes
+        assert bent_sweep(q)[name].verdict
+
+
+@functools.cache
+def bent_sweep(q):
+    """The four swept functionals on Schwarzschild (m = 1) bent at rate ``q``."""
+    field = MetricField(3, functools.partial(bent_jets, m=MASS, q=q), inner_radius=1.0)
+    return sweep(field, FUNCTIONALS, RADII)
+
+
+#: The center of the R^4 bent fields, and their masses only, from start order 8.
+CENTER_4 = np.array([0.5, -0.3, 0.2, 0.1])
+MASSES = ["adm_mass", "intrinsic_mass"]
+
+
+def bent_4(m, q):
+    return MetricField(4, functools.partial(bent_jets, m=m, q=q, c=CENTER_4), inner_radius=1.0)
+
+
+class TestBentCoordinatesFourDimensions:
+    @pytest.mark.parametrize("m, q", [(0.0, 1.0), (1.3, 1.0), (1.3, 1.5)])
+    def test_jets_match_finite_differences(self, m, q, rng):
+        field = bent_4(m, q)
+        pts = sample_points(rng, 50, dim=4, r_min=20.0, r_max=20.0)
+        g, dg, ddg = jet2_batch(field, pts)
+        fd_g, fd_dg, fd_ddg = fd_jet2(metric_values(field), pts, h=1e-3)
+        assert np.array_equal(fd_g, g)
+        assert np.max(np.abs(fd_dg - dg)) <= 1e-10
+        assert np.max(np.abs(fd_ddg - ddg)) <= 1e-8
+
+    def test_threshold_flux_mass(self):
+        # q = (n - 2) / 2 = 1 in R^4: flat space whose flux mass is k^2 / 2, the analogue of k^2 / 8 in R^3
+        reports = sweep(bent_4(0.0, 1.0), MASSES, RADII, order=8)
+        assert abs(reports["adm_mass"].fitted_limit - 0.5) <= 1e-8
+        assert abs(reports["intrinsic_mass"].fitted_limit) <= 1e-9
+
+    def test_threshold_adds_the_flux_mass_to_schwarzschild(self):
+        reports = sweep(bent_4(1.3, 1.0), MASSES, RADII, order=8)
+        assert abs(reports["adm_mass"].fitted_limit - 1.8) <= 1e-6
+        assert abs(reports["intrinsic_mass"].fitted_limit - 1.3) <= 1e-6
+
+    def test_above_the_threshold_certifies_the_mass(self):
+        reports = sweep(bent_4(1.3, 1.5), MASSES, RADII, order=8)
+        for name in MASSES:
+            assert reports[name].verdict, name
+            assert abs(reports[name].fitted_limit - 1.3) <= 5e-6, name
 
 
 SCHWARZSCHILD = build(CatalogSpec(kind="schwarzschild", mass=1.0))

@@ -38,6 +38,7 @@ REMOVED = (
     "linearized_scalar_arrays",
     "parity_split",
     "DecayReport",
+    "SurfaceEval",
 )
 
 
@@ -61,7 +62,7 @@ def test_record_fields_nobody_read_are_gone():
     from admflux.analysis import FUNCTIONALS, ConvergenceReport, PowerLawFit
     from admflux.catalog import CatalogSpec, build
     from admflux import cli
-    from admflux.invariants import ShellIntegral, SurfaceEval
+    from admflux.invariants import ShellIntegral, surface_totals
     from admflux.surfaces import QuadSurface, sphere_quadrature
 
     def names(record):
@@ -73,15 +74,14 @@ def test_record_fields_nobody_read_are_gone():
     assert not {"label", "nominal_radius"} & names(QuadSurface)
     assert not hasattr(QuadSurface, "area")
     assert not hasattr(ShellIntegral, "converged")
-    assert not hasattr(SurfaceEval, "value")
     assert all(set(spec) == {"fn"} for spec in FUNCTIONALS.values())
     # every check's record is a ConvergenceReport, which names its table's columns
     assert not hasattr(cli, "Check")
     assert {"radii", "values", "columns"} <= names(ConvergenceReport)
-    # SurfaceEval takes a block of surfaces only: a bare surface is not one
+    # surface_totals takes a block of surfaces only: a bare surface is not one
     surf = sphere_quadrature(3, 10.0, order=4)
     with pytest.raises(TypeError):
-        SurfaceEval(build(CatalogSpec(kind="flat")), surf)
+        surface_totals(build(CatalogSpec(kind="flat")), surf, ["adm_mass"])
 
 
 def test_readme_tour_runs():
