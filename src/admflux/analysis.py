@@ -226,9 +226,9 @@ def sweep(
     ``radii`` is the increasing family parameter: the radius of coordinate
     spheres or, given ``ratios``, the scale ``r`` of the ellipsoids with
     semi-axes ``ratios * r``.  One pass walks the schedule order by order: the
-    radii still refining the same functionals are evaluated together, in blocks
-    whose jets fit the bytes of one start-order surface's second-order jets,
-    each surface once for every functional still refining there.  Centers are
+    radii still refining are evaluated together, in blocks whose jets fit the
+    bytes of one start-order surface's second-order jets, each surface once for
+    every functional still refining at any radius.  Centers are
     then normalized by ``mass`` or, when it is None, by the fitted limit of
     ``adm_mass``, which is swept for them.  Reports come in the order of :data:`FUNCTIONALS`.
 
@@ -287,23 +287,21 @@ def sweep(
     per_node = [field.dim ** (k + 2) for k in range(3)]  # the floats of g, dg and ddg at a node
     budget = rule_size(field.dim, order) * sum(per_node)  # one start-order surface's jets to second order
     for at in orders:
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for a, still in enumerate(active):
-            if still:
-                groups.setdefault(tuple(still), []).append(a)
-        for still, where in groups.items():
-            levels = 3 if any(f in SECOND_ORDER for f in still) else 2  # the jets the block reads
-            size = max(1, budget // (rule_size(field.dim, at) * sum(per_node[:levels])))
-            for block in (where[b: b + size] for b in range(0, len(where), size)):
-                got, values = evaluate([radii[a] for a in block], at, list(still))
-                for j, a in enumerate(block):
-                    done = [f for f in still if f in previous[a] and agrees(
-                        values[f][j], previous[a][f], 1.0 + float(np.max(np.abs(values[f][j]))))]
-                    # the last order takes every value still refining; those left active stalled
-                    for f in still if at == orders[-1] else done:
-                        totals[f][a] = got[f][j]
-                    active[a] = [f for f in still if f not in done]
-                    previous[a] = {f: values[f][j] for f in still}
+        where = [a for a, still in enumerate(active) if still]
+        still = [f for f in names if any(f in mine for mine in active)]
+        levels = 3 if any(f in SECOND_ORDER for f in still) else 2  # the jets the blocks read
+        size = max(1, budget // (rule_size(field.dim, at) * sum(per_node[:levels])))
+        for block in (where[b: b + size] for b in range(0, len(where), size)):
+            got, values = evaluate([radii[a] for a in block], at, still)
+            for j, a in enumerate(block):
+                mine = active[a]
+                done = [f for f in mine if f in previous[a] and agrees(
+                    values[f][j], previous[a][f], 1.0 + float(np.max(np.abs(values[f][j]))))]
+                # the last order takes every value still refining; those left active stalled
+                for f in mine if at == orders[-1] else done:
+                    totals[f][a] = got[f][j]
+                active[a] = [f for f in mine if f not in done]
+                previous[a] = {f: values[f][j] for f in mine}
 
     reports = {}
     for name in names:  # the masses come first, so a center can take the fitted mass

@@ -3,7 +3,8 @@
 All families are conformally flat, or a base metric plus a term in ``g_11``,
 chosen so that every jet entry has a closed form.  The conformal factor is
 restricted to finite sums ``u = 1 + sum_k a_k |x - c|^(-k)``, which keeps its
-Laplacian analytic and the scalar-flatness oracle exact.  :func:`build` turns
+Laplacian analytic, the scalar-flatness oracle exact and ``u > 0`` a check of
+a polynomial in ``t = 1 / |x - c|`` over the domain.  :func:`build` turns
 a :class:`CatalogSpec` into a field and decides each kind in one branch;
 ``dataclasses.replace`` derives one spec from another.  Every jet and term
 comes from one radial chain rule, to the derivative count asked for (no
@@ -20,13 +21,12 @@ flux mass vanishes identically by parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .metric_field import Array, MetricField, parity_parts
-from .surfaces import check_rule_size, unit_sphere_rule
 
 KINDS = ("flat", "schwarzschild", "conformal", "perturbed", "rt_violator")
 BUMP_PROFILES = ("gaussian", "rational")
@@ -104,11 +104,6 @@ def _validate(spec: CatalogSpec) -> None:
 # radial jets and conformal factors u = 1 + sum a_k |x - c|^(-k)
 
 
-def _u_term(s: Array, k: int, a: float) -> Array:
-    """The term ``a |y|^-k`` of ``u`` from ``s = 1 / |y|^2``."""
-    return a * s ** (0.5 * k)
-
-
 def _point_first(*storage: Array) -> tuple[Array, ...]:
     """Point-first views of jet arrays stored with the point axis last."""
     return tuple(a.transpose(-1, *range(a.ndim - 1)) for a in storage)
@@ -140,7 +135,7 @@ def _conformal_jets(points: Array, coeffs, center: Array, n: int, derivatives: i
     s = 1.0 / np.einsum("pi,pi->p", y, y)  # point-first: each sum independent of the batch
     u, a1, a2 = np.ones(N), np.zeros(N), np.zeros(N)
     for k, a in coeffs:
-        term = _u_term(s, k, a)
+        term = a * s ** (0.5 * k)
         u += term
         a1 -= k * term
         a2 += k * (k + 2) * term
@@ -225,9 +220,10 @@ def build(spec: CatalogSpec) -> MetricField:
     Each kind is decided in one branch, which sets the field's default inner
     radius and its metadata: ``expected_mass`` (None when the flux integral
     diverges), plus ``expected_center`` and ``scalar_flat`` where the kind
-    knows them.  ``perturbed`` takes its default inner radius and expected
-    mass from its base field; ``rt_violator`` is the flat field plus its
-    ``g_11`` tail.  The coefficients of a power that ``u_coeffs`` repeats add.
+    knows them.  ``perturbed`` builds its base on its own inner radius, if
+    any, and takes the base's inner radius and expected mass; ``rt_violator``
+    is the flat field plus its ``g_11`` tail.  The coefficients of a power
+    that ``u_coeffs`` repeats add.
     """
     _validate(spec)
     n = spec.dim
@@ -246,15 +242,14 @@ def build(spec: CatalogSpec) -> MetricField:
         return MetricField(n, batch, 0.0 if inner is None else inner, metadata)
 
     if spec.kind == "perturbed":
-        base = build(spec.base)
+        base = build(spec.base if inner is None else replace(spec.base, inner_radius=inner))
         mass, k = base.metadata["expected_mass"], spec.bump_tail_power
         if spec.bump_profile == "rational" and mass is not None and k <= n - 2:
             # the tail is A sigma^k |x|^-k; a numpy power overflows to inf, not to an error
             tail = (n - 2) * spec.bump_amplitude * np.float64(spec.bump_width) ** k / (2 * n)
             mass = None if k < n - 2 else mass if spec.bump_parity == "odd" else mass + tail
         metadata["expected_mass"] = mass
-        inner = base.inner_radius if inner is None else inner
-        return _plus_g11(base, lambda x, k: _bump_jets(x, spec, k), inner, metadata)
+        return _plus_g11(base, lambda x, k: _bump_jets(x, spec, k), base.inner_radius, metadata)
 
     if spec.kind == "rt_violator":
         metadata["expected_mass"] = 0.0
@@ -279,20 +274,23 @@ def build(spec: CatalogSpec) -> MetricField:
         slow = any(k < n - 2 for k in powers)
         metadata["expected_mass"] = None if slow else 2.0 * powers.get(n - 2, 0.0)
     metadata["scalar_flat"] = all(k == n - 2 for k, _ in coeffs)
+    distance = float(np.linalg.norm(center))
     if inner is None:
         # u is singular at its center; stay clear of the radius where the
         # leading coefficient could drive u toward zero
         bound = max(abs(a) ** (1.0 / k) for k, a in coeffs)
-        inner = float(np.linalg.norm(center)) + max(1.0, 1.5 * bound)
-    check_rule_size(n, 8)
-    # probe u alone, its terms summed from 1 as _conformal_jets sums them, on
-    # the domain boundary |x| = inner_radius, the worst case for u > 0
-    dirs, _ = unit_sphere_rule(n, 8)
-    y = max(inner, 1e-6) * dirs - center
-    s = 1.0 / np.einsum("pi,pi->p", y, y)
-    if np.any(sum((_u_term(s, k, a) for k, a in coeffs), np.ones(len(s))) <= 1e-10):
+        inner = distance + max(1.0, 1.5 * bound)
+    # the jets are singular at c, which the inner radius must enclose; then t = 1 / |x - c|
+    # covers (0, 1 / (inner - |c|)] on the domain, where u = 1 + sum a_k t^k must stay positive
+    if inner <= distance:
         raise ConfigError(
-            "conformal factor is not positive down to the inner radius; "
+            f"inner_radius {inner:g} does not enclose the center of the conformal factor "
+            f"at distance {distance:g}; raise inner_radius"
+        )
+    t = np.arange(1, 1025) / (1024 * (inner - distance))
+    if np.any(sum((a * t**k for k, a in coeffs), np.ones(len(t))) <= 1e-10):
+        raise ConfigError(
+            "conformal factor is not positive outside the inner radius; "
             "raise inner_radius or adjust coefficients"
         )
     return MetricField(n, lambda x, k: _conformal_jets(x, coeffs, center, n, k), inner, metadata)

@@ -253,7 +253,8 @@ def _validate_config(cfg: RunConfig, functionals: tuple[str, ...] = ALL_FUNCTION
     """The field of the run ``cfg`` describes, checking ``functionals``, or
     :class:`ConfigError` naming what makes the run invalid."""
     analysis.check_schedule(cfg.radii, cfg.order)
-    check_rule_size(cfg.metric.dim, cfg.order)
+    for order in (cfg.order, 8):  # the start order's rules and the order-8 decay grid
+        check_rule_size(cfg.metric.dim, order)
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {cfg.fmt!r}")
     if cfg.tol <= 0 or cfg.identity_tol <= 0:

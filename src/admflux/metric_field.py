@@ -168,10 +168,10 @@ def decay_report(field_: MetricField, radii) -> dict[str, Array]:
     ``"all"`` weighs ``h`` by ``tau = (n - 2) / 2`` (the mass hypothesis
     ``h = o(|x|^-tau)``), ``"odd"`` its odd part by ``tau = n / 2`` (the
     center's).  Each is a ``(len(radii), 3)`` array whose entry ``[a, m]`` is
-    the sup of ``r^(m + tau) |d^m h|`` over the order-8 unit-sphere quadrature
-    grid at ``r = radii[a]``, so the sups are reproducible; the odd part's are
-    the jets of ``h_odd(x) = (h(x) - h(-x)) / 2`` that :func:`parity_parts`
-    gives from one jet evaluation of the grid and its reflection per radius.
+    the sup of ``r^(m + tau) |d^m h|`` over the grid ``r * [half, -half]``,
+    ``half`` the first half of the order-8 unit-sphere rule: that rule made its
+    own reflection, so one jet evaluation per radius gives ``h`` and, by
+    :func:`parity_parts` on the two halves, ``h_odd(x) = (h(x) - h(-x)) / 2``.
     The CLI judges whether they tend to zero.
     """
     radii = [float(r) for r in radii]
@@ -182,13 +182,14 @@ def decay_report(field_: MetricField, radii) -> dict[str, Array]:
 
     n = field_.dim
     dirs, _ = unit_sphere_rule(n, 8)
+    m = len(dirs) // 2
+    grid = np.concatenate([dirs[:m], -dirs[:m]])
     taus = {"all": (n - 2) / 2.0, "odd": n / 2.0}
     sups = {part: np.zeros((len(radii), 3)) for part in taus}
-    m = len(dirs)
     for a, r in enumerate(radii):
-        g, dg, ddg = jet2_batch(field_, np.concatenate([r * dirs, -r * dirs]))
-        h = (g[:m] - np.eye(n), dg[:m], ddg[:m])
-        _, odd = parity_parts((g[:m], dg[:m], ddg[:m]), (g[m:], dg[m:], ddg[m:]))
+        jets = jet2_batch(field_, r * grid)
+        h = (jets[0] - np.eye(n), *jets[1:])
+        _, odd = parity_parts(tuple(d[:m] for d in jets), tuple(d[m:] for d in jets))
         sups["all"][a] = [r ** (k + taus["all"]) * np.max(np.abs(d)) for k, d in enumerate(h)]
         sups["odd"][a] = [r ** (k + taus["odd"]) * np.max(np.abs(d)) for k, d in enumerate(odd)]
     return sups

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import admflux.catalog as catalog_module
+from admflux import surfaces
 from admflux.analysis import sweep
 from admflux.catalog import CatalogSpec, build
 from admflux.curvature import curvature_arrays
@@ -59,14 +60,36 @@ class TestBuild:
             assert got == pytest.approx(expected, rel=1e-10)
         assert field.metadata["expected_mass"] == 1.0
 
-    def test_positivity_probe_evaluates_u_alone(self, monkeypatch):
+    def test_positivity_check_evaluates_u_alone(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("the u > 0 probe formed the jets of u")
+            raise AssertionError("the u > 0 check formed the jets of u or a quadrature rule")
 
         monkeypatch.setattr(catalog_module, "_conformal_jets", forbidden)
+        monkeypatch.setattr(surfaces, "unit_sphere_rule", forbidden)
         assert build(CatalogSpec(kind="schwarzschild", dim=6)).dim == 6
         with pytest.raises(ConfigError, match="not positive"):
             build(CatalogSpec(kind="conformal", u_coeffs=((1, -2.0),), inner_radius=1.0))
+
+    def test_u_must_stay_positive_beyond_the_inner_radius(self):
+        # u = 1 - 4/rho + 3.9/rho^2 is 0.067 at rho = 1.5 but -0.026 at rho = 1.95
+        with pytest.raises(ConfigError, match="not positive outside the inner radius"):
+            build(CatalogSpec(kind="conformal", u_coeffs=((1, -4.0), (2, 3.9)), inner_radius=1.5))
+        # mixed signs that stay positive: u = 1 + 2 t - 1.5 t^2 > 0 for t < 1.72
+        for inner in (None, 1.0):
+            field = build(CatalogSpec(kind="conformal", u_coeffs=((1, 2.0), (2, -1.5)), inner_radius=inner))
+            assert field.metadata["expected_mass"] == 4.0
+
+    def test_the_pole_of_u_must_lie_inside_the_inner_radius(self):
+        base = CatalogSpec(kind="schwarzschild", center=(5.0, 0.3, 0.2))
+        assert build(base).inner_radius > 5.0
+        for spec in (
+            dataclasses.replace(base, inner_radius=1.0),
+            CatalogSpec(kind="perturbed", base=base, inner_radius=1.0),  # checked on the base
+        ):
+            with pytest.raises(ConfigError, match=r"inner_radius 1 does not enclose .* at distance 5\.01"):
+                build(spec)
+        bumped = build(CatalogSpec(kind="perturbed", base=base, inner_radius=6.0))
+        assert bumped.inner_radius == 6.0
 
     def test_conformal_mass_metadata(self):
         field = build(CatalogSpec(kind="conformal", u_coeffs=((1, 1.0), (2, 1.0))))
@@ -233,12 +256,6 @@ class TestValidation:
     def test_dimension_too_small(self):
         with pytest.raises(ConfigError):
             build(CatalogSpec(kind="flat", dim=2))
-
-    def test_inner_radius_probe_within_node_budget(self):
-        # the order-8 probe has 2*9^5 nodes in R^6 and 2*9^6 > 10^6 in R^7
-        assert build(CatalogSpec(kind="schwarzschild", dim=6)).dim == 6
-        with pytest.raises(ConfigError, match=r"metric dim 7: .* 2\*9\^6 nodes"):
-            build(CatalogSpec(kind="schwarzschild", dim=7))
 
     def test_conformal_needs_coefficients(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admflux import analysis, cli, invariants
+from admflux import analysis, cli, invariants, metric_field, surfaces
 from admflux.catalog import CatalogSpec, build
 from admflux.cli import ALL_FUNCTIONALS, decreasing_to_zero, load_config, main, run_checks
 
@@ -723,6 +724,58 @@ def test_well_formed_config_the_run_cannot_use_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def no_oversized_rule(monkeypatch):
+    """Make every unit-sphere rule above the node budget an error instead of an allocation."""
+    real = surfaces.unit_sphere_rule
+
+    def guarded(n, order):
+        assert surfaces.rule_size(n, order) <= surfaces.MAX_RULE_NODES, f"order-{order} rule in R^{n}"
+        return real(n, order)
+
+    for module in (surfaces, metric_field, invariants):
+        monkeypatch.setattr(module, "unit_sphere_rule", guarded)
+
+
+#: u = 1 - 4/rho + 3.9/rho^2 dips to -0.026 at rho = 1.95, outside the inner radius 1.5.
+DIPPING_U = {"kind": "conformal", "u": [[1, -4], [2, 3.9]], "inner_radius": 1.5}
+FAR_CENTER = dict(SCHWARZSCHILD, center=[5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"metric": DIPPING_U, "schedule": {"radii": [1.6, 1.95, 4, 8, 16]}},
+         "conformal factor is not positive outside the inner radius"),
+        ({"metric": dict(FAR_CENTER, inner_radius=1)}, "inner_radius 1 does not enclose"),
+        ({"metric": {"kind": "perturbed", "base": FAR_CENTER, "inner_radius": 1}}, "inner_radius 1 does not enclose"),
+        # the order-2 start rule has 2*3^9 nodes in R^10, the order-8 decay grid 2*9^9
+        ({"metric": {"kind": "flat", "dim": 10}, "order": 2, "functionals": ["decay_checks"]},
+         "metric dim 10: an order-8 sphere rule has 2*9^9 nodes"),
+    ],
+    ids=["u-dips", "center-outside", "perturbed-center-outside", "decay-grid-oversized"],
+)
+def test_a_metric_the_domain_or_the_decay_grid_cannot_hold_is_config_error(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    no_oversized_rule(monkeypatch)
+    assert main(["sweep", "--config", str(write_config(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["schwarzschild", "flat"])
+def test_every_kind_keeps_the_decay_grid_within_the_node_budget(tmp_path, capsys, monkeypatch, kind):
+    # the order-8 decay grid has 2*9^5 nodes in R^6 and 2*9^6 > 10^6 in R^7, whichever checks run
+    no_oversized_rule(monkeypatch)
+    metric = {"kind": kind, "dim": 6}
+    assert cli._validate_config(load_config(write_config(tmp_path, metric=metric, order=2))).dim == 6
+    cfg = write_config(tmp_path, metric=dict(metric, dim=7), order=2, functionals=["adm_mass"])
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"config error: metric dim 7: .* 2\*9\^6 nodes", err) and err.count("\n") == 1
 
 
 #: Ellipsoid schedules whose scaled surfaces pass the bounds that the schedule

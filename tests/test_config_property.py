@@ -26,9 +26,10 @@ NUMBER = st.integers(0, 5).flatmap(
         [0.0, 1e-300, 1e58, 1e300, -1e300, math.nan, math.inf, 10**400]
     )
 )
-# The catalog probes the inner radius with 18 * 9^(n-2) nodes, so dimension 8
-# would allocate about 10M of them.  -2..6 covers the rejected dimensions below
-# 3 and four accepted ones; 3 in 7 draws are 3.
+# The validator sizes the order-8 decay grid of every run, 2 * 9^(n-1) nodes,
+# so dimension 7 and up is refused before any rule is built (tests/test_cli.py
+# pins that).  -2..6 covers the rejected dimensions below 3 and four accepted
+# ones; 3 in 7 draws are 3.
 DIMS = [3, 3, 3, 3, 3, 3, 4, 5, 6, -2, -1, 0, 1, 2]
 KINDS = ["flat", "schwarzschild", "conformal", "perturbed", "rt_violator"] * 3 + ["kerr"]
 

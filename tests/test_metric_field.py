@@ -260,8 +260,8 @@ class TestDecayReport:
         sups = decay_report(catalog["schwarzschild-translated"], self.RADII)
         assert list(sups) == ["all", "odd"]
         assert all(s.shape == (len(self.RADII), 3) for s in sups.values())
-        # the grid and its reflection together at each radius
-        assert sizes == [2 * len(unit_sphere_rule(3, 8)[0])] * len(self.RADII)
+        # one grid per radius, its own reflection: the order-8 rule's 162 nodes in R^3
+        assert sizes == [len(unit_sphere_rule(3, 8)[0])] * len(self.RADII) == [162] * 5
 
     def test_one_field_evaluation_per_radius(self, catalog):
         calls = []
@@ -272,10 +272,10 @@ class TestDecayReport:
             return base.jet_batch(points, derivatives)
 
         decay_report(dataclasses.replace(base, jet_batch=counting), self.RADII)
-        dirs = unit_sphere_rule(3, 8)[0]
+        half = unit_sphere_rule(3, 8)[0][:81]
         assert len(calls) == len(self.RADII)
         for r, points in zip(self.RADII, calls):
-            assert np.array_equal(points, np.concatenate([r * dirs, -r * dirs]))
+            assert np.array_equal(points, r * np.concatenate([half, -half]))
 
     def test_empty_radii(self, catalog):
         with pytest.raises(ValueError):
@@ -291,15 +291,16 @@ class TestDecayReport:
 
 
 def reference_sups(field, radii):
-    """The decay sups one formula at a time: point-first jets of the grid and,
-    in a second evaluation, of its reflection, split by :func:`parity_parts`."""
+    """The decay sups one formula at a time: point-first jets of the grid ``r * [half, -half]``
+    and, in two more evaluations, of ``half`` and its reflection, split by :func:`parity_parts`."""
     n = field.dim
     dirs, _ = unit_sphere_rule(n, 8)
+    half = dirs[: len(dirs) // 2]
     taus = {"all": (n - 2) / 2.0, "odd": n / 2.0}
     sups = {part: np.zeros((len(radii), 3)) for part in taus}
     for a, r in enumerate(radii):
-        g, dg, ddg = jets = jet2_batch(field, r * dirs)
-        _, odd = parity_parts(jets, jet2_batch(field, -r * dirs))
+        g, dg, ddg = jet2_batch(field, r * np.concatenate([half, -half]))
+        _, odd = parity_parts(jet2_batch(field, r * half), jet2_batch(field, -r * half))
         for part, h in (("all", (g - np.eye(n), dg, ddg)), ("odd", odd)):
             sups[part][a] = [r ** (m + taus[part]) * np.max(np.abs(d)) for m, d in enumerate(h)]
     return sups
