@@ -3,31 +3,30 @@
 :func:`sweep` is the one entry point: it samples a list of functionals over a
 growing schedule of surfaces in one pass, each surface evaluated once for all
 of them by :func:`~admflux.invariants.surface_totals`, in blocks of surfaces of
-one order, and then divides the centers by the mass.  The start order is
-accepted once its half agrees with it, the rule the scalar-curvature shells
-use for their directions.  It fits each on the
-tail with the model ``value(r) = limit + A * r^(-p)``, one
-:func:`fit_power_law` call for all of a functional's components: a bracketed
-Newton search of each component's rate over ``[-8, 8]``, started from the rate
-of its first and last differences.  A fitted rate is reported alongside the
-limit rather than assumed, since the decay hypotheses only guarantee
-convergence without a rate; samples that grow fit a rate of at most 0, and
-no verdict passes them.
+one order, and then divides the centers by the mass.  The orders are walked by
+:func:`~admflux.invariants.refine`, as the scalar-curvature shells' directions
+are: the start order is accepted once its half agrees with it, and a failure
+names the first surface that fails alone.  It fits each on the tail with the
+model ``value(r) = limit + A * r^(-p)``, one :func:`fit_power_law` call for all
+of a functional's components: a bracketed Newton search of each component's
+rate over ``[-8, 8]``, started from the rate of its first and last
+differences.  A fitted rate is reported alongside the limit rather than
+assumed, since the decay hypotheses only guarantee convergence without a
+rate; samples that grow fit a rate of at most 0, and no verdict passes them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AdmfluxError, ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .invariants import CENTER_FUNCTIONALS, MAX_ORDER, REFINEMENT_TOL, SECOND_ORDER
-from .invariants import agrees, normalized, refinement_orders, surface_totals
+from .invariants import _naming, normalized, refine, surface_totals
 from .metric_field import MetricField
 from .surfaces import ellipsoid_quadrature, rule_size, sphere_quadrature
 
@@ -177,31 +176,13 @@ def _verdict(values, limit, rate, tol) -> tuple[bool, float]:
 
 def check_schedule(radii: Sequence[float], order: int) -> None:
     """Raise :class:`ConfigError` unless ``order`` is a start order from 2 to :data:`MAX_ORDER`
-    and ``radii`` a positive, strictly increasing schedule of at least 4 radii."""
+    and ``radii`` a finite, positive, strictly increasing schedule of at least 4 radii."""
     if not 2 <= order <= MAX_ORDER:
         raise ConfigError(f"start order must be between 2 and {MAX_ORDER}, got {order}")
-    if len(radii) < 4 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+    if len(radii) < 4 or not all(0 < r < math.inf for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(
-            "schedule radii must be positive and strictly increasing, with at least 4 entries"
+            "schedule radii must be finite, positive and strictly increasing, with at least 4 entries"
         )
-
-
-@contextmanager
-def _naming(where: str):
-    """Name ``where`` a failure happened, keeping the failure's type.
-
-    The package's own errors are raised again with ``where`` leading their
-    message; any other exception passes through unchanged, with a note where
-    Python supports notes (3.11 on).
-    """
-    try:
-        yield
-    except AdmfluxError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-    except Exception as exc:
-        if hasattr(exc, "add_note"):
-            exc.add_note(f"while evaluating {where}")
-        raise
 
 
 def _finite(value) -> np.ndarray:
@@ -232,17 +213,17 @@ def sweep(
     then normalized by ``mass`` or, when it is None, by the fitted limit of
     ``adm_mass``, which is swept for them.  Reports come in the order of :data:`FUNCTIONALS`.
 
-    At each radius a functional walks :func:`refinement_orders` from
-    ``order`` (2 to :data:`MAX_ORDER`): it evaluates the companion
-    ``order // 2``, then ``order``, and accepts an order once it agrees with
-    the one before to :data:`REFINEMENT_TOL` of ``1 + |value|``, judged on
-    the surface integral before any division by the mass.  A radius still
-    unconverged at :data:`MAX_ORDER` keeps that value and fails, named in the
-    report's ``failure``.  The fit uses the last half of the samples; the
-    verdict is true when no radius failed, the final sample sits within
-    ``tol * (1 + |limit|)`` of the fitted limit and the fitted rate is
-    positive.  A failing evaluation names the functional and the radius; the
-    package's own errors carry both in their message.
+    Each (radius, functional) is refined by :func:`refine` from ``order`` (2
+    to :data:`MAX_ORDER`): it evaluates the companion ``order // 2``, then
+    ``order``, and accepts an order once it agrees with the one before to
+    :data:`REFINEMENT_TOL` of ``1 + |value|``, judged on the surface integral
+    before any division by the mass.  A radius still unconverged at
+    :data:`MAX_ORDER` keeps that value and fails, named in the report's
+    ``failure``.  The fit uses the last half of the samples; the verdict is
+    true when no radius failed, the final sample sits within ``tol * (1 +
+    |limit|)`` of the fitted limit and the fitted rate is positive.  A
+    failing evaluation names the first functional and radius that fail alone;
+    the package's own errors carry both in their message.
     """
     if isinstance(functionals, str):
         raise TypeError(f"sweep takes a list of functionals, got the string {functionals!r}")
@@ -256,66 +237,42 @@ def sweep(
     if centers and mass is None and "adm_mass" not in names:
         names.insert(0, "adm_mass")
 
-    def evaluate(block: list[float], at: int, active: list[str]) -> tuple[dict, dict]:
-        """Totals and refinement values of ``active``, one per surface, on the order-``at`` surfaces of ``block``.
-
-        One :func:`surface_totals` call serves them all, with one row sum; its jets are freed on return.
-        A failure is named after the first surface and functional that fail alone, in that order,
-        each evaluated alone at the jet order it needs.
-        """
-        try:
-            got = surface_totals(field, [
-                sphere_quadrature(field.dim, r, at) if ratios is None
-                else ellipsoid_quadrature([t * r for t in ratios], at)
-                for r in block
-            ], active)
-            return got, {name: [_finite(FUNCTIONALS[name]["fn"](t, field.dim, 1.0)) for t in got[name]]
-                         for name in active}
-        except Exception as exc:
-            if len(block) == len(active) == 1:
-                with _naming(f"{active[0]} at schedule radius {block[0]:g}"):
-                    raise
-            error = exc
-        for r in block:
-            for name in active:
-                evaluate([r], at, [name])
-        raise error
-
-    totals: dict[str, list] = {name: [None] * len(radii) for name in names}
-    active, previous = [names] * len(radii), [{} for _ in radii]
-    orders = refinement_orders(order)
     per_node = [field.dim ** (k + 2) for k in range(3)]  # the floats of g, dg and ddg at a node
     budget = rule_size(field.dim, order) * sum(per_node)  # one start-order surface's jets to second order
-    for at in orders:
-        where = [a for a, still in enumerate(active) if still]
-        still = [f for f in names if any(f in mine for mine in active)]
+
+    def evaluate(at: int, refining: list[tuple[int, str]]) -> list[tuple]:
+        """``(value, scale, total)`` of each (radius index, name) of ``refining`` on its order-``at`` surface:
+        blocks of the radii whose jets fit ``budget``, each for every name still refining at any radius."""
+        where = list(dict.fromkeys(a for a, _ in refining))
+        still = [f for f in names if any(f == name for _, name in refining)]
         levels = 3 if any(f in SECOND_ORDER for f in still) else 2  # the jets the blocks read
         size = max(1, budget // (rule_size(field.dim, at) * sum(per_node[:levels])))
+        totals = {}
         for block in (where[b: b + size] for b in range(0, len(where), size)):
-            got, values = evaluate([radii[a] for a in block], at, still)
-            for j, a in enumerate(block):
-                mine = active[a]
-                done = [f for f in mine if f in previous[a] and agrees(
-                    values[f][j], previous[a][f], 1.0 + float(np.max(np.abs(values[f][j]))))]
-                # the last order takes every value still refining; those left active stalled
-                for f in mine if at == orders[-1] else done:
-                    totals[f][a] = got[f][j]
-                active[a] = [f for f in mine if f not in done]
-                previous[a] = {f: values[f][j] for f in mine}
+            got = surface_totals(field, [
+                sphere_quadrature(field.dim, radii[a], at) if ratios is None
+                else ellipsoid_quadrature([t * radii[a] for t in ratios], at)
+                for a in block
+            ], still)
+            totals.update({(a, f): got[f][j] for f in still for j, a in enumerate(block)})
+        values = [_finite(FUNCTIONALS[f]["fn"](totals[a, f], field.dim, 1.0)) for a, f in refining]
+        return [(v, 1.0 + float(np.max(np.abs(v))), totals[key]) for v, key in zip(values, refining)]
 
+    totals, stalled = refine(order, [(a, f) for a in range(len(radii)) for f in names], evaluate,
+                             lambda key: f"{key[1]} at schedule radius {radii[key[0]]:g}")
     reports = {}
     for name in names:  # the masses come first, so a center can take the fitted mass
         if name in centers and mass is None:
             mass = float(reports["adm_mass"].fitted_limit)
         samples = []
-        for r, total in zip(radii, totals[name]):
+        for a, r in enumerate(radii):
             with _naming(f"{name} at schedule radius {r:g}"):
-                samples.append(_finite(normalized(name, total, field.dim, mass)))
+                samples.append(_finite(normalized(name, totals[a, name], field.dim, mass)))
         values = np.stack(samples)
         limit, rate = _fit_samples(np.asarray(radii), values)
         verdict, tol_eff = _verdict(values, limit, rate, tol)
-        failure = "; ".join(f"{name} unconverged at schedule radius {r:g} (order {orders[-1]})"
-                            for r, still in zip(radii, active) if name in still) or None
+        failure = "; ".join(f"{name} unconverged at schedule radius {radii[a]:g} (order {MAX_ORDER})"
+                            for a, f in stalled if f == name) or None
         reports[name] = ConvergenceReport(
             radii=tuple(radii),
             values=values,

@@ -16,8 +16,9 @@ usage or configuration error, 3 a numerical error (singular metric,
 non-finite jets, undefined center, radius inside the excluded ball), 4 an
 internal error (any other exception, reported in one line).  A numerical
 error names the check that hit it and where: the functional and schedule
-radius of a sweep, the identity surface, the decay check, or the annulus of
-a scalar-curvature shell.
+radius of a sweep or the annulus of a scalar-curvature shell, the first to
+fail alone (:func:`~admflux.invariants.refine`), the identity surface, or the
+decay check.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def _identity_checks(fld: MetricField, cfg: RunConfig) -> dict[str, ConvergenceR
     r_used = cfg.radii[0] if fld.inner_radius == 0 else cfg.radii[1]
     outer = sphere_quadrature(fld.dim, r_used, cfg.order)
     inner = None if fld.inner_radius == 0 else sphere_quadrature(fld.dim, cfg.radii[0], cfg.order)
-    with analysis._naming(f"identity_residuals at schedule radius {r_used:g}"):
+    with invariants._naming(f"identity_residuals at schedule radius {r_used:g}"):
         res_x, res_y = invariants.identity_residuals(fld, outer, inner=inner)
     return {
         f"identity_residual_{which}": ConvergenceReport(
@@ -341,19 +342,8 @@ def _scalar_moment_check(fld: MetricField, cfg: RunConfig) -> ConvergenceReport:
     or angular rule did not converge fails the check and is named in the
     failure with that rule.
     """
-    def moments(radii: list[float]) -> list:
-        """The shells of ``radii``'s annuli in one pass; a failure names the first annulus that fails alone."""
-        try:
-            return invariants.scalar_curvature_moment(fld, radii, moment=0)
-        except Exception:
-            if len(radii) > 2:
-                for pair in zip(radii, radii[1:]):
-                    moments(list(pair))
-            with analysis._naming(f"scalar_moment_shells on {radii[0]:g} < |x| < {radii[-1]:g}"):
-                raise
-
     annuli = list(zip(cfg.radii, cfg.radii[1:]))
-    shells = moments(list(cfg.radii))
+    shells = invariants.scalar_curvature_moment(fld, cfg.radii, moment=0)
     tail = shells[len(shells) // 2 :]
     decays = decreasing_to_zero(
         [abs(s.value) for s in tail], floor=[SHELL_NOISE * s.scale for s in tail]
@@ -375,7 +365,7 @@ def _decay_checks(fld: MetricField, cfg: RunConfig) -> dict[str, ConvergenceRepo
     Each derivative order's sups must decrease to zero over the outer half of
     the schedule, by the shells' rule; a failure names the orders that do not.
     """
-    with analysis._naming("decay_checks"):
+    with invariants._naming("decay_checks"):
         sups = decay_report(fld, cfg.radii)
     reports = {}
     for part, s in sups.items():

@@ -19,7 +19,9 @@ the same totals as their boundary terms.  Both routes and the identities
 work with the point axis last, as the curvature kernel does, and contract all
 ``n`` conformal generators at once; every kernel call is bounded in bytes
 (:data:`KERNEL_BYTES`), and :func:`scalar_curvature_moment` takes every
-annulus of a schedule through the kernel together.  Every jet comes through
+annulus of a schedule through the kernel together.  :func:`refine` is the one
+quadrature-refinement walk, of the swept surfaces and of the shells, and the
+one rule that names the piece a failure is blamed on.  Every jet comes through
 :func:`~admflux.metric_field.jet2_batch`, which checks that the points lie in
 the field's domain and that the jets asked for are finite.  Every surface
 total is correctly rounded (``math.fsum`` to the bit) for run-to-run
@@ -29,12 +31,13 @@ determinism, every row of a call in one vectorized sum.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from contextlib import contextmanager
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from .curvature import curvature_arrays
-from .errors import DomainError, NonFiniteError, UndefinedCenterError
+from .errors import AdmfluxError, DomainError, NonFiniteError, UndefinedCenterError
 from .metric_field import Array, MetricField, jet2_batch
 from .surfaces import (
     QuadSurface,
@@ -74,6 +77,50 @@ def refinement_orders(start: int) -> list[int]:
 def agrees(finer, coarser, scale: float) -> bool:
     """Whether consecutive orders' values agree to :data:`REFINEMENT_TOL` times ``scale``."""
     return float(np.max(np.abs(np.subtract(finer, coarser)))) <= REFINEMENT_TOL * scale
+
+
+@contextmanager
+def _naming(where: str):
+    """Name ``where`` a failure happened, keeping its type: the package's own errors are raised again
+    with ``where`` leading their message, any other passes through with a note (Python 3.11 on)."""
+    try:
+        yield
+    except AdmfluxError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"while evaluating {where}")
+        raise
+
+
+def refine(start: int, keys: Sequence[Hashable], evaluate: Callable, where: Callable) -> tuple[dict, list]:
+    """The one refinement walk: each of ``keys`` through :func:`refinement_orders` from ``start``.
+
+    ``evaluate(order, refining)`` gives ``(value, scale, result)`` for each key still refining, in key
+    order.  A key accepts the result of the first order whose value :func:`agrees` with the order
+    before's to its ``scale``; one that never agrees keeps its result at :data:`MAX_ORDER` and is
+    stalled.  Returns the results in key order and the stalled keys.  When an order raises, each
+    refining key is evaluated alone at it, in key order, and the first that fails is named
+    ``where(key)``; an error that no key repeats alone is raised again.
+    """
+    results, previous, refining = {}, {}, list(keys)
+    for order in refinement_orders(start):
+        if not refining:
+            break
+        try:
+            got = evaluate(order, refining)
+        except Exception:
+            for key in refining:
+                with _naming(where(key)):
+                    evaluate(order, [key])
+            raise
+        accepted = set()
+        for key, (value, scale, result) in zip(refining, got):
+            if key in previous and agrees(value, previous[key], scale):
+                accepted.add(key)
+            results[key], previous[key] = result, value
+        refining = [key for key in refining if key not in accepted]
+    return results, refining
 
 
 #: The functionals read from the curvature bundle; the others need only the jets.
@@ -355,29 +402,23 @@ def scalar_curvature_moment(field: MetricField, radii: Sequence[float], moment: 
     ``moment=i`` (1-based) weights it by the coordinate ``x^i``.  One
     :class:`ShellIntegral` per annulus exposes the convergence of the tail.
 
-    Each annulus's angular order follows :func:`refinement_orders` from 4: it
-    is integrated at order 2, then 4, doubling until two consecutive orders
-    agree to :data:`REFINEMENT_TOL` times the finer one's scale, up to
-    :data:`MAX_ORDER`.  Every annulus still refining at an order is evaluated
-    in one pass.  Each gets the :class:`ShellIntegral` of its accepted order;
-    at the cap it is marked ``"angular"`` unless its radial rule stalled.
+    Each annulus's angular order is refined by :func:`refine` from 4, to
+    :data:`REFINEMENT_TOL` times the finer order's scale; every annulus still
+    refining at an order is evaluated in one pass, and a failure names the
+    first that fails alone (``scalar_moment_shells on 20 < |x| < 40``).  Each
+    gets the :class:`ShellIntegral` of its accepted order; at the cap it is
+    marked ``"angular"`` unless its radial rule stalled.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 2 or not radii[0] >= field.inner_radius or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"need increasing radii from inner_radius={field.inner_radius} on, got {radii}")
     if not 0 <= moment <= field.dim:
         raise ValueError(f"moment must be 0 or a 1-based index <= {field.dim}, got {moment}")
-    annuli, previous, accepted = list(zip(radii, radii[1:])), {}, {}
-    for order in refinement_orders(4):
-        refining = [k for k in range(len(annuli)) if k not in accepted]
-        for k, shell in zip(refining, _radial_moment(field, [annuli[k] for k in refining], moment, order)):
-            if k in previous and agrees(shell.value, previous[k].value, shell.scale):
-                accepted[k] = shell
-            previous[k] = shell
-        if len(accepted) == len(annuli):
-            break
-    return [accepted[k] if k in accepted else shell if shell.stalled else shell._replace(stalled="angular")
-            for k, shell in previous.items()]
+    annuli = list(zip(radii, radii[1:]))
+    shells, stalled = refine(4, range(len(annuli)), lambda order, refining: [
+        (s.value, s.scale, s) for s in _radial_moment(field, [annuli[k] for k in refining], moment, order)
+    ], lambda k: f"scalar_moment_shells on {annuli[k][0]:g} < |x| < {annuli[k][1]:g}")
+    return [s._replace(stalled=s.stalled or "angular") if k in stalled else s for k, s in shells.items()]
 
 
 def _radial_moment(field: MetricField, annuli: Sequence[tuple[float, float]], moment: int,

@@ -61,6 +61,8 @@ class MetricField:
 
 
 def _check_domain(field_: MetricField, points: Array) -> None:
+    if not np.isfinite(points).all():
+        raise DomainError(f"non-finite point lies outside the domain of field {field_.label!r}")
     low = float(np.einsum("pi,pi->p", points, points).min())
     if low < (field_.inner_radius * (1 - 1e-12)) ** 2:
         raise DomainError(
@@ -82,9 +84,10 @@ def _check_finite(field_: MetricField, points: Array, jets: Jets) -> None:
 def jet2_batch(field_: MetricField, points: Array, derivatives: int = 2) -> Jets:
     """Jets of ``field_`` at ``points``: ``(g, dg)`` for ``derivatives == 1``, ``(g, dg, ddg)`` for ``2``.
 
-    Raises :class:`DomainError` when a point lies inside the field's inner
-    radius and :class:`NonFiniteError` when an entry of a level asked for is
-    NaN or infinite; both name the field and the radius of the offending point.
+    Raises :class:`DomainError` when a point is not finite or lies inside the
+    field's inner radius, and :class:`NonFiniteError` when an entry of a level
+    asked for is NaN or infinite; each names the field, and the radius of a
+    finite offending point.
     """
     if derivatives not in (1, 2):
         raise ValueError(f"derivatives must be 1 or 2, got {derivatives}")

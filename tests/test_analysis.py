@@ -16,7 +16,7 @@ from admflux.analysis import (
     sweep,
 )
 from admflux.catalog import CatalogSpec, build
-from admflux.errors import DomainError, NonFiniteError, SingularMetricError
+from admflux.errors import ConfigError, DomainError, NonFiniteError, SingularMetricError
 from admflux.surfaces import sphere_quadrature, unit_sphere_area
 from conftest import surface_value
 
@@ -307,6 +307,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(catalog["flat"], ["adm_mass"], [10.0, 10.0, 20.0, 40.0])
 
+    @pytest.mark.parametrize("radii", [[10.0, 20.0, math.nan, 40.0], [10.0, 20.0, 40.0, math.inf]], ids=["nan", "inf"])
+    def test_non_finite_radii_are_a_config_error(self, catalog, radii):
+        with pytest.raises(ConfigError, match="finite"):
+            sweep(catalog["schwarzschild"], ["adm_mass"], radii)
+
     def test_evaluation_error_names_radius(self, catalog):
         with pytest.raises(DomainError, match="radius 0.5"):
             sweep(catalog["schwarzschild"], ["adm_mass"], [0.5, 10.0, 20.0, 40.0], order=8)
@@ -438,17 +443,22 @@ class TestSharedSurfaces:
     def test_failing_block_names_its_first_failing_surface(self, catalog):
         base = catalog["schwarzschild"]
 
-        def spoiled(points, derivatives):
-            g, dg, *rest = base.jet_batch(points, derivatives)
-            dg = dg.copy()
-            dg[np.linalg.norm(points, axis=1) > 30.0, 0, 0, 0] = np.nan
-            return (g, dg, *rest)
+        def spoiled(cutoff):
+            def jet_batch(points, derivatives):
+                g, dg, *rest = base.jet_batch(points, derivatives)
+                dg = dg.copy()
+                dg[np.linalg.norm(points, axis=1) > cutoff, 0, 0, 0] = np.nan
+                return (g, dg, *rest)
 
-        field = dataclasses.replace(base, jet_batch=spoiled)
-        for names in (["adm_mass"], ["adm_mass", "intrinsic_mass"]):
-            with pytest.raises(NonFiniteError) as info:
-                sweep(field, names, self.RADII)
-            assert str(info.value).startswith("adm_mass at schedule radius 40: non-finite jet"), names
+            return dataclasses.replace(base, jet_batch=jet_batch)
+
+        # beyond 60 only radius 80 fails: in the two-name sweep it is alone in the second
+        # order-12 block, after a block whose surfaces all pass alone
+        for cutoff, first in ((30.0, 40), (60.0, 80)):
+            for names in (["adm_mass"], ["adm_mass", "intrinsic_mass"]):
+                with pytest.raises(NonFiniteError) as info:
+                    sweep(spoiled(cutoff), names, self.RADII)
+                assert str(info.value).startswith(f"adm_mass at schedule radius {first}: non-finite jet"), names
 
     def test_non_finite_second_derivatives_name_the_curvature_functional(self, catalog):
         base = catalog["schwarzschild"]

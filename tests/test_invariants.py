@@ -543,6 +543,65 @@ def test_refinement_orders_start_at_the_companion(start, orders):
     assert invariants.refinement_orders(start) == orders
 
 
+class TestRefine:
+    """The one refinement walk on a fake ``evaluate``: ``values[key](order)`` is each key's value at an
+    order, its scale is 1, and its result is ``(key, order)``."""
+
+    @staticmethod
+    def walk(values, fails=lambda order, refining: None):
+        calls = []
+
+        def evaluate(order, refining):
+            calls.append((order, list(refining)))
+            fails(order, refining)
+            return [(values[key](order), 1.0, (key, order)) for key in refining]
+
+        results, stalled = invariants.refine(4, list(values), evaluate, lambda key: f"piece {key}")
+        return results, stalled, calls
+
+    def test_each_key_accepts_its_first_agreeing_order(self):
+        # from refinement_orders(4) = 2, 4, 8, ...: "a" agrees at its first comparison, "b" at 32
+        results, stalled, _ = self.walk({"a": lambda order: 1.0, "b": lambda order: 0.0 if order >= 16 else order})
+        assert results == {"a": ("a", 4), "b": ("b", 32)} and list(results) == ["a", "b"]
+        assert stalled == []
+
+    def test_a_key_that_never_agrees_keeps_its_cap_result_and_stalls(self):
+        results, stalled, calls = self.walk({"a": lambda order: 1.0, "c": float, "d": lambda order: 5.0})
+        assert results == {"a": ("a", 4), "c": ("c", 96), "d": ("d", 4)}
+        assert stalled == ["c"] and calls[-1] == (96, ["c"])
+
+    def test_evaluate_sees_only_the_keys_still_refining_and_stops_when_none_is(self):
+        _, _, calls = self.walk({"b": lambda order: 0.0 if order >= 16 else order, "a": lambda order: 1.0})
+        assert calls == [(2, ["b", "a"]), (4, ["b", "a"]), (8, ["b"]), (16, ["b"]), (32, ["b"])]
+        _, _, calls = self.walk({"a": lambda order: 1.0})
+        assert [order for order, _ in calls] == [2, 4]
+
+    def test_a_failing_order_names_the_first_key_that_fails_alone(self):
+        tried = []
+
+        def fails(order, refining):
+            tried.append((order, list(refining)))
+            if order == 8 and "c" in refining:
+                raise NonFiniteError("bad jet")
+
+        # "a" and "d" accept at 4; at 8 the pass over "b", "c" and "e" fails, "b" passes alone and "c" fails
+        values = {"a": lambda order: 1.0, "b": float, "c": float, "d": lambda order: 2.0, "e": float}
+        with pytest.raises(NonFiniteError, match=r"^piece c: bad jet$"):
+            self.walk(values, fails)
+        assert tried[2:] == [(8, ["b", "c", "e"]), (8, ["b"]), (8, ["c"])]
+
+    def test_a_failure_no_key_repeats_alone_is_raised_again_unchanged(self):
+        error = ValueError("only together")
+
+        def fails(order, refining):
+            if order == 8 and len(refining) > 1:
+                raise error
+
+        with pytest.raises(ValueError) as info:
+            self.walk({key: float for key in "abc"}, fails)
+        assert info.value is error and not getattr(error, "__notes__", None)
+
+
 def test_angular_rule_refines_a_near_origin_annulus(monkeypatch):
     shells = {}
     real = invariants._radial_moment
@@ -650,6 +709,10 @@ class TestScalarCurvatureMoments:
     def test_first_moment_vanishes_by_symmetry(self, catalog):
         got = scalar_curvature_moment(catalog["conformal"], [10.0, 20.0], moment=1)[0].value
         assert abs(got) <= 1e-12
+
+    def test_a_nan_radius_is_outside_the_domain_and_names_its_annulus(self, catalog):
+        with pytest.raises(DomainError, match=r"^scalar_moment_shells on 20 < \|x\| < nan: non-finite point"):
+            scalar_curvature_moment(catalog["schwarzschild"], [10.0, 20.0, np.nan, 40.0])
 
     def test_bad_radii(self, catalog):
         with pytest.raises(ValueError):

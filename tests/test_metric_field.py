@@ -238,6 +238,10 @@ class TestDecayReport:
         assert not decay_report(catalog["flat"], self.RADII)["all"].any()
         assert decay_verdicts(catalog["flat"], self.RADII)["decay_all"].verdict
 
+    def test_a_nan_radius_is_outside_the_domain(self, catalog):
+        with pytest.raises(DomainError, match="non-finite point"):
+            decay_report(catalog["schwarzschild"], [10.0, 20.0, np.nan, 40.0])
+
     def test_schwarzschild_leading_order(self, catalog):
         # h ~ (2m/r) delta to leading order, so sup0 ~ 2 r^(-1/2) at tau = 1/2
         assert decay_verdicts(catalog["schwarzschild"], self.RADII)["decay_all"].verdict
@@ -386,6 +390,18 @@ def test_a_point_inside_the_inner_radius_names_its_radius(inner, fraction, direc
     with pytest.raises(DomainError, match=f"point at radius {radius:.6g} lies inside"):
         jet2_batch(field, points)
     jet2_batch(field, points[[0, 2]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_is_outside_the_domain(catalog, bad):
+    def never(points, derivatives):
+        raise AssertionError("field called on a non-finite point")
+
+    field = dataclasses.replace(catalog["schwarzschild"], jet_batch=never)
+    with pytest.raises(DomainError, match="non-finite point .* field 'schwarzschild'"):
+        jet2_batch(field, np.array([[10.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+    with pytest.raises(DomainError):
+        jet2_batch(field, [bad, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("shift", [-1e-13, -1e-14, 1e-14, 1e-13])
